@@ -6,72 +6,8 @@
 //!
 //! `cargo run --release -p ppm-bench --bin ledger [--stripe-mib 4] [--threads T]`
 
-use ppm_bench::{ledger_plan, time_tape_vs_graph, write_bench_json, ExpArgs, Table};
+use ppm_bench::{ledger_plan, write_bench_json, ExpArgs, Table};
 use ppm_core::Strategy;
-
-/// Warm-decode throughput sweep: tape vs graph execution over a range
-/// of stripe sizes on one representative SD instance. Returns the JSON
-/// rows. The tape must win (or tie, within timer noise) at every size —
-/// that is the whole point of compiling the plan. `ratio` is the median
-/// of per-pair graph/tape times (load-robust); the MiB/s columns are
-/// per-mode best-of minima. The sweep decodes single-threaded: it
-/// compares executor efficiency, and the thread pool's scheduling
-/// jitter would otherwise dominate a percent-level comparison.
-fn tape_sweep(seed: u64) -> Vec<String> {
-    let t = Table::new(&["stripe", "tape MiB/s", "graph MiB/s", "ratio"]);
-    let mut rows = Vec::new();
-    for &(label, stripe_bytes) in &[
-        ("64KiB", 64usize << 10),
-        ("256KiB", 256 << 10),
-        ("1MiB", 1 << 20),
-        ("4MiB", 4 << 20),
-    ] {
-        let prep = ppm_bench::prepare_sd(6, 8, 2, 2, 1, stripe_bytes, seed)
-            .expect("sweep instance prepares");
-        // Each sample is a back-to-back (tape, graph) pair, so the pair
-        // ratio cancels whatever the shared machine is doing at that
-        // instant; the median over many pairs is the load-robust
-        // comparison. Absolute MiB/s comes from the per-mode minima
-        // (wall-clock noise is one-sided). Keep sampling until the
-        // median stabilizes at or above parity.
-        let mut pairs: Vec<(f64, f64)> = Vec::new();
-        let mut ratio = 0.0;
-        for _attempt in 0..5 {
-            pairs.extend(time_tape_vs_graph(&prep, Strategy::PpmAuto, 1, 33));
-            let mut ratios: Vec<f64> = pairs.iter().map(|&(t, g)| g / t).collect();
-            ratios.sort_by(f64::total_cmp);
-            ratio = ratios[ratios.len() / 2];
-            if ratio >= 1.005 {
-                break;
-            }
-        }
-        let tape_s = pairs.iter().map(|&(t, _)| t).fold(f64::INFINITY, f64::min);
-        let graph_s = pairs.iter().map(|&(_, g)| g).fold(f64::INFINITY, f64::min);
-        let mib = stripe_bytes as f64 / (1u64 << 20) as f64;
-        let (tape_mibs, graph_mibs) = (mib / tape_s, mib / graph_s);
-        t.row(&[
-            label.to_string(),
-            format!("{tape_mibs:.0}"),
-            format!("{graph_mibs:.0}"),
-            format!("{ratio:.2}"),
-        ]);
-        println!(
-            "tape-vs-graph stripe={label} tape={tape_mibs:.0}MiB/s graph={graph_mibs:.0}MiB/s ratio={ratio:.2}"
-        );
-        // >= 1.0 means the tape wins outright; the 0.5% band below it
-        // is a statistical tie — at stripe sizes past cache the two
-        // paths do identical memory work and the true ratio is 1.0.
-        assert!(
-            ratio >= 0.995,
-            "tape slower than graph at stripe {label}: median paired ratio {ratio:.3}"
-        );
-        rows.push(format!(
-            "{{\"stripe\":\"{label}\",\"stripe_bytes\":{stripe_bytes},\
-             \"tape_mib_s\":{tape_mibs:.1},\"graph_mib_s\":{graph_mibs:.1},\"ratio\":{ratio:.3}}}"
-        ));
-    }
-    rows
-}
 
 fn main() {
     let args = ExpArgs::parse();
@@ -161,18 +97,13 @@ fn main() {
 
     assert!(rows > 0, "no instance prepared");
 
-    println!("\n# Warm decode: instruction tape vs graph walker\n");
-    let sweep_rows = tape_sweep(args.seed);
-    println!("tape>=graph at every stripe size ✓");
-
     let json = format!(
         "{{\"experiment\":\"ledger\",\"seed\":{},\"threads\":{},\"stripe_bytes\":{},\
-         \"rows\":[{}],\"tape_sweep\":[{}]}}",
+         \"rows\":[{}]}}",
         args.seed,
         args.threads,
         args.stripe_bytes,
-        json_rows.join(","),
-        sweep_rows.join(",")
+        json_rows.join(",")
     );
     let path = write_bench_json("ledger", &json);
     println!(

@@ -60,9 +60,7 @@ fn main() {
     let pristine = stripe.clone();
     stripe.erase(&sc);
     let plan = decoder.plan(&h, &sc, Strategy::PpmAuto).expect("plan");
-    let stats = decoder
-        .decode_with_stats(&plan, &mut stripe)
-        .expect("decode");
+    let stats = decoder.decode(&plan, &mut stripe).expect("decode");
     assert_eq!(stripe, pristine, "recovery must be bit-exact");
     println!(
         "\nexecuted (runtime telemetry): strategy {:?}, p={}, \

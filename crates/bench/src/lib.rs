@@ -17,13 +17,10 @@ pub mod report;
 pub mod table;
 
 pub use args::ExpArgs;
-pub use model::{
-    improvement, modeled_batch_time, modeled_decode_time, modeled_decode_time_chunked,
-    throughput_mbs,
-};
+pub use model::{improvement, modeled_decode_time, modeled_decode_time_chunked, throughput_mbs};
 pub use prep::{
     ledger_plan, prepare_hitchhiker, prepare_lrc, prepare_product, prepare_rs, prepare_sd,
-    prepare_sd_w, time_plan, time_tape_vs_graph, Prepared,
+    prepare_sd_w, time_plan, Prepared,
 };
 pub use report::{bench_dir, git_sha, write_bench_json, BENCH_SCHEMA_VERSION};
 pub use table::Table;

@@ -74,34 +74,6 @@ pub fn modeled_decode_time_chunked<W: GfWord>(
     (makespan as f64 + rest) * tau + extra_threads as f64 * spawn_overhead
 }
 
-/// Models the wall-clock of `RepairService::repair_batch` repairing
-/// `stripes` identically-failed stripes with `workers` stripe-level
-/// worker threads on a machine with `cores` cores.
-///
-/// The batch driver splits the stripes into contiguous chunks of
-/// `ceil(stripes / workers)` and decodes each chunk serially on its own
-/// worker, so the largest chunk sets the makespan; each worker beyond
-/// the first adds `spawn_overhead` (thread creation plus first-touch
-/// cache/arena sharing, negligible against a 10k-stripe job). Calibrated
-/// by a measured single-worker run via `serial_stripe_secs` — the same
-/// measured-serial/modeled-parallel substitution as
-/// [`modeled_decode_time`] (DESIGN.md §3). With `workers = 1` or
-/// `cores = 1` it reduces to the measured serial time.
-pub fn modeled_batch_time(
-    stripes: usize,
-    serial_stripe_secs: f64,
-    workers: usize,
-    cores: usize,
-    spawn_overhead: f64,
-) -> f64 {
-    if stripes == 0 {
-        return 0.0;
-    }
-    let workers = workers.min(cores).max(1).min(stripes);
-    let chunk = stripes.div_ceil(workers);
-    chunk as f64 * serial_stripe_secs + (workers - 1) as f64 * spawn_overhead
-}
-
 /// Longest-processing-time-first makespan of `jobs` on `workers` machines.
 fn lpt_makespan(jobs: &[usize], workers: usize) -> usize {
     if jobs.is_empty() {
@@ -181,59 +153,5 @@ mod tests {
         let without = modeled_decode_time(&plan, 1.0, 3, 8, 0.0);
         let with = modeled_decode_time(&plan, 1.0, 3, 8, 0.1);
         assert!((with - without - 0.2).abs() < 1e-9);
-    }
-}
-
-#[cfg(test)]
-mod batch_model_tests {
-    use super::*;
-
-    #[test]
-    fn batch_model_scales_by_chunk_size() {
-        let per = 1e-6;
-        let serial = modeled_batch_time(10_000, per, 1, 8, 0.0);
-        assert!((serial - 10_000.0 * per).abs() < 1e-12);
-        // 8 workers on 8 cores: chunk = 1250 stripes -> 8x.
-        let eight = modeled_batch_time(10_000, per, 8, 8, 0.0);
-        assert!((serial / eight - 8.0).abs() < 1e-9);
-        // A 1-core cap pins it back to serial (the container's reality).
-        let capped = modeled_batch_time(10_000, per, 8, 1, 0.0);
-        assert!((capped - serial).abs() < 1e-12);
-        // Workers beyond the stripe count can't shrink the chunk below 1.
-        let tiny = modeled_batch_time(3, per, 8, 8, 0.0);
-        assert!((tiny - per).abs() < 1e-12);
-        // Spawn overhead counts workers beyond the first.
-        let with = modeled_batch_time(10_000, per, 4, 8, 0.1);
-        let without = modeled_batch_time(10_000, per, 4, 8, 0.0);
-        assert!((with - without - 0.3).abs() < 1e-9);
-        // Empty batch is instantaneous.
-        assert_eq!(modeled_batch_time(0, per, 4, 8, 0.1), 0.0);
-    }
-}
-
-#[cfg(test)]
-mod chunked_model_tests {
-    use super::*;
-    use ppm_codes::{ErasureCode, FailureScenario, SdCode};
-    use ppm_core::{DecodePlan, Strategy};
-    use ppm_gf::Backend;
-
-    #[test]
-    fn chunked_model_beats_plain_on_rest_heavy_plans() {
-        let code = SdCode::<u8>::new(4, 4, 1, 1, vec![1, 2]).unwrap();
-        let plan = DecodePlan::build(
-            &code.parity_check_matrix(),
-            &FailureScenario::new(vec![2, 6, 10, 13, 14]),
-            Strategy::PpmNormalRest,
-            Backend::Scalar,
-        )
-        .unwrap();
-        // Plain model: rest (20 of 29) stays serial; chunked splits it.
-        let plain = modeled_decode_time(&plan, 1.0, 4, 4, 0.0);
-        let chunked = modeled_decode_time_chunked(&plan, 1.0, 4, 4, 0.0);
-        assert!(chunked < plain, "chunked {chunked} !< plain {plain}");
-        // Serial: both degenerate to the measured time.
-        let s1 = modeled_decode_time_chunked(&plan, 1.0, 1, 4, 0.0);
-        assert!((s1 - 1.0).abs() < 1e-9);
     }
 }

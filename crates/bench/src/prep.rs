@@ -3,7 +3,7 @@
 use ppm_codes::{
     ErasureCode, FailureScenario, HitchhikerXor, LrcCode, ProductCode, RsCode, SdCode,
 };
-use ppm_core::{encode, DecodePlan, Decoder, DecoderConfig, ExecStats, ScratchArena, Strategy};
+use ppm_core::{encode, DecodePlan, Decoder, DecoderConfig, ExecStats, Strategy};
 use ppm_gf::{Backend, GfWord};
 use ppm_matrix::Matrix;
 use ppm_stripe::{random_data_stripe, Stripe};
@@ -256,75 +256,6 @@ pub fn time_plan<W: GfWord>(
     (best, plan)
 }
 
-/// Times warm decodes of `prep` through both execution paths — the
-/// compiled instruction tape and the per-term graph walker — returning
-/// `reps` paired wall-clock samples `(tape_secs, graph_secs)`.
-///
-/// The two decodes of a pair run back-to-back (order alternating each
-/// rep, so neither path systematically inherits the other's cache
-/// state), which means both see essentially the same instantaneous
-/// machine load: the per-pair ratio is load-invariant even when a
-/// shared machine halves absolute throughput mid-run. Compare paths
-/// with a robust statistic over the pair ratios (the `ledger` bench
-/// uses the median); take per-mode minima only for absolute MiB/s.
-///
-/// "Warm" means the measurement mirrors a cache-hit repair through a
-/// [`RepairService`](ppm_core::RepairService) session: the tape is
-/// compiled before the timed region (the plan cache compiles at insert)
-/// and both paths draw scratch from a pre-warmed arena. One untimed
-/// round per path fills the arena pool first; both recoveries are
-/// asserted bit-exact against the pristine stripe every round.
-pub fn time_tape_vs_graph<W: GfWord>(
-    prep: &Prepared<W>,
-    strategy: Strategy,
-    threads: usize,
-    reps: usize,
-) -> Vec<(f64, f64)> {
-    let decoder = Decoder::new(DecoderConfig {
-        threads,
-        backend: Backend::Auto,
-    });
-    let plan = decoder
-        .plan(&prep.h, &prep.scenario, strategy)
-        .expect("plan");
-    plan.ensure_tape();
-    let tape_arena = ScratchArena::new();
-    let graph_arena = ScratchArena::new();
-    let mut scratch = prep.pristine.clone();
-    let mut pairs = Vec::with_capacity(reps);
-    for rep in 0..reps + 1 {
-        let (mut tape, mut graph) = (0.0, 0.0);
-        for first_is_tape in [rep % 2 == 0, rep % 2 != 0] {
-            scratch.erase(&prep.scenario);
-            let t = Instant::now();
-            if first_is_tape {
-                decoder
-                    .decode_tape_in(&plan, &mut scratch, &tape_arena)
-                    .expect("tape decode");
-            } else {
-                decoder
-                    .decode_in(&plan, &mut scratch, &graph_arena)
-                    .expect("graph decode");
-            }
-            let elapsed = t.elapsed().as_secs_f64();
-            if first_is_tape {
-                tape = elapsed;
-            } else {
-                graph = elapsed;
-            }
-            assert!(
-                scratch == prep.pristine,
-                "{}: recovery not bit-exact",
-                prep.name
-            );
-        }
-        if rep > 0 {
-            pairs.push((tape, graph));
-        }
-    }
-    pairs
-}
-
 /// Decodes `prep` once with runtime telemetry and verifies the §III-B
 /// ledger: the executed `mult_XORs` counted by the region kernels must
 /// equal the plan's predicted cost, and recovery must be bit-exact.
@@ -343,9 +274,7 @@ pub fn ledger_plan<W: GfWord>(
         .expect("plan");
     let mut scratch = prep.pristine.clone();
     scratch.erase(&prep.scenario);
-    let stats = decoder
-        .decode_with_stats(&plan, &mut scratch)
-        .expect("decode");
+    let stats = decoder.decode(&plan, &mut scratch).expect("decode");
     assert!(
         scratch == prep.pristine,
         "{}: recovery not bit-exact",

@@ -39,7 +39,7 @@ use crate::message::{CoordinatorRequest, WorkerResponse};
 use crate::transport::{channel_pair, Transport};
 use crate::worker::Worker;
 use ppm_codes::{ErasureCode, FailureScenario};
-use ppm_core::{DecoderConfig, ExecutableWirePlan, RepairService};
+use ppm_core::{DecoderConfig, ExecutableWirePlan, RepairError, RepairService};
 use ppm_gf::GfWord;
 use ppm_stripe::{random_data_stripe, Stripe};
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -283,6 +283,27 @@ pub struct SimReport {
 }
 
 impl SimReport {
+    /// The report of a run that has not repaired anything yet.
+    fn blank(cfg: &SimConfig, mode: RepairMode) -> Self {
+        SimReport {
+            mode,
+            workers: cfg.workers,
+            archive_stripes: cfg.stripes,
+            sector_bytes: cfg.sector_bytes,
+            damaged: cfg.damaged,
+            repaired: 0,
+            split_rests: 0,
+            local_rests: 0,
+            plans_shipped: 0,
+            identical: true,
+            verified_clean: 0,
+            violations: 0,
+            frame_version: cfg.frame_version,
+            traffic: Traffic::default(),
+            chaos: ChaosStats::default(),
+        }
+    }
+
     /// Serializes the report as a JSON object (hand-rolled, like
     /// [`PlanCacheStats::to_json`](ppm_core::PlanCacheStats::to_json)).
     pub fn to_json(&self) -> String {
@@ -630,10 +651,19 @@ impl<'a, W: GfWord, C: ErasureCode<W>> Coordinator<'a, W, C> {
         })?;
         // Phase B: F⁻¹ · T on the shipped partial sums — the
         // coordinator never holds the stripe.
-        let recovered =
-            self.service
-                .executor()
-                .finish_rest(compiled, &rest_blocks, self.sector_bytes)?;
+        let recovered = self
+            .service
+            .executor()
+            .finish_rest(compiled, &rest_blocks, self.sector_bytes)
+            .map_err(|e| match e {
+                // `rest_pending` is a wire-supplied bit: a worker that
+                // sets it for a plan whose H_rest cannot split is
+                // wrong, and that must not take the coordinator down.
+                RepairError::RestNotSplittable => ClusterError::Protocol(format!(
+                    "worker {owner} reported a pending rest for non-splittable plan {key}"
+                )),
+                e => ClusterError::Repair(e),
+            })?;
         let sectors = recovered
             .into_iter()
             .map(|(sector, bytes)| (sector as u32, bytes))
@@ -919,23 +949,7 @@ where
         });
     }
 
-    let mut report = SimReport {
-        mode,
-        workers: cfg.workers,
-        archive_stripes: cfg.stripes,
-        sector_bytes: cfg.sector_bytes,
-        damaged: cfg.damaged,
-        repaired: 0,
-        split_rests: 0,
-        local_rests: 0,
-        plans_shipped: 0,
-        identical: true,
-        verified_clean: 0,
-        violations: 0,
-        frame_version: cfg.frame_version,
-        traffic: Traffic::default(),
-        chaos: ChaosStats::default(),
-    };
+    let mut report = SimReport::blank(cfg, mode);
 
     let mut coordinator = Coordinator {
         service: &service,
@@ -1097,6 +1111,7 @@ mod tests {
     use super::*;
     use crate::chaos::ChaosConfig;
     use ppm_codes::SdCode;
+    use ppm_core::Strategy;
     use ppm_faults::ChaosRates;
 
     fn paper_code() -> SdCode<u8> {
@@ -1307,6 +1322,72 @@ mod tests {
         assert_eq!(report.chaos.workers_declared_dead as usize, cfg.workers);
         assert_eq!(report.chaos.degraded_local as usize, cfg.damaged);
         assert_eq!(report.chaos.redispatches, 0);
+    }
+
+    /// Trust boundary: `rest_pending` arrives over the wire. A worker
+    /// that sets it on a matrix-first plan (whose `H_rest` reads sectors
+    /// directly and cannot be finished from partial sums) is a protocol
+    /// violation the coordinator reports — it must not panic.
+    #[test]
+    fn forged_rest_pending_on_a_matrix_first_plan_is_a_protocol_error() {
+        let code = paper_code();
+        let cfg = SimConfig {
+            frame_version: 1,
+            ..small_cfg(1)
+        };
+        let scenario = FailureScenario::new(vec![2, 6, 10, 13, 14]);
+        for strategy in [
+            Strategy::TraditionalMatrixFirst,
+            Strategy::PpmMatrixFirstRest,
+        ] {
+            let service =
+                RepairService::new(&code, DecoderConfig::default()).with_strategy(strategy);
+            let (coordinator_end, worker_end) = channel_pair();
+            // The rogue worker's answer is already on the wire (v1
+            // framing: the bare payload) when the request goes out.
+            let forged = WorkerResponse::Partials {
+                stripe: 7,
+                rest_blocks: Vec::new(),
+                rest_pending: true,
+                violated_rows: None,
+            };
+            worker_end.send(forged.encode()).unwrap();
+            let mut coordinator = Coordinator {
+                service: &service,
+                links: vec![Link {
+                    transport: Box::new(coordinator_end),
+                    counters: None,
+                    next_seq: 0,
+                    last_seen: None,
+                    alive: true,
+                }],
+                shipped: HashSet::new(),
+                compiled: HashMap::new(),
+                policy: cfg.retry,
+                version: cfg.frame_version,
+                jitter: StdRng::seed_from_u64(1),
+                traffic: Traffic::default(),
+                stats: ChaosStats::default(),
+                sector_bytes: cfg.sector_bytes,
+                total_sectors: code.layout().sectors(),
+            };
+            let stripe = Stripe::zeroed(code.layout(), cfg.sector_bytes);
+            let case = Case {
+                id: 7,
+                scenario: scenario.clone(),
+                expected: stripe.clone(),
+                damaged: stripe,
+            };
+            let mut report = SimReport::blank(&cfg, RepairMode::Partial);
+            let err = coordinator
+                .repair_partial(&case, 0, &mut report)
+                .unwrap_err();
+            assert!(
+                matches!(&err, ClusterError::Protocol(m) if m.contains("non-splittable")),
+                "{strategy:?}: {err}"
+            );
+            assert_eq!(report.split_rests, 0);
+        }
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Scratch-buffer recycling for the decode executor.
 //!
-//! Every decode needs working space: one buffer per recovered sector, plus
-//! (under the Normal sequence) one accumulator for `S·BS`. The seed
-//! executor allocated these inside `run_subplan` on every call, so a
+//! Every decode needs working space: one slot per recovered sector, plus
+//! (under the Normal sequence) one accumulator per `S·BS` row. The seed
+//! executor allocated these on every call, so a
 //! repair session decoding ten thousand stripes paid ten thousand rounds
 //! of allocator traffic for identically-sized buffers. [`ScratchArena`]
 //! keeps returned buffers and lends them back out, turning steady-state

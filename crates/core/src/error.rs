@@ -78,6 +78,12 @@ pub enum RepairError {
         /// The code's declared fault-tolerance bound that capped them.
         budget: usize,
     },
+    /// [`Executor::finish_rest`](crate::Executor::finish_rest) was handed
+    /// partial sums for a plan whose `H_rest` does not split (it reads
+    /// stripe sectors directly, so it can only finish where the stripe
+    /// lives). The request to aggregate arrives over the wire, so this is
+    /// a peer's protocol violation, not a local bug.
+    RestNotSplittable,
 }
 
 /// The historical name of [`RepairError`], kept so existing call sites
@@ -139,6 +145,12 @@ impl std::fmt::Display for RepairError {
                     "erasure escalation exhausted after {attempts} attempt(s) within fault-tolerance budget {budget}"
                 )
             }
+            RepairError::RestNotSplittable => {
+                write!(
+                    f,
+                    "plan's H_rest is not splittable: it cannot be finished from partial sums"
+                )
+            }
         }
     }
 }
@@ -183,6 +195,9 @@ mod tests {
             budget: 5,
         };
         assert!(e.to_string().contains('4') && e.to_string().contains('5'));
+        assert!(RepairError::RestNotSplittable
+            .to_string()
+            .contains("not splittable"));
     }
 
     #[test]

@@ -1,29 +1,32 @@
-//! Plan execution: the region-arithmetic data path, serial or parallel.
+//! Plan execution: one loop over a compiled tape.
 //!
 //! A [`Decoder`] owns a bounded thread pool of `T` threads (Algorithm 1's
-//! "arrange T (T ≤ p) threads"). Phase A dispatches the `p` independent
-//! sub-plans across the pool; each produces its recovered sector buffers
-//! from the surviving sectors only, so they are embarrassingly parallel.
-//! Once all are installed, phase B decodes `H_rest` with the recovered
-//! blocks as additional inputs.
+//! "arrange T (T ≤ p) threads") and executes exactly one thing: a
+//! [`PlanTape`]. Phase A dispatches the tape's `p` independent segments
+//! across the pool; each recovers its sectors from the surviving sectors
+//! only, so they are embarrassingly parallel. Once all are installed,
+//! phase B replays the `H_rest` segment with the recovered blocks as
+//! additional inputs. Every run is instrumented — the region kernels
+//! tally into [`ExecStats`]; callers that do not want the ledger drop it.
 //!
 //! This module is decode hot path: its public entry points must stay
 //! panic-free on bad input (structured [`RepairError`](crate::RepairError)s
 //! instead of asserts), so the usual escape hatches are denied below and
-//! re-allowed only where a plan-construction invariant makes them
+//! re-allowed only where a tape-construction invariant makes them
 //! provably unreachable.
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
 
 use crate::arena::ScratchArena;
-use crate::plan::{DecodePlan, Program, RegionCache, Strategy, SubPlan};
+use crate::plan::{DecodePlan, Strategy};
 use crate::stats::{ExecStats, SubPlanStats};
-use crate::tape::{Instr, Loc, OpCode, TapeSegment, VerifyRun};
+use crate::tape::{Instr, Loc, OpCode, PlanTape, TapeSegment};
 use crate::DecodeError;
 use ppm_codes::{ErasureCode, FailureScenario};
-use ppm_gf::{mul_copy_fused, mul_copy_fused_with, Backend, GfWord, RegionMul, RegionStats};
+use ppm_gf::{mul_copy_fused_with, Backend, GfWord, RegionMul, RegionStats};
 use ppm_matrix::Matrix;
 use ppm_stripe::Stripe;
 use rayon::prelude::*;
+use std::ops::Range;
 use std::time::Instant;
 
 /// Decoder configuration.
@@ -54,6 +57,10 @@ pub struct Decoder {
     config: DecoderConfig,
     pool: Option<rayon::ThreadPool>,
 }
+
+/// One unit of tape work: a segment replayed over one byte range of
+/// every sector it touches.
+type Job<'t, W> = (&'t TapeSegment<W>, Range<usize>);
 
 impl Decoder {
     /// Creates a decoder; builds its thread pool when `threads > 1`.
@@ -91,13 +98,16 @@ impl Decoder {
     }
 
     /// Executes `plan` against `stripe`, overwriting the faulty sectors
-    /// with their recovered contents.
+    /// with their recovered contents, and returns the run's
+    /// [`ExecStats`] — executed counts straight from the region kernels
+    /// next to the plan's predicted costs, the runtime cross-check of the
+    /// §III-B cost model. The plan's tape is compiled on first use.
     pub fn decode<W: GfWord>(
         &self,
         plan: &DecodePlan<W>,
         stripe: &mut Stripe,
-    ) -> Result<(), DecodeError> {
-        self.decode_inner(plan, stripe, None)
+    ) -> Result<ExecStats, DecodeError> {
+        self.run_tape(plan.ensure_tape(), stripe, None, None)
     }
 
     /// Like [`Decoder::decode`], but borrows every working buffer from
@@ -109,152 +119,33 @@ impl Decoder {
         plan: &DecodePlan<W>,
         stripe: &mut Stripe,
         arena: &ScratchArena,
-    ) -> Result<(), DecodeError> {
-        self.decode_inner(plan, stripe, Some(arena))
-    }
-
-    fn decode_inner<W: GfWord>(
-        &self,
-        plan: &DecodePlan<W>,
-        stripe: &mut Stripe,
-        arena: Option<&ScratchArena>,
-    ) -> Result<(), DecodeError> {
-        if stripe.layout().sectors() != plan.total_sectors() {
-            return Err(DecodeError::GeometryMismatch {
-                expected: plan.total_sectors(),
-                actual: stripe.layout().sectors(),
-            });
-        }
-
-        // Phase A: the p independent sub-matrices, in parallel when a pool
-        // exists and there is more than one of them.
-        let outputs: Vec<Vec<(usize, Vec<u8>)>> = match &self.pool {
-            Some(pool) if plan.phase_a.len() > 1 => pool.install(|| {
-                plan.phase_a
-                    .par_iter()
-                    .map(|sp| run_subplan(sp, &plan.regions, stripe, None, arena))
-                    .collect()
-            }),
-            _ => plan
-                .phase_a
-                .iter()
-                .map(|sp| run_subplan(sp, &plan.regions, stripe, None, arena))
-                .collect(),
-        };
-        install_outputs(outputs.into_iter().flatten(), stripe, arena);
-
-        // Phase B: H_rest, reading the just-recovered blocks.
-        if let Some(sp) = &plan.phase_b {
-            let outputs = run_subplan(sp, &plan.regions, stripe, None, arena);
-            install_outputs(outputs, stripe, arena);
-        }
-        Ok(())
-    }
-
-    /// Like [`Decoder::decode`], but instruments the run and returns
-    /// [`ExecStats`]: per-sub-plan executed `mult_XORs` / plain-XOR /
-    /// byte counts straight from the region kernels, per-phase wall
-    /// times, phase-A thread utilization, and the plan's predicted
-    /// costs — the runtime cross-check of the §III-B cost model.
-    ///
-    /// The counters are relaxed atomics bumped once per region
-    /// operation, so the overhead over [`Decoder::decode`] is noise for
-    /// realistic sector sizes.
-    pub fn decode_with_stats<W: GfWord>(
-        &self,
-        plan: &DecodePlan<W>,
-        stripe: &mut Stripe,
     ) -> Result<ExecStats, DecodeError> {
-        self.decode_with_stats_inner(plan, stripe, None)
+        self.run_tape(plan.ensure_tape(), stripe, Some(arena), None)
     }
 
-    /// [`Decoder::decode_with_stats`] with buffers borrowed from `arena`
-    /// (see [`Decoder::decode_in`]).
-    pub fn decode_with_stats_in<W: GfWord>(
+    /// The pre-PR-12 name of [`Decoder::decode_in`], kept for the frozen
+    /// `benchmark/` harness.
+    #[doc(hidden)]
+    pub fn decode_tape_in<W: GfWord>(
         &self,
         plan: &DecodePlan<W>,
         stripe: &mut Stripe,
         arena: &ScratchArena,
     ) -> Result<ExecStats, DecodeError> {
-        self.decode_with_stats_inner(plan, stripe, Some(arena))
+        self.decode_in(plan, stripe, arena)
     }
 
-    fn decode_with_stats_inner<W: GfWord>(
-        &self,
-        plan: &DecodePlan<W>,
-        stripe: &mut Stripe,
-        arena: Option<&ScratchArena>,
-    ) -> Result<ExecStats, DecodeError> {
-        if stripe.layout().sectors() != plan.total_sectors() {
-            return Err(DecodeError::GeometryMismatch {
-                expected: plan.total_sectors(),
-                actual: stripe.layout().sectors(),
-            });
-        }
-        let started = Instant::now();
-
-        // Phase A, as in `decode`, with one counter sink per sub-plan.
-        let results: Vec<(SubPlanOutputs, SubPlanStats)> = match &self.pool {
-            Some(pool) if plan.phase_a.len() > 1 => pool.install(|| {
-                plan.phase_a
-                    .par_iter()
-                    .map(|sp| run_subplan_instrumented(sp, &plan.regions, stripe, arena))
-                    .collect()
-            }),
-            _ => plan
-                .phase_a
-                .iter()
-                .map(|sp| run_subplan_instrumented(sp, &plan.regions, stripe, arena))
-                .collect(),
-        };
-        let phase_a_nanos = started.elapsed().as_nanos();
-        let mut phase_a = Vec::with_capacity(results.len());
-        for (outputs, stats) in results {
-            phase_a.push(stats);
-            install_outputs(outputs, stripe, arena);
-        }
-
-        // Phase B, instrumented the same way.
-        let phase_b = match &plan.phase_b {
-            Some(sp) => {
-                let (outputs, stats) = run_subplan_instrumented(sp, &plan.regions, stripe, arena);
-                install_outputs(outputs, stripe, arena);
-                Some(stats)
-            }
-            None => None,
-        };
-
-        Ok(ExecStats {
-            strategy: plan.strategy(),
-            threads: self.config.threads,
-            parallelism: plan.parallelism(),
-            predicted_mult_xors: plan.mult_xors(),
-            predicted_costs: plan.predicted_costs(),
-            cache: None,
-            arena: None,
-            phase_a,
-            phase_a_nanos,
-            phase_b,
-            verify: None,
-            update: None,
-            tape: false,
-            total_nanos: started.elapsed().as_nanos(),
-        })
-    }
-
-    /// Like [`Decoder::decode`], but additionally splits the *remaining*
-    /// sub-matrix's region work into `chunk_bytes` slices spread across
-    /// the thread pool.
+    /// Like [`Decoder::decode`], but replays the *remaining* sub-matrix's
+    /// segment once per byte range `[off, off + chunk_bytes)` of its
+    /// sectors, spread across the thread pool (without a pool this is
+    /// [`Decoder::decode`]).
     ///
     /// This is an extension beyond the paper: PPM parallelizes only
     /// across independent sub-matrices, so `H_rest` is a serial Amdahl
     /// bottleneck (§III-C stops at "the remaining sub-matrix is decoded
     /// after the p matrix decoding operations have finished"). Chunking
     /// exploits that `mult_XORs` is byte-wise independent: every output
-    /// region slice depends only on the same slice of its inputs. The
-    /// `ablation` bench quantifies the effect.
-    ///
-    /// Falls back to [`Decoder::decode`] when the decoder has no pool.
+    /// region slice depends only on the same slice of its inputs.
     ///
     /// # Errors
     /// Returns [`RepairError::BadChunkSize`](crate::RepairError::BadChunkSize)
@@ -265,284 +156,8 @@ impl Decoder {
         plan: &DecodePlan<W>,
         stripe: &mut Stripe,
         chunk_bytes: usize,
-    ) -> Result<(), DecodeError> {
-        if chunk_bytes == 0 || !chunk_bytes.is_multiple_of(8) {
-            return Err(DecodeError::BadChunkSize { chunk_bytes });
-        }
-        let Some(pool) = &self.pool else {
-            return self.decode(plan, stripe);
-        };
-        if stripe.layout().sectors() != plan.total_sectors() {
-            return Err(DecodeError::GeometryMismatch {
-                expected: plan.total_sectors(),
-                actual: stripe.layout().sectors(),
-            });
-        }
-
-        // Phase A: across sub-plans, exactly as in `decode`.
-        let outputs: Vec<Vec<(usize, Vec<u8>)>> = if plan.phase_a.len() > 1 {
-            pool.install(|| {
-                plan.phase_a
-                    .par_iter()
-                    .map(|sp| run_subplan(sp, &plan.regions, stripe, None, None))
-                    .collect()
-            })
-        } else {
-            plan.phase_a
-                .iter()
-                .map(|sp| run_subplan(sp, &plan.regions, stripe, None, None))
-                .collect()
-        };
-        for (sector, buf) in outputs.into_iter().flatten() {
-            stripe.write_sector(sector, &buf);
-        }
-
-        // Phase B: within-region chunking.
-        if let Some(sp) = &plan.phase_b {
-            for (sector, buf) in
-                run_subplan_chunked(sp, &plan.regions, stripe, pool, chunk_bytes, None, None)
-            {
-                stripe.write_sector(sector, &buf);
-            }
-        }
-        Ok(())
-    }
-
-    /// [`Decoder::decode_chunked`] with the same instrumentation as
-    /// [`Decoder::decode_with_stats`]: every region operation in both
-    /// phases — including the chunked `H_rest` slices — lands in the
-    /// returned [`ExecStats`], so chunked decodes no longer bypass the
-    /// executed-vs-predicted ledger.
-    pub fn decode_chunked_with_stats<W: GfWord>(
-        &self,
-        plan: &DecodePlan<W>,
-        stripe: &mut Stripe,
-        chunk_bytes: usize,
     ) -> Result<ExecStats, DecodeError> {
-        self.decode_chunked_with_stats_inner(plan, stripe, chunk_bytes, None)
-    }
-
-    /// [`Decoder::decode_chunked_with_stats`] with buffers borrowed from
-    /// `arena` (see [`Decoder::decode_in`]).
-    pub fn decode_chunked_with_stats_in<W: GfWord>(
-        &self,
-        plan: &DecodePlan<W>,
-        stripe: &mut Stripe,
-        chunk_bytes: usize,
-        arena: &ScratchArena,
-    ) -> Result<ExecStats, DecodeError> {
-        self.decode_chunked_with_stats_inner(plan, stripe, chunk_bytes, Some(arena))
-    }
-
-    fn decode_chunked_with_stats_inner<W: GfWord>(
-        &self,
-        plan: &DecodePlan<W>,
-        stripe: &mut Stripe,
-        chunk_bytes: usize,
-        arena: Option<&ScratchArena>,
-    ) -> Result<ExecStats, DecodeError> {
-        if chunk_bytes == 0 || !chunk_bytes.is_multiple_of(8) {
-            return Err(DecodeError::BadChunkSize { chunk_bytes });
-        }
-        let Some(pool) = &self.pool else {
-            return self.decode_with_stats_inner(plan, stripe, arena);
-        };
-        if stripe.layout().sectors() != plan.total_sectors() {
-            return Err(DecodeError::GeometryMismatch {
-                expected: plan.total_sectors(),
-                actual: stripe.layout().sectors(),
-            });
-        }
-        let started = Instant::now();
-
-        let results: Vec<(SubPlanOutputs, SubPlanStats)> = if plan.phase_a.len() > 1 {
-            pool.install(|| {
-                plan.phase_a
-                    .par_iter()
-                    .map(|sp| run_subplan_instrumented(sp, &plan.regions, stripe, arena))
-                    .collect()
-            })
-        } else {
-            plan.phase_a
-                .iter()
-                .map(|sp| run_subplan_instrumented(sp, &plan.regions, stripe, arena))
-                .collect()
-        };
-        let phase_a_nanos = started.elapsed().as_nanos();
-        let mut phase_a = Vec::with_capacity(results.len());
-        for (outputs, stats) in results {
-            phase_a.push(stats);
-            install_outputs(outputs, stripe, arena);
-        }
-
-        let phase_b = match &plan.phase_b {
-            Some(sp) => {
-                let sink = RegionStats::new();
-                let t = Instant::now();
-                let outputs = run_subplan_chunked(
-                    sp,
-                    &plan.regions,
-                    stripe,
-                    pool,
-                    chunk_bytes,
-                    Some(&sink),
-                    arena,
-                );
-                let stats = SubPlanStats::collect(&sink, outputs.len(), t.elapsed());
-                install_outputs(outputs, stripe, arena);
-                Some(stats)
-            }
-            None => None,
-        };
-
-        Ok(ExecStats {
-            strategy: plan.strategy(),
-            threads: self.config.threads,
-            parallelism: plan.parallelism(),
-            predicted_mult_xors: plan.mult_xors(),
-            predicted_costs: plan.predicted_costs(),
-            cache: None,
-            arena: None,
-            phase_a,
-            phase_a_nanos,
-            phase_b,
-            verify: None,
-            update: None,
-            tape: false,
-            total_nanos: started.elapsed().as_nanos(),
-        })
-    }
-
-    /// Decodes many stripes that share one failure scenario, spreading
-    /// the *stripes* across the thread pool (each decoded serially).
-    ///
-    /// Storage systems repair whole devices stripe by stripe; the stripes
-    /// are independent, so this outer-level parallelism composes with —
-    /// and for large repair jobs dominates — PPM's intra-stripe
-    /// parallelism. One plan, built once, serves every stripe (it only
-    /// refers to sector indices and coefficients).
-    pub fn decode_batch<W: GfWord>(
-        &self,
-        plan: &DecodePlan<W>,
-        stripes: &mut [Stripe],
-    ) -> Result<(), DecodeError> {
-        // Validate everything up front so a mid-batch failure cannot
-        // leave some stripes decoded and others untouched.
-        for stripe in stripes.iter() {
-            if stripe.layout().sectors() != plan.total_sectors() {
-                return Err(DecodeError::GeometryMismatch {
-                    expected: plan.total_sectors(),
-                    actual: stripe.layout().sectors(),
-                });
-            }
-        }
-        match &self.pool {
-            Some(pool) if stripes.len() > 1 => {
-                // One worker per stripe; each stripe decodes serially, so
-                // the per-stripe decoder honestly reports a budget of 1.
-                let serial = Decoder {
-                    config: DecoderConfig {
-                        threads: 1,
-                        ..self.config
-                    },
-                    pool: None,
-                };
-                pool.install(|| {
-                    stripes
-                        .par_iter_mut()
-                        .try_for_each(|stripe| serial.decode(plan, stripe))
-                })
-            }
-            // Zero or one stripe: nothing to spread workers over, so keep
-            // the paper's *intra*-stripe parallelism by decoding through
-            // `self` (pooled when configured) instead of a serial clone.
-            _ => stripes
-                .iter_mut()
-                .try_for_each(|stripe| self.decode(plan, stripe)),
-        }
-    }
-
-    /// [`Decoder::decode_batch`] with per-stripe instrumentation: returns
-    /// one [`ExecStats`] per stripe, in stripe order. Batch decodes
-    /// previously bypassed the stats sink entirely; this variant threads
-    /// a counter sink through every worker so repair-job telemetry sees
-    /// the full executed ledger.
-    pub fn decode_batch_with_stats<W: GfWord>(
-        &self,
-        plan: &DecodePlan<W>,
-        stripes: &mut [Stripe],
-    ) -> Result<Vec<ExecStats>, DecodeError> {
-        self.decode_batch_with_stats_inner(plan, stripes, None)
-    }
-
-    /// [`Decoder::decode_batch_with_stats`] with buffers borrowed from
-    /// `arena`, shared by all workers (see [`Decoder::decode_in`]).
-    pub fn decode_batch_with_stats_in<W: GfWord>(
-        &self,
-        plan: &DecodePlan<W>,
-        stripes: &mut [Stripe],
-        arena: &ScratchArena,
-    ) -> Result<Vec<ExecStats>, DecodeError> {
-        self.decode_batch_with_stats_inner(plan, stripes, Some(arena))
-    }
-
-    fn decode_batch_with_stats_inner<W: GfWord>(
-        &self,
-        plan: &DecodePlan<W>,
-        stripes: &mut [Stripe],
-        arena: Option<&ScratchArena>,
-    ) -> Result<Vec<ExecStats>, DecodeError> {
-        for stripe in stripes.iter() {
-            if stripe.layout().sectors() != plan.total_sectors() {
-                return Err(DecodeError::GeometryMismatch {
-                    expected: plan.total_sectors(),
-                    actual: stripe.layout().sectors(),
-                });
-            }
-        }
-        match &self.pool {
-            Some(pool) if stripes.len() > 1 => {
-                // One worker per stripe; each stripe decodes serially, so
-                // the per-stripe decoder honestly reports a budget of 1.
-                let serial = Decoder {
-                    config: DecoderConfig {
-                        threads: 1,
-                        ..self.config
-                    },
-                    pool: None,
-                };
-                // Stripes are decoded in parallel but results must come
-                // back in stripe order. Each stripe travels with its own
-                // stats slot, so workers write disjoint memory and no
-                // locking (or poisoning) is possible; order is preserved
-                // because the slots never move.
-                let mut tagged: Vec<(&mut Stripe, Option<ExecStats>)> =
-                    stripes.iter_mut().map(|stripe| (stripe, None)).collect();
-                let run = |(stripe, slot): &mut (&mut Stripe, Option<ExecStats>)| {
-                    *slot = Some(serial.decode_with_stats_inner(plan, stripe, arena)?);
-                    Ok(())
-                };
-                pool.install(|| tagged.par_iter_mut().try_for_each(run))?;
-                let mut out = Vec::with_capacity(tagged.len());
-                for (_, slot) in tagged {
-                    match slot {
-                        Some(stats) => out.push(stats),
-                        // `try_for_each` returned Ok above, so every slot
-                        // was filled; nothing a caller passes in can
-                        // reach this.
-                        None => unreachable!("parallel driver visited every stripe"),
-                    }
-                }
-                Ok(out)
-            }
-            // Zero or one stripe: decode through `self` so a singleton
-            // batch keeps the paper's intra-stripe parallelism (the old
-            // serial fallback silently wasted the configured pool).
-            _ => stripes
-                .iter_mut()
-                .map(|stripe| self.decode_with_stats_inner(plan, stripe, arena))
-                .collect(),
-        }
+        self.run_tape(plan.ensure_tape(), stripe, None, Some(chunk_bytes))
     }
 
     /// Convenience: plan and decode in one call.
@@ -552,19 +167,18 @@ impl Decoder {
         scenario: &FailureScenario,
         strategy: Strategy,
         stripe: &mut Stripe,
-    ) -> Result<DecodePlan<W>, DecodeError> {
-        let plan = self.plan(h, scenario, strategy)?;
-        self.decode(&plan, stripe)?;
-        Ok(plan)
+    ) -> Result<ExecStats, DecodeError> {
+        self.decode(&self.plan(h, scenario, strategy)?, stripe)
     }
 
     /// Runs the surplus-row verification pass: re-evaluates every
     /// parity-check row of `H` the plan did *not* consume as part of `F`
-    /// against the (recovered) stripe. The decode satisfies its consumed
+    /// against the (recovered) stripe, by replaying the verify runs
+    /// lowered into the plan's tape. The decode satisfies its consumed
     /// rows by construction, so a non-zero surplus row is independent
     /// evidence that a *surviving* input block is corrupt.
     ///
-    /// The pass reuses the plan's region kernels, so its executed
+    /// The pass uses the plan's region kernels, so its executed
     /// `mult_XORs` land in [`VerifyReport::stats`] in the same unit as
     /// the decode ledger and equal [`DecodePlan::verify_mult_xors`]
     /// exactly.
@@ -581,7 +195,7 @@ impl Decoder {
         plan: &DecodePlan<W>,
         stripe: &Stripe,
     ) -> Result<VerifyReport, DecodeError> {
-        self.verify_inner(plan, stripe, None)
+        verify_plan(plan, stripe, None)
     }
 
     /// [`Decoder::verify`] with the accumulator buffer borrowed from
@@ -592,188 +206,53 @@ impl Decoder {
         stripe: &Stripe,
         arena: &ScratchArena,
     ) -> Result<VerifyReport, DecodeError> {
-        self.verify_inner(plan, stripe, Some(arena))
+        verify_plan(plan, stripe, Some(arena))
     }
 
-    fn verify_inner<W: GfWord>(
+    /// The one execution loop, behind every in-process and wire-plan
+    /// decode: geometry check → phase-A segments → install → the `H_rest`
+    /// segment → [`ExecStats`]. With `chunk_bytes` and a pool, `H_rest` is
+    /// replayed per byte range across the pool instead of once.
+    pub(crate) fn run_tape<W: GfWord>(
         &self,
-        plan: &DecodePlan<W>,
-        stripe: &Stripe,
+        tape: &PlanTape<W>,
+        stripe: &mut Stripe,
         arena: Option<&ScratchArena>,
-    ) -> Result<VerifyReport, DecodeError> {
-        let Some(surplus) = plan.surplus.as_deref() else {
-            return Err(DecodeError::VerificationUnavailable);
-        };
-        if stripe.layout().sectors() != plan.total_sectors() {
-            return Err(DecodeError::GeometryMismatch {
-                expected: plan.total_sectors(),
-                actual: stripe.layout().sectors(),
-            });
+        chunk_bytes: Option<usize>,
+    ) -> Result<ExecStats, DecodeError> {
+        if let Some(chunk_bytes) = chunk_bytes.filter(|c| *c == 0 || !c.is_multiple_of(8)) {
+            return Err(DecodeError::BadChunkSize { chunk_bytes });
         }
-        let sink = RegionStats::new();
+        check_geometry(tape.total_sectors, stripe)?;
         let started = Instant::now();
-        let mut violated = Vec::new();
-        let mut acc = take_buf(arena, stripe.sector_bytes());
-        for (row, terms) in surplus {
-            acc.fill(0);
-            for &(c, col) in terms {
-                plan.regions
-                    .get(c)
-                    .mul_xor_with(stripe.sector(col), &mut acc, &sink);
+        let (phase_a, phase_a_nanos) = self.run_phase_a(tape, stripe, arena);
+
+        let sb = stripe.sector_bytes();
+        let phase_b = tape.phase_b.as_ref().map(|seg| {
+            // One job over whole sectors, or — chunked, with a pool to
+            // spread over — one per `chunk`-byte range of them.
+            let chunk = chunk_bytes.filter(|_| self.pool.is_some()).unwrap_or(sb);
+            let jobs: Vec<Job<'_, W>> = (0..sb)
+                .step_by(chunk.max(1))
+                .map(|off| (seg, off..(off + chunk).min(sb)))
+                .collect();
+            let (chunks, nanos) = self.run_jobs(&jobs, stripe, arena);
+            // Every chunk replays the same instruction list over its own
+            // byte range, so the sector-granular op counts are any one
+            // chunk's; the bytes add up across chunks.
+            SubPlanStats {
+                bytes: chunks.iter().map(|c| c.bytes).sum(),
+                nanos,
+                ..chunks.first().copied().unwrap_or_default()
             }
-            if acc.iter().any(|&b| b != 0) {
-                violated.push(*row);
-            }
-        }
-        give_bufs(arena, [acc]);
-        let stats = SubPlanStats::collect(&sink, 0, started.elapsed());
-        Ok(VerifyReport {
-            rows_checked: surplus.len(),
-            violated_rows: violated,
-            stats,
-        })
-    }
-
-    /// Executes `plan` through its compiled instruction tape (see
-    /// [`crate::PlanTape`]): bit-identical to [`Decoder::decode`] — per-
-    /// byte XOR accumulation is order-independent and the tape holds
-    /// exactly the plan's terms — but each segment makes one flat arena
-    /// reservation sliced at its precomputed layout, and same-destination
-    /// runs execute as fused multi-source accumulates, so warm repairs
-    /// replay pure region arithmetic with no graph walking.
-    pub fn decode_tape<W: GfWord>(
-        &self,
-        plan: &DecodePlan<W>,
-        stripe: &mut Stripe,
-    ) -> Result<(), DecodeError> {
-        self.decode_tape_inner(plan, stripe, None)
-    }
-
-    /// [`Decoder::decode_tape`] with buffers borrowed from `arena` (see
-    /// [`Decoder::decode_in`]).
-    pub fn decode_tape_in<W: GfWord>(
-        &self,
-        plan: &DecodePlan<W>,
-        stripe: &mut Stripe,
-        arena: &ScratchArena,
-    ) -> Result<(), DecodeError> {
-        self.decode_tape_inner(plan, stripe, Some(arena))
-    }
-
-    fn decode_tape_inner<W: GfWord>(
-        &self,
-        plan: &DecodePlan<W>,
-        stripe: &mut Stripe,
-        arena: Option<&ScratchArena>,
-    ) -> Result<(), DecodeError> {
-        if stripe.layout().sectors() != plan.total_sectors() {
-            return Err(DecodeError::GeometryMismatch {
-                expected: plan.total_sectors(),
-                actual: stripe.layout().sectors(),
-            });
-        }
-        let tape = plan.ensure_tape();
-
-        // Phase A: independent segments, parallel as in `decode`.
-        let flats: Vec<Vec<u8>> = match &self.pool {
-            Some(pool) if tape.phase_a.len() > 1 => pool.install(|| {
-                tape.phase_a
-                    .par_iter()
-                    .map(|seg| run_tape_segment(seg, stripe, None, arena))
-                    .collect()
-            }),
-            _ => tape
-                .phase_a
-                .iter()
-                .map(|seg| run_tape_segment(seg, stripe, None, arena))
-                .collect(),
-        };
-        for (seg, flat) in tape.phase_a.iter().zip(flats) {
-            install_tape_outputs(seg, flat, stripe, arena);
-        }
-
-        // Phase B: the H_rest segment, reading recovered blocks.
-        if let Some(seg) = &tape.phase_b {
-            let flat = run_tape_segment(seg, stripe, None, arena);
-            install_tape_outputs(seg, flat, stripe, arena);
-        }
-        Ok(())
-    }
-
-    /// [`Decoder::decode_tape`] with the instrumentation of
-    /// [`Decoder::decode_with_stats`]. The returned ledger has
-    /// [`ExecStats::tape`] set and still satisfies executed == predicted:
-    /// fused runs tally one `mult_XORs` per term, exactly like the graph
-    /// walker.
-    pub fn decode_tape_with_stats<W: GfWord>(
-        &self,
-        plan: &DecodePlan<W>,
-        stripe: &mut Stripe,
-    ) -> Result<ExecStats, DecodeError> {
-        self.decode_tape_with_stats_inner(plan, stripe, None)
-    }
-
-    /// [`Decoder::decode_tape_with_stats`] with buffers borrowed from
-    /// `arena` (see [`Decoder::decode_in`]).
-    pub fn decode_tape_with_stats_in<W: GfWord>(
-        &self,
-        plan: &DecodePlan<W>,
-        stripe: &mut Stripe,
-        arena: &ScratchArena,
-    ) -> Result<ExecStats, DecodeError> {
-        self.decode_tape_with_stats_inner(plan, stripe, Some(arena))
-    }
-
-    fn decode_tape_with_stats_inner<W: GfWord>(
-        &self,
-        plan: &DecodePlan<W>,
-        stripe: &mut Stripe,
-        arena: Option<&ScratchArena>,
-    ) -> Result<ExecStats, DecodeError> {
-        if stripe.layout().sectors() != plan.total_sectors() {
-            return Err(DecodeError::GeometryMismatch {
-                expected: plan.total_sectors(),
-                actual: stripe.layout().sectors(),
-            });
-        }
-        let tape = plan.ensure_tape();
-        let started = Instant::now();
-
-        let results: Vec<(Vec<u8>, SubPlanStats)> = match &self.pool {
-            Some(pool) if tape.phase_a.len() > 1 => pool.install(|| {
-                tape.phase_a
-                    .par_iter()
-                    .map(|seg| run_tape_segment_instrumented(seg, stripe, arena))
-                    .collect()
-            }),
-            _ => tape
-                .phase_a
-                .iter()
-                .map(|seg| run_tape_segment_instrumented(seg, stripe, arena))
-                .collect(),
-        };
-        let phase_a_nanos = started.elapsed().as_nanos();
-        let mut phase_a = Vec::with_capacity(results.len());
-        for (seg, (flat, stats)) in tape.phase_a.iter().zip(results) {
-            phase_a.push(stats);
-            install_tape_outputs(seg, flat, stripe, arena);
-        }
-
-        let phase_b = match &tape.phase_b {
-            Some(seg) => {
-                let (flat, stats) = run_tape_segment_instrumented(seg, stripe, arena);
-                install_tape_outputs(seg, flat, stripe, arena);
-                Some(stats)
-            }
-            None => None,
-        };
+        });
 
         Ok(ExecStats {
-            strategy: plan.strategy(),
+            strategy: tape.strategy,
             threads: self.config.threads,
-            parallelism: plan.parallelism(),
-            predicted_mult_xors: plan.mult_xors(),
-            predicted_costs: plan.predicted_costs(),
+            parallelism: tape.phase_a.len(),
+            predicted_mult_xors: tape.mult_xors(),
+            predicted_costs: tape.predicted_costs,
             cache: None,
             arena: None,
             phase_a,
@@ -781,97 +260,104 @@ impl Decoder {
             phase_b,
             verify: None,
             update: None,
-            tape: true,
             total_nanos: started.elapsed().as_nanos(),
         })
     }
 
-    /// [`Decoder::verify`] through the plan's compiled tape: each surplus
-    /// row replays as one fused run into a single accumulator slot.
-    /// Bit-identical verdicts and an identical `mult_XORs` ledger to the
-    /// graph pass.
-    pub fn verify_tape<W: GfWord>(
+    /// Phase A of [`Decoder::run_tape`] on its own, for the cluster split
+    /// ([`Executor::wire_partials`](crate::Executor::wire_partials)), which
+    /// stops here and ships `H_rest`'s partial sums instead.
+    pub(crate) fn run_phase_a<W: GfWord>(
         &self,
-        plan: &DecodePlan<W>,
-        stripe: &Stripe,
-    ) -> Result<VerifyReport, DecodeError> {
-        self.verify_tape_inner(plan, stripe, None)
-    }
-
-    /// [`Decoder::verify_tape`] with the accumulator borrowed from
-    /// `arena` (see [`Decoder::decode_in`]).
-    pub fn verify_tape_in<W: GfWord>(
-        &self,
-        plan: &DecodePlan<W>,
-        stripe: &Stripe,
-        arena: &ScratchArena,
-    ) -> Result<VerifyReport, DecodeError> {
-        self.verify_tape_inner(plan, stripe, Some(arena))
-    }
-
-    fn verify_tape_inner<W: GfWord>(
-        &self,
-        plan: &DecodePlan<W>,
-        stripe: &Stripe,
+        tape: &PlanTape<W>,
+        stripe: &mut Stripe,
         arena: Option<&ScratchArena>,
-    ) -> Result<VerifyReport, DecodeError> {
-        if !plan.supports_verify() {
-            return Err(DecodeError::VerificationUnavailable);
-        }
-        if stripe.layout().sectors() != plan.total_sectors() {
-            return Err(DecodeError::GeometryMismatch {
-                expected: plan.total_sectors(),
-                actual: stripe.layout().sectors(),
-            });
-        }
-        let tape = plan.ensure_tape();
-        Ok(run_verify_runs(&tape.verify, stripe, arena))
+    ) -> (Vec<SubPlanStats>, u128) {
+        let sb = stripe.sector_bytes();
+        let jobs: Vec<Job<'_, W>> = tape.phase_a.iter().map(|seg| (seg, 0..sb)).collect();
+        self.run_jobs(&jobs, stripe, arena)
     }
 
-    /// Runs independent phase-A tape segments against the stripe —
-    /// through the thread pool when one is configured and there is more
-    /// than one segment, serially otherwise. Returns each segment's flat
-    /// reservation; the caller installs outputs. Shared by the in-process
-    /// tape path and the wire-plan executor.
-    pub(crate) fn run_segments_pooled<W: GfWord>(
+    /// Runs independent jobs against the stripe and installs their
+    /// outputs — through the thread pool when one is configured and
+    /// there is more than one job, serially otherwise. Independent jobs
+    /// never read each other's outputs, so the serial path installs as it
+    /// goes. Returns per-job stats and the time the jobs took (the
+    /// dispatch's wall time when pooled; installs excluded either way).
+    fn run_jobs<W: GfWord>(
         &self,
-        segments: &[TapeSegment<W>],
-        stripe: &Stripe,
+        jobs: &[Job<'_, W>],
+        stripe: &mut Stripe,
         arena: Option<&ScratchArena>,
-    ) -> Vec<Vec<u8>> {
+    ) -> (Vec<SubPlanStats>, u128) {
         match &self.pool {
-            Some(pool) if segments.len() > 1 => pool.install(|| {
-                segments
-                    .par_iter()
-                    .map(|seg| run_tape_segment(seg, stripe, None, arena))
-                    .collect()
-            }),
-            _ => segments
-                .iter()
-                .map(|seg| run_tape_segment(seg, stripe, None, arena))
-                .collect(),
+            Some(pool) if jobs.len() > 1 => {
+                let started = Instant::now();
+                let source: &Stripe = stripe;
+                let run =
+                    |(seg, range): &Job<'_, W>| run_tape_segment(seg, source, range.clone(), arena);
+                let flats: Vec<_> = pool.install(|| jobs.par_iter().map(run).collect());
+                let nanos = started.elapsed().as_nanos();
+                let install = |((seg, range), (flat, stats)): (&Job<'_, W>, (Vec<u8>, _))| {
+                    install_tape_outputs(seg, flat, range.clone(), stripe, arena);
+                    stats
+                };
+                (jobs.iter().zip(flats).map(install).collect(), nanos)
+            }
+            _ => {
+                let run = |(seg, range): &Job<'_, W>| {
+                    let (flat, stats) = run_tape_segment(seg, stripe, range.clone(), arena);
+                    install_tape_outputs(seg, flat, range.clone(), stripe, arena);
+                    stats
+                };
+                let stats: Vec<SubPlanStats> = jobs.iter().map(run).collect();
+                let nanos = stats.iter().map(|s| s.nanos).sum();
+                (stats, nanos)
+            }
         }
     }
 }
 
-/// Replays lowered verify runs against a stripe: each surplus row is one
-/// fused run into a single accumulator slot. Shared by the in-process
-/// tape verifier and the wire-plan executor.
-pub(crate) fn run_verify_runs<W: GfWord>(
-    runs: &[VerifyRun<W>],
+/// The stripe must have exactly the sector count the plan was built for.
+pub(crate) fn check_geometry(expected: usize, stripe: &Stripe) -> Result<(), DecodeError> {
+    let actual = stripe.layout().sectors();
+    if actual != expected {
+        return Err(DecodeError::GeometryMismatch { expected, actual });
+    }
+    Ok(())
+}
+
+fn verify_plan<W: GfWord>(
+    plan: &DecodePlan<W>,
     stripe: &Stripe,
     arena: Option<&ScratchArena>,
-) -> VerifyReport {
+) -> Result<VerifyReport, DecodeError> {
+    if !plan.supports_verify() {
+        return Err(DecodeError::VerificationUnavailable);
+    }
+    run_verify_runs(plan.ensure_tape(), stripe, arena)
+}
+
+/// Replays a tape's lowered verify runs against a stripe: each surplus
+/// row is one fused run into a single accumulator slot. The only verify
+/// implementation — in-process plans and wire plans both end up here.
+pub(crate) fn run_verify_runs<W: GfWord>(
+    tape: &PlanTape<W>,
+    stripe: &Stripe,
+    arena: Option<&ScratchArena>,
+) -> Result<VerifyReport, DecodeError> {
+    check_geometry(tape.total_sectors, stripe)?;
     let sink = RegionStats::new();
     let started = Instant::now();
     let mut violated = Vec::new();
     // Each run's head overwrites the accumulator, so it needs no
     // zeroing — not on take, not between rows.
     let mut acc = take_buf_dirty(arena, stripe.sector_bytes());
-    for run in runs {
+    for run in &tape.verify {
         if run.instrs.is_empty() {
-            // An all-zero surplus row: the empty XOR sum is zero,
-            // never violated (the graph walker agrees vacuously).
+            // An all-zero surplus row: the empty XOR sum is zero, never
+            // violated — and nothing wrote the (dirty) accumulator, so it
+            // must not be inspected.
             continue;
         }
         run_tape_section(
@@ -885,19 +371,18 @@ pub(crate) fn run_verify_runs<W: GfWord>(
             &mut acc,
             0,
             stripe.sector_bytes(),
-            Some(&sink),
+            &sink,
         );
         if acc.iter().any(|&b| b != 0) {
             violated.push(run.row);
         }
     }
-    give_bufs(arena, [acc]);
-    let stats = SubPlanStats::collect(&sink, 0, started.elapsed());
-    VerifyReport {
-        rows_checked: runs.len(),
+    give_buf(arena, acc);
+    Ok(VerifyReport {
+        rows_checked: tape.verify.len(),
         violated_rows: violated,
-        stats,
-    }
+        stats: SubPlanStats::collect(&sink, 0, started.elapsed()),
+    })
 }
 
 /// Outcome of one surplus-row verification pass (see
@@ -921,20 +406,9 @@ impl VerifyReport {
     }
 }
 
-/// Recovered sectors from one sub-plan: `(sector, bytes)` pairs.
-type SubPlanOutputs = Vec<(usize, Vec<u8>)>;
-
-/// Borrows a zeroed `len`-byte buffer from `arena`, or allocates one
-/// when no arena is in play.
-fn take_buf(arena: Option<&ScratchArena>, len: usize) -> Vec<u8> {
-    match arena {
-        Some(a) => a.take(len),
-        None => vec![0u8; len],
-    }
-}
-
-/// [`take_buf`] without the zeroing guarantee — for the tape executor,
-/// whose overwriting run heads never read the buffer's prior contents.
+/// Borrows a `len`-byte buffer with arbitrary contents from `arena`, or
+/// allocates one when no arena is in play. Tape run heads overwrite
+/// every slot before reading it, so no caller needs zeroed scratch.
 pub(crate) fn take_buf_dirty(arena: Option<&ScratchArena>, len: usize) -> Vec<u8> {
     match arena {
         Some(a) => a.take_dirty(len),
@@ -942,278 +416,85 @@ pub(crate) fn take_buf_dirty(arena: Option<&ScratchArena>, len: usize) -> Vec<u8
     }
 }
 
-/// Returns buffers to `arena` (no-op without one).
-pub(crate) fn give_bufs(arena: Option<&ScratchArena>, bufs: impl IntoIterator<Item = Vec<u8>>) {
+/// Returns a buffer to `arena` (no-op without one).
+pub(crate) fn give_buf(arena: Option<&ScratchArena>, buf: Vec<u8>) {
     if let Some(a) = arena {
-        for buf in bufs {
-            a.give(buf);
-        }
+        a.give(buf);
     }
 }
 
-/// Writes recovered sectors into the stripe, recycling the buffers.
-fn install_outputs(
-    outputs: impl IntoIterator<Item = (usize, Vec<u8>)>,
-    stripe: &mut Stripe,
-    arena: Option<&ScratchArena>,
-) {
-    for (sector, buf) in outputs {
-        stripe.write_sector(sector, &buf);
-        give_bufs(arena, [buf]);
-    }
-}
-
-/// Runs one sub-plan, returning `(sector, recovered bytes)` pairs. Reads
-/// the stripe immutably so independent sub-plans can run concurrently.
-/// When `stats` is given, every region operation is tallied into it.
-/// When `arena` is given, scratch and output buffers are borrowed from
-/// it (the caller returns the output buffers after installing them).
-//
-// The `T` accumulators of a `Normal` program live in *one* flat buffer
-// (one arena round-trip per invocation instead of one per t-term); the
-// `scratch[e * sb..]` slices are safe by plan construction: every f-term
-// index points into the program's own t-term list, which sized `scratch`.
-#[allow(clippy::indexing_slicing)]
-fn run_subplan<W: GfWord>(
-    sp: &SubPlan<W>,
-    regions: &RegionCache<W>,
-    stripe: &Stripe,
-    stats: Option<&RegionStats>,
-    arena: Option<&ScratchArena>,
-) -> SubPlanOutputs {
-    let sb = stripe.sector_bytes();
-    let apply = |c: W, src: &[u8], dst: &mut [u8]| {
-        let rm = regions.get(c);
-        match stats {
-            Some(s) => rm.mul_xor_with(src, dst, s),
-            None => rm.mul_xor(src, dst),
-        }
-    };
-    match &sp.program {
-        Program::MatrixFirst { outputs } => outputs
-            .iter()
-            .map(|(sector, terms)| {
-                let mut buf = take_buf(arena, sb);
-                for &(c, src) in terms {
-                    apply(c, stripe.sector(src), &mut buf);
-                }
-                (*sector, buf)
-            })
-            .collect(),
-        Program::Normal { t_terms, f_terms } => {
-            let mut scratch = take_buf(arena, t_terms.len() * sb);
-            for (terms, slot) in t_terms.iter().zip(scratch.chunks_exact_mut(sb)) {
-                for &(c, src) in terms {
-                    apply(c, stripe.sector(src), slot);
-                }
-            }
-            let out: SubPlanOutputs = f_terms
-                .iter()
-                .map(|(sector, terms)| {
-                    let mut buf = take_buf(arena, sb);
-                    for &(c, e) in terms {
-                        apply(c, &scratch[e * sb..(e + 1) * sb], &mut buf);
-                    }
-                    (*sector, buf)
-                })
-                .collect();
-            give_bufs(arena, [scratch]);
-            out
-        }
-    }
-}
-
-/// Runs one sub-plan with a fresh counter sink and a wall-clock timer,
-/// returning the outputs together with the collected [`SubPlanStats`].
-fn run_subplan_instrumented<W: GfWord>(
-    sp: &SubPlan<W>,
-    regions: &RegionCache<W>,
-    stripe: &Stripe,
-    arena: Option<&ScratchArena>,
-) -> (SubPlanOutputs, SubPlanStats) {
-    let sink = RegionStats::new();
-    let t = Instant::now();
-    let out = run_subplan(sp, regions, stripe, Some(&sink), arena);
-    let stats = SubPlanStats::collect(&sink, out.len(), t.elapsed());
-    (out, stats)
-}
-
-/// Accumulates `terms` into a fresh buffer, slicing the region into
-/// `chunk`-byte pieces processed across `pool`. `source(j)` yields the
-/// input region for term source `j`. When `stats` is given, every slice
-/// operation is tallied into it (the sink is atomic, so concurrent
-/// chunk workers share it safely).
-// The chunk slicing is safe by construction: `par_chunks_mut` hands out
-// `dst` windows of `buf`, and every source region has the same length as
-// `buf`, so `off..off + dst.len()` stays in bounds.
-#[allow(clippy::too_many_arguments, clippy::indexing_slicing)]
-fn chunked_sum<'a, W: GfWord>(
-    terms: &[(W, usize)],
-    regions: &RegionCache<W>,
-    source: impl Fn(usize) -> &'a [u8] + Sync,
-    len: usize,
-    pool: &rayon::ThreadPool,
-    chunk: usize,
-    stats: Option<&RegionStats>,
-    arena: Option<&ScratchArena>,
-) -> Vec<u8> {
-    let mut buf = take_buf(arena, len);
-    // Tally each term once as a full-region op: the per-chunk loop below
-    // applies the same coefficient to every chunk, which would over-count
-    // the ledger by the chunk count.
-    if let Some(s) = stats {
-        for &(c, _) in terms {
-            regions.get(c).record_with(len, s);
-        }
-    }
-    pool.install(|| {
-        buf.par_chunks_mut(chunk).enumerate().for_each(|(i, dst)| {
-            let off = i * chunk;
-            for &(c, src) in terms {
-                regions
-                    .get(c)
-                    .mul_xor(&source(src)[off..off + dst.len()], dst);
-            }
-        });
-    });
-    buf
-}
-
-/// Runs one sub-plan with within-region chunking (see
-/// [`Decoder::decode_chunked`]).
-//
-// `scratch[e]` is safe by plan construction, as in `run_subplan`.
-#[allow(clippy::indexing_slicing)]
-fn run_subplan_chunked<W: GfWord>(
-    sp: &SubPlan<W>,
-    regions: &RegionCache<W>,
-    stripe: &Stripe,
-    pool: &rayon::ThreadPool,
-    chunk: usize,
-    stats: Option<&RegionStats>,
-    arena: Option<&ScratchArena>,
-) -> SubPlanOutputs {
-    let sb = stripe.sector_bytes();
-    match &sp.program {
-        Program::MatrixFirst { outputs } => outputs
-            .iter()
-            .map(|(sector, terms)| {
-                (
-                    *sector,
-                    chunked_sum(
-                        terms,
-                        regions,
-                        |j| stripe.sector(j),
-                        sb,
-                        pool,
-                        chunk,
-                        stats,
-                        arena,
-                    ),
-                )
-            })
-            .collect(),
-        Program::Normal { t_terms, f_terms } => {
-            let scratch: Vec<Vec<u8>> = t_terms
-                .iter()
-                .map(|terms| {
-                    chunked_sum(
-                        terms,
-                        regions,
-                        |j| stripe.sector(j),
-                        sb,
-                        pool,
-                        chunk,
-                        stats,
-                        arena,
-                    )
-                })
-                .collect();
-            let out: SubPlanOutputs = f_terms
-                .iter()
-                .map(|(sector, terms)| {
-                    (
-                        *sector,
-                        chunked_sum(
-                            terms,
-                            regions,
-                            |e| scratch[e].as_slice(),
-                            sb,
-                            pool,
-                            chunk,
-                            stats,
-                            arena,
-                        ),
-                    )
-                })
-                .collect();
-            give_bufs(arena, scratch);
-            out
-        }
-    }
-}
-
-/// Executes one tape segment against the stripe: takes the segment's
-/// single arena reservation, replays its fused instruction runs, and
+/// Executes one tape segment over byte range `range` of every sector it
+/// touches: takes the segment's single arena reservation (sized for
+/// `range.len()`-byte slots), replays its fused instruction runs, and
 /// returns the flat buffer with the outputs at their precomputed slots
-/// (the caller installs them and recycles the buffer).
+/// together with the run's counters (the caller installs the outputs
+/// and recycles the buffer). A whole-sector run passes `0..sector_bytes`.
 //
-// The slot arithmetic is safe by tape construction (`crate::tape`):
-// every destination is below the segment's slot count, every `Slot`
-// source is below `scratch_slots`, and the reservation is exactly
-// `total_slots()` sectors long.
+// The slot arithmetic is safe by tape construction (`crate::tape`,
+// re-validated for wire input by `WirePlan::compile`): every destination
+// is below the segment's slot count, every `Slot` source is below
+// `scratch_slots`, the reservation is exactly `total_slots()` slots long,
+// and `range` lies inside the sector (`Decoder::run_tape` builds it).
 #[allow(clippy::indexing_slicing)]
-pub(crate) fn run_tape_segment<W: GfWord>(
+fn run_tape_segment<W: GfWord>(
     seg: &TapeSegment<W>,
     stripe: &Stripe,
-    stats: Option<&RegionStats>,
+    range: Range<usize>,
     arena: Option<&ScratchArena>,
-) -> Vec<u8> {
-    let sb = stripe.sector_bytes();
+) -> (Vec<u8>, SubPlanStats) {
+    let sink = RegionStats::new();
+    let started = Instant::now();
+    let len = range.len();
     // Unzeroed reservation: every slot's first touch is an overwriting
     // run head (enforced at tape compile), except the listed zero slots
     // — degenerate empty term lists — which are cleared here.
-    let mut flat = take_buf_dirty(arena, seg.total_slots() * sb);
+    let mut flat = take_buf_dirty(arena, seg.total_slots() * len);
     for &slot in &seg.zero_slots {
-        flat[slot * sb..(slot + 1) * sb].fill(0);
+        flat[slot * len..(slot + 1) * len].fill(0);
     }
-    let (scratch, outs) = flat.split_at_mut(seg.scratch_slots * sb);
+    let (scratch, outs) = flat.split_at_mut(seg.scratch_slots * len);
+    let sector = |s: usize| &stripe.sector(s)[range.clone()];
 
     // Intermediate section: T-slot accumulators, reading sectors only.
     run_tape_section(
         &seg.instrs[..seg.scratch_boundary],
         |loc| match loc {
-            Loc::Sector(s) => stripe.sector(s),
+            Loc::Sector(s) => sector(s),
             // Tape invariant: the intermediate section never reads slots.
             Loc::Slot(_) => unreachable!("scratch section reads sectors only"),
         },
         scratch,
         0,
-        sb,
-        stats,
+        len,
+        &sink,
     );
 
     // Output section: reads sectors or the intermediates just computed.
+    let scratch = &*scratch;
     run_tape_section(
         &seg.instrs[seg.scratch_boundary..],
         |loc| match loc {
-            Loc::Sector(s) => stripe.sector(s),
-            Loc::Slot(e) => &scratch[e * sb..(e + 1) * sb],
+            Loc::Sector(s) => sector(s),
+            Loc::Slot(e) => &scratch[e * len..(e + 1) * len],
         },
         outs,
         seg.scratch_slots,
-        sb,
-        stats,
+        len,
+        &sink,
     );
-    flat
+    let stats = SubPlanStats::collect(&sink, seg.outputs.len(), started.elapsed());
+    (flat, stats)
 }
 
 /// Replays one tape section: gathers each maximal same-destination run
 /// (one [`OpCode::MulCopy`] plus its [`OpCode::MulXorFusedCont`]s) and
 /// applies it as a single fused operation into `dst_region`, whose
-/// first slot is absolute slot `slot_base`. The run head *overwrites*
-/// its slot (tape slots are taken unzeroed — every slot's first touch
-/// is a head, enforced at compile), continuations accumulate.
+/// first slot is absolute slot `slot_base` and whose slots are `sb`
+/// bytes long. The run head *overwrites* its slot (tape slots are taken
+/// unzeroed — every slot's first touch is a head, enforced at compile),
+/// continuations accumulate. Every term is tallied into `stats`.
+///
+/// This is the only function that walks tape instructions.
 //
 // Indexing is safe by tape construction: run boundaries come from the
 // opcodes the compiler emitted, and destinations lie inside this
@@ -1225,7 +506,7 @@ pub(crate) fn run_tape_section<'a, W: GfWord>(
     dst_region: &mut [u8],
     slot_base: usize,
     sb: usize,
-    stats: Option<&RegionStats>,
+    stats: &RegionStats,
 ) {
     let mut terms: Vec<(&RegionMul<W>, &[u8])> = Vec::new();
     let mut i = 0;
@@ -1242,10 +523,7 @@ pub(crate) fn run_tape_section<'a, W: GfWord>(
             // the fused block sweep and its term list. The head
             // overwrites — the slot arrives with arbitrary contents.
             let ins = &instrs[i];
-            match stats {
-                Some(s) => ins.kernel.mul_copy_with(source(ins.src), dslice, s),
-                None => ins.kernel.mul_copy(source(ins.src), dslice),
-            }
+            ins.kernel.mul_copy_with(source(ins.src), dslice, stats);
         } else {
             terms.clear();
             terms.extend(
@@ -1253,46 +531,32 @@ pub(crate) fn run_tape_section<'a, W: GfWord>(
                     .iter()
                     .map(|ins| (&*ins.kernel, source(ins.src))),
             );
-            match stats {
-                Some(s) => mul_copy_fused_with(&terms, dslice, s),
-                None => mul_copy_fused(&terms, dslice),
-            }
+            mul_copy_fused_with(&terms, dslice, stats);
         }
         i = j;
     }
 }
 
-/// Runs one tape segment with a fresh counter sink and wall-clock timer
-/// (the tape counterpart of [`run_subplan_instrumented`]).
-fn run_tape_segment_instrumented<W: GfWord>(
-    seg: &TapeSegment<W>,
-    stripe: &Stripe,
-    arena: Option<&ScratchArena>,
-) -> (Vec<u8>, SubPlanStats) {
-    let sink = RegionStats::new();
-    let t = Instant::now();
-    let flat = run_tape_segment(seg, stripe, Some(&sink), arena);
-    let stats = SubPlanStats::collect(&sink, seg.outputs.len(), t.elapsed());
-    (flat, stats)
-}
-
-/// Writes a tape segment's outputs into the stripe from its flat
-/// reservation, then recycles the buffer.
+/// Writes a tape segment's outputs into byte range `range` of their
+/// stripe sectors from the flat reservation [`run_tape_segment`]
+/// returned for that range, then recycles the buffer.
 //
-// `slot * sb..` is in bounds: outputs live inside the reservation the
-// tape sized (see `run_tape_segment`).
+// `slot * len..` is in bounds: outputs live inside the reservation the
+// tape sized, and `range` lies inside the sector (see `run_tape_segment`).
 #[allow(clippy::indexing_slicing)]
-pub(crate) fn install_tape_outputs<W: GfWord>(
+fn install_tape_outputs<W: GfWord>(
     seg: &TapeSegment<W>,
     flat: Vec<u8>,
+    range: Range<usize>,
     stripe: &mut Stripe,
     arena: Option<&ScratchArena>,
 ) {
-    let sb = stripe.sector_bytes();
+    let len = range.len();
     for &(slot, sector) in &seg.outputs {
-        stripe.write_sector(sector, &flat[slot * sb..(slot + 1) * sb]);
+        stripe.sector_mut(sector)[range.clone()]
+            .copy_from_slice(&flat[slot * len..(slot + 1) * len]);
     }
-    give_bufs(arena, [flat]);
+    give_buf(arena, flat);
 }
 
 /// Encodes a stripe in place: computes every parity sector from the data
@@ -1302,7 +566,7 @@ pub fn encode<W: GfWord, C: ErasureCode<W>>(
     code: &C,
     decoder: &Decoder,
     stripe: &mut Stripe,
-) -> Result<DecodePlan<W>, DecodeError> {
+) -> Result<ExecStats, DecodeError> {
     let scenario = FailureScenario::new(code.parity_sectors());
     let h = code.parity_check_matrix();
     decoder.decode_scenario(&h, &scenario, Strategy::PpmAuto, stripe)
@@ -1370,14 +634,15 @@ mod tests {
         let pristine = stripe.clone();
         stripe.erase(scenario);
         assert_ne!(stripe, pristine, "erasure must change the stripe");
-        let plan = dec
+        let stats = dec
             .decode_scenario(&h, scenario, strategy, &mut stripe)
             .expect("decode");
         assert_eq!(
             stripe, pristine,
             "decode must restore every sector ({strategy:?})"
         );
-        assert_eq!(plan.faulty(), scenario.faulty());
+        assert!(stats.matches_prediction(), "{strategy:?}");
+        assert_eq!(stats.threads, threads);
     }
 
     #[test]
@@ -1449,8 +714,12 @@ mod tests {
             let plan = dec.plan(&h, &sc, Strategy::PpmAuto).unwrap();
             let mut broken = pristine.clone();
             broken.erase(&sc);
-            dec.decode_chunked(&plan, &mut broken, chunk).unwrap();
+            let stats = dec.decode_chunked(&plan, &mut broken, chunk).unwrap();
             assert_eq!(broken, pristine, "chunk={chunk}");
+            // Chunking replays H_rest once per byte range, yet the ledger
+            // stays sector-granular: executed == predicted, bytes whole.
+            assert!(stats.matches_prediction(), "chunk={chunk}");
+            assert_eq!(stats.bytes_moved(), 96 * plan.mult_xors() as u64);
         }
         // Every strategy shape: traditional (single Normal/MatrixFirst
         // program, no phase A) and the partitioned variants.
@@ -1458,8 +727,9 @@ mod tests {
             let plan = dec.plan(&h, &sc, strategy).unwrap();
             let mut broken = pristine.clone();
             broken.erase(&sc);
-            dec.decode_chunked(&plan, &mut broken, 40).unwrap();
+            let stats = dec.decode_chunked(&plan, &mut broken, 40).unwrap();
             assert_eq!(broken, pristine, "{strategy:?}");
+            assert!(stats.matches_prediction(), "{strategy:?}");
         }
         // A restricted plan decodes chunked, too.
         let plan = dec
@@ -1490,15 +760,13 @@ mod tests {
             .plan(&h, &FailureScenario::new(vec![2]), Strategy::PpmAuto)
             .unwrap();
         let mut stripe = Stripe::zeroed(code.layout(), 64);
-        // A bad chunk size is an error, never a panic, on both entry
-        // points — and the stripe is untouched.
+        // A bad chunk size is an error, never a panic — with or without
+        // a pool — and the stripe is untouched.
         for bad in [0usize, 12] {
-            let err = dec.decode_chunked(&plan, &mut stripe, bad).unwrap_err();
-            assert_eq!(err, DecodeError::BadChunkSize { chunk_bytes: bad });
-            let err = dec
-                .decode_chunked_with_stats(&plan, &mut stripe, bad)
-                .unwrap_err();
-            assert_eq!(err, DecodeError::BadChunkSize { chunk_bytes: bad });
+            for dec in [&dec, &decoder(1)] {
+                let err = dec.decode_chunked(&plan, &mut stripe, bad).unwrap_err();
+                assert_eq!(err, DecodeError::BadChunkSize { chunk_bytes: bad });
+            }
         }
         assert_eq!(stripe, Stripe::zeroed(code.layout(), 64));
     }
@@ -1514,88 +782,6 @@ mod tests {
         let mut wrong = Stripe::zeroed(ppm_codes::StripeLayout::new(3, 3), 64);
         let err = dec.decode(&plan, &mut wrong).unwrap_err();
         assert!(matches!(err, DecodeError::GeometryMismatch { .. }));
-    }
-
-    #[test]
-    fn decode_batch_decodes_every_stripe() {
-        let code = SdCode::<u8>::new(6, 4, 2, 1, vec![1, 2, 4]).unwrap();
-        let h = code.parity_check_matrix();
-        let dec = decoder(3);
-        let mut rng = StdRng::seed_from_u64(66);
-        let sc = code.decodable_worst_case(1, &mut rng, 100).unwrap();
-        let plan = dec.plan(&h, &sc, Strategy::PpmAuto).unwrap();
-
-        let mut pristine = Vec::new();
-        let mut broken = Vec::new();
-        for i in 0..5 {
-            let mut s = random_data_stripe(&code, 64, &mut StdRng::seed_from_u64(200 + i));
-            encode(&code, &dec, &mut s).unwrap();
-            let mut b = s.clone();
-            b.erase(&sc);
-            pristine.push(s);
-            broken.push(b);
-        }
-        dec.decode_batch(&plan, &mut broken).unwrap();
-        assert_eq!(broken, pristine);
-
-        // A geometry mismatch anywhere rejects the whole batch up front.
-        let mut mixed = vec![
-            pristine[0].clone(),
-            Stripe::zeroed(ppm_codes::StripeLayout::new(3, 3), 64),
-        ];
-        assert!(matches!(
-            dec.decode_batch(&plan, &mut mixed).unwrap_err(),
-            DecodeError::GeometryMismatch { .. }
-        ));
-        assert_eq!(mixed[0], pristine[0], "validated batch must be untouched");
-    }
-
-    /// Regression: a single-stripe batch on a pooled decoder must decode
-    /// through the pool (the paper's intra-stripe parallelism), not fall
-    /// back to a serial clone. The stats expose which decoder ran each
-    /// stripe: the pooled path reports the full thread budget, the
-    /// one-worker-per-stripe path reports a budget of 1.
-    #[test]
-    fn singleton_batch_keeps_intra_stripe_parallelism() {
-        let code = SdCode::<u8>::new(6, 4, 2, 1, vec![1, 2, 4]).unwrap();
-        let h = code.parity_check_matrix();
-        let dec = decoder(4);
-        let mut rng = StdRng::seed_from_u64(67);
-        let sc = code.decodable_worst_case(1, &mut rng, 100).unwrap();
-        let plan = dec.plan(&h, &sc, Strategy::PpmAuto).unwrap();
-
-        let mut pristine = random_data_stripe(&code, 64, &mut rng);
-        encode(&code, &dec, &mut pristine).unwrap();
-
-        // Batch of one: decoded by `dec` itself (threads = 4).
-        let mut singleton = vec![pristine.clone()];
-        singleton[0].erase(&sc);
-        let stats = dec.decode_batch_with_stats(&plan, &mut singleton).unwrap();
-        assert_eq!(singleton[0], pristine);
-        assert_eq!(stats.len(), 1);
-        assert_eq!(
-            stats[0].threads, 4,
-            "singleton batch must run on the pooled decoder"
-        );
-        assert!(stats[0].matches_prediction());
-
-        // Batch of three: one worker per stripe, each serial (threads = 1).
-        let mut batch = vec![pristine.clone(), pristine.clone(), pristine.clone()];
-        for stripe in batch.iter_mut() {
-            stripe.erase(&sc);
-        }
-        let stats = dec.decode_batch_with_stats(&plan, &mut batch).unwrap();
-        assert!(batch.iter().all(|s| s == &pristine));
-        assert!(
-            stats.iter().all(|s| s.threads == 1),
-            "multi-stripe batch decodes each stripe serially"
-        );
-
-        // The uninstrumented entry point restores the stripe either way.
-        let mut singleton = vec![pristine.clone()];
-        singleton[0].erase(&sc);
-        dec.decode_batch(&plan, &mut singleton).unwrap();
-        assert_eq!(singleton[0], pristine);
     }
 
     /// A restricted (degraded-read) plan recovers exactly the wanted
@@ -1639,15 +825,19 @@ mod tests {
         let mut stripe = random_data_stripe(&code, 64, &mut rng);
         encode(&code, &dec, &mut stripe).unwrap();
         stripe.erase(&sc);
-        let plan = dec
-            .decode_scenario(&h, &sc, Strategy::PpmAuto, &mut stripe)
-            .unwrap();
+        let plan = dec.plan(&h, &sc, Strategy::PpmAuto).unwrap();
+        dec.decode(&plan, &mut stripe).unwrap();
 
         let report = dec.verify(&plan, &stripe).unwrap();
         assert_eq!(report.rows_checked, plan.verify_rows());
         assert!(report.clean(), "{:?}", report.violated_rows);
         // Executed verify cost equals the plan's surplus-row prediction.
         assert_eq!(report.stats.mult_xors, plan.verify_mult_xors() as u64);
+        assert_eq!(
+            plan.ensure_tape().verify_mult_xors(),
+            plan.verify_mult_xors(),
+            "the lowered verify runs are what executed"
+        );
 
         // Corrupt a *surviving* sector: the pass must notice.
         stripe.sector_mut(0)[5] ^= 0x40;
@@ -1686,6 +876,37 @@ mod tests {
             dec.verify(&plan, &wrong).unwrap_err(),
             DecodeError::GeometryMismatch { .. }
         ));
+    }
+
+    /// The verify accumulator is taken *dirty* (no zeroing sweep), which
+    /// is only sound because a run's head overwrites it — so an all-zero
+    /// surplus row (no instructions, nothing overwrites) must be skipped
+    /// as "not violated" rather than judged on stale bytes.
+    #[test]
+    fn verify_takes_a_dirty_accumulator_and_skips_empty_rows() {
+        let tape: PlanTape<u8> = PlanTape::from_parts(
+            Vec::new(),
+            None,
+            vec![crate::tape::VerifyRun {
+                row: 7,
+                instrs: Vec::new(),
+            }],
+            16,
+            Strategy::PpmNormalRest,
+            None,
+        );
+        let stripe = Stripe::zeroed(ppm_codes::StripeLayout::new(4, 4), 64);
+        let arena = ScratchArena::new();
+        arena.give(vec![0xAB; 64]);
+
+        let report = run_verify_runs(&tape, &stripe, Some(&arena)).unwrap();
+        assert_eq!(report.rows_checked, 1);
+        assert!(report.clean(), "an empty row is never violated");
+        assert_eq!(report.stats.mult_xors, 0);
+        // The pass borrowed the poisoned buffer as-is and handed it back
+        // untouched: a zeroing take would have cleared it.
+        assert_eq!(arena.fresh_allocations(), 0);
+        assert_eq!(arena.take_dirty(64), vec![0xAB; 64]);
     }
 
     #[test]

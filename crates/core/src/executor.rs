@@ -2,13 +2,15 @@
 //! locally held sectors.
 //!
 //! An [`Executor`] owns everything a decode's *data path* needs — the
-//! pooled [`Decoder`], a one-thread sibling for inter-stripe workers,
-//! the [`ScratchArena`] of recycled buffers, and the [`ExecMode`]
-//! tape/graph switch — and nothing the *planning* path needs: no code,
-//! no parity-check matrix, no plan cache. It can therefore run on a
-//! machine that has never seen the code, executing [`WirePlan`]s a
-//! coordinator sent over ([`Executor::execute_wire`]), or serve as the
-//! in-process engine behind [`RepairService`](crate::RepairService).
+//! pooled [`Decoder`], a one-thread sibling for inter-stripe workers, and
+//! the [`ScratchArena`] of recycled buffers — and nothing the *planning*
+//! path needs: no code, no parity-check matrix, no plan cache. It can
+//! therefore run on a machine that has never seen the code, executing
+//! [`WirePlan`](crate::WirePlan)s a coordinator sent over
+//! ([`Executor::execute_wire`]), or serve as the in-process engine behind
+//! [`RepairService`](crate::RepairService). Either way the work is the
+//! same [`PlanTape`](crate::PlanTape) run by the same loop
+//! (`Decoder::run_tape`).
 //!
 //! The cluster-facing entry points implement *partial-block repair*:
 //! [`Executor::wire_partials`] runs the phase-A segments locally and,
@@ -22,20 +24,19 @@
 
 use crate::arena::ScratchArena;
 use crate::exec::{
-    give_bufs, install_tape_outputs, run_tape_section, run_tape_segment, run_verify_runs,
-    take_buf_dirty, Decoder, DecoderConfig, VerifyReport,
+    check_geometry, give_buf, run_tape_section, run_verify_runs, take_buf_dirty, Decoder,
+    DecoderConfig, VerifyReport,
 };
 use crate::plan::DecodePlan;
-use crate::service::ExecMode;
 use crate::stats::ExecStats;
 use crate::tape::Loc;
 use crate::wire::ExecutableWirePlan;
 use crate::DecodeError;
-use ppm_gf::GfWord;
+use ppm_gf::{GfWord, RegionStats};
 use ppm_stripe::Stripe;
 
-/// The data-path half of a repair session: decoder(s), scratch arena,
-/// and execution mode. See the module docs.
+/// The data-path half of a repair session: decoder(s) and scratch
+/// arena. See the module docs.
 pub struct Executor {
     decoder: Decoder,
     /// A one-thread decoder for inter-stripe workers: when each worker
@@ -43,12 +44,11 @@ pub struct Executor {
     /// it, and a serial decoder reports its thread budget honestly.
     serial: Decoder,
     arena: ScratchArena,
-    exec: ExecMode,
 }
 
 impl Executor {
     /// Creates an executor with its own pooled decoder, serial sibling,
-    /// and empty arena, on [`ExecMode::Tape`].
+    /// and empty arena.
     pub fn new(config: DecoderConfig) -> Self {
         Executor {
             decoder: Decoder::new(config),
@@ -57,15 +57,7 @@ impl Executor {
                 ..config
             }),
             arena: ScratchArena::new(),
-            exec: ExecMode::Tape,
         }
-    }
-
-    /// Sets the execution path used for decodes (see
-    /// [`RepairService::with_exec_mode`](crate::RepairService::with_exec_mode)).
-    pub fn with_exec_mode(mut self, mode: ExecMode) -> Self {
-        self.exec = mode;
-        self
     }
 
     /// The pooled decoder.
@@ -83,33 +75,15 @@ impl Executor {
         &self.arena
     }
 
-    /// The execution path used for decodes.
-    pub fn exec_mode(&self) -> ExecMode {
-        self.exec
-    }
-
-    /// Decodes one stripe through `decoder` on the configured execution
-    /// mode, borrowing scratch from the executor's arena.
-    pub(crate) fn decode_via<W: GfWord>(
-        &self,
-        decoder: &Decoder,
-        plan: &DecodePlan<W>,
-        stripe: &mut Stripe,
-    ) -> Result<ExecStats, DecodeError> {
-        match self.exec {
-            ExecMode::Tape => decoder.decode_tape_with_stats_in(plan, stripe, &self.arena),
-            ExecMode::Graph => decoder.decode_with_stats_in(plan, stripe, &self.arena),
-        }
-    }
-
     /// Decodes one stripe with the pooled decoder (the paper's
-    /// intra-stripe parallelism over independent sub-matrices).
+    /// intra-stripe parallelism over independent sub-matrices),
+    /// borrowing scratch from the executor's arena.
     pub fn decode<W: GfWord>(
         &self,
         plan: &DecodePlan<W>,
         stripe: &mut Stripe,
     ) -> Result<ExecStats, DecodeError> {
-        self.decode_via(&self.decoder, plan, stripe)
+        self.decoder.decode_in(plan, stripe, &self.arena)
     }
 
     /// Verifies a recovered stripe against the plan's surplus rows,
@@ -122,38 +96,17 @@ impl Executor {
         self.decoder.verify_in(plan, stripe, &self.arena)
     }
 
-    fn check_geometry(&self, expected: usize, stripe: &Stripe) -> Result<(), DecodeError> {
-        if stripe.layout().sectors() != expected {
-            return Err(DecodeError::GeometryMismatch {
-                expected,
-                actual: stripe.layout().sectors(),
-            });
-        }
-        Ok(())
-    }
-
-    /// Executes a compiled wire plan fully against a locally held stripe:
-    /// phase-A segments through the decoder's thread pool, then the
-    /// `H_rest` segment. Bit-identical to the in-process tape path for
-    /// the plan the wire encoding came from.
+    /// Executes a compiled wire plan fully against a locally held stripe
+    /// — the same tape loop as [`Executor::decode`], so bit-identical to
+    /// the in-process path for the plan the wire encoding came from, with
+    /// the same executed == predicted ledger.
     pub fn execute_wire<W: GfWord>(
         &self,
         wire: &ExecutableWirePlan<W>,
         stripe: &mut Stripe,
-    ) -> Result<(), DecodeError> {
-        self.check_geometry(wire.total_sectors(), stripe)?;
-        let arena = Some(&self.arena);
-        let flats = self
-            .decoder
-            .run_segments_pooled(&wire.phase_a, stripe, arena);
-        for (seg, flat) in wire.phase_a.iter().zip(flats) {
-            install_tape_outputs(seg, flat, stripe, arena);
-        }
-        if let Some(seg) = &wire.phase_b {
-            let flat = run_tape_segment(seg, stripe, None, arena);
-            install_tape_outputs(seg, flat, stripe, arena);
-        }
-        Ok(())
+    ) -> Result<ExecStats, DecodeError> {
+        self.decoder
+            .run_tape(&wire.tape, stripe, Some(&self.arena), None)
     }
 
     /// The survivor side of partial-block repair: runs the wire plan's
@@ -180,28 +133,23 @@ impl Executor {
         wire: &ExecutableWirePlan<W>,
         stripe: &mut Stripe,
     ) -> Result<WirePartials, DecodeError> {
-        self.check_geometry(wire.total_sectors(), stripe)?;
         let arena = Some(&self.arena);
-        let flats = self
-            .decoder
-            .run_segments_pooled(&wire.phase_a, stripe, arena);
-        for (seg, flat) in wire.phase_a.iter().zip(flats) {
-            install_tape_outputs(seg, flat, stripe, arena);
-        }
-        let Some(seg) = &wire.phase_b else {
+        let Some(seg) = wire
+            .tape
+            .phase_b
+            .as_ref()
+            .filter(|_| wire.rest_splittable())
+        else {
+            // No H_rest, or one that reads sectors directly: the whole
+            // tape runs here and nothing ships.
+            self.decoder.run_tape(&wire.tape, stripe, arena, None)?;
             return Ok(WirePartials {
                 rest_blocks: Vec::new(),
                 rest_pending: false,
             });
         };
-        if !wire.rest_splittable() {
-            let flat = run_tape_segment(seg, stripe, None, arena);
-            install_tape_outputs(seg, flat, stripe, arena);
-            return Ok(WirePartials {
-                rest_blocks: Vec::new(),
-                rest_pending: false,
-            });
-        }
+        check_geometry(wire.total_sectors(), stripe)?;
+        self.decoder.run_phase_a(&wire.tape, stripe, arena);
 
         // Splittable H_rest: compute the scratch (T) section only — the
         // sums over locally held sectors. The output section (F⁻¹ · T)
@@ -223,10 +171,10 @@ impl Executor {
             &mut scratch,
             0,
             sb,
-            None,
+            &RegionStats::new(),
         );
         let rest_blocks = scratch.chunks_exact(sb).map(<[u8]>::to_vec).collect();
-        give_bufs(arena, [scratch]);
+        give_buf(arena, scratch);
         Ok(WirePartials {
             rest_blocks,
             rest_pending: true,
@@ -242,11 +190,11 @@ impl Executor {
     /// [`GeometryMismatch`](crate::RepairError::GeometryMismatch) when
     /// the block count differs from the plan's scratch slots, and
     /// [`SectorLengthMismatch`](crate::RepairError::SectorLengthMismatch)
-    /// when a block is not exactly `sector_bytes` long.
-    ///
-    /// # Panics
-    /// Panics if the plan's `H_rest` is not splittable — callers route on
-    /// [`WirePartials::rest_pending`].
+    /// when a block is not exactly `sector_bytes` long, and
+    /// [`RestNotSplittable`](crate::RepairError::RestNotSplittable) when
+    /// the plan's `H_rest` does not split — callers route on
+    /// [`WirePartials::rest_pending`], but that bit arrives over the
+    /// wire, so a wrong peer gets an error here, never a panic.
     //
     // Slicing is safe by `WirePlan::compile` validation plus the length
     // checks above: every `Slot` source is below `scratch_slots`, every
@@ -259,13 +207,12 @@ impl Executor {
         rest_blocks: &[Vec<u8>],
         sector_bytes: usize,
     ) -> Result<Vec<(usize, Vec<u8>)>, DecodeError> {
-        let Some(seg) = &wire.phase_b else {
+        let Some(seg) = &wire.tape.phase_b else {
             return Ok(Vec::new());
         };
-        assert!(
-            wire.rest_splittable(),
-            "finish_rest on a non-splittable H_rest"
-        );
+        if !wire.rest_splittable() {
+            return Err(DecodeError::RestNotSplittable);
+        }
         if rest_blocks.len() != seg.scratch_slots {
             return Err(DecodeError::GeometryMismatch {
                 expected: seg.scratch_slots,
@@ -301,7 +248,7 @@ impl Executor {
             &mut outs,
             seg.scratch_slots,
             sb,
-            None,
+            &RegionStats::new(),
         );
         let recovered = seg
             .outputs
@@ -309,7 +256,7 @@ impl Executor {
             .enumerate()
             .map(|(i, &(_, sector))| (sector, outs[i * sb..(i + 1) * sb].to_vec()))
             .collect();
-        give_bufs(arena, [outs]);
+        give_buf(arena, outs);
         Ok(recovered)
     }
 
@@ -322,8 +269,7 @@ impl Executor {
         wire: &ExecutableWirePlan<W>,
         stripe: &Stripe,
     ) -> Result<VerifyReport, DecodeError> {
-        self.check_geometry(wire.total_sectors(), stripe)?;
-        Ok(run_verify_runs(&wire.verify, stripe, Some(&self.arena)))
+        run_verify_runs(&wire.tape, stripe, Some(&self.arena))
     }
 }
 
@@ -343,7 +289,6 @@ pub struct WirePartials {
 impl std::fmt::Debug for Executor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Executor")
-            .field("exec", &self.exec)
             .field("threads", &self.decoder.config().threads)
             .field("arena", &self.arena)
             .finish()

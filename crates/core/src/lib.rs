@@ -17,9 +17,9 @@
 //! 3. [`DecodePlan`] — per sub-matrix, pick a calculation sequence
 //!    (*normal*: `F⁻¹·(S·BS)`; *matrix-first*: `(F⁻¹·S)·BS`) minimizing
 //!    the mult_XORs count, using the [`cost`] model `C₁..C₄`.
-//! 4. [`Decoder`] — execute: the `p` independent sub-plans run on `T ≤ p`
-//!    threads; once they finish, their recovered blocks join the surviving
-//!    blocks to decode `H_rest`.
+//! 4. [`Decoder`] — execute the plan's compiled [`PlanTape`]: the `p`
+//!    independent segments run on `T ≤ p` threads; once they finish,
+//!    their recovered blocks join the surviving blocks to decode `H_rest`.
 //!
 //! The traditional baseline ([`Strategy::TraditionalNormal`] /
 //! [`Strategy::TraditionalMatrixFirst`]) runs the same machinery without
@@ -86,7 +86,7 @@ pub use logtable::{LogTable, LogTableRow};
 pub use partition::{ParallelismCase, Partition, SubSystem};
 pub use plan::{CalcSequence, DecodePlan, Strategy};
 pub use planner::Planner;
-pub use service::{BatchReport, ExecMode, RepairService};
+pub use service::{BatchReport, RepairService};
 pub use stats::{ExecStats, SubPlanStats, UpdateStats, VerifyStats};
 pub use tape::PlanTape;
 pub use update::UpdatePlan;

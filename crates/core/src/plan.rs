@@ -258,13 +258,9 @@ impl<W: GfWord> RegionCache<W> {
         RegionCache { map }
     }
 
-    /// Looks up the multiplier for `c` (must have been collected at build).
-    pub(crate) fn get(&self, c: W) -> &RegionMul<W> {
-        &self.map[&c.to_u64()]
-    }
-
-    /// Like [`RegionCache::get`], but hands out a shared handle — the tape
-    /// compiler embeds these in its instructions.
+    /// A shared handle to the multiplier for `c` (must have been
+    /// collected at build) — the tape compiler embeds these in its
+    /// instructions.
     pub(crate) fn get_arc(&self, c: W) -> Arc<RegionMul<W>> {
         Arc::clone(&self.map[&c.to_u64()])
     }

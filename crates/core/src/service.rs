@@ -37,24 +37,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::Instant;
 
-/// Which execution path the session's decode entry points take for a
-/// warm (cached) plan.
-///
-/// The default, [`ExecMode::Tape`], replays the plan's compiled
-/// instruction tape ([`crate::PlanTape`]) — a flat run of fused region
-/// ops with a precomputed scratch layout. [`ExecMode::Graph`] is the
-/// escape hatch back to the interpretive per-term graph walker; both
-/// paths are bit-identical and keep the same mult_XORs ledger, so the
-/// switch is purely about dispatch overhead.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ExecMode {
-    /// Replay the compiled instruction tape (default).
-    #[default]
-    Tape,
-    /// Walk the plan's term graph per decode.
-    Graph,
-}
-
 /// A long-lived repair session for one erasure code.
 ///
 /// The service is generic over the code (`&dyn ErasureCode<W>` works via
@@ -95,8 +77,8 @@ pub struct RepairService<W: GfWord, C: ErasureCode<W>> {
     /// plan cache. Produces in-process plans and serializable
     /// [`WirePlan`](crate::WirePlan)s.
     planner: Planner<W, C>,
-    /// The execution half: pooled + serial decoders, scratch arena, and
-    /// the tape/graph switch. Never touches the code or the cache.
+    /// The execution half: pooled + serial decoders and the scratch
+    /// arena. Never touches the code or the cache.
     executor: Executor,
     /// The small-write planner, built lazily on the first update and
     /// shared by every subsequent flush (one generator inversion per
@@ -129,16 +111,6 @@ impl<W: GfWord, C: ErasureCode<W>> RepairService<W, C> {
     /// the cache holding both).
     pub fn with_strategy(mut self, strategy: Strategy) -> Self {
         self.planner = self.planner.with_strategy(strategy);
-        self
-    }
-
-    /// Sets the execution path used for decodes: [`ExecMode::Tape`]
-    /// (default) replays the compiled instruction tape, while
-    /// [`ExecMode::Graph`] is the escape hatch back to the per-term
-    /// graph walker. Both produce bit-identical bytes and identical
-    /// op counts.
-    pub fn with_exec_mode(mut self, mode: ExecMode) -> Self {
-        self.executor = self.executor.with_exec_mode(mode);
         self
     }
 
@@ -178,11 +150,6 @@ impl<W: GfWord, C: ErasureCode<W>> RepairService<W, C> {
         self.planner.strategy()
     }
 
-    /// The execution path used for decodes.
-    pub fn exec_mode(&self) -> ExecMode {
-        self.executor.exec_mode()
-    }
-
     /// Cumulative plan-cache counters.
     pub fn cache_stats(&self) -> PlanCacheStats {
         self.planner.cache_stats()
@@ -216,28 +183,16 @@ impl<W: GfWord, C: ErasureCode<W>> RepairService<W, C> {
         self.planner.plan_for(scenario)
     }
 
-    /// Decodes one stripe through `decoder` on the session's configured
-    /// execution mode, borrowing scratch from the shared arena.
-    fn decode_via(
-        &self,
-        decoder: &Decoder,
-        plan: &DecodePlan<W>,
-        stripe: &mut Stripe,
-    ) -> Result<ExecStats, DecodeError> {
-        self.executor.decode_via(decoder, plan, stripe)
-    }
-
     /// Repairs one stripe in place: plans (or re-uses the cached plan
-    /// for) `scenario`, decodes through the arena on the configured
-    /// [`ExecMode`] (instruction tape by default), and returns the
-    /// instrumented stats with the cache counters attached.
+    /// for) `scenario`, replays its compiled tape through the arena, and
+    /// returns the run's stats with the cache counters attached.
     pub fn repair(
         &self,
         stripe: &mut Stripe,
         scenario: &FailureScenario,
     ) -> Result<ExecStats, DecodeError> {
         let (plan, _) = self.plan_for(scenario)?;
-        let mut stats = self.decode_via(self.executor.decoder(), &plan, stripe)?;
+        let mut stats = self.executor.decode(&plan, stripe)?;
         self.attach_counters(&mut stats);
         Ok(stats)
     }
@@ -304,7 +259,7 @@ impl<W: GfWord, C: ErasureCode<W>> RepairService<W, C> {
         // stripe as handed in.
         let baseline = stripe.clone();
         let (plan, _) = self.plan_for(scenario)?;
-        let mut stats = self.decode_via(self.executor.decoder(), &plan, stripe)?;
+        let mut stats = self.executor.decode(&plan, stripe)?;
         let report = self.executor.verify(&plan, stripe)?;
         let mut verify = VerifyStats {
             rows_available: plan.verify_rows(),
@@ -359,8 +314,7 @@ impl<W: GfWord, C: ErasureCode<W>> RepairService<W, C> {
                 }
                 attempts += 1;
                 let mut candidate = baseline.clone();
-                let esc_stats =
-                    self.decode_via(self.executor.decoder(), &esc_plan, &mut candidate)?;
+                let esc_stats = self.executor.decode(&esc_plan, &mut candidate)?;
                 let esc_report = self.executor.verify(&esc_plan, &candidate)?;
                 verify.passes += 1;
                 accumulate_extra(&mut verify.extra, &esc_stats, &esc_report);
@@ -384,34 +338,9 @@ impl<W: GfWord, C: ErasureCode<W>> RepairService<W, C> {
         }
     }
 
-    /// Repairs a batch of stripes sharing one scenario, spreading the
-    /// stripes across the decoder's thread pool (see
-    /// [`Decoder::decode_batch_with_stats`]). One plan lookup serves the
-    /// whole batch; per-stripe stats come back in stripe order with the
-    /// cache counters attached.
-    pub fn decode_batch(
-        &self,
-        stripes: &mut [Stripe],
-        scenario: &FailureScenario,
-    ) -> Result<Vec<ExecStats>, DecodeError> {
-        let (plan, _) = self.plan_for(scenario)?;
-        let mut all = self.executor.decoder().decode_batch_with_stats_in(
-            &plan,
-            stripes,
-            self.executor.arena(),
-        )?;
-        let cache = self.planner.cache_stats();
-        let arena = self.executor.arena().stats();
-        for stats in &mut all {
-            stats.cache = Some(cache);
-            stats.arena = Some(arena);
-        }
-        Ok(all)
-    }
-
     /// Repairs one stripe with `H_rest` region chunking (see
-    /// [`Decoder::decode_chunked_with_stats`]), through the session's
-    /// cache and arena.
+    /// [`Decoder::decode_chunked`]), through the session's cache and
+    /// arena.
     pub fn decode_chunked(
         &self,
         stripe: &mut Stripe,
@@ -419,11 +348,11 @@ impl<W: GfWord, C: ErasureCode<W>> RepairService<W, C> {
         chunk_bytes: usize,
     ) -> Result<ExecStats, DecodeError> {
         let (plan, _) = self.plan_for(scenario)?;
-        let mut stats = self.executor.decoder().decode_chunked_with_stats_in(
-            &plan,
+        let mut stats = self.executor.decoder().run_tape(
+            plan.ensure_tape(),
             stripe,
-            chunk_bytes,
-            self.executor.arena(),
+            Some(self.executor.arena()),
+            Some(chunk_bytes),
         )?;
         self.attach_counters(&mut stats);
         Ok(stats)
@@ -536,7 +465,6 @@ impl<W: GfWord, C: ErasureCode<W>> RepairService<W, C> {
                 full_reencode: false,
                 dirty_bytes,
             }),
-            tape: false,
             total_nanos: started.elapsed().as_nanos(),
         };
         self.attach_counters(&mut stats);
@@ -572,7 +500,7 @@ impl<W: GfWord, C: ErasureCode<W>> RepairService<W, C> {
     /// [`RepairError::GeometryMismatch`](crate::RepairError::GeometryMismatch)
     /// leaving every stripe untouched. A decode error mid-batch (not
     /// reachable for validated erasure repairs) aborts with stripes in
-    /// mixed states — like [`Decoder::decode_batch_with_stats`].
+    /// mixed states.
     pub fn repair_batch(
         &self,
         stripes: &mut [Stripe],
@@ -604,7 +532,11 @@ impl<W: GfWord, C: ErasureCode<W>> RepairService<W, C> {
                         scope.spawn(move || {
                             let mut out = Vec::with_capacity(chunk_stripes.len());
                             for stripe in chunk_stripes.iter_mut() {
-                                out.push(self.decode_via(self.executor.serial(), plan, stripe)?);
+                                out.push(self.executor.serial().decode_in(
+                                    plan,
+                                    stripe,
+                                    self.arena(),
+                                )?);
                             }
                             Ok(out)
                         })
@@ -621,7 +553,7 @@ impl<W: GfWord, C: ErasureCode<W>> RepairService<W, C> {
             workers_used = 1;
             stats = Vec::with_capacity(total);
             for stripe in stripes.iter_mut() {
-                stats.push(self.decode_via(self.executor.decoder(), &plan, stripe)?);
+                stats.push(self.executor.decode(&plan, stripe)?);
             }
         }
         let cache = self.planner.cache_stats();
@@ -687,7 +619,7 @@ impl<W: GfWord, C: ErasureCode<W>> RepairService<W, C> {
                             let Some((index, mut stripe)) = next else {
                                 break;
                             };
-                            match self.decode_via(worker_decoder, plan, &mut stripe) {
+                            match worker_decoder.decode_in(plan, &mut stripe, self.arena()) {
                                 Ok(stats) => out.push((index, stripe, stats)),
                                 Err(e) => {
                                     failed.store(true, Ordering::Relaxed);
@@ -848,50 +780,25 @@ mod tests {
         // Warm rounds recycled buffers instead of allocating.
         assert!(svc.arena().reuses() > 0);
 
-        // Graph-path steady state: a warm repair of the paper case takes
-        // exactly 6 arena buffers — 3 matrix-first outputs in phase A,
-        // then 1 flat t-term scratch + 2 outputs for the Normal H_rest —
-        // and every one of them is a reuse, not a fresh allocation.
-        let graph = service(1).with_exec_mode(ExecMode::Graph);
-        assert_eq!(graph.exec_mode(), ExecMode::Graph);
+        // Steady state: a warm repair of the paper case takes exactly 4
+        // arena reservations — one per tape segment (3 independent
+        // sub-matrices + H_rest) — and every one of them is a reuse, not a
+        // fresh allocation.
+        let warm = service(1);
         for _ in 0..2 {
             let mut broken = pristine.clone();
             broken.erase(&scenario);
-            graph.repair(&mut broken, &scenario).unwrap();
+            warm.repair(&mut broken, &scenario).unwrap();
             assert_eq!(broken, pristine);
         }
-        let before = graph.arena().stats();
+        let before = warm.arena().stats();
         let mut broken = pristine.clone();
         broken.erase(&scenario);
-        graph.repair(&mut broken, &scenario).unwrap();
+        warm.repair(&mut broken, &scenario).unwrap();
         assert_eq!(broken, pristine);
-        let after = graph.arena().stats();
+        let after = warm.arena().stats();
         assert_eq!(after.fresh, before.fresh, "steady state allocates nothing");
-        assert_eq!(after.reused - before.reused, 6, "one take per buffer role");
-    }
-
-    #[test]
-    fn tape_and_graph_repairs_are_bit_identical() {
-        let tape = service(2);
-        let graph = service(2).with_exec_mode(ExecMode::Graph);
-        let mut rng = StdRng::seed_from_u64(9);
-        let mut stripe = random_data_stripe(tape.code(), 96, &mut rng);
-        tape.encode(&mut stripe).unwrap();
-        let pristine = stripe.clone();
-        let scenario = FailureScenario::new(vec![2, 6, 10, 13, 14]);
-
-        let mut via_tape = pristine.clone();
-        via_tape.erase(&scenario);
-        let t = tape.repair(&mut via_tape, &scenario).unwrap();
-        let mut via_graph = pristine.clone();
-        via_graph.erase(&scenario);
-        let g = graph.repair(&mut via_graph, &scenario).unwrap();
-
-        assert_eq!(via_tape, pristine);
-        assert_eq!(via_graph, pristine);
-        assert!(t.tape && !g.tape);
-        assert!(t.matches_prediction() && g.matches_prediction());
-        assert_eq!(t.executed_mult_xors(), g.executed_mult_xors());
+        assert_eq!(after.reused - before.reused, 4, "one take per segment");
     }
 
     #[test]
@@ -930,7 +837,7 @@ mod tests {
             pristine.push(s);
             broken.push(b);
         }
-        let all = svc.decode_batch(&mut broken, &scenario).unwrap();
+        let all = svc.repair_batch(&mut broken, &scenario, 2).unwrap().stats;
         assert_eq!(broken, pristine);
         assert_eq!(all.len(), 3);
         assert!(all.iter().all(|s| s.matches_prediction()));
@@ -941,6 +848,10 @@ mod tests {
         let stats = svc.decode_chunked(&mut b, &scenario, 32).unwrap();
         assert_eq!(b, pristine[0]);
         assert!(stats.matches_prediction(), "chunked stats are complete");
+        assert!(
+            stats.arena.is_some(),
+            "chunked decode borrows from the arena"
+        );
         // Hits: two repeated encode plans + this chunked decode's plan.
         assert_eq!(stats.cache.expect("attached").hits, 3);
     }
@@ -964,6 +875,16 @@ mod tests {
         assert_eq!(v.rows_available, 3, "2 faulty leave 3 of 5 rows surplus");
         assert!(v.matches_prediction(), "verify executed == predicted");
         assert!(v.first_pass.mult_xors > 0);
+        // Regression (PR 12): the pass that ran is the one lowered into the
+        // cached plan's tape, not a second interpretation of the surplus
+        // rows. (`exec::tests` pins that it takes its accumulator dirty
+        // and that an all-zero surplus row stays "not violated".)
+        let (plan, _) = svc.plan_for(&scenario).unwrap();
+        assert!(plan.ensure_tape().verify_mult_xors() > 0);
+        assert_eq!(
+            v.first_pass.mult_xors,
+            plan.ensure_tape().verify_mult_xors() as u64
+        );
     }
 
     #[test]
@@ -1150,6 +1071,10 @@ mod tests {
         assert_eq!(report.workers, 1);
         assert_eq!(few, pristine[..2].to_vec());
         assert!(report.all_match_prediction());
+        assert!(
+            report.stats.iter().all(|s| s.threads == 2),
+            "a small batch keeps the pooled decoder's intra-stripe parallelism"
+        );
 
         // Many stripes: one worker per chunk, serial per stripe.
         let mut many = pristine.clone();

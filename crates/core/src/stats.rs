@@ -2,9 +2,9 @@
 //!
 //! The planner prices every calculation sequence in predicted
 //! `mult_XORs` (§III-B of the paper, [`crate::cost`]); this module holds
-//! the executed side of that ledger. [`ExecStats`] is produced by
-//! [`Decoder::decode_with_stats`](crate::Decoder::decode_with_stats) and
-//! carries, per sub-plan, the region-operation counts reported by
+//! the executed side of that ledger. [`ExecStats`] is returned by every
+//! decode ([`Decoder::decode`](crate::Decoder::decode)) and carries, per
+//! sub-plan, the region-operation counts reported by
 //! `ppm-gf`'s counted kernels plus wall-clock phase timings — enough to
 //! assert `executed == predicted` in tests and to print
 //! predicted-vs-executed tables from the CLI and benches.
@@ -169,7 +169,7 @@ impl UpdateStats {
     }
 }
 
-/// Telemetry for one instrumented decode.
+/// Telemetry for one decode.
 ///
 /// Executed counters come from the region kernels themselves
 /// ([`ppm_gf::RegionStats`]), so any divergence between what the planner
@@ -216,10 +216,6 @@ pub struct ExecStats {
     /// [`RepairService::apply_update`](crate::RepairService::apply_update)
     /// or the `ppm-update` engine (decodes leave this `None`).
     pub update: Option<UpdateStats>,
-    /// Whether the decode replayed the plan's compiled instruction tape
-    /// (see [`crate::PlanTape`]) instead of walking the term graph. The
-    /// ledger semantics are identical either way.
-    pub tape: bool,
 }
 
 impl ExecStats {
@@ -356,7 +352,6 @@ impl ExecStats {
             Some(u) => push_kv(&mut out, "update", &u.to_json()),
             None => push_kv(&mut out, "update", "null"),
         }
-        push_kv(&mut out, "tape", if self.tape { "true" } else { "false" });
         // Drop the trailing comma push_kv left behind.
         out.pop();
         out.push('}');
@@ -418,7 +413,6 @@ mod tests {
             total_nanos: 600,
             verify: None,
             update: None,
-            tape: false,
         }
     }
 

@@ -1,10 +1,10 @@
 //! Compiled plan tapes: a [`DecodePlan`] lowered to flat instruction
-//! lists, so warm repairs replay pure region arithmetic instead of
-//! re-walking the plan's term graph per stripe.
+//! lists. The tape is the only thing the executor runs (`crate::exec`):
+//! a decode replays pure region arithmetic, never the plan's term graph.
 //!
 //! Lowering happens once per plan — [`crate::PlanCache`] compiles at
-//! insert time via [`DecodePlan::ensure_tape`] — and captures everything
-//! the graph walker would rediscover on every decode:
+//! insert time via [`DecodePlan::ensure_tape`], a bare plan on its first
+//! decode — and fixes everything a decode needs ahead of time:
 //!
 //! * each phase-A sub-plan and the phase-B `H_rest` program become one
 //!   [`TapeSegment`]: a `Vec<Instr>` of `{kernel, src, dst, op}` records
@@ -23,8 +23,8 @@
 //!   the executor applies the whole run block-by-block so the
 //!   destination is written from cache rather than streamed from memory
 //!   once per term. Overwriting heads let the executor take *unzeroed*
-//!   scratch ([`crate::ScratchArena::take_dirty`]), dropping the
-//!   per-decode zeroing sweep the graph walker pays;
+//!   scratch ([`crate::ScratchArena::take_dirty`]), so no decode pays a
+//!   zeroing sweep;
 //! * surplus verify rows lower to per-row fused runs into a single
 //!   accumulator slot, and the update path's delta plan is lowered
 //!   analogously by [`crate::UpdatePlan`] into per-column patch lists.
@@ -32,12 +32,14 @@
 //! The fusion rule never reorders terms across destinations — a run is a
 //! *consecutive* group sharing one `dst`, in program order — and per-byte
 //! XOR accumulation is order-independent, so tape execution is
-//! bit-identical to the graph walker. The cost-model invariant carries
+//! bit-identical to evaluating the plan term by term (the word-level
+//! oracle in `tests/common` pins this). The cost-model invariant carries
 //! over unchanged: the tape holds exactly one instruction per predicted
-//! `mult_XORs`, so executed == predicted still holds on the tape path.
+//! `mult_XORs`, so executed == predicted holds on every decode.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
 
+use crate::cost::CostReport;
 use crate::plan::{DecodePlan, Program, RegionCache, SubPlan};
 use ppm_gf::{GfWord, RegionMul};
 use std::sync::Arc;
@@ -124,11 +126,13 @@ pub(crate) struct VerifyRun<W: GfWord> {
     pub(crate) instrs: Vec<Instr<W>>,
 }
 
-/// A [`DecodePlan`] compiled to linear instruction tapes.
+/// A [`DecodePlan`] compiled to linear instruction tapes — what every
+/// `Decoder`/`Executor` decode and verify entry point executes.
 ///
-/// Obtained via [`DecodePlan::ensure_tape`]; executed by the `Decoder`'s
-/// `decode_tape*`/`verify_tape*` entry points. Compilation preserves the
-/// §III-B cost model exactly: one instruction per predicted `mult_XORs`.
+/// Obtained via [`DecodePlan::ensure_tape`], or rebuilt from a
+/// [`WirePlan`](crate::WirePlan) on a machine that never saw the plan.
+/// Compilation preserves the §III-B cost model exactly: one instruction
+/// per predicted `mult_XORs`.
 #[derive(Debug)]
 pub struct PlanTape<W: GfWord> {
     /// One segment per independent sub-matrix (parallel in phase A).
@@ -137,6 +141,14 @@ pub struct PlanTape<W: GfWord> {
     pub(crate) phase_b: Option<TapeSegment<W>>,
     /// Surplus verify rows (empty for restricted plans).
     pub(crate) verify: Vec<VerifyRun<W>>,
+    /// Sectors in the stripe geometry the tape expects.
+    pub(crate) total_sectors: usize,
+    /// The concrete strategy of the plan the tape was lowered from.
+    pub(crate) strategy: crate::plan::Strategy,
+    /// `C₁..C₄` of the plan's candidates, when it was chosen by
+    /// [`Strategy::PpmAuto`](crate::Strategy::PpmAuto) (never travels
+    /// over the wire).
+    pub(crate) predicted_costs: Option<CostReport>,
     mult_xors: usize,
     verify_mult_xors: usize,
 }
@@ -170,13 +182,6 @@ impl<W: GfWord> PlanTape<W> {
                 VerifyRun { row: *row, instrs }
             })
             .collect();
-        let mult_xors = phase_a.iter().map(|s| s.instrs.len()).sum::<usize>()
-            + phase_b.as_ref().map_or(0, |s| s.instrs.len());
-        debug_assert_eq!(
-            mult_xors,
-            plan.mult_xors(),
-            "tape lowering must preserve the plan's predicted cost"
-        );
         #[cfg(debug_assertions)]
         #[allow(clippy::indexing_slicing)] // bounds asserted by construction
         for seg in phase_a.iter().chain(&phase_b) {
@@ -201,11 +206,43 @@ impl<W: GfWord> PlanTape<W> {
                 "a slot is neither written nor zeroed"
             );
         }
+        let tape = PlanTape::from_parts(
+            phase_a,
+            phase_b,
+            verify,
+            plan.total_sectors(),
+            plan.strategy(),
+            plan.predicted_costs(),
+        );
+        debug_assert_eq!(
+            tape.mult_xors,
+            plan.mult_xors(),
+            "tape lowering must preserve the plan's predicted cost"
+        );
+        tape
+    }
+
+    /// Assembles a tape from already-validated segments, deriving the
+    /// instruction counts. Shared by [`PlanTape::compile`] and
+    /// [`WirePlan::compile`](crate::WirePlan::compile).
+    pub(crate) fn from_parts(
+        phase_a: Vec<TapeSegment<W>>,
+        phase_b: Option<TapeSegment<W>>,
+        verify: Vec<VerifyRun<W>>,
+        total_sectors: usize,
+        strategy: crate::plan::Strategy,
+        predicted_costs: Option<CostReport>,
+    ) -> Self {
+        let mult_xors = phase_a.iter().map(|s| s.instrs.len()).sum::<usize>()
+            + phase_b.as_ref().map_or(0, |s| s.instrs.len());
         let verify_mult_xors = verify.iter().map(|r| r.instrs.len()).sum();
         PlanTape {
             phase_a,
             phase_b,
             verify,
+            total_sectors,
+            strategy,
+            predicted_costs,
             mult_xors,
             verify_mult_xors,
         }

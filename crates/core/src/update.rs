@@ -262,7 +262,7 @@ mod tests {
         let scenario = FailureScenario::new(code.parity_sectors());
         let h = code.parity_check_matrix();
         let plan = DecodePlan::build(&h, &scenario, Strategy::PpmAuto, decoder.config().backend)?;
-        decoder.decode(&plan, stripe)
+        decoder.decode(&plan, stripe).map(drop)
     }
 
     use super::*;

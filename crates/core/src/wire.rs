@@ -27,7 +27,7 @@
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
 
 use crate::plan::{DecodePlan, Strategy};
-use crate::tape::{Instr, Loc, OpCode, TapeSegment, VerifyRun};
+use crate::tape::{Instr, Loc, OpCode, PlanTape, TapeSegment, VerifyRun};
 use ppm_gf::{Backend, GfWord, RegionMul};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -407,42 +407,34 @@ impl WirePlan {
             })
             .collect::<Result<_, WireError>>()?;
 
-        let mult_xors = phase_a.iter().map(|s| s.instrs.len()).sum::<usize>()
-            + phase_b.as_ref().map_or(0, |s| s.instrs.len());
-        let verify_mult_xors = verify.iter().map(|r| r.instrs.len()).sum();
         let rest_splittable = phase_b.as_ref().is_some_and(|seg| {
             seg.instrs
                 .get(seg.scratch_boundary..)
                 .is_some_and(|outs| outs.iter().all(|i| matches!(i.src, Loc::Slot(_))))
         });
         Ok(ExecutableWirePlan {
-            phase_a,
-            phase_b,
-            verify,
+            tape: PlanTape::from_parts(
+                phase_a,
+                phase_b,
+                verify,
+                total_sectors,
+                self.strategy,
+                None,
+            ),
             faulty,
-            total_sectors,
-            strategy: self.strategy,
-            mult_xors,
-            verify_mult_xors,
             rest_splittable,
         })
     }
 }
 
-/// A [`WirePlan`] compiled for local execution: real [`TapeSegment`]s
-/// with rebuilt, `Arc`-shared kernels, plus the plan metadata an executor
-/// or cluster node needs. Execution entry points live on
-/// [`Executor`](crate::Executor).
+/// A [`WirePlan`] compiled for local execution: the same [`PlanTape`] an
+/// in-process plan compiles to — rebuilt, `Arc`-shared kernels included —
+/// plus the plan metadata a cluster node needs. Execution entry points
+/// live on [`Executor`](crate::Executor).
 #[derive(Debug)]
 pub struct ExecutableWirePlan<W: GfWord> {
-    pub(crate) phase_a: Vec<TapeSegment<W>>,
-    pub(crate) phase_b: Option<TapeSegment<W>>,
-    pub(crate) verify: Vec<VerifyRun<W>>,
+    pub(crate) tape: PlanTape<W>,
     faulty: Vec<usize>,
-    total_sectors: usize,
-    strategy: Strategy,
-    mult_xors: usize,
-    verify_mult_xors: usize,
     rest_splittable: bool,
 }
 
@@ -454,37 +446,27 @@ impl<W: GfWord> ExecutableWirePlan<W> {
 
     /// Sectors in the stripe geometry the plan expects.
     pub fn total_sectors(&self) -> usize {
-        self.total_sectors
-    }
-
-    /// The strategy the plan was built with.
-    pub fn strategy(&self) -> Strategy {
-        self.strategy
+        self.tape.total_sectors
     }
 
     /// Total decode instructions (= predicted `mult_XORs`).
     pub fn mult_xors(&self) -> usize {
-        self.mult_xors
+        self.tape.mult_xors()
     }
 
     /// Total verify-section instructions.
     pub fn verify_mult_xors(&self) -> usize {
-        self.verify_mult_xors
+        self.tape.verify_mult_xors()
     }
 
     /// Phase-A parallelism (independent sub-matrix segments).
     pub fn parallelism(&self) -> usize {
-        self.phase_a.len()
+        self.tape.phase_a.len()
     }
 
     /// Whether the plan carries an `H_rest` phase-B segment.
     pub fn has_phase_b(&self) -> bool {
-        self.phase_b.is_some()
-    }
-
-    /// Surplus verify rows carried by the plan.
-    pub fn verify_rows(&self) -> usize {
-        self.verify.len()
+        self.tape.phase_b.is_some()
     }
 
     /// Whether phase B splits across nodes: true when every output-
@@ -501,22 +483,10 @@ impl<W: GfWord> ExecutableWirePlan<W> {
     /// Number of partial-sum (`T`) blocks a split phase B ships — the
     /// scratch slots of the `H_rest` segment (0 without a phase B).
     pub fn rest_scratch_slots(&self) -> usize {
-        self.phase_b.as_ref().map_or(0, |seg| seg.scratch_slots)
-    }
-
-    /// The sectors phase B recovers (empty without a phase B).
-    pub fn rest_outputs(&self) -> Vec<usize> {
-        self.phase_b.as_ref().map_or_else(Vec::new, |seg| {
-            seg.outputs.iter().map(|&(_, sector)| sector).collect()
-        })
-    }
-
-    /// The sectors phase A recovers, across all independent segments.
-    pub fn phase_a_outputs(&self) -> Vec<usize> {
-        self.phase_a
-            .iter()
-            .flat_map(|seg| seg.outputs.iter().map(|&(_, sector)| sector))
-            .collect()
+        self.tape
+            .phase_b
+            .as_ref()
+            .map_or(0, |seg| seg.scratch_slots)
     }
 }
 
@@ -919,7 +889,7 @@ mod tests {
         );
         // Distinct instructions with the same constant share one kernel.
         let mut by_constant: HashMap<u64, *const RegionMul<u8>> = HashMap::new();
-        for instr in exec.phase_a.iter().flat_map(|s| &s.instrs) {
+        for instr in exec.tape.phase_a.iter().flat_map(|s| &s.instrs) {
             let c = instr.kernel.constant().to_u64();
             let ptr = Arc::as_ptr(&instr.kernel);
             assert_eq!(*by_constant.entry(c).or_insert(ptr), ptr);

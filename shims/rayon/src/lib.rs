@@ -7,9 +7,7 @@
 //! * [`ThreadPoolBuilder`] / [`ThreadPool::install`] — a "pool" here is
 //!   just a parallelism width; `install` records it in a thread-local so
 //!   the parallel iterators below know how many worker threads to spawn.
-//! * `slice.par_iter().map(f).collect::<Vec<_>>()` (order-preserving),
-//! * `slice.par_iter_mut().try_for_each(f)`,
-//! * `slice.par_chunks_mut(n).enumerate().for_each(f)`.
+//! * `slice.par_iter().map(f).collect::<Vec<_>>()` (order-preserving).
 //!
 //! Workers are spawned per call rather than kept warm; for the
 //! region-sized work items in this workspace the spawn cost is noise,
@@ -231,175 +229,9 @@ impl<'a, T: Sync + 'a> IntoParallelRefIterator<'a> for Vec<T> {
     }
 }
 
-/// Exclusive parallel iterator over `&mut [T]`; produced by
-/// [`IntoParallelRefMutIterator::par_iter_mut`].
-pub struct ParIterMut<'a, T> {
-    items: &'a mut [T],
-}
-
-impl<'a, T: Send> ParIterMut<'a, T> {
-    /// Runs `f` on every item, stopping at (one of) the first error(s).
-    pub fn try_for_each<E, F>(self, f: F) -> Result<(), E>
-    where
-        E: Send,
-        F: Fn(&'a mut T) -> Result<(), E> + Sync,
-    {
-        let items = self.items;
-        let workers = current_threads().min(items.len());
-        if workers <= 1 {
-            for item in items {
-                f(item)?;
-            }
-            return Ok(());
-        }
-        let chunk = items.len().div_ceil(workers);
-        thread::scope(|s| {
-            let handles: Vec<_> = items
-                .chunks_mut(chunk)
-                .map(|c| {
-                    s.spawn(|| {
-                        for item in c {
-                            f(item)?;
-                        }
-                        Ok(())
-                    })
-                })
-                .collect();
-            let mut result = Ok(());
-            for h in handles {
-                let r = join_or_propagate(h);
-                if result.is_ok() {
-                    result = r;
-                }
-            }
-            result
-        })
-    }
-
-    /// Runs `f` on every item.
-    pub fn for_each<F>(self, f: F)
-    where
-        F: Fn(&'a mut T) + Sync,
-    {
-        let _ = self.try_for_each::<(), _>(|t| {
-            f(t);
-            Ok(())
-        });
-    }
-}
-
-/// `par_iter_mut()` on exclusive slices (and `Vec` via deref).
-pub trait IntoParallelRefMutIterator<'a> {
-    /// Element type yielded by mutable reference.
-    type Item: Send + 'a;
-
-    /// Returns a parallel iterator over `&mut self`'s elements.
-    fn par_iter_mut(&'a mut self) -> ParIterMut<'a, Self::Item>;
-}
-
-impl<'a, T: Send + 'a> IntoParallelRefMutIterator<'a> for [T] {
-    type Item = T;
-
-    fn par_iter_mut(&'a mut self) -> ParIterMut<'a, T> {
-        ParIterMut { items: self }
-    }
-}
-
-impl<'a, T: Send + 'a> IntoParallelRefMutIterator<'a> for Vec<T> {
-    type Item = T;
-
-    fn par_iter_mut(&'a mut self) -> ParIterMut<'a, T> {
-        ParIterMut { items: self }
-    }
-}
-
-/// Parallel mutable chunk iterator; see
-/// [`ParallelSliceMut::par_chunks_mut`].
-pub struct ParChunksMut<'a, T> {
-    data: &'a mut [T],
-    chunk: usize,
-}
-
-impl<'a, T: Send> ParChunksMut<'a, T> {
-    /// Pairs each chunk with its index.
-    pub fn enumerate(self) -> ParChunksMutEnumerate<'a, T> {
-        ParChunksMutEnumerate {
-            data: self.data,
-            chunk: self.chunk,
-        }
-    }
-
-    /// Runs `f` on every chunk.
-    pub fn for_each<F>(self, f: F)
-    where
-        F: Fn(&'a mut [T]) + Sync,
-    {
-        self.enumerate().for_each(|(_, c)| f(c));
-    }
-}
-
-/// Enumerated form of [`ParChunksMut`].
-pub struct ParChunksMutEnumerate<'a, T> {
-    data: &'a mut [T],
-    chunk: usize,
-}
-
-impl<'a, T: Send> ParChunksMutEnumerate<'a, T> {
-    /// Runs `f((index, chunk))` on every chunk.
-    pub fn for_each<F>(self, f: F)
-    where
-        F: Fn((usize, &'a mut [T])) + Sync,
-    {
-        let mut pieces: Vec<(usize, &'a mut [T])> =
-            self.data.chunks_mut(self.chunk).enumerate().collect();
-        let workers = current_threads().min(pieces.len());
-        if workers <= 1 {
-            for piece in pieces {
-                f(piece);
-            }
-            return;
-        }
-        let per = pieces.len().div_ceil(workers);
-        let mut groups: Vec<Vec<(usize, &'a mut [T])>> = Vec::with_capacity(workers);
-        while !pieces.is_empty() {
-            let tail = pieces.split_off(per.min(pieces.len()));
-            groups.push(std::mem::replace(&mut pieces, tail));
-        }
-        thread::scope(|s| {
-            let handles: Vec<_> = groups
-                .into_iter()
-                .map(|group| {
-                    s.spawn(|| {
-                        for piece in group {
-                            f(piece);
-                        }
-                    })
-                })
-                .collect();
-            for h in handles {
-                join_or_propagate(h);
-            }
-        });
-    }
-}
-
-/// `par_chunks_mut()` on exclusive slices.
-pub trait ParallelSliceMut<T: Send> {
-    /// Splits the slice into chunks of at most `chunk` elements, in
-    /// order, for parallel consumption.
-    fn par_chunks_mut(&mut self, chunk: usize) -> ParChunksMut<'_, T>;
-}
-
-impl<T: Send> ParallelSliceMut<T> for [T] {
-    fn par_chunks_mut(&mut self, chunk: usize) -> ParChunksMut<'_, T> {
-        assert!(chunk != 0, "chunk size must be non-zero");
-        ParChunksMut { data: self, chunk }
-    }
-}
-
 /// The usual glob import: the parallel-iterator traits.
 pub mod prelude {
-    pub use crate::{IntoParallelRefIterator, IntoParallelRefMutIterator, ParallelSliceMut};
+    pub use crate::IntoParallelRefIterator;
 }
 
 #[cfg(test)]
@@ -421,42 +253,6 @@ mod tests {
         let input: Vec<usize> = (0..101).collect();
         let out: Vec<usize> = pool.install(|| input.par_iter().map(|&x| x * 2).collect());
         assert_eq!(out, (0..101).map(|x| x * 2).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn try_for_each_mutates_and_reports_errors() {
-        let pool = ThreadPoolBuilder::new().num_threads(2).build().unwrap();
-        let mut v: Vec<usize> = (0..10).collect();
-        let ok: Result<(), ()> = pool.install(|| {
-            v.par_iter_mut().try_for_each(|x| {
-                *x += 1;
-                Ok(())
-            })
-        });
-        assert!(ok.is_ok());
-        assert_eq!(v, (1..11).collect::<Vec<_>>());
-
-        let err: Result<(), usize> = pool.install(|| {
-            v.par_iter_mut()
-                .try_for_each(|x| if *x == 5 { Err(*x) } else { Ok(()) })
-        });
-        assert_eq!(err, Err(5));
-    }
-
-    #[test]
-    fn chunks_mut_enumerate_sees_global_indices() {
-        let pool = ThreadPoolBuilder::new().num_threads(4).build().unwrap();
-        let mut buf = [0u8; 70];
-        pool.install(|| {
-            buf.par_chunks_mut(16).enumerate().for_each(|(i, c)| {
-                for b in c {
-                    *b = i as u8 + 1;
-                }
-            })
-        });
-        for (i, b) in buf.iter().enumerate() {
-            assert_eq!(*b, (i / 16) as u8 + 1);
-        }
     }
 
     #[test]

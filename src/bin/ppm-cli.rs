@@ -8,7 +8,7 @@
 //! ppm-cli encode  --code sd:6,8,2,2 [--sector-kib 64] [--stats] <input> <dir>
 //! ppm-cli verify  <dir>                 # H·B = 0 for every stripe
 //! ppm-cli corrupt <dir> --disks 1,3     # simulate device failures
-//! ppm-cli repair  <dir> [--threads T] [--workers N] [--stats] [--cache] [--verify] [--inject SEED]
+//! ppm-cli repair  <dir> [--threads T] [--workers N] [--stats] [--verify] [--inject SEED]
 //! ppm-cli update  <dir> (--trace FILE | --synth zipf|seq|uniform) [--ops N] [--write-bytes B]
 //!                 [--policy lru|mmb|mms] [--buffer BYTES] [--workers N] [--seed S] [--naive] [--stats]
 //! ppm-cli decode  <dir> <output>        # reassemble the original file
@@ -24,16 +24,15 @@
 //! `evenodd:p` · `rdp:p` · `star:p` · `pc:k1,m1,k2,m2` (row × column
 //! product code over the sector grid) · `hh:k,m` (Hitchhiker-XOR).
 //!
-//! `--stats` instruments the decode data path and prints one JSON object
-//! to stdout: aggregate executed `mult_XORs` (counted by the region
-//! kernels) against the planner's predicted cost, bytes moved, wall
-//! times, and a per-sub-plan sample — see `ppm_core::ExecStats`.
-//!
-//! `repair --cache` routes the stripe loop through a `RepairService`
-//! session: the decode plan is cached by erasure signature and working
-//! buffers are recycled through a scratch arena, so every stripe after
-//! the first performs zero matrix factorizations. With `--stats`, the
-//! JSON gains a `"cache"` object (hits/misses/evictions/hit_rate).
+//! Every encode and repair runs through one `RepairService` session: the
+//! plan is built once per erasure signature and cached, working buffers
+//! are recycled through a scratch arena, and each stripe replays the
+//! plan's compiled instruction tape — so every stripe after the first
+//! performs zero matrix factorizations. `--stats` prints one JSON object
+//! to stdout from the `ExecStats` each decode returns: aggregate executed
+//! `mult_XORs` (counted by the region kernels) against the planner's
+//! predicted cost, bytes moved, wall times, the session's `"cache"`
+//! counters (hits/misses/evictions/hit_rate), and a per-sub-plan sample.
 //!
 //! `repair --workers N` repairs the whole archive through one shared
 //! `RepairService` session driving `repair_batch`: the broken stripes
@@ -98,10 +97,10 @@
 
 use ppm::update::trace::{parse_trace, synthesize, SynthKind, TraceOp};
 use ppm::{
-    encode, parity_consistent, run_sim, Backend, ChaosConfig, ChaosRates, Decoder, DecoderConfig,
-    EngineConfig, ErasureCode, EvenOddCode, EvictionPolicy, ExecMode, ExecStats, FailureScenario,
-    FaultInjector, FlushMode, HitchhikerXor, LrcCode, PmdsCode, ProductCode, RdpCode, RepairMode,
-    RepairService, RetryPolicy, RsCode, SdCode, SimConfig, SimReport, StarCode, Strategy, Stripe,
+    parity_consistent, run_sim, Backend, ChaosConfig, ChaosRates, DecoderConfig, EngineConfig,
+    ErasureCode, EvenOddCode, EvictionPolicy, ExecStats, FailureScenario, FaultInjector, FlushMode,
+    HitchhikerXor, LrcCode, PlanCacheStats, PmdsCode, ProductCode, RdpCode, RepairMode,
+    RepairService, RetryPolicy, RsCode, SdCode, SimConfig, SimReport, StarCode, Stripe,
     StripeLayout, UpdateEngine,
 };
 use std::fs;
@@ -357,7 +356,7 @@ struct StatsAgg {
     utilization_sum: f64,
     mismatches: usize,
     sample: Option<String>,
-    cache: Option<String>,
+    cache: Option<PlanCacheStats>,
 }
 
 impl StatsAgg {
@@ -375,9 +374,7 @@ impl StatsAgg {
             self.sample = Some(stats.to_json());
         }
         // Keep the latest snapshot: its cumulative counters cover the run.
-        if let Some(c) = &stats.cache {
-            self.cache = Some(c.to_json());
-        }
+        self.cache = stats.cache.or(self.cache);
     }
 
     fn to_json(&self, predicted_per_stripe: usize) -> String {
@@ -397,21 +394,22 @@ impl StatsAgg {
             self.bytes_moved,
             self.total_nanos,
             self.utilization_sum / self.stripes.max(1) as f64,
-            self.cache.as_deref().unwrap_or("null"),
+            self.cache.map_or("null".into(), |c| c.to_json()),
             self.sample.as_deref().unwrap_or("null"),
         )
     }
 }
 
 fn cmd_encode(args: &[String]) -> Result<(), String> {
-    let (flags, pos) = split_flags(args);
+    const USAGE: &str = "encode --code <spec> [--sector-kib K] [--stats] <input> <dir>";
+    let (flags, pos) = split_flags(args, USAGE)?;
     let spec = flags
         .get("code")
         .ok_or("encode requires --code <spec>")?
         .clone();
     let sector_kib: usize = flag_num(&flags, "sector-kib").unwrap_or(64);
     let [input, dir] = pos.as_slice() else {
-        return Err("usage: encode --code <spec> <input> <dir>".into());
+        return Err(format!("usage: {USAGE}"));
     };
 
     let code = Code::parse(&spec)?;
@@ -432,23 +430,15 @@ fn cmd_encode(args: &[String]) -> Result<(), String> {
     let archive = Archive { stripes, ..archive };
     let dyn_code = archive.code.as_dyn();
 
-    let decoder = Decoder::new(DecoderConfig::default());
+    // Encoding is decoding with every parity sector "faulty": the
+    // session builds that plan once and every stripe replays it.
+    let service = RepairService::new(dyn_code, DecoderConfig::default());
+    let (plan, _) = service
+        .plan_for(&FailureScenario::new(dyn_code.parity_sectors()))
+        .map_err(|e| e.to_string())?;
+    let predicted = plan.mult_xors();
     let data_sectors = dyn_code.data_sectors();
-    // Encoding is decoding with every parity sector "faulty" — with
-    // --stats, build that plan once and run it instrumented per stripe.
-    let want_stats = flags.contains_key("stats");
-    let h = dyn_code.parity_check_matrix();
-    let parity_scenario = FailureScenario::new(dyn_code.parity_sectors());
     let mut agg = StatsAgg::default();
-    let stats_plan = if want_stats {
-        Some(
-            decoder
-                .plan(&h, &parity_scenario, Strategy::PpmAuto)
-                .map_err(|e| e.to_string())?,
-        )
-    } else {
-        None
-    };
     for s in 0..stripes {
         let mut stripe = Stripe::zeroed(archive.layout(), sector_bytes);
         let base = s * per_stripe;
@@ -460,24 +450,14 @@ fn cmd_encode(args: &[String]) -> Result<(), String> {
             let end = (start + sector_bytes).min(data.len());
             stripe.sector_mut(sector)[..end - start].copy_from_slice(&data[start..end]);
         }
-        match &stats_plan {
-            Some(plan) => {
-                let st = decoder
-                    .decode_with_stats(plan, &mut stripe)
-                    .map_err(|e| e.to_string())?;
-                agg.add(&st);
-            }
-            None => {
-                encode(&dyn_code, &decoder, &mut stripe).map_err(|e| e.to_string())?;
-            }
-        }
+        agg.add(&service.encode(&mut stripe).map_err(|e| e.to_string())?);
         archive
             .write_stripe(s, &stripe)
             .map_err(|e| e.to_string())?;
     }
     archive.save_manifest().map_err(|e| e.to_string())?;
-    if let Some(plan) = &stats_plan {
-        println!("{}", agg.to_json(plan.mult_xors()));
+    if flags.contains_key("stats") {
+        println!("{}", agg.to_json(predicted));
     }
     println!(
         "encoded {} bytes into {} stripes across {} devices ({})",
@@ -490,9 +470,10 @@ fn cmd_encode(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_corrupt(args: &[String]) -> Result<(), String> {
-    let (flags, pos) = split_flags(args);
+    const USAGE: &str = "corrupt <dir> --disks a,b,...";
+    let (flags, pos) = split_flags(args, USAGE)?;
     let [dir] = pos.as_slice() else {
-        return Err("usage: corrupt <dir> --disks a,b,...".into());
+        return Err(format!("usage: {USAGE}"));
     };
     let archive = Archive::load(Path::new(dir))?;
     let disks: Vec<usize> = flags
@@ -512,38 +493,24 @@ fn cmd_corrupt(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_repair(args: &[String]) -> Result<(), String> {
-    let (flags, pos) = split_flags(args);
+    const USAGE: &str =
+        "repair <dir> [--threads T] [--workers N] [--stats] [--verify] [--inject SEED]";
+    let (flags, pos) = split_flags(args, USAGE)?;
     let [dir] = pos.as_slice() else {
-        return Err(
-            "usage: repair <dir> [--threads T] [--workers N] [--stats] [--cache] [--verify] \
-             [--inject SEED] [--tape|--no-tape]"
-                .into(),
-        );
+        return Err(format!("usage: {USAGE}"));
     };
     let archive = Archive::load(Path::new(dir))?;
-    let threads = flag_num(&flags, "threads").unwrap_or(4);
     let config = DecoderConfig {
-        threads,
+        threads: flag_num(&flags, "threads").unwrap_or(4),
         backend: Backend::Auto,
     };
-    let dyn_code = archive.code.as_dyn();
 
     let (_, scenario) = archive.read_stripe(0);
     if scenario.is_empty() {
         println!("nothing to repair");
         return Ok(());
     }
-    let want_stats = flags.contains_key("stats");
-    let mut agg = StatsAgg::default();
-
-    // Execution path: compiled instruction tape by default, --no-tape
-    // falls back to the per-term graph walker (bit-identical output).
-    let exec = match (flags.contains_key("tape"), flags.contains_key("no-tape")) {
-        (true, true) => return Err("--tape and --no-tape are mutually exclusive".into()),
-        (_, true) => ExecMode::Graph,
-        _ => ExecMode::Tape,
-    };
-
+    let verify = flags.contains_key("verify");
     let inject_seed = match flags.get("inject") {
         Some(v) => Some(
             v.parse::<u64>()
@@ -551,30 +518,15 @@ fn cmd_repair(args: &[String]) -> Result<(), String> {
         ),
         None => None,
     };
-    if let Some(workers) = flag_num(&flags, "workers") {
-        if flags.contains_key("verify") || inject_seed.is_some() {
-            return Err(
-                "--workers cannot be combined with --verify/--inject (verified repair \
-                 escalates per stripe and runs sequentially)"
-                    .into(),
-            );
-        }
-        return repair_workers(
-            &archive, dyn_code, config, &scenario, want_stats, workers, exec,
+    let workers = flag_num(&flags, "workers");
+    if workers.is_some() && (verify || inject_seed.is_some()) {
+        return Err(
+            "--workers cannot be combined with --verify/--inject (verified repair \
+             escalates per stripe and runs sequentially)"
+                .into(),
         );
     }
-    if flags.contains_key("verify") {
-        return repair_verified(
-            &archive,
-            dyn_code,
-            config,
-            &scenario,
-            want_stats,
-            inject_seed,
-            exec,
-        );
-    }
-    if inject_seed.is_some() {
+    if inject_seed.is_some() && !verify {
         return Err(
             "--inject requires --verify: without verification the injected corruption \
              would be silently written back to the archive"
@@ -582,124 +534,74 @@ fn cmd_repair(args: &[String]) -> Result<(), String> {
         );
     }
 
-    if flags.contains_key("cache") {
-        // Session path: the RepairService caches the plan by erasure
-        // signature and recycles decode buffers, so stripes 1..N re-use
-        // stripe 0's factorization.
-        let service = RepairService::new(dyn_code, config).with_exec_mode(exec);
-        let (plan, _) = service
-            .plan_for(&scenario)
-            .map_err(|e| format!("unrepairable: {e}"))?;
-        println!(
-            "repairing {} lost sectors/stripe (strategy {:?}, parallelism {}, {} mult_XORs/stripe, cached plan, {:?} execution)",
-            scenario.len(),
-            plan.strategy(),
-            plan.parallelism(),
-            plan.mult_xors(),
-            exec
-        );
-        let predicted = plan.mult_xors();
-        drop(plan);
-        for s in 0..archive.stripes {
-            let (mut stripe, lost) = archive.read_stripe(s);
-            if lost != scenario {
-                return Err(format!("stripe {s}: inconsistent failure pattern"));
-            }
-            let st = service
-                .repair(&mut stripe, &scenario)
-                .map_err(|e| e.to_string())?;
-            if want_stats {
-                agg.add(&st);
-            }
-            archive
-                .write_stripe(s, &stripe)
-                .map_err(|e| e.to_string())?;
-        }
-        if want_stats {
-            println!("{}", agg.to_json(predicted));
-        }
-        let cs = service.cache_stats();
-        println!(
-            "repaired {} stripes (plan cache: {} hits / {} misses, {} scratch reuses)",
-            archive.stripes,
-            cs.hits,
-            cs.misses,
-            service.arena().reuses()
-        );
-        return Ok(());
-    }
-
-    let decoder = Decoder::new(config);
-    let h = dyn_code.parity_check_matrix();
-    let plan = decoder
-        .plan(&h, &scenario, Strategy::PpmAuto)
+    // One session for every variant: the plan is built here, once, and
+    // every stripe after that is a cache hit replaying its tape through
+    // the shared arena.
+    let service = RepairService::new(archive.code.as_dyn(), config);
+    let (plan, _) = service
+        .plan_for(&scenario)
         .map_err(|e| format!("unrepairable: {e}"))?;
-    println!(
-        "repairing {} lost sectors/stripe (strategy {:?}, parallelism {}, {} mult_XORs/stripe)",
-        scenario.len(),
+    let predicted = plan.mult_xors();
+    let shape = format!(
+        "strategy {:?}, parallelism {}, {} mult_XORs/stripe",
         plan.strategy(),
         plan.parallelism(),
-        plan.mult_xors()
+        predicted
     );
-    for s in 0..archive.stripes {
-        let (mut stripe, lost) = archive.read_stripe(s);
-        if lost != scenario {
-            return Err(format!("stripe {s}: inconsistent failure pattern"));
+    let mut agg = StatsAgg::default();
+    let summary = match workers {
+        Some(workers) => {
+            println!(
+                "repairing {} lost sectors/stripe ({shape}, {} workers)",
+                scenario.len(),
+                workers.max(1)
+            );
+            repair_workers(&archive, &service, &scenario, workers, &mut agg)?
         }
-        if want_stats {
-            let st = match exec {
-                ExecMode::Tape => decoder.decode_tape_with_stats(&plan, &mut stripe),
-                ExecMode::Graph => decoder.decode_with_stats(&plan, &mut stripe),
+        None => {
+            if verify {
+                println!(
+                    "repairing {} lost sectors/stripe with verification (strategy {:?}, {} surplus rows, {} verify mult_XORs/pass, escalation budget {})",
+                    scenario.len(),
+                    plan.strategy(),
+                    plan.verify_rows(),
+                    plan.verify_mult_xors(),
+                    service.fault_tolerance(),
+                );
+                if plan.verify_rows() == 0 {
+                    println!(
+                        "warning: the failure pattern consumes every parity-check row; \
+                         verification is vacuous and corruption undetectable"
+                    );
+                }
+            } else {
+                println!("repairing {} lost sectors/stripe ({shape})", scenario.len());
             }
-            .map_err(|e| e.to_string())?;
-            agg.add(&st);
-        } else {
-            match exec {
-                ExecMode::Tape => decoder.decode_tape(&plan, &mut stripe),
-                ExecMode::Graph => decoder.decode(&plan, &mut stripe),
-            }
-            .map_err(|e| e.to_string())?;
+            repair_sequential(&archive, &service, &scenario, verify, inject_seed, &mut agg)?
         }
-        archive
-            .write_stripe(s, &stripe)
-            .map_err(|e| e.to_string())?;
+    };
+    if flags.contains_key("stats") {
+        println!("{}", agg.to_json(predicted));
     }
-    if want_stats {
-        println!("{}", agg.to_json(plan.mult_xors()));
-    }
-    println!("repaired {} stripes", archive.stripes);
+    println!("{summary}");
     Ok(())
 }
 
+/// A repair session over the archive's (dynamically chosen) code.
+type Session<'a> = RepairService<u8, &'a dyn ErasureCode<u8>>;
+
 /// The `repair --workers N` path: every broken stripe is read into
-/// memory and repaired through one shared [`RepairService`] session via
-/// `repair_batch`, which splits the job across `N` worker threads
-/// (inter-stripe when the batch is large enough, intra-stripe
-/// otherwise) against the sharded plan cache and scratch arena.
+/// memory and repaired through the shared session via `repair_batch`,
+/// which splits the job across `N` worker threads (inter-stripe when the
+/// batch is large enough, intra-stripe otherwise) against the sharded
+/// plan cache and scratch arena. Returns the summary line.
 fn repair_workers(
     archive: &Archive,
-    dyn_code: &dyn ErasureCode<u8>,
-    config: DecoderConfig,
+    service: &Session<'_>,
     scenario: &FailureScenario,
-    want_stats: bool,
     workers: usize,
-    exec: ExecMode,
-) -> Result<(), String> {
-    let service = RepairService::new(dyn_code, config).with_exec_mode(exec);
-    let (plan, _) = service
-        .plan_for(scenario)
-        .map_err(|e| format!("unrepairable: {e}"))?;
-    println!(
-        "repairing {} lost sectors/stripe (strategy {:?}, parallelism {}, {} mult_XORs/stripe, {} workers)",
-        scenario.len(),
-        plan.strategy(),
-        plan.parallelism(),
-        plan.mult_xors(),
-        workers.max(1)
-    );
-    let predicted = plan.mult_xors();
-    drop(plan);
-
+    agg: &mut StatsAgg,
+) -> Result<String, String> {
     let mut stripes = Vec::with_capacity(archive.stripes);
     for s in 0..archive.stripes {
         let (stripe, lost) = archive.read_stripe(s);
@@ -714,17 +616,12 @@ fn repair_workers(
     for (s, stripe) in stripes.iter().enumerate() {
         archive.write_stripe(s, stripe).map_err(|e| e.to_string())?;
     }
-
-    if want_stats {
-        let mut agg = StatsAgg::default();
-        for st in &report.stats {
-            agg.add(st);
-        }
-        println!("{}", agg.to_json(predicted));
+    for st in &report.stats {
+        agg.add(st);
     }
     let cs = service.cache_stats();
     let ar = service.arena().stats();
-    println!(
+    Ok(format!(
         "repaired {} stripes with {} workers ({} split) at {:.0} stripes/s \
          (plan cache: {} hits / {} misses / {} coalesced; arena: {} reuses / {} fresh / {} contended)",
         report.stripes(),
@@ -741,46 +638,23 @@ fn repair_workers(
         ar.reused,
         ar.fresh,
         ar.contended,
-    );
-    Ok(())
+    ))
 }
 
-/// The `repair --verify` path: every recovered stripe is checked against
-/// the surplus parity-check rows; violations trigger erasure escalation.
-/// With `inject_seed`, one surviving sector per stripe is bit-flipped
-/// first, and the run reports how many injections escalation located.
-fn repair_verified(
+/// The stripe-at-a-time path. With `verify`, every recovered stripe is
+/// checked against the surplus parity-check rows and violations trigger
+/// erasure escalation; with `inject_seed` on top, one surviving sector
+/// per stripe is bit-flipped first and the summary reports how many
+/// injections escalation located. Returns the summary line(s).
+fn repair_sequential(
     archive: &Archive,
-    dyn_code: &dyn ErasureCode<u8>,
-    config: DecoderConfig,
+    service: &Session<'_>,
     scenario: &FailureScenario,
-    want_stats: bool,
+    verify: bool,
     inject_seed: Option<u64>,
-    exec: ExecMode,
-) -> Result<(), String> {
-    let service = RepairService::new(dyn_code, config).with_exec_mode(exec);
-    let (plan, _) = service
-        .plan_for(scenario)
-        .map_err(|e| format!("unrepairable: {e}"))?;
-    println!(
-        "repairing {} lost sectors/stripe with verification (strategy {:?}, {} surplus rows, {} verify mult_XORs/pass, escalation budget {})",
-        scenario.len(),
-        plan.strategy(),
-        plan.verify_rows(),
-        plan.verify_mult_xors(),
-        service.fault_tolerance(),
-    );
-    if plan.verify_rows() == 0 {
-        println!(
-            "warning: the failure pattern consumes every parity-check row; \
-             verification is vacuous and corruption undetectable"
-        );
-    }
-    let predicted = plan.mult_xors();
-    drop(plan);
-
+    agg: &mut StatsAgg,
+) -> Result<String, String> {
     let mut injector = inject_seed.map(FaultInjector::new);
-    let mut agg = StatsAgg::default();
     let (mut injected, mut located_exactly, mut escalations, mut extra_passes) = (0, 0, 0, 0);
     for s in 0..archive.stripes {
         let (mut stripe, lost) = archive.read_stripe(s);
@@ -793,9 +667,12 @@ fn repair_verified(
         if flip.is_some() {
             injected += 1;
         }
-        let st = service
-            .repair_verified(&mut stripe, scenario)
-            .map_err(|e| format!("stripe {s}: {e}"))?;
+        let st = if verify {
+            service.repair_verified(&mut stripe, scenario)
+        } else {
+            service.repair(&mut stripe, scenario)
+        }
+        .map_err(|e| format!("stripe {s}: {e}"))?;
         if let Some(v) = &st.verify {
             escalations += v.escalations;
             extra_passes += v.passes.saturating_sub(1);
@@ -805,30 +682,27 @@ fn repair_verified(
                 }
             }
         }
-        if want_stats {
-            agg.add(&st);
-        }
+        agg.add(&st);
         archive
             .write_stripe(s, &stripe)
             .map_err(|e| e.to_string())?;
     }
-    if want_stats {
-        println!("{}", agg.to_json(predicted));
-    }
+    let mut summary = String::new();
     if let Some(seed) = inject_seed {
-        println!(
-            "fault injection (seed {seed}): {injected} stripes corrupted, {located_exactly} located exactly, {escalations} escalation decodes, {extra_passes} extra verify passes"
-        );
+        summary.push_str(&format!(
+            "fault injection (seed {seed}): {injected} stripes corrupted, {located_exactly} located exactly, {escalations} escalation decodes, {extra_passes} extra verify passes\n"
+        ));
     }
     let cs = service.cache_stats();
-    println!(
-        "repaired and verified {} stripes (plan cache: {} hits / {} misses, {} scratch reuses)",
+    summary.push_str(&format!(
+        "repaired{} {} stripes (plan cache: {} hits / {} misses, {} scratch reuses)",
+        if verify { " and verified" } else { "" },
         archive.stripes,
         cs.hits,
         cs.misses,
         service.arena().reuses()
-    );
-    Ok(())
+    ));
+    Ok(summary)
 }
 
 /// Deterministic payload bytes for synthetic replay: xorshift64* keyed
@@ -848,14 +722,12 @@ fn payload_bytes(seed: u64, index: u64, len: usize) -> Vec<u8> {
 }
 
 fn cmd_update(args: &[String]) -> Result<(), String> {
-    let (flags, pos) = split_flags(args);
+    const USAGE: &str = "update <dir> (--trace FILE | --synth zipf|seq|uniform) [--ops N] \
+         [--write-bytes B] [--policy lru|mmb|mms] [--buffer BYTES] [--workers N] \
+         [--threads T] [--seed S] [--naive] [--stats]";
+    let (flags, pos) = split_flags(args, USAGE)?;
     let [dir] = pos.as_slice() else {
-        return Err(
-            "usage: update <dir> (--trace FILE | --synth zipf|seq|uniform) [--ops N] \
-             [--write-bytes B] [--policy lru|mmb|mms] [--buffer BYTES] [--workers N] \
-             [--threads T] [--seed S] [--naive] [--stats]"
-                .into(),
-        );
+        return Err(format!("usage: {USAGE}"));
     };
     let archive = Archive::load(Path::new(dir))?;
     let dyn_code = archive.code.as_dyn();
@@ -1000,9 +872,10 @@ fn cmd_update(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_verify(args: &[String]) -> Result<(), String> {
-    let (_, pos) = split_flags(args);
+    const USAGE: &str = "verify <dir>";
+    let (_, pos) = split_flags(args, USAGE)?;
     let [dir] = pos.as_slice() else {
-        return Err("usage: verify <dir>".into());
+        return Err(format!("usage: {USAGE}"));
     };
     let archive = Archive::load(Path::new(dir))?;
     let h = archive.code.as_dyn().parity_check_matrix();
@@ -1023,9 +896,10 @@ fn cmd_verify(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_decode(args: &[String]) -> Result<(), String> {
-    let (_, pos) = split_flags(args);
+    const USAGE: &str = "decode <dir> <output>";
+    let (_, pos) = split_flags(args, USAGE)?;
     let [dir, output] = pos.as_slice() else {
-        return Err("usage: decode <dir> <output>".into());
+        return Err(format!("usage: {USAGE}"));
     };
     let archive = Archive::load(Path::new(dir))?;
     let dyn_code = archive.code.as_dyn();
@@ -1047,9 +921,10 @@ fn cmd_decode(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_info(args: &[String]) -> Result<(), String> {
-    let (_, pos) = split_flags(args);
+    const USAGE: &str = "info <dir>";
+    let (_, pos) = split_flags(args, USAGE)?;
     let [dir] = pos.as_slice() else {
-        return Err("usage: info <dir>".into());
+        return Err(format!("usage: {USAGE}"));
     };
     let archive = Archive::load(Path::new(dir))?;
     let dyn_code = archive.code.as_dyn();
@@ -1085,7 +960,12 @@ fn cmd_cluster(args: &[String]) -> Result<(), String> {
 /// ship-everything baseline runs on the same damage, and the summary
 /// line reports the measured bandwidth ratio.
 fn cluster_sim(args: &[String]) -> Result<(), String> {
-    let (flags, pos) = split_flags(args);
+    const USAGE: &str = "cluster sim [--workers N] [--stripes M] [--damaged D] [--scenarios K] \
+         [--code spec] [--bytes B] [--seed S] [--threads T] [--mode partial|naive|both] [--stats] \
+         [--chaos SEED] [--drop R] [--corrupt R] [--truncate R] [--duplicate R] [--reorder R] \
+         [--delay R] [--hang R] [--delay-ms MS] [--frame-version 1|2] [--deadline MS] \
+         [--retries N] [--hedge MS]";
+    let (flags, pos) = split_flags(args, USAGE)?;
     if !pos.is_empty() {
         return Err(format!(
             "cluster sim takes no positional arguments, got {pos:?}"
@@ -1243,28 +1123,48 @@ fn cluster_sim(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn split_flags(args: &[String]) -> (std::collections::HashMap<String, String>, Vec<String>) {
-    let mut flags = std::collections::HashMap::new();
+type Flags = std::collections::HashMap<String, String>;
+
+/// Splits `args` into `--flag` settings and positional arguments. The
+/// command's `usage` string is the flag table: `[--name]` declares a
+/// boolean flag, `--name` followed by anything else a flag that consumes
+/// the next token. A flag the usage does not mention — or a valued flag
+/// with nothing after it — is the usage error.
+fn split_flags(args: &[String], usage: &str) -> Result<(Flags, Vec<String>), String> {
+    let declared = |name: &str| {
+        usage
+            .split_whitespace()
+            .map(|token| token.trim_start_matches(['[', '(']))
+            .find_map(
+                |token| match token.strip_prefix("--")?.strip_prefix(name)? {
+                    "" => Some(true),
+                    "]" => Some(false),
+                    _ => None,
+                },
+            )
+    };
+    let mut flags = Flags::new();
     let mut pos = Vec::new();
-    // Flags that take no value; everything else consumes the next token.
-    const BOOLEAN: &[&str] = &["stats", "cache", "verify", "naive", "tape", "no-tape"];
     let mut it = args.iter();
     while let Some(a) = it.next() {
-        if let Some(name) = a.strip_prefix("--") {
-            let value = if BOOLEAN.contains(&name) {
-                String::new()
-            } else {
-                it.next().cloned().unwrap_or_default()
-            };
-            flags.insert(name.to_string(), value);
-        } else {
+        let Some(name) = a.strip_prefix("--") else {
             pos.push(a.clone());
-        }
+            continue;
+        };
+        let value = match declared(name) {
+            Some(false) => String::new(),
+            Some(true) => it
+                .next()
+                .cloned()
+                .ok_or_else(|| format!("--{name} needs a value\nusage: {usage}"))?,
+            None => return Err(format!("unknown flag --{name}\nusage: {usage}")),
+        };
+        flags.insert(name.to_string(), value);
     }
-    (flags, pos)
+    Ok((flags, pos))
 }
 
-fn flag_num(flags: &std::collections::HashMap<String, String>, name: &str) -> Option<usize> {
+fn flag_num(flags: &Flags, name: &str) -> Option<usize> {
     flags.get(name).and_then(|v| v.parse().ok())
 }
 

@@ -151,6 +151,9 @@ fn stats_flag_reports_matching_ledger() {
     let text = String::from_utf8_lossy(&out.stdout).into_owned();
     assert!(text.contains("\"matches_prediction\":true"), "{text}");
     assert!(text.contains("\"executed_mult_xors_total\":"), "{text}");
+    // Encode runs through one session: the plan is built exactly once,
+    // however many stripes the file spans.
+    assert!(text.contains("\"misses\":1,"), "{text}");
 
     run_ok(&["corrupt", archive_s, "--disks", "0,5"]);
     let out = run_ok(&["repair", archive_s, "--threads", "2", "--stats"]);
@@ -170,6 +173,42 @@ fn stats_flag_reports_matching_ledger() {
         std::fs::read(&out).unwrap(),
         "stats-instrumented repair must still restore the file"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A flag the command does not know is the usage error — never
+/// swallowed as a key/value pair (which used to eat the next argument).
+/// That includes the flags PR 12 removed.
+#[test]
+fn unknown_flags_are_usage_errors() {
+    let dir = workdir("flags");
+    let input = make_input(&dir, 20_000, 2);
+    let archive = dir.join("a");
+    let archive_s = archive.to_str().unwrap();
+    run_ok(&[
+        "encode",
+        "--code",
+        "rs:4,2,4",
+        "--sector-kib",
+        "1",
+        input.to_str().unwrap(),
+        archive_s,
+    ]);
+    run_ok(&["corrupt", archive_s, "--disks", "1"]);
+    for flag in ["--cache", "--tape", "--bogus"] {
+        let err = run_err(&["repair", archive_s, flag]);
+        assert!(
+            err.contains("unknown flag") && err.contains("usage: repair"),
+            "{flag}: {err}"
+        );
+    }
+    let err = run_err(&["verify", archive_s, "--stats"]);
+    assert!(err.contains("usage: verify"), "{err}");
+    let err = run_err(&["repair", archive_s, "--threads"]);
+    assert!(err.contains("needs a value"), "{err}");
+    // Nothing above touched the archive: it still repairs.
+    run_ok(&["repair", archive_s]);
+    run_ok(&["verify", archive_s]);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

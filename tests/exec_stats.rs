@@ -1,5 +1,5 @@
-//! Runtime cross-check of the §III-B cost model: the telemetry returned
-//! by [`Decoder::decode_with_stats`] must report *exactly* the number of
+//! Runtime cross-check of the §III-B cost model: the telemetry every
+//! [`Decoder::decode`] returns must report *exactly* the number of
 //! `mult_XORs` the planner predicted. The executed counters are bumped by
 //! the region kernels themselves, so any drift between the plan compiler
 //! and the data path — a skipped term, a double-applied coefficient, a
@@ -38,13 +38,25 @@ fn check<W: GfWord, C: ErasureCode<W>>(
     stripe.erase(scenario);
 
     let plan = dec.plan(&h, scenario, strategy).expect("plan");
-    let stats = dec.decode_with_stats(&plan, &mut stripe).expect("decode");
+    let stats = dec.decode(&plan, &mut stripe).expect("decode");
     assert_eq!(
         stripe,
         pristine,
-        "{}: instrumented decode must restore the stripe ({strategy:?}, T={threads})",
+        "{}: decode must restore the stripe ({strategy:?}, T={threads})",
         code.name()
     );
+
+    // Chunking H_rest replays its segment once per byte range, but the
+    // ledger stays sector-granular: same op counts, same bytes.
+    let mut chunked = pristine.clone();
+    chunked.erase(scenario);
+    let by_chunks = dec
+        .decode_chunked(&plan, &mut chunked, 8 * W::BYTES)
+        .expect("chunked decode");
+    assert_eq!(chunked, pristine, "{}: chunked decode", code.name());
+    assert_eq!(by_chunks.executed_mult_xors(), stats.executed_mult_xors());
+    assert_eq!(by_chunks.executed_plain_xors(), stats.executed_plain_xors());
+    assert_eq!(by_chunks.bytes_moved(), stats.bytes_moved());
 
     // The ledger: executed region ops == the plan's predicted cost.
     assert_eq!(
@@ -197,7 +209,7 @@ fn restricted_plan_invalidates_cost_report_and_stays_on_ledger() {
 
         let mut broken = pristine.clone();
         broken.erase(&sc);
-        let stats = dec.decode_with_stats(&plan, &mut broken).expect("decode");
+        let stats = dec.decode(&plan, &mut broken).expect("decode");
         for &w in &wanted {
             assert_eq!(broken.sector(w), pristine.sector(w), "wanted {w}");
         }

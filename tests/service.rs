@@ -193,10 +193,14 @@ fn batch_and_chunked_report_full_stats() {
         broken.push(b);
     }
 
-    let all = svc.decode_batch(&mut broken, &scenario).unwrap();
+    let report = svc.repair_batch(&mut broken, &scenario, 2).unwrap();
     assert_eq!(broken, pristine, "batch restores every stripe in order");
-    assert_eq!(all.len(), 4);
-    for stats in &all {
+    assert!(
+        report.inter_stripe,
+        "4 stripes over 2 workers split by stripe"
+    );
+    assert_eq!(report.stripes(), 4);
+    for stats in &report.stats {
         assert!(stats.matches_prediction(), "batched stats stay on ledger");
         assert!(stats.cache.is_some(), "cache counters attached");
     }

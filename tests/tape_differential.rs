@@ -1,13 +1,19 @@
-//! Differential suite for the compiled instruction tape: on every code
-//! family of the evaluation (SD, PMDS, LRC, RS), across thread budgets
-//! and GF backends, the tape executor must be bit-identical to the
-//! per-term graph walker — for decode, for surplus-row verification,
-//! and for the lowered delta-update path — with executed mult_XORs
-//! equal to the planner's prediction on both sides.
+//! Differential suite for the execution engine — the compiled
+//! instruction tape, the only thing that decodes or verifies — against
+//! the word-level oracle of `tests/common`: on every code family of the
+//! evaluation (SD, PMDS, LRC, RS, product, Hitchhiker), across thread
+//! budgets and GF backends, decode (whole-sector and chunked) must be
+//! bit-identical to the oracle's recovery, surplus-row verification must
+//! flag exactly the rows the oracle finds violated, and the lowered
+//! delta-update path must equal a full re-encode — with executed
+//! mult_XORs equal to the planner's prediction on every leg.
 //!
 //! The workload seed is read from `PPM_SEED` (default 2015) so CI can
 //! run this under a seed matrix without recompiling.
 
+mod common;
+
+use common::{reference_decode, reference_violated_rows, seed_from_env};
 use ppm::stripe::random_data_stripe;
 use ppm::{
     encode, parity_consistent, Backend, Decoder, DecoderConfig, ErasureCode, FailureScenario,
@@ -15,13 +21,6 @@ use ppm::{
     UpdatePlan,
 };
 use rand::{rngs::StdRng, Rng, SeedableRng};
-
-fn seed_from_env() -> u64 {
-    std::env::var("PPM_SEED")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2015)
-}
 
 /// The full configuration grid every scenario is checked under.
 const GRID: &[(usize, Backend)] = &[
@@ -36,11 +35,6 @@ const GRID: &[(usize, Backend)] = &[
 /// plan with surplus parity-check rows).
 fn differential<C: ErasureCode<u8>>(code: &C, scenario: &FailureScenario, seed: u64) -> bool {
     let h = code.parity_check_matrix();
-    assert_eq!(
-        h.select_columns(scenario.faulty()).rank(),
-        scenario.len(),
-        "scenario must be decodable"
-    );
     let mut verified = false;
     for &(threads, backend) in GRID {
         let label = format!("threads={threads} backend={backend:?} faulty={scenario:?}");
@@ -50,48 +44,69 @@ fn differential<C: ErasureCode<u8>>(code: &C, scenario: &FailureScenario, seed: 
         encode(code, &decoder, &mut pristine).expect("encode");
         let plan = decoder.plan(&h, scenario, Strategy::PpmAuto).expect("plan");
 
-        // Decode leg: same bytes, same ledger, both matching prediction.
-        let mut via_graph = pristine.clone();
-        via_graph.erase(scenario);
-        let g = decoder
-            .decode_with_stats(&plan, &mut via_graph)
-            .expect("graph decode");
-        let mut via_tape = pristine.clone();
-        via_tape.erase(scenario);
-        let t = decoder
-            .decode_tape_with_stats(&plan, &mut via_tape)
-            .expect("tape decode");
-        assert_eq!(via_graph, pristine, "graph recovery ({label})");
-        assert_eq!(via_tape, pristine, "tape recovery ({label})");
-        assert!(t.tape && !g.tape, "stats label the path taken ({label})");
-        assert!(g.matches_prediction(), "graph ledger ({label})");
-        assert!(t.matches_prediction(), "tape ledger ({label})");
-        assert_eq!(
-            t.executed_mult_xors(),
-            g.executed_mult_xors(),
-            "identical op counts ({label})"
+        // Decode leg: the oracle recovers the stripe from the survivors
+        // alone; the engine must land on the same bytes, whole-sector
+        // and chunked, with the ledger matching the prediction.
+        let mut by_oracle = pristine.clone();
+        by_oracle.erase(scenario);
+        assert!(
+            reference_decode(&h, scenario, &mut by_oracle),
+            "scenario must be decodable ({label})"
         );
+        assert_eq!(by_oracle, pristine, "oracle recovery ({label})");
+        let mut by_engine = pristine.clone();
+        by_engine.erase(scenario);
+        let whole = decoder.decode(&plan, &mut by_engine).expect("decode");
+        let mut by_chunks = pristine.clone();
+        by_chunks.erase(scenario);
+        let chunked = decoder
+            .decode_chunked(&plan, &mut by_chunks, 96)
+            .expect("chunked decode");
+        assert_eq!(by_engine, by_oracle, "engine == oracle ({label})");
+        assert_eq!(by_chunks, by_oracle, "chunked engine == oracle ({label})");
+        for (name, stats) in [("whole", &whole), ("chunked", &chunked)] {
+            assert!(stats.matches_prediction(), "{name} ledger ({label})");
+            assert_eq!(
+                stats.executed_mult_xors(),
+                plan.mult_xors() as u64,
+                "{name}: executed == predicted ({label})"
+            );
+            assert_eq!(
+                stats.bytes_moved(),
+                256 * plan.mult_xors() as u64,
+                "{name}: every term moves one sector ({label})"
+            );
+        }
 
-        // Verify leg: clean on the recovered stripe, and the same rows
-        // flagged once a surviving sector is corrupted.
+        // Verify leg: clean on the recovered stripe, exactly the
+        // oracle's violated rows once a surviving sector is corrupted,
+        // and the verify ledger on its own prediction both times.
         if plan.supports_verify() {
             verified = true;
-            let rg = decoder.verify(&plan, &via_graph).expect("graph verify");
-            let rt = decoder.verify_tape(&plan, &via_tape).expect("tape verify");
-            assert!(rg.clean() && rt.clean(), "clean verify ({label})");
-            assert_eq!(rg.rows_checked, rt.rows_checked, "rows checked ({label})");
+            let surplus = plan.surplus_row_indices();
+            let clean = decoder.verify(&plan, &by_engine).expect("verify");
+            assert!(clean.clean(), "clean verify ({label})");
+            assert_eq!(clean.rows_checked, surplus.len(), "rows checked ({label})");
+            assert!(reference_violated_rows(&h, &surplus, &by_engine).is_empty());
 
             let victim = (0..plan.total_sectors())
                 .find(|s| !scenario.faulty().contains(s))
                 .expect("a surviving sector exists");
-            let mut corrupt = via_tape.clone();
+            let mut corrupt = by_engine.clone();
             corrupt.sector_mut(victim)[0] ^= 0x5A;
-            let rg = decoder.verify(&plan, &corrupt).expect("graph verify");
-            let rt = decoder.verify_tape(&plan, &corrupt).expect("tape verify");
+            let flagged = decoder.verify(&plan, &corrupt).expect("verify");
             assert_eq!(
-                rg.violated_rows, rt.violated_rows,
-                "identical violation report ({label})"
+                flagged.violated_rows,
+                reference_violated_rows(&h, &surplus, &corrupt),
+                "violation report == oracle ({label})"
             );
+            for report in [&clean, &flagged] {
+                assert_eq!(
+                    report.stats.mult_xors,
+                    plan.verify_mult_xors() as u64,
+                    "verify executed == predicted ({label})"
+                );
+            }
         }
 
         // Delta-update leg: the lowered patch lists must be
@@ -156,7 +171,7 @@ fn light_scenario<C: ErasureCode<u8>>(code: &C) -> FailureScenario {
 }
 
 #[test]
-fn sd_tape_matches_graph() {
+fn sd_engine_matches_oracle() {
     let seed = seed_from_env();
     let code = SdCode::<u8>::new(6, 4, 2, 1, vec![1, 2, 4]).expect("code");
     let mut rng = StdRng::seed_from_u64(seed);
@@ -168,13 +183,13 @@ fn sd_tape_matches_graph() {
 }
 
 #[test]
-fn pmds_tape_matches_graph() {
+fn pmds_engine_matches_oracle() {
     let seed = seed_from_env();
     let code = PmdsCode::<u8>::new(6, 4, 2, 1, vec![1, 2, 4]).expect("code");
     let h = code.parity_check_matrix();
     let mut rng = StdRng::seed_from_u64(seed);
     // Scattered patterns are only guaranteed decodable for searched
-    // coefficients; draw until one is (the rank check in differential
+    // coefficients; draw until one is (the oracle in differential
     // re-asserts it).
     let scattered = (0..100)
         .map(|_| code.scattered_scenario(&mut rng))
@@ -185,7 +200,7 @@ fn pmds_tape_matches_graph() {
 }
 
 #[test]
-fn lrc_tape_matches_graph() {
+fn lrc_engine_matches_oracle() {
     let seed = seed_from_env();
     let code = LrcCode::<u8>::new(6, 2, 2, 4).expect("code");
     let h = code.parity_check_matrix();
@@ -199,7 +214,7 @@ fn lrc_tape_matches_graph() {
 }
 
 #[test]
-fn rs_tape_matches_graph() {
+fn rs_engine_matches_oracle() {
     let seed = seed_from_env();
     let code = RsCode::<u8>::new(5, 3, 4).expect("code");
     let mut rng = StdRng::seed_from_u64(seed);
@@ -209,7 +224,7 @@ fn rs_tape_matches_graph() {
 }
 
 #[test]
-fn product_tape_matches_graph() {
+fn product_engine_matches_oracle() {
     let seed = seed_from_env();
     let code = ProductCode::<u8>::new(4, 2, 3, 2).expect("code");
     let layout = code.layout();
@@ -226,7 +241,7 @@ fn product_tape_matches_graph() {
 }
 
 #[test]
-fn hitchhiker_tape_matches_graph() {
+fn hitchhiker_engine_matches_oracle() {
     let seed = seed_from_env();
     let code = HitchhikerXor::<u8>::new(5, 3).expect("code");
     let layout = code.layout();

@@ -11,19 +11,15 @@
 //! The workload seed is read from `PPM_SEED` (default 2015) so CI can
 //! run this under a seed matrix without recompiling.
 
+mod common;
+
+use common::seed_from_env;
 use ppm::stripe::random_data_stripe;
 use ppm::{
     Backend, DecoderConfig, ErasureCode, FailureScenario, HitchhikerXor, LrcCode, PmdsCode,
-    ProductCode, RepairService, RsCode, SdCode, Strategy, WirePlan,
+    ProductCode, RepairError, RepairService, RsCode, SdCode, Strategy, WirePlan,
 };
 use rand::{rngs::StdRng, SeedableRng};
-
-fn seed_from_env() -> u64 {
-    std::env::var("PPM_SEED")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2015)
-}
 
 const SECTOR_BYTES: usize = 256;
 
@@ -58,7 +54,7 @@ fn wire_differential<C: ErasureCode<u8>>(
         // Reference leg: the in-process compiled tape.
         let mut reference = pristine.clone();
         reference.erase(scenario);
-        service.repair(&mut reference, scenario).expect("repair");
+        let in_process = service.repair(&mut reference, scenario).expect("repair");
         assert_eq!(reference, pristine, "in-process repair ({label})");
 
         // Wire leg: serialize → bytes → deserialize → compile → run.
@@ -73,11 +69,20 @@ fn wire_differential<C: ErasureCode<u8>>(
 
         let mut via_wire = pristine.clone();
         via_wire.erase(scenario);
-        service
+        let over_wire = service
             .executor()
             .execute_wire(&exec, &mut via_wire)
             .expect("execute_wire");
         assert_eq!(via_wire, pristine, "wire execution ({label})");
+        // Same tape, same loop: the wire run keeps the ledger, op for op.
+        assert!(over_wire.matches_prediction(), "wire ledger ({label})");
+        assert_eq!(over_wire.predicted_mult_xors, exec.mult_xors());
+        assert_eq!(
+            over_wire.executed_mult_xors(),
+            in_process.executed_mult_xors(),
+            "wire == in-process op count ({label})"
+        );
+        assert_eq!(over_wire.strategy, in_process.strategy);
 
         // Cluster-split leg: phase A + partial sums locally, phase B
         // from the shipped blocks alone, recovered sectors installed.
@@ -105,6 +110,18 @@ fn wire_differential<C: ErasureCode<u8>>(
             for (sector, bytes) in recovered {
                 via_split.write_sector(sector, &bytes);
             }
+        } else if exec.has_phase_b() {
+            // `rest_pending` is the peer's word. Acting on a forged one
+            // for an H_rest that cannot split is a typed error, not a
+            // panic.
+            assert_eq!(
+                service
+                    .executor()
+                    .finish_rest(&exec, &[], SECTOR_BYTES)
+                    .unwrap_err(),
+                RepairError::RestNotSplittable,
+                "forged rest_pending ({label})"
+            );
         }
         assert_eq!(via_split, pristine, "split execution ({label})");
 
@@ -116,6 +133,11 @@ fn wire_differential<C: ErasureCode<u8>>(
         assert!(
             report.violated_rows.is_empty(),
             "wire verify clean ({label})"
+        );
+        assert_eq!(
+            report.stats.mult_xors,
+            exec.verify_mult_xors() as u64,
+            "wire verify executed == predicted ({label})"
         );
     }
 }
