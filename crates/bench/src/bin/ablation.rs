@@ -64,7 +64,7 @@ fn main() {
         format!("{:.2}ms", modeled * 1e3),
         format!("{:+.1}%", 100.0 * improvement(base, modeled)),
     ]);
-    // Our extension: chunk H_rest's regions across the pool as well.
+    // Our extension: chunk H_rest's regions across the threads as well.
     let chunked = modeled_decode_time_chunked(&plan, serial, 4, 4, SPAWN_OVERHEAD);
     t.row(&[
         "PPM + chunked rest (T=4, modeled*)".into(),

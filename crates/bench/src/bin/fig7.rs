@@ -16,8 +16,10 @@
 use ppm_bench::{improvement, modeled_decode_time, ExpArgs, Table};
 use ppm_core::Strategy;
 
-/// Per-thread spawn/dispatch overhead used by the model; measured rayon
-/// dispatch latency is ~10µs per sub-task batch on commodity hardware.
+/// Per-thread spawn overhead assumed by the model: the order of
+/// magnitude of creating and joining one scoped thread (`par_map` spawns
+/// per decode, as the paper does). An assumption, not a measurement —
+/// `benchmark/`'s `executor.thread_speedup` is the measured counterpart.
 const SPAWN_OVERHEAD: f64 = 15e-6;
 
 fn main() {

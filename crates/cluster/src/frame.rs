@@ -1,32 +1,31 @@
 //! Length-prefixed frames and the v2 integrity envelope.
 //!
-//! **Raw framing (v1).** Every message crosses a stream as a
-//! little-endian `u32` byte count followed by that many payload bytes.
-//! This is the only thing a stream transport (TCP, Unix socket, pipe)
-//! needs on top of `io::Read`/`io::Write`; the in-process channel
-//! transport moves whole frames and skips the prefix, but both sides
-//! account traffic as if the prefix were present so byte counts are
-//! comparable across transports.
+//! **Stream framing.** Every frame crosses a stream as a little-endian
+//! `u32` byte count followed by that many bytes. This is the only thing
+//! a stream transport (TCP, Unix socket, pipe) needs on top of
+//! `io::Read`/`io::Write`; the in-process channel transport moves whole
+//! frames and skips the prefix, but both sides account traffic as if
+//! the prefix were present so byte counts are comparable across
+//! transports.
 //!
-//! **Integrity envelope (v2).** A v1 frame is defenseless: a flipped
-//! bit decodes into garbage sectors, a duplicated frame replays a
-//! request, and neither is *detected*. The v2 envelope wraps a payload
-//! as
+//! **Integrity envelope (v2).** A bare payload is defenseless: a
+//! flipped bit decodes into garbage sectors, a duplicated frame replays
+//! a request, and neither is *detected*. So every frame on a link is a
+//! v2 envelope,
 //!
 //! ```text
 //! [0xC2][version=2][seq: u32 LE][crc32: u32 LE][payload ...]
 //! ```
 //!
 //! where the CRC covers the version byte, the sequence number, and the
-//! payload — so corruption anywhere past the magic byte is caught, and
-//! a corrupted magic byte demotes the frame to "unrecognized v1" which
-//! the protocol layer rejects. The sequence number is per-direction
-//! monotonic; receivers drop non-advancing sequences as duplicates.
-//! Version negotiation is *in-band and per-frame*: a receiver
-//! recognizes both shapes ([`unseal`]) and a worker answers in the
-//! version the request arrived in, so a v1 peer interoperates with a
-//! v2 peer without a handshake — it simply never gets (or needs to
-//! send) an envelope.
+//! payload — corruption anywhere past the magic byte fails the CRC, and
+//! a frame that does not start with the magic is a [`FrameError`] like
+//! any other: [`unseal`] never hands a payload to the protocol layer
+//! without having proved its integrity. The sequence number is
+//! per-direction monotonic; receivers drop non-advancing sequences as
+//! duplicates. (The unsealed v1 wire image, once auto-detected by its
+//! missing magic, is gone: a flipped magic byte used to *demote* a
+//! sealed request to an unchecked one.)
 
 use std::io::{self, Read, Write};
 
@@ -35,8 +34,7 @@ use std::io::{self, Read, Write};
 /// request.
 pub const MAX_FRAME: usize = 1 << 28;
 
-/// First byte of a v2 envelope. Protocol payloads start with small tag
-/// bytes, so this never collides with a raw v1 message.
+/// First byte of a v2 envelope.
 pub const FRAME_V2_MAGIC: u8 = 0xC2;
 
 /// The envelope version this crate speaks natively.
@@ -141,12 +139,15 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 /// Why a frame failed the v2 integrity checks.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum FrameError {
-    /// The frame starts like a v2 envelope but is shorter than the
-    /// header — a truncation fault.
+    /// The frame is shorter than the envelope header — a truncation
+    /// fault.
     TooShort {
         /// Bytes actually present.
         got: usize,
     },
+    /// The frame does not start with [`FRAME_V2_MAGIC`]: a bare payload
+    /// or a corrupted magic byte. Carries the byte found there.
+    BadMagic(u8),
     /// The envelope names a version this peer does not speak.
     BadVersion(u8),
     /// The CRC over version+sequence+payload does not match.
@@ -167,6 +168,10 @@ impl std::fmt::Display for FrameError {
                     "v2 envelope truncated to {got} bytes (header is {V2_HEADER})"
                 )
             }
+            FrameError::BadMagic(b) => write!(
+                f,
+                "frame starts with {b:#04x}, not the v2 magic {FRAME_V2_MAGIC:#04x}"
+            ),
             FrameError::BadVersion(v) => write!(f, "unsupported frame version {v}"),
             FrameError::Crc { carried, computed } => write!(
                 f,
@@ -178,19 +183,13 @@ impl std::fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
-/// What [`unseal`] recognized.
+/// What [`unseal`] proved: a v2 envelope whose CRC checked out.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Unsealed {
-    /// No v2 magic: the frame *is* the payload (a v1 peer, or line
-    /// noise the protocol layer will reject).
-    V1(Vec<u8>),
-    /// A v2 envelope whose CRC checked out.
-    V2 {
-        /// Per-direction monotonic sequence number.
-        seq: u32,
-        /// The protected payload.
-        payload: Vec<u8>,
-    },
+pub struct Unsealed {
+    /// Per-direction monotonic sequence number.
+    pub seq: u32,
+    /// The protected payload.
+    pub payload: Vec<u8>,
 }
 
 /// Wraps `payload` in a v2 envelope carrying `seq`, CRC-protected.
@@ -217,20 +216,18 @@ fn envelope_crc(envelope: &[u8]) -> u32 {
     !crc
 }
 
-/// Classifies a received frame: v2 envelope (verified), or raw v1
-/// payload. Sequence-number policy (duplicate detection) is the
-/// caller's job — this layer only proves integrity.
+/// Opens a received v2 envelope. Sequence-number policy (duplicate
+/// detection) is the caller's job — this layer only proves integrity.
 ///
 /// # Errors
-/// [`FrameError`] when the frame claims to be v2 but fails the
-/// structural or CRC checks — the "detected corruption" signal chaos
-/// testing asserts on.
+/// [`FrameError`] when the frame fails the structural or CRC checks —
+/// the "detected corruption" signal chaos testing asserts on.
 pub fn unseal(frame: Vec<u8>) -> Result<Unsealed, FrameError> {
-    if frame.first() != Some(&FRAME_V2_MAGIC) {
-        return Ok(Unsealed::V1(frame));
-    }
     if frame.len() < V2_HEADER {
         return Err(FrameError::TooShort { got: frame.len() });
+    }
+    if frame[0] != FRAME_V2_MAGIC {
+        return Err(FrameError::BadMagic(frame[0]));
     }
     let version = frame[1];
     if version != FRAME_VERSION {
@@ -243,7 +240,7 @@ pub fn unseal(frame: Vec<u8>) -> Result<Unsealed, FrameError> {
         return Err(FrameError::Crc { carried, computed });
     }
     let payload = frame[V2_HEADER..].to_vec();
-    Ok(Unsealed::V2 { seq, payload })
+    Ok(Unsealed { seq, payload })
 }
 
 #[cfg(test)]
@@ -321,42 +318,38 @@ mod tests {
         for (seq, payload) in [(0u32, &b""[..]), (1, b"x"), (u32::MAX, &[0xC2; 37][..])] {
             let frame = seal_v2(seq, payload);
             assert_eq!(frame.len(), V2_HEADER + payload.len());
-            match unseal(frame).expect("unseal") {
-                Unsealed::V2 { seq: s, payload: p } => {
-                    assert_eq!(s, seq);
-                    assert_eq!(p, payload);
-                }
-                other => panic!("expected V2, got {other:?}"),
-            }
+            let opened = unseal(frame).expect("unseal");
+            assert_eq!(opened.seq, seq);
+            assert_eq!(opened.payload, payload);
         }
     }
 
     #[test]
-    fn raw_frames_pass_through_as_v1() {
-        for payload in [&b""[..], b"\x00rest", b"\x03"] {
-            match unseal(payload.to_vec()).expect("unseal") {
-                Unsealed::V1(p) => assert_eq!(p, payload),
-                other => panic!("expected V1, got {other:?}"),
-            }
+    fn bare_frames_are_frame_errors() {
+        // A magic-less frame — what a v1 peer would have sent — never
+        // yields a payload, however long it is.
+        let long = [&b"\x00"[..], &[7u8; 40][..]].concat();
+        let cases: [(&[u8], FrameError); 4] = [
+            (b"", FrameError::TooShort { got: 0 }),
+            (b"\x03", FrameError::TooShort { got: 1 }),
+            (b"\x03 ten bytes", FrameError::BadMagic(0x03)),
+            (&long, FrameError::BadMagic(0x00)),
+        ];
+        for (bare, expected) in cases {
+            assert_eq!(unseal(bare.to_vec()).expect_err("bare"), expected);
         }
     }
 
     #[test]
-    fn every_single_byte_flip_in_an_envelope_is_caught_or_demoted() {
-        // Flip each byte of a sealed frame in turn: the result must
-        // never unseal into a *different valid* v2 payload. Flipping
-        // the magic demotes to V1 (the protocol layer rejects it);
-        // anything else must fail the version or CRC check.
+    fn every_single_byte_flip_in_an_envelope_is_caught() {
+        // Flip each byte of a sealed frame in turn — the magic included:
+        // none may unseal.
         let frame = seal_v2(7, b"partial sums travel light");
         for i in 0..frame.len() {
             let mut bent = frame.clone();
             bent[i] ^= 0x10;
-            match unseal(bent) {
-                Ok(Unsealed::V1(raw)) => assert_ne!(raw.first(), Some(&FRAME_V2_MAGIC)),
-                Ok(Unsealed::V2 { seq, payload }) => {
-                    panic!("byte {i} flip survived: seq={seq} payload={payload:?}")
-                }
-                Err(_) => {}
+            if let Ok(opened) = unseal(bent) {
+                panic!("byte {i} flip survived: {opened:?}");
             }
         }
     }
@@ -395,6 +388,7 @@ mod tests {
     fn frame_error_displays_name_their_numbers() {
         let cases: Vec<(FrameError, &[&str])> = vec![
             (FrameError::TooShort { got: 4 }, &["4", "10"]),
+            (FrameError::BadMagic(0x03), &["0x03", "0xc2"]),
             (FrameError::BadVersion(9), &["9"]),
             (
                 FrameError::Crc {

@@ -34,7 +34,7 @@
 
 use crate::chaos::{ChaosConfig, ChaosCounters, ChaosTransport, InjectedFaults};
 use crate::error::ClusterError;
-use crate::frame::{seal_v2, unseal, Unsealed, FRAME_VERSION};
+use crate::frame::{seal_v2, unseal, FRAME_VERSION};
 use crate::message::{CoordinatorRequest, WorkerResponse};
 use crate::transport::{channel_pair, Transport};
 use crate::worker::Worker;
@@ -133,13 +133,12 @@ pub struct SimConfig {
     pub seed: u64,
     /// Thread budget for every decoder in the simulation.
     pub threads: usize,
-    /// Frame envelope version on the links: `2` seals every frame with
-    /// a CRC and sequence number, `1` sends raw payloads (the legacy
-    /// wire image, kept for interop).
+    /// Frame envelope version on the links. Must be
+    /// [`FRAME_VERSION`] (`2`: every frame sealed with a CRC and
+    /// sequence number) — any other value is a configuration error.
     pub frame_version: u8,
     /// Fault injection on every coordinator↔worker link (per-link
-    /// seeds derive from the configured seed). Requires v2 framing —
-    /// corruption must be detectable to be survivable.
+    /// seeds derive from the configured seed).
     pub chaos: Option<ChaosConfig>,
     /// Supervision policy for every exchange.
     pub retry: RetryPolicy,
@@ -402,7 +401,6 @@ struct Coordinator<'a, W: GfWord, C: ErasureCode<W>> {
     shipped: HashSet<(usize, String)>,
     compiled: HashMap<String, ExecutableWirePlan<W>>,
     policy: RetryPolicy,
-    version: u8,
     jitter: StdRng,
     traffic: Traffic,
     stats: ChaosStats,
@@ -431,20 +429,11 @@ impl<'a, W: GfWord, C: ErasureCode<W>> Coordinator<'a, W, C> {
     }
 
     /// Sends one framed request. Every call seals a fresh frame with
-    /// the link's next sequence number (v2) or ships the raw payload
-    /// (v1).
+    /// the link's next sequence number.
     fn send_on(&mut self, worker: usize, payload: &[u8]) -> Result<(), ClusterError> {
-        let version = self.version;
-        let frame = {
-            let link = self.link_mut(worker)?;
-            if version == 2 {
-                let f = seal_v2(link.next_seq, payload);
-                link.next_seq = link.next_seq.wrapping_add(1);
-                f
-            } else {
-                payload.to_vec()
-            }
-        };
+        let link = self.link_mut(worker)?;
+        let frame = seal_v2(link.next_seq, payload);
+        link.next_seq = link.next_seq.wrapping_add(1);
         self.traffic.to_workers_bytes += 4 + frame.len() as u64;
         self.traffic.frames += 1;
         self.link_mut(worker)?
@@ -454,8 +443,8 @@ impl<'a, W: GfWord, C: ErasureCode<W>> Coordinator<'a, W, C> {
     }
 
     /// Receives decodable responses from one link until `deadline`,
-    /// discarding line noise: frames failing the v2 checks and frames
-    /// demoted to v1 by a corrupted magic byte are counted and skipped,
+    /// discarding line noise: frames failing the v2 checks (a bare or
+    /// magic-flipped frame among them) are counted and skipped,
     /// duplicates (non-advancing sequence) are counted and skipped.
     /// `Ok(None)` means the deadline passed in silence.
     fn recv_until(
@@ -478,49 +467,22 @@ impl<'a, W: GfWord, C: ErasureCode<W>> Coordinator<'a, W, C> {
             };
             self.traffic.from_workers_bytes += 4 + frame.len() as u64;
             self.traffic.frames += 1;
-            let version = self.version;
-            let payload = match unseal(frame) {
-                Err(_) => {
-                    self.stats.corrupt_frames_caught += 1;
-                    continue;
-                }
-                Ok(Unsealed::V1(payload)) => {
-                    if version == 2 {
-                        // A v2 conversation never legitimately carries
-                        // a bare frame; a flipped magic byte demotes a
-                        // sealed frame to this. Either way: corrupt.
-                        self.stats.corrupt_frames_caught += 1;
-                        continue;
-                    }
-                    payload
-                }
-                Ok(Unsealed::V2 { seq, payload }) => {
-                    let link = self.link_mut(worker)?;
-                    if link.last_seen.is_some_and(|prev| seq <= prev) {
-                        self.stats.dup_frames_dropped += 1;
-                        continue;
-                    }
-                    link.last_seen = Some(seq);
-                    payload
-                }
+            let Ok(opened) = unseal(frame) else {
+                self.stats.corrupt_frames_caught += 1;
+                continue;
             };
-            match WorkerResponse::decode(&payload) {
-                Ok(WorkerResponse::Error { message }) => {
-                    return Err(ClusterError::Protocol(message));
-                }
-                Ok(response) => return Ok(Some(response)),
-                Err(e) if version == 2 => {
-                    // CRC-clean but undecodable is a protocol bug, not
-                    // line noise — surface it.
-                    return Err(e);
-                }
-                Err(_) => {
-                    // v1 has no integrity layer; garbage is all the
-                    // detection we get.
-                    self.stats.corrupt_frames_caught += 1;
-                    continue;
-                }
+            let link = self.link_mut(worker)?;
+            if link.last_seen.is_some_and(|prev| opened.seq <= prev) {
+                self.stats.dup_frames_dropped += 1;
+                continue;
             }
+            link.last_seen = Some(opened.seq);
+            // CRC-clean but undecodable is a protocol bug, not line
+            // noise — `?` surfaces it.
+            return match WorkerResponse::decode(&opened.payload)? {
+                WorkerResponse::Error { message } => Err(ClusterError::Protocol(message)),
+                response => Ok(Some(response)),
+            };
         }
     }
 
@@ -856,18 +818,13 @@ where
             "sector_bytes and threads must be >= 1".into(),
         ));
     }
-    if !matches!(cfg.frame_version, 1 | 2) {
+    if cfg.frame_version != FRAME_VERSION {
         return Err(ClusterError::Protocol(format!(
-            "unknown frame version {} (this build speaks 1 and 2)",
+            "unsupported frame version {} (every link speaks v{FRAME_VERSION})",
             cfg.frame_version
         )));
     }
     if let Some(chaos) = &cfg.chaos {
-        if cfg.frame_version != 2 {
-            return Err(ClusterError::Protocol(
-                "chaos requires v2 framing: corruption must be detectable to be survivable".into(),
-            ));
-        }
         let total = chaos.rates.total();
         if !(0.0..=1.0).contains(&total) {
             return Err(ClusterError::Protocol(format!(
@@ -957,7 +914,6 @@ where
         shipped: HashSet::new(),
         compiled: HashMap::new(),
         policy: cfg.retry,
-        version: cfg.frame_version,
         jitter: StdRng::seed_from_u64(cfg.seed ^ 0x000C_4A05_u64),
         traffic: Traffic::default(),
         stats: ChaosStats::default(),
@@ -1200,20 +1156,6 @@ mod tests {
     }
 
     #[test]
-    fn v1_framing_still_interops() {
-        let code = paper_code();
-        let cfg = SimConfig {
-            frame_version: 1,
-            ..small_cfg(3)
-        };
-        let report = run_sim(&code, &cfg, RepairMode::Partial).expect("v1 sim");
-        assert!(report.identical);
-        assert_eq!(report.repaired, report.damaged);
-        assert_eq!(report.frame_version, 1);
-        assert_eq!(report.chaos, ChaosStats::default());
-    }
-
-    #[test]
     fn nonsense_configs_are_rejected() {
         let code = paper_code();
         let bad = SimConfig {
@@ -1227,13 +1169,18 @@ mod tests {
             ..small_cfg(2)
         };
         assert!(run_sim(&code, &bad, RepairMode::Partial).is_err());
-        // Chaos over v1 framing is undetectable corruption — rejected.
-        let bad = SimConfig {
-            frame_version: 1,
-            chaos: Some(ChaosConfig::default()),
-            ..small_cfg(2)
-        };
-        assert!(run_sim(&code, &bad, RepairMode::Partial).is_err());
+        // The unsealed v1 wire image is gone: only v2 is a valid version.
+        for frame_version in [0, 1, 3] {
+            let bad = SimConfig {
+                frame_version,
+                ..small_cfg(2)
+            };
+            let err = run_sim(&code, &bad, RepairMode::Partial).unwrap_err();
+            assert!(
+                matches!(&err, ClusterError::Protocol(m) if m.contains("frame version")),
+                "{err}"
+            );
+        }
         // Fault mass over 1.0 is rejected, not a panic.
         let bad = SimConfig {
             chaos: Some(ChaosConfig {
@@ -1331,10 +1278,7 @@ mod tests {
     #[test]
     fn forged_rest_pending_on_a_matrix_first_plan_is_a_protocol_error() {
         let code = paper_code();
-        let cfg = SimConfig {
-            frame_version: 1,
-            ..small_cfg(1)
-        };
+        let cfg = small_cfg(1);
         let scenario = FailureScenario::new(vec![2, 6, 10, 13, 14]);
         for strategy in [
             Strategy::TraditionalMatrixFirst,
@@ -1343,34 +1287,16 @@ mod tests {
             let service =
                 RepairService::new(&code, DecoderConfig::default()).with_strategy(strategy);
             let (coordinator_end, worker_end) = channel_pair();
-            // The rogue worker's answer is already on the wire (v1
-            // framing: the bare payload) when the request goes out.
+            // The rogue worker's answer is already on the wire when the
+            // request goes out.
             let forged = WorkerResponse::Partials {
                 stripe: 7,
                 rest_blocks: Vec::new(),
                 rest_pending: true,
                 violated_rows: None,
             };
-            worker_end.send(forged.encode()).unwrap();
-            let mut coordinator = Coordinator {
-                service: &service,
-                links: vec![Link {
-                    transport: Box::new(coordinator_end),
-                    counters: None,
-                    next_seq: 0,
-                    last_seen: None,
-                    alive: true,
-                }],
-                shipped: HashSet::new(),
-                compiled: HashMap::new(),
-                policy: cfg.retry,
-                version: cfg.frame_version,
-                jitter: StdRng::seed_from_u64(1),
-                traffic: Traffic::default(),
-                stats: ChaosStats::default(),
-                sector_bytes: cfg.sector_bytes,
-                total_sectors: code.layout().sectors(),
-            };
+            worker_end.send(seal_v2(0, &forged.encode())).unwrap();
+            let mut coordinator = lone_coordinator(&service, coordinator_end, &cfg);
             let stripe = Stripe::zeroed(code.layout(), cfg.sector_bytes);
             let case = Case {
                 id: 7,
@@ -1388,6 +1314,99 @@ mod tests {
             );
             assert_eq!(report.split_rests, 0);
         }
+    }
+
+    /// A coordinator over one clean link, for driving its primitives
+    /// directly.
+    fn lone_coordinator<'a>(
+        service: &'a RepairService<u8, &'a SdCode<u8>>,
+        coordinator_end: crate::transport::ChannelTransport,
+        cfg: &SimConfig,
+    ) -> Coordinator<'a, u8, SdCode<u8>> {
+        Coordinator {
+            service,
+            links: vec![Link {
+                transport: Box::new(coordinator_end),
+                counters: None,
+                next_seq: 0,
+                last_seen: None,
+                alive: true,
+            }],
+            shipped: HashSet::new(),
+            compiled: HashMap::new(),
+            policy: cfg.retry,
+            jitter: StdRng::seed_from_u64(1),
+            traffic: Traffic::default(),
+            stats: ChaosStats::default(),
+            sector_bytes: cfg.sector_bytes,
+            total_sectors: service.code().layout().sectors(),
+        }
+    }
+
+    /// With v1 gone, a frame without the magic — a bare payload, or a
+    /// sealed frame whose magic byte took a bit-flip — is line noise on
+    /// both ends: counted as caught corruption, never handed to the
+    /// protocol decoder, never answered.
+    #[test]
+    fn bare_frames_are_caught_on_both_ends_and_never_decoded() {
+        let code = paper_code();
+        let bare_shutdown = CoordinatorRequest::Shutdown.encode();
+        let mut demoted = seal_v2(0, &bare_shutdown);
+        demoted[0] ^= 0x10;
+
+        // Worker side. Had either frame reached `CoordinatorRequest::
+        // decode`, the loop would have shut down before the sealed fetch
+        // was answered (and garbage would have counted `undecodable`).
+        let (coordinator_end, worker_end) = channel_pair();
+        let worker: Worker<u8> = Worker::new(0, HashMap::new(), DecoderConfig::default());
+        coordinator_end.send(bare_shutdown).unwrap();
+        coordinator_end.send(demoted).unwrap();
+        coordinator_end.send(vec![0xFF; 32]).unwrap();
+        let fetch = CoordinatorRequest::FetchSectors {
+            stripe: 9,
+            sectors: vec![0],
+        };
+        coordinator_end.send(seal_v2(0, &fetch.encode())).unwrap();
+        coordinator_end
+            .send(seal_v2(1, &CoordinatorRequest::Shutdown.encode()))
+            .unwrap();
+        let (_, err, stats) = worker.serve(&worker_end);
+        assert!(err.is_none());
+        assert_eq!(
+            stats,
+            crate::WorkerFrameStats {
+                corrupt_caught: 3,
+                dups_dropped: 0,
+                undecodable: 0,
+            }
+        );
+        // Exactly one reply — to the sealed fetch — and it is sealed.
+        let reply = unseal(coordinator_end.recv().unwrap()).expect("sealed reply");
+        assert!(matches!(
+            WorkerResponse::decode(&reply.payload).unwrap(),
+            WorkerResponse::Error { .. }
+        ));
+        assert!(coordinator_end
+            .recv_timeout(Duration::from_millis(1))
+            .is_ok_and(|f| f.is_none()));
+
+        // Coordinator side: a bare response ahead of the sealed one is
+        // skipped and counted; the sealed one is what comes back.
+        let service = RepairService::new(&code, DecoderConfig::default());
+        let (coordinator_end, worker_end) = channel_pair();
+        let installed = WorkerResponse::Installed {
+            stripe: 7,
+            violated_rows: None,
+        };
+        worker_end.send(installed.encode()).unwrap();
+        worker_end.send(seal_v2(0, &installed.encode())).unwrap();
+        let mut coordinator = lone_coordinator(&service, coordinator_end, &small_cfg(1));
+        let got = coordinator
+            .recv_until(0, Instant::now() + Duration::from_secs(10))
+            .unwrap();
+        assert_eq!(got, Some(installed));
+        assert_eq!(coordinator.stats.corrupt_frames_caught, 1);
+        assert_eq!(coordinator.stats.dup_frames_dropped, 0);
     }
 
     #[test]

@@ -27,8 +27,8 @@ pub trait Transport: Send {
     /// Waits up to `timeout` for the peer's next frame; `Ok(None)`
     /// means the deadline elapsed quietly. The default implementation
     /// ignores the deadline and blocks — transports that cannot
-    /// interrupt a read (a bare `Read` stream) keep v1 behaviour, and
-    /// supervision over them degrades to blocking waits.
+    /// interrupt a read (a bare `Read` stream) keep that blocking
+    /// behaviour, and supervision over them degrades to blocking waits.
     fn recv_timeout(&self, timeout: Duration) -> io::Result<Option<Vec<u8>>> {
         let _ = timeout;
         self.recv().map(Some)
@@ -127,7 +127,7 @@ mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
 
     use super::*;
-    use crate::frame::{seal_v2, unseal, Unsealed, FRAME_V2_MAGIC};
+    use crate::frame::{seal_v2, unseal, FRAME_V2_MAGIC};
     use std::sync::Arc;
 
     #[test]
@@ -259,45 +259,6 @@ mod tests {
             let err = b.recv().expect_err("truncated frame");
             assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "cut at {cut}");
         }
-    }
-
-    #[test]
-    fn v1_and_v2_frames_negotiate_over_one_stream() {
-        // A v1 peer's raw frames and a v2 peer's sealed envelopes share
-        // one stream; the receiver classifies each frame per-frame,
-        // which is the whole negotiation story: reply in the version
-        // the request came in.
-        let mut wire = Vec::new();
-        {
-            let a = StreamTransport::new(std::io::empty(), &mut wire);
-            a.send(b"\x03".to_vec()).unwrap(); // raw v1 (a Shutdown tag)
-            a.send(seal_v2(1, b"\x03")).unwrap(); // same payload, sealed
-            a.send(seal_v2(2, b"payload two")).unwrap();
-            a.send(b"raw again".to_vec()).unwrap();
-        }
-        let b = StreamTransport::new(std::io::Cursor::new(wire), std::io::sink());
-        assert_eq!(
-            unseal(b.recv().unwrap()).unwrap(),
-            Unsealed::V1(b"\x03".to_vec())
-        );
-        assert_eq!(
-            unseal(b.recv().unwrap()).unwrap(),
-            Unsealed::V2 {
-                seq: 1,
-                payload: b"\x03".to_vec()
-            }
-        );
-        assert_eq!(
-            unseal(b.recv().unwrap()).unwrap(),
-            Unsealed::V2 {
-                seq: 2,
-                payload: b"payload two".to_vec()
-            }
-        );
-        assert_eq!(
-            unseal(b.recv().unwrap()).unwrap(),
-            Unsealed::V1(b"raw again".to_vec())
-        );
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! [`WirePlan`](ppm_core::WirePlan).
 
 use crate::error::ClusterError;
-use crate::frame::{seal_v2, unseal, Unsealed};
+use crate::frame::{seal_v2, unseal};
 use crate::message::{CoordinatorRequest, WorkerResponse};
 use crate::transport::Transport;
 use ppm_codes::StripeLayout;
@@ -119,46 +119,32 @@ impl<W: GfWord> Worker<W> {
                 Ok(f) => f,
                 Err(e) => return (self.stripes, Some(ClusterError::Io(e)), stats),
             };
-            // Classify the frame: v2 envelopes prove integrity and
-            // freshness; raw v1 frames pass through for old peers. The
-            // response mirrors the request's version, which is the
-            // whole negotiation.
-            let (version, payload) = match unseal(frame) {
-                Err(_) => {
-                    stats.corrupt_caught += 1;
-                    continue;
-                }
-                Ok(Unsealed::V1(payload)) => (1u8, payload),
-                Ok(Unsealed::V2 { seq, payload }) => {
-                    if last_seen.is_some_and(|prev| seq <= prev) {
-                        stats.dups_dropped += 1;
-                        continue;
-                    }
-                    last_seen = Some(seq);
-                    (2, payload)
-                }
+            // Nothing reaches the protocol decoder without an envelope
+            // that proves its integrity and freshness.
+            let Ok(opened) = unseal(frame) else {
+                stats.corrupt_caught += 1;
+                continue;
             };
-            let response = match CoordinatorRequest::decode(&payload) {
+            if last_seen.is_some_and(|prev| opened.seq <= prev) {
+                stats.dups_dropped += 1;
+                continue;
+            }
+            last_seen = Some(opened.seq);
+            let response = match CoordinatorRequest::decode(&opened.payload) {
                 Ok(CoordinatorRequest::Shutdown) => return (self.stripes, None, stats),
                 Ok(request) => self.handle(request),
                 Err(e) => {
-                    // CRC-clean (or v1) but undecodable: report it and
-                    // keep serving rather than dying mid-shard.
+                    // CRC-clean but undecodable: report it and keep
+                    // serving rather than dying mid-shard.
                     stats.undecodable += 1;
                     WorkerResponse::Error {
                         message: format!("worker {}: undecodable request: {e}", self.id),
                     }
                 }
             };
-            let bytes = response.encode();
-            let out = if version == 2 {
-                let sealed = seal_v2(next_send_seq, &bytes);
-                next_send_seq = next_send_seq.wrapping_add(1);
-                sealed
-            } else {
-                bytes
-            };
-            if let Err(e) = transport.send(out) {
+            let sealed = seal_v2(next_send_seq, &response.encode());
+            next_send_seq = next_send_seq.wrapping_add(1);
+            if let Err(e) = transport.send(sealed) {
                 return (self.stripes, Some(ClusterError::Io(e)), stats);
             }
         }

@@ -1,10 +1,10 @@
 //! Plan execution: one loop over a compiled tape.
 //!
-//! A [`Decoder`] owns a bounded thread pool of `T` threads (Algorithm 1's
-//! "arrange T (T ≤ p) threads") and executes exactly one thing: a
-//! [`PlanTape`]. Phase A dispatches the tape's `p` independent segments
-//! across the pool; each recovers its sectors from the surviving sectors
-//! only, so they are embarrassingly parallel. Once all are installed,
+//! A [`Decoder`] carries a thread budget `T` (Algorithm 1's "arrange T
+//! (T ≤ p) threads") and executes exactly one thing: a [`PlanTape`].
+//! Phase A maps the tape's `p` independent segments over `T` per-call
+//! threads ([`par_map`]); each recovers its sectors from the surviving
+//! sectors only, so they are embarrassingly parallel. Once all are installed,
 //! phase B replays the `H_rest` segment with the recovered blocks as
 //! additional inputs. Every run is instrumented — the region kernels
 //! tally into [`ExecStats`]; callers that do not want the ledger drop it.
@@ -17,6 +17,7 @@
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
 
 use crate::arena::ScratchArena;
+use crate::par::par_map;
 use crate::plan::{DecodePlan, Strategy};
 use crate::stats::{ExecStats, SubPlanStats};
 use crate::tape::{Instr, Loc, OpCode, PlanTape, TapeSegment};
@@ -25,16 +26,17 @@ use ppm_codes::{ErasureCode, FailureScenario};
 use ppm_gf::{mul_copy_fused_with, Backend, GfWord, RegionMul, RegionStats};
 use ppm_matrix::Matrix;
 use ppm_stripe::Stripe;
-use rayon::prelude::*;
+use std::convert::Infallible;
 use std::ops::Range;
 use std::time::Instant;
 
 /// Decoder configuration.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DecoderConfig {
-    /// Thread budget `T` for the independent phase. `1` disables the pool
-    /// entirely. The paper restrains `T ≤ min{4, core count}` to avoid
-    /// thread-overloading; [`DecoderConfig::default`] follows that rule.
+    /// Thread budget `T` for the independent phase. `1` decodes on the
+    /// calling thread and never spawns. The paper restrains
+    /// `T ≤ min{4, core count}` to avoid thread-overloading;
+    /// [`DecoderConfig::default`] follows that rule.
     pub threads: usize,
     /// Region-operation backend (SIMD/scalar) used by plans built through
     /// this decoder.
@@ -51,11 +53,12 @@ impl Default for DecoderConfig {
     }
 }
 
-/// Executes decode plans, optionally in parallel.
+/// Executes decode plans, optionally in parallel. A decoder is just its
+/// configuration: threads are created per decode, so building one costs
+/// nothing.
 #[derive(Debug)]
 pub struct Decoder {
     config: DecoderConfig,
-    pool: Option<rayon::ThreadPool>,
 }
 
 /// One unit of tape work: a segment replayed over one byte range of
@@ -63,23 +66,15 @@ pub struct Decoder {
 type Job<'t, W> = (&'t TapeSegment<W>, Range<usize>);
 
 impl Decoder {
-    /// Creates a decoder; builds its thread pool when `threads > 1`.
+    /// Creates a decoder.
     ///
     /// # Panics
-    /// Panics if `threads` is zero or the pool cannot be created. This is
-    /// the one deliberate panic in the module: a zero-thread decoder is a
-    /// configuration bug, not a data-path fault.
-    #[allow(clippy::expect_used)]
+    /// Panics if `threads` is zero. This is the one deliberate panic in
+    /// the module: a zero-thread decoder is a configuration bug, not a
+    /// data-path fault.
     pub fn new(config: DecoderConfig) -> Self {
         assert!(config.threads > 0, "decoder needs at least one thread");
-        let pool = (config.threads > 1).then(|| {
-            rayon::ThreadPoolBuilder::new()
-                .num_threads(config.threads)
-                .thread_name(|i| format!("ppm-decode-{i}"))
-                .build()
-                .expect("thread pool creation")
-        });
-        Decoder { config, pool }
+        Decoder { config }
     }
 
     /// The configuration this decoder was built with.
@@ -137,8 +132,8 @@ impl Decoder {
 
     /// Like [`Decoder::decode`], but replays the *remaining* sub-matrix's
     /// segment once per byte range `[off, off + chunk_bytes)` of its
-    /// sectors, spread across the thread pool (without a pool this is
-    /// [`Decoder::decode`]).
+    /// sectors, spread across the decoder's threads (with `threads == 1`
+    /// this is [`Decoder::decode`]).
     ///
     /// This is an extension beyond the paper: PPM parallelizes only
     /// across independent sub-matrices, so `H_rest` is a serial Amdahl
@@ -211,8 +206,9 @@ impl Decoder {
 
     /// The one execution loop, behind every in-process and wire-plan
     /// decode: geometry check → phase-A segments → install → the `H_rest`
-    /// segment → [`ExecStats`]. With `chunk_bytes` and a pool, `H_rest` is
-    /// replayed per byte range across the pool instead of once.
+    /// segment → [`ExecStats`]. With `chunk_bytes` and `threads > 1`,
+    /// `H_rest` is replayed per byte range across the threads instead of
+    /// once.
     pub(crate) fn run_tape<W: GfWord>(
         &self,
         tape: &PlanTape<W>,
@@ -229,9 +225,11 @@ impl Decoder {
 
         let sb = stripe.sector_bytes();
         let phase_b = tape.phase_b.as_ref().map(|seg| {
-            // One job over whole sectors, or — chunked, with a pool to
+            // One job over whole sectors, or — chunked, with threads to
             // spread over — one per `chunk`-byte range of them.
-            let chunk = chunk_bytes.filter(|_| self.pool.is_some()).unwrap_or(sb);
+            let chunk = chunk_bytes
+                .filter(|_| self.config.threads > 1)
+                .unwrap_or(sb);
             let jobs: Vec<Job<'_, W>> = (0..sb)
                 .step_by(chunk.max(1))
                 .map(|off| (seg, off..(off + chunk).min(sb)))
@@ -279,41 +277,38 @@ impl Decoder {
     }
 
     /// Runs independent jobs against the stripe and installs their
-    /// outputs — through the thread pool when one is configured and
-    /// there is more than one job, serially otherwise. Independent jobs
-    /// never read each other's outputs, so the serial path installs as it
-    /// goes. Returns per-job stats and the time the jobs took (the
-    /// dispatch's wall time when pooled; installs excluded either way).
+    /// outputs — mapped over the decoder's threads when it has more than
+    /// one, serially otherwise. Independent jobs never read each other's
+    /// outputs, so the serial path installs as it goes. Returns per-job
+    /// stats and the time the jobs took (the map's wall time when
+    /// threaded; installs excluded either way).
     fn run_jobs<W: GfWord>(
         &self,
         jobs: &[Job<'_, W>],
         stripe: &mut Stripe,
         arena: Option<&ScratchArena>,
     ) -> (Vec<SubPlanStats>, u128) {
-        match &self.pool {
-            Some(pool) if jobs.len() > 1 => {
-                let started = Instant::now();
-                let source: &Stripe = stripe;
-                let run =
-                    |(seg, range): &Job<'_, W>| run_tape_segment(seg, source, range.clone(), arena);
-                let flats: Vec<_> = pool.install(|| jobs.par_iter().map(run).collect());
-                let nanos = started.elapsed().as_nanos();
-                let install = |((seg, range), (flat, stats)): (&Job<'_, W>, (Vec<u8>, _))| {
-                    install_tape_outputs(seg, flat, range.clone(), stripe, arena);
-                    stats
-                };
-                (jobs.iter().zip(flats).map(install).collect(), nanos)
-            }
-            _ => {
-                let run = |(seg, range): &Job<'_, W>| {
-                    let (flat, stats) = run_tape_segment(seg, stripe, range.clone(), arena);
-                    install_tape_outputs(seg, flat, range.clone(), stripe, arena);
-                    stats
-                };
-                let stats: Vec<SubPlanStats> = jobs.iter().map(run).collect();
-                let nanos = stats.iter().map(|s| s.nanos).sum();
-                (stats, nanos)
-            }
+        if self.config.threads > 1 {
+            let started = Instant::now();
+            let source: &Stripe = stripe;
+            let Ok(flats) = par_map(self.config.threads, jobs, |(seg, range)| {
+                Ok::<_, Infallible>(run_tape_segment(seg, source, range.clone(), arena))
+            });
+            let nanos = started.elapsed().as_nanos();
+            let install = |((seg, range), (flat, stats)): (&Job<'_, W>, (Vec<u8>, _))| {
+                install_tape_outputs(seg, flat, range.clone(), stripe, arena);
+                stats
+            };
+            (jobs.iter().zip(flats).map(install).collect(), nanos)
+        } else {
+            let run = |(seg, range): &Job<'_, W>| {
+                let (flat, stats) = run_tape_segment(seg, stripe, range.clone(), arena);
+                install_tape_outputs(seg, flat, range.clone(), stripe, arena);
+                stats
+            };
+            let stats: Vec<SubPlanStats> = jobs.iter().map(run).collect();
+            let nanos = stats.iter().map(|s| s.nanos).sum();
+            (stats, nanos)
         }
     }
 }
@@ -760,8 +755,8 @@ mod tests {
             .plan(&h, &FailureScenario::new(vec![2]), Strategy::PpmAuto)
             .unwrap();
         let mut stripe = Stripe::zeroed(code.layout(), 64);
-        // A bad chunk size is an error, never a panic — with or without
-        // a pool — and the stripe is untouched.
+        // A bad chunk size is an error, never a panic — threaded or not —
+        // and the stripe is untouched.
         for bad in [0usize, 12] {
             for dec in [&dec, &decoder(1)] {
                 let err = dec.decode_chunked(&plan, &mut stripe, bad).unwrap_err();

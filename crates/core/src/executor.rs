@@ -2,10 +2,10 @@
 //! locally held sectors.
 //!
 //! An [`Executor`] owns everything a decode's *data path* needs — the
-//! pooled [`Decoder`], a one-thread sibling for inter-stripe workers, and
-//! the [`ScratchArena`] of recycled buffers — and nothing the *planning*
-//! path needs: no code, no parity-check matrix, no plan cache. It can
-//! therefore run on a machine that has never seen the code, executing
+//! [`Decoder`] and the [`ScratchArena`] of recycled buffers — and nothing
+//! the *planning* path needs: no code, no parity-check matrix, no plan
+//! cache. It can therefore run on a machine that has never seen the code,
+//! executing
 //! [`WirePlan`](crate::WirePlan)s a coordinator sent over
 //! ([`Executor::execute_wire`]), or serve as the in-process engine behind
 //! [`RepairService`](crate::RepairService). Either way the work is the
@@ -35,39 +35,25 @@ use crate::DecodeError;
 use ppm_gf::{GfWord, RegionStats};
 use ppm_stripe::Stripe;
 
-/// The data-path half of a repair session: decoder(s) and scratch
-/// arena. See the module docs.
+/// The data-path half of a repair session: decoder and scratch arena.
+/// See the module docs.
 pub struct Executor {
     decoder: Decoder,
-    /// A one-thread decoder for inter-stripe workers: when each worker
-    /// owns a whole stripe there is nothing left to parallelize inside
-    /// it, and a serial decoder reports its thread budget honestly.
-    serial: Decoder,
     arena: ScratchArena,
 }
 
 impl Executor {
-    /// Creates an executor with its own pooled decoder, serial sibling,
-    /// and empty arena.
+    /// Creates an executor with its own decoder and empty arena.
     pub fn new(config: DecoderConfig) -> Self {
         Executor {
             decoder: Decoder::new(config),
-            serial: Decoder::new(DecoderConfig {
-                threads: 1,
-                ..config
-            }),
             arena: ScratchArena::new(),
         }
     }
 
-    /// The pooled decoder.
+    /// The decoder, carrying the session's thread budget.
     pub fn decoder(&self) -> &Decoder {
         &self.decoder
-    }
-
-    /// The one-thread decoder inter-stripe batch workers use.
-    pub(crate) fn serial(&self) -> &Decoder {
-        &self.serial
     }
 
     /// The executor's scratch-buffer arena.
@@ -75,7 +61,7 @@ impl Executor {
         &self.arena
     }
 
-    /// Decodes one stripe with the pooled decoder (the paper's
+    /// Decodes one stripe on the decoder's thread budget (the paper's
     /// intra-stripe parallelism over independent sub-matrices),
     /// borrowing scratch from the executor's arena.
     pub fn decode<W: GfWord>(

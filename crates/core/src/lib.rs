@@ -68,6 +68,7 @@ mod error;
 mod exec;
 mod executor;
 mod logtable;
+mod par;
 mod partition;
 mod plan;
 mod planner;
@@ -83,6 +84,7 @@ pub use error::{DecodeError, RepairError};
 pub use exec::{encode, parity_consistent, Decoder, DecoderConfig, VerifyReport};
 pub use executor::{Executor, WirePartials};
 pub use logtable::{LogTable, LogTableRow};
+pub use par::par_map;
 pub use partition::{ParallelismCase, Partition, SubSystem};
 pub use plan::{CalcSequence, DecodePlan, Strategy};
 pub use planner::Planner;

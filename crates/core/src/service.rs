@@ -25,6 +25,7 @@ use crate::arena::ScratchArena;
 use crate::cache::PlanCacheStats;
 use crate::exec::{Decoder, DecoderConfig, VerifyReport};
 use crate::executor::Executor;
+use crate::par::par_map;
 use crate::plan::{DecodePlan, Strategy};
 use crate::planner::Planner;
 use crate::stats::{ExecStats, SubPlanStats, UpdateStats, VerifyStats};
@@ -33,8 +34,7 @@ use crate::DecodeError;
 use ppm_codes::{ErasureCode, FailureScenario};
 use ppm_gf::{GfWord, RegionStats};
 use ppm_stripe::Stripe;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// A long-lived repair session for one erasure code.
@@ -77,8 +77,8 @@ pub struct RepairService<W: GfWord, C: ErasureCode<W>> {
     /// plan cache. Produces in-process plans and serializable
     /// [`WirePlan`](crate::WirePlan)s.
     planner: Planner<W, C>,
-    /// The execution half: pooled + serial decoders and the scratch
-    /// arena. Never touches the code or the cache.
+    /// The execution half: the decoder and the scratch arena. Never
+    /// touches the code or the cache.
     executor: Executor,
     /// The small-write planner, built lazily on the first update and
     /// shared by every subsequent flush (one generator inversion per
@@ -170,6 +170,16 @@ impl<W: GfWord, C: ErasureCode<W>> RepairService<W, C> {
     fn attach_counters(&self, stats: &mut ExecStats) {
         stats.cache = Some(self.planner.cache_stats());
         stats.arena = Some(self.executor.arena().stats());
+    }
+
+    /// A one-thread decoder for inter-stripe workers: when each worker
+    /// owns whole stripes there is nothing left to parallelize inside
+    /// one, and a serial decoder reports its thread budget honestly.
+    fn serial_decoder(&self) -> Decoder {
+        Decoder::new(DecoderConfig {
+            threads: 1,
+            ..self.decoder().config()
+        })
     }
 
     /// The session's plan for `scenario`: cached when seen before (in
@@ -478,12 +488,12 @@ impl<W: GfWord, C: ErasureCode<W>> RepairService<W, C> {
     ///
     /// * **Many stripes** (`stripes.len() ≥ 2 × workers` and
     ///   `workers > 1`): inter-stripe mode. The slice is partitioned into
-    ///   contiguous chunks, one scoped worker thread per chunk, each
+    ///   contiguous chunks, one [`par_map`] worker per chunk, each
     ///   decoding its stripes serially. Stripe-level parallelism
     ///   dominates here — every worker runs the full §III-B workload with
     ///   no synchronization beyond the shared cache and arena.
     /// * **Few stripes**: intra-stripe mode. Stripes decode sequentially
-    ///   on the calling thread through the pooled decoder, keeping the
+    ///   on the session decoder's thread budget, keeping the
     ///   paper's §IV parallelism over independent sub-matrices — the only
     ///   parallelism that helps when there aren't enough stripes to go
     ///   around.
@@ -519,42 +529,27 @@ impl<W: GfWord, C: ErasureCode<W>> RepairService<W, C> {
             }
         }
         let inter_stripe = workers > 1 && stripes.len() >= 2 * workers;
-        let total = stripes.len();
         let mut stats: Vec<ExecStats>;
         let workers_used;
         if inter_stripe {
-            let chunk = total.div_ceil(workers);
-            let plan = &plan;
-            let results: Vec<Result<Vec<ExecStats>, DecodeError>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = stripes
-                    .chunks_mut(chunk)
-                    .map(|chunk_stripes| {
-                        scope.spawn(move || {
-                            let mut out = Vec::with_capacity(chunk_stripes.len());
-                            for stripe in chunk_stripes.iter_mut() {
-                                out.push(self.executor.serial().decode_in(
-                                    plan,
-                                    stripe,
-                                    self.arena(),
-                                )?);
-                            }
-                            Ok(out)
-                        })
-                    })
-                    .collect();
-                handles.into_iter().map(join_worker).collect()
-            });
-            workers_used = results.len();
-            stats = Vec::with_capacity(total);
-            for chunk_stats in results {
-                stats.extend(chunk_stats?);
-            }
+            // A static partition, one contiguous chunk per worker: no
+            // per-stripe hand-off, the only shared state is the arena.
+            let serial = self.serial_decoder();
+            let chunks = stripes.chunks_mut(stripes.len().div_ceil(workers));
+            let per_chunk = par_map(workers, chunks, |chunk| {
+                chunk
+                    .iter_mut()
+                    .map(|stripe| serial.decode_in(&plan, stripe, self.arena()))
+                    .collect::<Result<Vec<_>, _>>()
+            })?;
+            workers_used = per_chunk.len();
+            stats = per_chunk.into_iter().flatten().collect();
         } else {
             workers_used = 1;
-            stats = Vec::with_capacity(total);
-            for stripe in stripes.iter_mut() {
-                stats.push(self.executor.decode(&plan, stripe)?);
-            }
+            stats = stripes
+                .iter_mut()
+                .map(|stripe| self.executor.decode(&plan, stripe))
+                .collect::<Result<_, _>>()?;
         }
         let cache = self.planner.cache_stats();
         let arena = self.executor.arena().stats();
@@ -571,12 +566,12 @@ impl<W: GfWord, C: ErasureCode<W>> RepairService<W, C> {
     }
 
     /// Streaming variant of [`RepairService::repair_batch`]: pulls owned
-    /// stripes from `stripes` as `workers` scoped threads become free
-    /// (work-stealing from one shared iterator, so skewed per-stripe
-    /// costs self-balance), repairs each against `scenario`, and returns
-    /// the repaired stripes **in input order** together with the batch
+    /// stripes from `stripes` as up to `workers` [`par_map`] workers
+    /// become free (one shared iterator, so skewed per-stripe costs
+    /// self-balance), repairs each against `scenario`, and returns the
+    /// repaired stripes **in input order** together with the batch
     /// report. With `workers == 1` the stream is consumed on the calling
-    /// thread through the pooled (intra-stripe parallel) decoder.
+    /// thread through the session's (intra-stripe parallel) decoder.
     ///
     /// # Errors
     /// The first decode error stops all workers and is returned; stripes
@@ -597,56 +592,22 @@ impl<W: GfWord, C: ErasureCode<W>> RepairService<W, C> {
         let started = Instant::now();
         let (plan, _) = self.plan_for(scenario)?;
         let inter_stripe = workers > 1;
-        let worker_decoder = if inter_stripe {
-            self.executor.serial()
+        let serial = self.serial_decoder();
+        let decoder = if inter_stripe {
+            &serial
         } else {
-            self.executor.decoder()
+            self.decoder()
         };
-        let source = Mutex::new(stripes.into_iter().enumerate());
-        let failed = AtomicBool::new(false);
-        let plan = &plan;
-        type Tagged = Vec<(usize, Stripe, ExecStats)>;
-        let results: Vec<Result<Tagged, DecodeError>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut out: Tagged = Vec::new();
-                        loop {
-                            if failed.load(Ordering::Relaxed) {
-                                break;
-                            }
-                            let next = source.lock().unwrap_or_else(PoisonError::into_inner).next();
-                            let Some((index, mut stripe)) = next else {
-                                break;
-                            };
-                            match worker_decoder.decode_in(plan, &mut stripe, self.arena()) {
-                                Ok(stats) => out.push((index, stripe, stats)),
-                                Err(e) => {
-                                    failed.store(true, Ordering::Relaxed);
-                                    return Err(e);
-                                }
-                            }
-                        }
-                        Ok(out)
-                    })
-                })
-                .collect();
-            handles.into_iter().map(join_worker).collect()
-        });
-        let mut tagged: Tagged = Vec::new();
-        for worker_out in results {
-            tagged.extend(worker_out?);
-        }
-        tagged.sort_by_key(|(index, _, _)| *index);
+        let repaired = par_map(workers, stripes, |mut stripe| {
+            let stats = decoder.decode_in(&plan, &mut stripe, self.arena())?;
+            Ok::<_, DecodeError>((stripe, stats))
+        })?;
+        let (out_stripes, mut stats): (Vec<Stripe>, Vec<ExecStats>) = repaired.into_iter().unzip();
         let cache = self.planner.cache_stats();
         let arena = self.executor.arena().stats();
-        let mut out_stripes = Vec::with_capacity(tagged.len());
-        let mut stats = Vec::with_capacity(tagged.len());
-        for (_, stripe, mut s) in tagged {
+        for s in &mut stats {
             s.cache = Some(cache);
             s.arena = Some(arena);
-            out_stripes.push(stripe);
-            stats.push(s);
         }
         Ok((
             out_stripes,
@@ -697,15 +658,6 @@ impl BatchReport {
     /// prediction.
     pub fn all_match_prediction(&self) -> bool {
         self.stats.iter().all(ExecStats::matches_prediction)
-    }
-}
-
-/// Joins a scoped worker, resuming its panic on the driving thread so a
-/// worker's assertion failure is never silently swallowed.
-fn join_worker<T>(handle: std::thread::ScopedJoinHandle<'_, T>) -> T {
-    match handle.join() {
-        Ok(value) => value,
-        Err(payload) => std::panic::resume_unwind(payload),
     }
 }
 
@@ -1182,7 +1134,7 @@ mod tests {
             let handles: Vec<_> = (0..4)
                 .map(|_| scope.spawn(|| svc.update_plan().unwrap()))
                 .collect();
-            handles.into_iter().map(join_worker).collect()
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
         for pair in plans.windows(2) {
             assert!(Arc::ptr_eq(&pair[0], &pair[1]), "one plan per session");
@@ -1212,7 +1164,7 @@ mod tests {
                     })
                 })
                 .collect();
-            handles.into_iter().map(join_worker).collect()
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
         assert!(results.iter().all(ExecStats::matches_prediction));
         let h = ErasureCode::<u8>::parity_check_matrix(svc.code());
@@ -1259,5 +1211,29 @@ mod tests {
         let (repaired, report) = svc.repair_stream(broken, &scenario, 1).unwrap();
         assert_eq!(repaired, pristine);
         assert!(!report.inter_stripe);
+    }
+
+    /// `repair_stream`'s docs promise that one worker consumes the stream
+    /// on the calling thread; before PR 13 it spawned a thread to do so.
+    #[test]
+    fn repair_stream_with_one_worker_pulls_on_the_calling_thread() {
+        let svc = service(2);
+        let scenario = FailureScenario::new(vec![2, 6]);
+        let mut rng = StdRng::seed_from_u64(23);
+        let mut pristine = random_data_stripe(svc.code(), 64, &mut rng);
+        svc.encode(&mut pristine).unwrap();
+        let mut broken = pristine.clone();
+        broken.erase(&scenario);
+
+        let caller = std::thread::current().id();
+        let mut pulls = 0;
+        let stream = std::iter::repeat_n(broken, 5).inspect(|_| {
+            assert_eq!(std::thread::current().id(), caller);
+            pulls += 1;
+        });
+        let (repaired, report) = svc.repair_stream(stream, &scenario, 1).unwrap();
+        assert_eq!(repaired, vec![pristine; 5]);
+        assert_eq!(report.workers, 1);
+        assert_eq!(pulls, 5);
     }
 }

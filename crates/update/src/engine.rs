@@ -20,10 +20,10 @@
 
 use crate::buffer::{DirtyBuffer, EvictionPolicy, PendingStripe};
 use ppm_codes::{ErasureCode, FailureScenario};
-use ppm_core::{ExecStats, RepairError, RepairService, UpdatePlan, UpdateStats};
+use ppm_core::{par_map, ExecStats, RepairError, RepairService, UpdatePlan, UpdateStats};
 use ppm_gf::GfWord;
 use ppm_stripe::Stripe;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 
 /// How the engine decides each flush's route.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -406,15 +406,20 @@ impl<'s, W: GfWord, C: ErasureCode<W>> UpdateEngine<'s, W, C> {
 
     /// Flushes every pending stripe with up to `workers` OS threads
     /// driving the shared session concurrently (`&self` flushes — the
-    /// stripes are disjoint `&mut` borrows, the session is shared).
-    /// Reports come back in ascending stripe order.
+    /// stripes are disjoint `&mut` borrows, the session is shared); with
+    /// `workers ≤ 1` everything runs on the calling thread. Reports come
+    /// back in ascending stripe order.
+    ///
+    /// # Errors
+    /// The first failing flush stops the workers from starting further
+    /// stripes and is returned; the buffer has been drained either way.
     pub fn flush_all(&mut self, workers: usize) -> Result<Vec<FlushReport>, UpdateError> {
-        let workers = workers.max(1);
         let pending = self.buffer.drain();
         if pending.is_empty() {
             return Ok(Vec::new());
         }
-        // Pair each pending stripe with its disjoint `&mut Stripe`.
+        // Pair each pending stripe with its disjoint `&mut Stripe`, in
+        // ascending stripe order.
         let mut by_index: std::collections::HashMap<usize, PendingStripe> =
             pending.into_iter().collect();
         let mut jobs: Vec<(usize, &mut Stripe, PendingStripe)> = Vec::new();
@@ -429,50 +434,9 @@ impl<'s, W: GfWord, C: ErasureCode<W>> UpdateEngine<'s, W, C> {
         let mode = self.config.mode;
         let reencode = self.reencode_mult_xors;
 
-        let mut reports: Vec<FlushReport> = if workers == 1 {
-            let mut out = Vec::with_capacity(jobs.len());
-            for (index, stripe, p) in jobs {
-                out.push(flush_one(
-                    service, plan, map, mode, reencode, index, stripe, p,
-                )?);
-            }
-            out
-        } else {
-            let source = Mutex::new(jobs.into_iter());
-            let results: Vec<Result<Vec<FlushReport>, UpdateError>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        scope.spawn(|| {
-                            let mut out = Vec::new();
-                            loop {
-                                let next =
-                                    source.lock().unwrap_or_else(PoisonError::into_inner).next();
-                                let Some((index, stripe, p)) = next else {
-                                    break;
-                                };
-                                out.push(flush_one(
-                                    service, plan, map, mode, reencode, index, stripe, p,
-                                )?);
-                            }
-                            Ok(out)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| match h.join() {
-                        Ok(v) => v,
-                        Err(payload) => std::panic::resume_unwind(payload),
-                    })
-                    .collect()
-            });
-            let mut out = Vec::new();
-            for worker_out in results {
-                out.extend(worker_out?);
-            }
-            out
-        };
-        reports.sort_by_key(|r| r.stripe);
+        let reports = par_map(workers, jobs, |(index, stripe, p)| {
+            flush_one(service, plan, map, mode, reencode, index, stripe, p)
+        })?;
         for r in &reports {
             self.stats.absorb(r, false);
         }

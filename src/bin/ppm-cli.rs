@@ -16,7 +16,7 @@
 //! ppm-cli cluster sim [--workers N] [--stripes M] [--damaged D] [--code spec]
 //!                 [--bytes B] [--seed S] [--threads T] [--mode partial|naive|both] [--stats]
 //!                 [--chaos SEED] [--drop R] [--corrupt R] [--truncate R] [--duplicate R]
-//!                 [--reorder R] [--delay R] [--hang R] [--delay-ms MS] [--frame-version 1|2]
+//!                 [--reorder R] [--delay R] [--hang R] [--delay-ms MS]
 //!                 [--deadline MS] [--retries N] [--hedge MS]
 //! ```
 //!
@@ -78,8 +78,7 @@
 //! the repaired archive must *still* come back bit-identical, or the
 //! command exits nonzero. The summary line gains
 //! `chaos_seed=... injected=... retries=... corrupt_caught=...` fields
-//! for CI to grep. `--frame-version 1` keeps the legacy raw framing
-//! (interop mode; refuses chaos, which would be undetectable).
+//! for CI to grep.
 //!
 //! `update` replays a small-write trace against a healthy archive
 //! through the buffered update engine (`ppm_update::UpdateEngine`):
@@ -963,7 +962,7 @@ fn cluster_sim(args: &[String]) -> Result<(), String> {
     const USAGE: &str = "cluster sim [--workers N] [--stripes M] [--damaged D] [--scenarios K] \
          [--code spec] [--bytes B] [--seed S] [--threads T] [--mode partial|naive|both] [--stats] \
          [--chaos SEED] [--drop R] [--corrupt R] [--truncate R] [--duplicate R] [--reorder R] \
-         [--delay R] [--hang R] [--delay-ms MS] [--frame-version 1|2] [--deadline MS] \
+         [--delay R] [--hang R] [--delay-ms MS] [--deadline MS] \
          [--retries N] [--hedge MS]";
     let (flags, pos) = split_flags(args, USAGE)?;
     if !pos.is_empty() {
@@ -1039,9 +1038,9 @@ fn cluster_sim(args: &[String]) -> Result<(), String> {
         sector_bytes: flag_num(&flags, "bytes").unwrap_or(4096),
         seed: parse_u64("seed", 2015)?,
         threads: flag_num(&flags, "threads").unwrap_or(1),
-        frame_version: flag_num(&flags, "frame-version").unwrap_or(2) as u8,
         chaos,
         retry,
+        ..SimConfig::default()
     };
     let mode = flags.get("mode").map(String::as_str).unwrap_or("both");
 

@@ -4,7 +4,7 @@
 //! bit-identically to the word-level oracle of `tests/common` or is
 //! reported `Unrecoverable` — and the engine and the oracle agree on
 //! which — through both the whole-sector path (serial decoder) and the
-//! chunked sub-range path (pooled decoder), with executed == predicted
+//! chunked sub-range path (multi-threaded decoder), with executed == predicted
 //! on each.
 //!
 //! For SD and PMDS the suite additionally pins the families' defining
