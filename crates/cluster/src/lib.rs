@@ -24,7 +24,9 @@
 //!
 //! The crate layers, bottom up:
 //!
-//! - [`frame`]: length-prefixed byte frames over `io::Read`/`io::Write`.
+//! - [`frame`]: length-prefixed byte frames over `io::Read`/`io::Write`,
+//!   and the v2 integrity envelope (slice-by-16 CRC32, wrap-safe
+//!   sequence numbers).
 //! - [`Transport`]: how frames move — in-process channels
 //!   ([`channel_pair`]) today, TCP-ready streams ([`StreamTransport`])
 //!   with the same trait.
@@ -32,15 +34,21 @@
 //!   protocol (no external serialization crates).
 //! - [`Worker`]: owns a shard of stripes, caches compiled plans by
 //!   [`PlanKey`](ppm_core::PlanKey) string, answers requests.
-//! - [`run_sim`]: drives a full simulated archive — shard, damage,
-//!   repair over N workers, and compare bit-for-bit against a
-//!   single-node [`RepairService`](ppm_core::RepairService).
+//! - [`Coordinator`]: owns the links to the workers and drives
+//!   [`RepairJob`]s over them, every link on its own thread — plan
+//!   shipping, supervised exchanges, phase B, and failover of a dead
+//!   worker's stripes once the parallel phase is over.
+//! - [`run_sim`]: the harness around a `Coordinator` — materialises a
+//!   simulated archive's damaged stripes (each byte once), shards them
+//!   over N worker threads, and compares the repair bit-for-bit against
+//!   a single-node [`RepairService`](ppm_core::RepairService).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 mod chaos;
+mod coordinator;
 mod error;
 mod frame;
 mod message;
@@ -49,13 +57,17 @@ mod transport;
 mod worker;
 
 pub use chaos::{ChaosConfig, ChaosCounters, ChaosTransport, InjectedFaults};
+pub use coordinator::{
+    ChaosStats, Coordinator, Home, RepairJob, RepairMode, RepairOutcome, RepairTally, RetryPolicy,
+    Traffic,
+};
 pub use error::ClusterError;
 pub use frame::{
     crc32, read_frame, seal_v2, unseal, write_frame, FrameError, Unsealed, FRAME_V2_MAGIC,
     FRAME_VERSION, MAX_FRAME, V2_HEADER,
 };
 pub use message::{CoordinatorRequest, WorkerResponse};
-pub use sim::{run_sim, ChaosStats, RepairMode, RetryPolicy, SimConfig, SimReport, Traffic};
+pub use sim::{run_sim, SimConfig, SimReport};
 pub use transport::{channel_pair, ChannelTransport, StreamTransport, Transport};
 pub use worker::{Worker, WorkerFrameStats};
 

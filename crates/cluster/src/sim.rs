@@ -1,7 +1,9 @@
-//! A simulated cluster repair over a sharded archive: the coordinator
-//! keeps the [`Planner`](ppm_core::Planner) half of the repair session,
-//! N worker threads keep the sectors, and only plans and partial-sum
-//! blocks cross the (in-process) wire.
+//! A simulated cluster repair over a sharded archive: the harness
+//! around a [`Coordinator`]. It builds the damaged stripes and their
+//! single-node reference repairs, hands the stripes to N worker
+//! threads, lets the coordinator drive the repair over in-process
+//! links — only plans and partial-sum blocks cross the wire — and
+//! compares every repaired stripe with its reference.
 //!
 //! The archive is *simulated* at scale: stripe ids range over
 //! `0..stripes` (a million by default) but only the damaged stripes are
@@ -13,108 +15,37 @@
 //! it touches — which is exactly what lets one shipped
 //! [`WirePlan`](ppm_core::WirePlan) amortize over a whole repair job.
 //!
-//! # Chaos and supervision
+//! Every damaged stripe is materialised exactly once, by
+//! `Archive::materialise`: the generated buffer is encoded and erased
+//! in place and moved into its owner's shard, and the one copy taken of
+//! it is the reference the result is compared against. Nothing is
+//! retained for failover — a dead worker's stripe is materialised again
+//! from `(seed, id)`. Materialisation and the reference repairs run
+//! `nproc` stripes at a time; per-stripe RNGs and an ordered map keep
+//! the result bit-for-bit the serial one.
 //!
 //! The links can optionally run through a
-//! [`ChaosTransport`](crate::ChaosTransport) (see [`SimConfig::chaos`]),
-//! which drops, corrupts, truncates, duplicates, reorders, delays, and
-//! hangs frames per a seeded schedule. The coordinator survives all of
-//! it through one supervised exchange primitive: every request gets a
-//! fresh v2-sealed frame (sequence numbers make chaos duplicates
-//! detectable without eating retries), a per-attempt deadline, a
-//! speculative hedge resend for stragglers, and bounded retries with
-//! decorrelated-jitter backoff. When a worker exhausts its retries it
-//! is declared dead and its remaining repairs fail over: the stripe is
-//! re-homed onto a surviving worker via
-//! [`CoordinatorRequest::Adopt`] and repaired there, or — with nobody
-//! left — repaired at the coordinator itself
-//! ([`RepairService::repair_verified`] on the retained damaged copy).
-//! Either way the archive converges bit-identical to the single-node
-//! reference; [`ChaosStats`] reports what it cost.
+//! [`ChaosTransport`](crate::ChaosTransport) (see [`SimConfig::chaos`]);
+//! the [`Coordinator`]'s supervision and failover keep the archive
+//! converging bit-identical to the single-node reference, and
+//! [`ChaosStats`] reports what it cost.
 
-use crate::chaos::{ChaosConfig, ChaosCounters, ChaosTransport, InjectedFaults};
+use crate::chaos::{ChaosConfig, ChaosCounters, ChaosTransport};
+use crate::coordinator::{
+    ChaosStats, Coordinator, Home, RepairJob, RepairMode, RetryPolicy, Traffic,
+};
 use crate::error::ClusterError;
-use crate::frame::{seal_v2, unseal, FRAME_VERSION};
-use crate::message::{CoordinatorRequest, WorkerResponse};
+use crate::frame::FRAME_VERSION;
 use crate::transport::{channel_pair, Transport};
 use crate::worker::Worker;
 use ppm_codes::{ErasureCode, FailureScenario};
-use ppm_core::{DecoderConfig, ExecutableWirePlan, RepairError, RepairService};
+use ppm_core::{par_map, DecoderConfig, RepairService};
 use ppm_gf::GfWord;
-use ppm_stripe::{random_data_stripe, Stripe};
+use ppm_stripe::{fill_random_data, Stripe};
 use rand::{rngs::StdRng, Rng, SeedableRng};
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
-
-/// How the coordinator repairs a damaged stripe on a remote worker.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RepairMode {
-    /// Ship the wire plan to the data: the worker runs phase A locally
-    /// and only partial-sum blocks cross the wire (the PPM way).
-    Partial,
-    /// Ship the data to the plan: fetch every surviving sector, repair
-    /// centrally, ship the recovered sectors back (the baseline).
-    Naive,
-}
-
-impl RepairMode {
-    /// Stable lowercase name, used in reports and CLI flags.
-    pub fn name(self) -> &'static str {
-        match self {
-            RepairMode::Partial => "partial",
-            RepairMode::Naive => "naive",
-        }
-    }
-}
-
-/// How the coordinator supervises each request: per-attempt deadline,
-/// bounded retries with decorrelated-jitter backoff, and an optional
-/// straggler hedge.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// How long one attempt waits for a matching response.
-    pub deadline_ms: u64,
-    /// Total attempts per exchange before the worker is declared dead.
-    pub max_attempts: u32,
-    /// Backoff floor between attempts.
-    pub backoff_base_ms: u64,
-    /// Backoff ceiling between attempts.
-    pub backoff_cap_ms: u64,
-    /// After this much silence within an attempt, resend the request
-    /// speculatively (a hedge against stragglers). `0` disables.
-    pub hedge_after_ms: u64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        // Clean links answer in microseconds; these only matter under
-        // chaos, where tests tighten them. The default deadline is
-        // generous so slow debug builds never time out spuriously, and
-        // hedging is off so clean runs stay byte-deterministic.
-        RetryPolicy {
-            deadline_ms: 10_000,
-            max_attempts: 3,
-            backoff_base_ms: 5,
-            backoff_cap_ms: 100,
-            hedge_after_ms: 0,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// A tight policy for chaos tests: short deadlines, fast hedging,
-    /// enough attempts to ride out bursty loss.
-    pub fn aggressive() -> Self {
-        RetryPolicy {
-            deadline_ms: 150,
-            max_attempts: 6,
-            backoff_base_ms: 2,
-            backoff_cap_ms: 20,
-            hedge_after_ms: 40,
-        }
-    }
-}
+use std::time::Instant;
 
 /// Shape of a simulated archive repair job.
 #[derive(Clone, Copy, Debug)]
@@ -161,86 +92,6 @@ impl Default for SimConfig {
     }
 }
 
-/// Bytes and frames moved over every coordinator↔worker link, counted
-/// as framed payloads (each frame costs its payload plus the 4-byte
-/// length prefix a stream transport would add). Under chaos this counts
-/// what the coordinator *offered and accepted* — retries, hedges, and
-/// chaos duplicates included — so comparing against a clean run of the
-/// same seed measures retry amplification directly.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Traffic {
-    /// Coordinator → worker bytes (requests, shipped plans, installs).
-    pub to_workers_bytes: u64,
-    /// Worker → coordinator bytes (partial blocks, fetched sectors).
-    pub from_workers_bytes: u64,
-    /// Of `to_workers_bytes`, how many were encoded wire plans.
-    pub plan_bytes: u64,
-    /// Frames in both directions.
-    pub frames: u64,
-}
-
-impl Traffic {
-    /// Total bytes moved in both directions.
-    pub fn total_bytes(&self) -> u64 {
-        self.to_workers_bytes + self.from_workers_bytes
-    }
-}
-
-/// What surviving the chaos cost: supervision-side counters plus the
-/// injected-fault totals from every link's [`ChaosTransport`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ChaosStats {
-    /// Full re-sends after a timed-out attempt.
-    pub retries: u64,
-    /// Attempts whose deadline elapsed with no matching response.
-    pub timeouts: u64,
-    /// Speculative straggler re-sends within an attempt.
-    pub hedges: u64,
-    /// Exchanges that completed while a hedge was outstanding.
-    pub hedges_won: u64,
-    /// Stripes re-homed onto a surviving worker via `Adopt`.
-    pub redispatches: u64,
-    /// Stripes repaired at the coordinator because no worker survived.
-    pub degraded_local: u64,
-    /// Frames failing the v2 integrity checks, coordinator and worker
-    /// sides summed.
-    pub corrupt_frames_caught: u64,
-    /// v2 frames discarded for a non-advancing sequence number, both
-    /// sides summed.
-    pub dup_frames_dropped: u64,
-    /// Well-formed responses for the wrong stripe or kind (hedge and
-    /// retry leftovers), discarded.
-    pub stale_discarded: u64,
-    /// Workers that exhausted retries and were failed over.
-    pub workers_declared_dead: u64,
-    /// What the chaos layer actually injected, summed over links.
-    pub injected: InjectedFaults,
-}
-
-impl ChaosStats {
-    /// Hand-rolled JSON object, matching the workspace's report style.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"retries\":{},\"timeouts\":{},\"hedges\":{},\
-             \"hedges_won\":{},\"redispatches\":{},\"degraded_local\":{},\
-             \"corrupt_frames_caught\":{},\"dup_frames_dropped\":{},\
-             \"stale_discarded\":{},\"workers_declared_dead\":{},\
-             \"injected\":{}}}",
-            self.retries,
-            self.timeouts,
-            self.hedges,
-            self.hedges_won,
-            self.redispatches,
-            self.degraded_local,
-            self.corrupt_frames_caught,
-            self.dup_frames_dropped,
-            self.stale_discarded,
-            self.workers_declared_dead,
-            self.injected.to_json(),
-        )
-    }
-}
-
 /// Outcome of one [`run_sim`] call.
 #[derive(Clone, Debug)]
 pub struct SimReport {
@@ -279,33 +130,41 @@ pub struct SimReport {
     /// Supervision and fault-injection accounting (all zero on a clean
     /// run).
     pub chaos: ChaosStats,
+    /// Wall time of the whole call; the four phases below run one after
+    /// the other and account for all but its fixed set-up.
+    pub wall_nanos: u64,
+    /// Wall time of materialising the damaged stripes (generate, encode,
+    /// erase), `nproc` stripes at a time.
+    pub materialise_nanos: u64,
+    /// Wall time of the single-node reference: copying every damaged
+    /// stripe and repairing the copies, `nproc` at a time.
+    pub reference_nanos: u64,
+    /// Wall time of [`Coordinator::repair`]: everything on the wire.
+    pub drive_nanos: u64,
+    /// Wall time of shutting the workers down, collecting their shards
+    /// and comparing every stripe with its reference.
+    pub compare_nanos: u64,
+    /// Median time one stripe spent being driven (first request to last
+    /// acknowledgement, failover included).
+    pub stripe_p50_nanos: u64,
+    /// 99th percentile of the same.
+    pub stripe_p99_nanos: u64,
+    /// The slowest stripe.
+    pub stripe_max_nanos: u64,
+    /// Per worker, time spent serving requests.
+    pub worker_busy_nanos: Vec<u64>,
+    /// Per worker, time spent waiting for the coordinator's next frame.
+    pub worker_wait_nanos: Vec<u64>,
 }
 
 impl SimReport {
-    /// The report of a run that has not repaired anything yet.
-    fn blank(cfg: &SimConfig, mode: RepairMode) -> Self {
-        SimReport {
-            mode,
-            workers: cfg.workers,
-            archive_stripes: cfg.stripes,
-            sector_bytes: cfg.sector_bytes,
-            damaged: cfg.damaged,
-            repaired: 0,
-            split_rests: 0,
-            local_rests: 0,
-            plans_shipped: 0,
-            identical: true,
-            verified_clean: 0,
-            violations: 0,
-            frame_version: cfg.frame_version,
-            traffic: Traffic::default(),
-            chaos: ChaosStats::default(),
-        }
-    }
-
     /// Serializes the report as a JSON object (hand-rolled, like
     /// [`PlanCacheStats::to_json`](ppm_core::PlanCacheStats::to_json)).
     pub fn to_json(&self) -> String {
+        let list = |nanos: &[u64]| {
+            let items: Vec<String> = nanos.iter().map(u64::to_string).collect();
+            format!("[{}]", items.join(","))
+        };
         format!(
             "{{\"mode\":\"{}\",\"workers\":{},\"archive_stripes\":{},\
              \"sector_bytes\":{},\"damaged\":{},\"repaired\":{},\
@@ -314,7 +173,11 @@ impl SimReport {
              \"frame_version\":{},\
              \"to_workers_bytes\":{},\"from_workers_bytes\":{},\
              \"plan_bytes\":{},\"frames\":{},\"total_bytes\":{},\
-             \"chaos\":{}}}",
+             \"chaos\":{},\
+             \"wall_nanos\":{},\"materialise_nanos\":{},\"reference_nanos\":{},\
+             \"drive_nanos\":{},\"compare_nanos\":{},\
+             \"stripe_p50_nanos\":{},\"stripe_p99_nanos\":{},\"stripe_max_nanos\":{},\
+             \"worker_busy_nanos\":{},\"worker_wait_nanos\":{}}}",
             self.mode.name(),
             self.workers,
             self.archive_stripes,
@@ -334,461 +197,77 @@ impl SimReport {
             self.traffic.frames,
             self.traffic.total_bytes(),
             self.chaos.to_json(),
+            self.wall_nanos,
+            self.materialise_nanos,
+            self.reference_nanos,
+            self.drive_nanos,
+            self.compare_nanos,
+            self.stripe_p50_nanos,
+            self.stripe_p99_nanos,
+            self.stripe_max_nanos,
+            list(&self.worker_busy_nanos),
+            list(&self.worker_wait_nanos),
         )
     }
 }
 
-/// One damaged stripe the coordinator tracks: where it lives, what
-/// failed, what the single-node reference repair says its final bytes
-/// must be — and a retained copy of the damage itself, which is what
-/// makes failover possible (a dead worker's stripe can be re-homed or
-/// repaired in place from this copy).
-struct Case {
-    id: u64,
-    scenario: FailureScenario,
-    expected: Stripe,
-    damaged: Stripe,
-}
-
-/// Where a case's repaired bytes ended up.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Location {
-    /// In worker `w`'s shard (the original owner or an adopter).
-    Worker(usize),
-    /// In the coordinator's orphan map (degraded local repair).
-    Coordinator,
-}
-
-/// Which response kind an exchange is waiting for; anything else for
-/// the right stripe is a stale leftover from a retry or hedge.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Want {
-    Partials,
-    Sectors,
-    Installed,
-}
-
-fn matches(response: &WorkerResponse, want: Want, stripe: u64) -> bool {
-    match (want, response) {
-        (Want::Partials, WorkerResponse::Partials { stripe: s, .. }) => *s == stripe,
-        (Want::Sectors, WorkerResponse::Sectors { stripe: s, .. }) => *s == stripe,
-        (Want::Installed, WorkerResponse::Installed { stripe: s, .. }) => *s == stripe,
-        _ => false,
-    }
-}
-
-/// One coordinator↔worker link with its supervision state.
-struct Link {
-    transport: Box<dyn Transport>,
-    /// Injected-fault counters when the link runs through chaos.
-    counters: Option<Arc<ChaosCounters>>,
-    /// Next outbound v2 sequence number; every send — retries and
-    /// hedges included — burns a fresh one, so only *chaos-made*
-    /// duplicates are non-advancing.
-    next_seq: u32,
-    /// Highest inbound v2 sequence number accepted.
-    last_seen: Option<u32>,
-    /// Cleared when the worker exhausts its retries; dead links get no
-    /// further requests and their shard entries are written off.
-    alive: bool,
-}
-
-/// The coordinator's drive state: links, plan bookkeeping, supervision
-/// policy, and the counters everything feeds.
-struct Coordinator<'a, W: GfWord, C: ErasureCode<W>> {
+/// The simulated archive: every stripe's contents and damage are a pure
+/// function of `(seed, id)`.
+struct Archive<'a, W: GfWord, C: ErasureCode<W>> {
+    code: &'a C,
     service: &'a RepairService<W, &'a C>,
-    links: Vec<Link>,
-    shipped: HashSet<(usize, String)>,
-    compiled: HashMap<String, ExecutableWirePlan<W>>,
-    policy: RetryPolicy,
-    jitter: StdRng,
-    traffic: Traffic,
-    stats: ChaosStats,
-    sector_bytes: usize,
-    total_sectors: usize,
+    cfg: &'a SimConfig,
+    /// The failure scenarios the damage is drawn from; never empty.
+    pool: Vec<FailureScenario>,
 }
 
-impl<'a, W: GfWord, C: ErasureCode<W>> Coordinator<'a, W, C> {
-    fn link_mut(&mut self, worker: usize) -> Result<&mut Link, ClusterError> {
-        self.links
-            .get_mut(worker)
-            .ok_or_else(|| ClusterError::Protocol(format!("no link for worker {worker}")))
+impl<W: GfWord, C: ErasureCode<W>> Archive<'_, W, C> {
+    /// An all-zero stripe of the archive's geometry, for
+    /// [`fill`](Self::fill).
+    fn blank(&self) -> Stripe {
+        Stripe::zeroed(self.code.layout(), self.cfg.sector_bytes)
     }
 
-    fn is_alive(&self, worker: usize) -> bool {
-        self.links.get(worker).is_some_and(|l| l.alive)
+    /// Turns a blank stripe into damaged stripe `id` and returns what
+    /// failed in it: data drawn from `(seed, id)`, encoded and erased,
+    /// all in the one buffer.
+    fn fill(&self, id: u64, stripe: &mut Stripe) -> Result<FailureScenario, ClusterError> {
+        let mut rng = StdRng::seed_from_u64(self.cfg.seed ^ id.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        fill_random_data(self.code, stripe, &mut rng);
+        self.service.encode(stripe)?;
+        let scenario = self
+            .pool
+            .get((id % self.pool.len().max(1) as u64) as usize)
+            .cloned()
+            .ok_or_else(|| ClusterError::Protocol("empty failure-scenario pool".into()))?;
+        stripe.erase(&scenario);
+        Ok(scenario)
     }
 
-    fn declare_dead(&mut self, worker: usize) {
-        if let Some(link) = self.links.get_mut(worker) {
-            if link.alive {
-                link.alive = false;
-                self.stats.workers_declared_dead += 1;
-            }
-        }
-    }
-
-    /// Sends one framed request. Every call seals a fresh frame with
-    /// the link's next sequence number.
-    fn send_on(&mut self, worker: usize, payload: &[u8]) -> Result<(), ClusterError> {
-        let link = self.link_mut(worker)?;
-        let frame = seal_v2(link.next_seq, payload);
-        link.next_seq = link.next_seq.wrapping_add(1);
-        self.traffic.to_workers_bytes += 4 + frame.len() as u64;
-        self.traffic.frames += 1;
-        self.link_mut(worker)?
-            .transport
-            .send(frame)
-            .map_err(ClusterError::Io)
-    }
-
-    /// Receives decodable responses from one link until `deadline`,
-    /// discarding line noise: frames failing the v2 checks (a bare or
-    /// magic-flipped frame among them) are counted and skipped,
-    /// duplicates (non-advancing sequence) are counted and skipped.
-    /// `Ok(None)` means the deadline passed in silence.
-    fn recv_until(
-        &mut self,
-        worker: usize,
-        deadline: Instant,
-    ) -> Result<Option<WorkerResponse>, ClusterError> {
-        loop {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                return Ok(None);
-            }
-            let received = self
-                .link_mut(worker)?
-                .transport
-                .recv_timeout(remaining)
-                .map_err(ClusterError::Io)?;
-            let Some(frame) = received else {
-                return Ok(None);
-            };
-            self.traffic.from_workers_bytes += 4 + frame.len() as u64;
-            self.traffic.frames += 1;
-            let Ok(opened) = unseal(frame) else {
-                self.stats.corrupt_frames_caught += 1;
-                continue;
-            };
-            let link = self.link_mut(worker)?;
-            if link.last_seen.is_some_and(|prev| opened.seq <= prev) {
-                self.stats.dup_frames_dropped += 1;
-                continue;
-            }
-            link.last_seen = Some(opened.seq);
-            // CRC-clean but undecodable is a protocol bug, not line
-            // noise — `?` surfaces it.
-            return match WorkerResponse::decode(&opened.payload)? {
-                WorkerResponse::Error { message } => Err(ClusterError::Protocol(message)),
-                response => Ok(Some(response)),
-            };
-        }
-    }
-
-    /// The supervised request/response primitive everything else rides
-    /// on: per-attempt deadline, optional straggler hedge, bounded
-    /// retries with decorrelated-jitter backoff. Responses that don't
-    /// match (`want`, `stripe`) are stale leftovers and are discarded.
-    ///
-    /// Returns [`ClusterError::RetriesExhausted`] when every attempt
-    /// timed out — the caller's cue to declare the worker dead.
-    fn exchange(
-        &mut self,
-        worker: usize,
-        stripe: u64,
-        payload: &[u8],
-        want: Want,
-    ) -> Result<WorkerResponse, ClusterError> {
-        let policy = self.policy;
-        let deadline_len = Duration::from_millis(policy.deadline_ms.max(1));
-        let mut prev_backoff = policy.backoff_base_ms.max(1);
-        for attempt in 1..=policy.max_attempts.max(1) {
-            if attempt > 1 {
-                self.stats.retries += 1;
-                // Decorrelated jitter: sleep in [base, min(cap, 3·prev)],
-                // feeding the draw back in as the next "prev".
-                let base = policy.backoff_base_ms.max(1);
-                let cap = policy.backoff_cap_ms.max(base + 1);
-                let hi = prev_backoff.saturating_mul(3).clamp(base + 1, cap);
-                let sleep_ms = self.jitter.random_range(base..=hi);
-                prev_backoff = sleep_ms;
-                std::thread::sleep(Duration::from_millis(sleep_ms));
-            }
-            self.send_on(worker, payload)?;
-            let attempt_deadline = Instant::now() + deadline_len;
-            let mut hedged = false;
-            loop {
-                let now = Instant::now();
-                if now >= attempt_deadline {
-                    break;
-                }
-                let hedge_pending = policy.hedge_after_ms > 0 && !hedged;
-                let slice_deadline = if hedge_pending {
-                    attempt_deadline.min(now + Duration::from_millis(policy.hedge_after_ms))
-                } else {
-                    attempt_deadline
-                };
-                match self.recv_until(worker, slice_deadline)? {
-                    Some(response) => {
-                        if matches(&response, want, stripe) {
-                            if hedged {
-                                self.stats.hedges_won += 1;
-                            }
-                            return Ok(response);
-                        }
-                        self.stats.stale_discarded += 1;
-                    }
-                    None => {
-                        if hedge_pending && slice_deadline < attempt_deadline {
-                            // Silence past the hedge threshold: resend
-                            // speculatively and keep waiting out the
-                            // attempt. Workers are idempotent and the
-                            // fresh sequence number keeps the hedge
-                            // from being eaten as a duplicate.
-                            self.stats.hedges += 1;
-                            hedged = true;
-                            self.send_on(worker, payload)?;
-                        }
-                    }
-                }
-            }
-            self.stats.timeouts += 1;
-        }
-        Err(ClusterError::RetriesExhausted {
-            worker,
-            stripe,
-            attempts: policy.max_attempts.max(1),
-        })
-    }
-
-    /// PPM-mode repair of one stripe on `owner`: plan up (first time
-    /// only), partial blocks back, aggregated sectors down.
-    fn repair_partial(
-        &mut self,
-        case: &Case,
-        owner: usize,
-        report: &mut SimReport,
-    ) -> Result<(), ClusterError> {
-        let key = self.service.planner().plan_key(&case.scenario).to_string();
-        let plan = if self.shipped.insert((owner, key.clone())) {
-            let (wire, _) = self.service.planner().wire_plan_for(&case.scenario)?;
-            if !self.compiled.contains_key(&key) {
-                self.compiled.insert(
-                    key.clone(),
-                    wire.compile::<W>(self.service.planner().backend())?,
-                );
-            }
-            let bytes = wire.encode();
-            self.traffic.plan_bytes += bytes.len() as u64;
-            report.plans_shipped += 1;
-            Some(bytes)
-        } else {
-            None
-        };
-
-        let request = CoordinatorRequest::Repair {
-            stripe: case.id,
-            plan_key: key.clone(),
-            plan,
-        }
-        .encode();
-        let response = self.exchange(owner, case.id, &request, Want::Partials)?;
-        let WorkerResponse::Partials {
-            rest_blocks,
-            rest_pending,
-            violated_rows,
-            ..
-        } = response
-        else {
-            return unexpected(response);
-        };
-        if !rest_pending {
-            report.local_rests += 1;
-            tally_verify(report, violated_rows.as_deref());
-            return Ok(());
-        }
-        let compiled = self.compiled.get(&key).ok_or_else(|| {
-            ClusterError::Protocol(format!("no compiled plan retained for key {key}"))
-        })?;
-        // Phase B: F⁻¹ · T on the shipped partial sums — the
-        // coordinator never holds the stripe.
-        let recovered = self
-            .service
-            .executor()
-            .finish_rest(compiled, &rest_blocks, self.sector_bytes)
-            .map_err(|e| match e {
-                // `rest_pending` is a wire-supplied bit: a worker that
-                // sets it for a plan whose H_rest cannot split is
-                // wrong, and that must not take the coordinator down.
-                RepairError::RestNotSplittable => ClusterError::Protocol(format!(
-                    "worker {owner} reported a pending rest for non-splittable plan {key}"
-                )),
-                e => ClusterError::Repair(e),
-            })?;
-        let sectors = recovered
-            .into_iter()
-            .map(|(sector, bytes)| (sector as u32, bytes))
-            .collect();
-        let install = CoordinatorRequest::Install {
-            stripe: case.id,
-            sectors,
-        }
-        .encode();
-        let response = self.exchange(owner, case.id, &install, Want::Installed)?;
-        let WorkerResponse::Installed { violated_rows, .. } = response else {
-            return unexpected(response);
-        };
-        report.split_rests += 1;
-        tally_verify(report, violated_rows.as_deref());
-        Ok(())
-    }
-
-    /// Baseline repair of one stripe on `owner`: every surviving sector
-    /// up, repair centrally, recovered sectors down.
-    fn repair_naive(
-        &mut self,
-        case: &Case,
-        owner: usize,
-        report: &mut SimReport,
-    ) -> Result<(), ClusterError> {
-        let survivors: Vec<u32> = case
-            .scenario
-            .surviving(self.total_sectors)
-            .into_iter()
-            .map(|s| s as u32)
-            .collect();
-        let fetch = CoordinatorRequest::FetchSectors {
-            stripe: case.id,
-            sectors: survivors,
-        }
-        .encode();
-        let response = self.exchange(owner, case.id, &fetch, Want::Sectors)?;
-        let WorkerResponse::Sectors {
-            sectors: fetched, ..
-        } = response
-        else {
-            return unexpected(response);
-        };
-
-        // Rebuild the stripe centrally from the shipped survivors and
-        // repair it with the full single-node service.
-        let mut stripe = Stripe::zeroed(self.service.planner().code().layout(), self.sector_bytes);
-        for (sector, bytes) in &fetched {
-            let s = *sector as usize;
-            if s >= self.total_sectors || bytes.len() != self.sector_bytes {
-                return Err(ClusterError::Protocol(format!(
-                    "worker returned malformed sector {s}"
-                )));
-            }
-            stripe.write_sector(s, bytes);
-        }
-        self.service.repair_verified(&mut stripe, &case.scenario)?;
-
-        let sectors = case
-            .scenario
-            .faulty()
-            .iter()
-            .map(|&s| (s as u32, stripe.sector(s).to_vec()))
-            .collect();
-        let install = CoordinatorRequest::Install {
-            stripe: case.id,
-            sectors,
-        }
-        .encode();
-        let response = self.exchange(owner, case.id, &install, Want::Installed)?;
-        let WorkerResponse::Installed { .. } = response else {
-            return unexpected(response);
-        };
-        report.verified_clean += 1;
-        Ok(())
-    }
-
-    fn repair_one(
-        &mut self,
-        mode: RepairMode,
-        case: &Case,
-        owner: usize,
-        report: &mut SimReport,
-    ) -> Result<(), ClusterError> {
-        match mode {
-            RepairMode::Partial => self.repair_partial(case, owner, report),
-            RepairMode::Naive => self.repair_naive(case, owner, report),
-        }
-    }
-
-    /// Failover for a case whose owner is dead: re-home the retained
-    /// damaged copy onto a surviving worker via `Adopt` and repair it
-    /// there; with no survivors, repair it at the coordinator. The
-    /// archive converges either way — failover changes *where*, never
-    /// *whether*.
-    fn failover(
-        &mut self,
-        mode: RepairMode,
-        case: &Case,
-        original: usize,
-        report: &mut SimReport,
-        orphans: &mut HashMap<u64, Stripe>,
-    ) -> Result<Location, ClusterError> {
-        let layout = case.damaged.layout();
-        let candidates: Vec<usize> = (0..self.links.len())
-            .filter(|&w| w != original && self.is_alive(w))
-            .collect();
-        for candidate in candidates {
-            let sectors: Vec<(u32, Vec<u8>)> = (0..layout.sectors())
-                .map(|s| (s as u32, case.damaged.sector(s).to_vec()))
-                .collect();
-            let adopt = CoordinatorRequest::Adopt {
-                stripe: case.id,
-                n: layout.n as u32,
-                r: layout.r as u32,
-                sector_bytes: self.sector_bytes as u32,
-                sectors,
-            }
-            .encode();
-            match self.exchange(candidate, case.id, &adopt, Want::Installed) {
-                Ok(_) => {}
-                Err(ClusterError::RetriesExhausted { .. }) => {
-                    self.declare_dead(candidate);
-                    continue;
-                }
-                Err(e) => return Err(e),
-            }
-            self.stats.redispatches += 1;
-            match self.repair_one(mode, case, candidate, report) {
-                Ok(()) => return Ok(Location::Worker(candidate)),
-                Err(ClusterError::RetriesExhausted { .. }) => {
-                    self.declare_dead(candidate);
-                    continue;
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        // Nobody left standing: degrade to a local verified repair on
-        // the retained copy. "Data stays put" yields to "data stays
-        // *alive*".
-        let mut stripe = case.damaged.clone();
-        self.service.repair_verified(&mut stripe, &case.scenario)?;
-        report.verified_clean += 1;
-        self.stats.degraded_local += 1;
-        orphans.insert(case.id, stripe);
-        Ok(Location::Coordinator)
+    /// The one way a damaged stripe comes into being: [`blank`]
+    /// (Self::blank) then [`fill`](Self::fill). Calling it again —
+    /// failover does, for a stripe whose worker died — gives the same
+    /// scenario and the same bytes.
+    fn materialise(&self, id: u64) -> Result<(FailureScenario, Stripe), ClusterError> {
+        let mut stripe = self.blank();
+        let scenario = self.fill(id, &mut stripe)?;
+        Ok((scenario, stripe))
     }
 }
 
 /// Runs a full simulated cluster repair and checks it bit-for-bit
 /// against single-node [`RepairService::repair_verified`].
 ///
-/// The coordinator materializes each damaged stripe deterministically,
-/// injects the erasures, repairs a retained copy through the reference
-/// service, and hands the damaged original to its owning worker. It
-/// then drives the repair over in-process channel transports in the
-/// requested [`RepairMode`] — through a fault-injecting
+/// The harness materialises each damaged stripe deterministically,
+/// repairs a copy through the reference service, and hands the damaged
+/// original to its owning worker. A [`Coordinator`] then drives the
+/// repair over in-process channel transports in the requested
+/// [`RepairMode`] — through a fault-injecting
 /// [`ChaosTransport`](crate::ChaosTransport) when [`SimConfig::chaos`]
 /// is set — supervised per [`SimConfig::retry`], with worker failover
-/// on retry exhaustion. Finally it shuts the workers down, collects the
-/// shards (and any degraded-local orphans), and compares every repaired
-/// stripe against the reference.
+/// on retry exhaustion. Finally the harness shuts the workers down,
+/// collects the shards (and any degraded-local orphans), and compares
+/// every repaired stripe against the reference.
 ///
 /// # Errors
 /// [`ClusterError::Protocol`] on nonsensical configuration, worker-side
@@ -833,15 +312,21 @@ where
         }
     }
 
+    let wall = Instant::now();
     let config = DecoderConfig {
         threads: cfg.threads,
         ..DecoderConfig::default()
     };
     let service = RepairService::new(code, config);
-    let total_sectors = code.layout().sectors();
 
     let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let pool = scenario_pool(&service, cfg, total_sectors, &mut rng)?;
+    let pool = scenario_pool(&service, cfg, code.layout().sectors(), &mut rng)?;
+    let archive = Archive {
+        code,
+        service: &service,
+        cfg,
+        pool,
+    };
 
     // Damage placement over the full id space; only these ids are ever
     // materialized.
@@ -850,155 +335,144 @@ where
         damaged_ids.insert(rng.random_range(0..cfg.stripes));
     }
 
-    let mut cases: Vec<Case> = Vec::with_capacity(cfg.damaged);
+    // Build phase. The stripe-sized buffers — the damaged stripes, and
+    // the one copy of each that the single-node reference repairs — are
+    // allocated here on the calling thread, which also frees them, so
+    // call after call reuses the same pages; allocated on short-lived
+    // helpers they would strand in whichever malloc arena each helper
+    // happened to get (measured: +100 MiB peak RSS, −15 % throughput).
+    // The work on them runs `nproc` stripes at a time.
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let materialising = Instant::now();
+    let mut damaged: Vec<Stripe> = damaged_ids.iter().map(|_| archive.blank()).collect();
+    let scenarios = par_map(
+        nproc,
+        damaged_ids.iter().zip(&mut damaged),
+        |(&id, stripe)| archive.fill(id, stripe),
+    )?;
+    let materialise_nanos = materialising.elapsed().as_nanos() as u64;
+
+    let referencing = Instant::now();
+    let mut references = damaged.clone();
+    par_map(
+        nproc,
+        references.iter_mut().zip(&scenarios),
+        |(expected, scenario)| {
+            service.repair_verified(expected, scenario)?;
+            Ok::<_, ClusterError>(())
+        },
+    )?;
+    let reference_nanos = referencing.elapsed().as_nanos() as u64;
+
+    let jobs: Vec<RepairJob> = damaged_ids
+        .iter()
+        .zip(scenarios)
+        .map(|(&stripe, scenario)| RepairJob { stripe, scenario })
+        .collect();
     let mut shards: Vec<HashMap<u64, Stripe>> = (0..cfg.workers).map(|_| HashMap::new()).collect();
-    for &id in &damaged_ids {
-        let mut stripe_rng =
-            StdRng::seed_from_u64(cfg.seed ^ id.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        let mut stripe = random_data_stripe(code, cfg.sector_bytes, &mut stripe_rng);
-        service.encode(&mut stripe)?;
-        let scenario = pool
-            .get((id % pool.len() as u64) as usize)
-            .cloned()
-            .unwrap_or_else(|| pool[0].clone());
-        let mut damaged = stripe.clone();
-        damaged.erase(&scenario);
-
-        // The single-node reference: repair a retained copy locally.
-        let mut expected = damaged.clone();
-        service.repair_verified(&mut expected, &scenario)?;
-
-        let owner = (id % cfg.workers as u64) as usize;
+    for (job, damaged) in jobs.iter().zip(damaged) {
+        let owner = (job.stripe % cfg.workers as u64) as usize;
         if let Some(shard) = shards.get_mut(owner) {
-            shard.insert(id, damaged.clone());
+            shard.insert(job.stripe, damaged);
         }
-        cases.push(Case {
-            id,
-            scenario,
-            expected,
-            damaged,
-        });
     }
 
     // Spawn the workers on their own threads, each holding its shard;
     // wrap the coordinator end of each link in chaos when configured.
-    let mut links: Vec<Link> = Vec::with_capacity(cfg.workers);
+    let mut transports: Vec<Box<dyn Transport>> = Vec::with_capacity(cfg.workers);
+    let mut chaos_counters: Vec<Arc<ChaosCounters>> = Vec::new();
     let mut handles = Vec::with_capacity(cfg.workers);
     for (w, shard) in shards.into_iter().enumerate() {
         let (coordinator_end, worker_end) = channel_pair();
         let worker: Worker<W> = Worker::new(w, shard, config);
         handles.push(std::thread::spawn(move || worker.serve(&worker_end)));
-        let (transport, counters): (Box<dyn Transport>, Option<Arc<ChaosCounters>>) =
-            match &cfg.chaos {
-                Some(chaos) => {
-                    let chaotic = ChaosTransport::new(coordinator_end, chaos.for_link(w as u64));
-                    let counters = chaotic.counters();
-                    (Box::new(chaotic), Some(counters))
-                }
-                None => (Box::new(coordinator_end), None),
-            };
-        links.push(Link {
-            transport,
-            counters,
-            next_seq: 0,
-            last_seen: None,
-            alive: true,
+        transports.push(match &cfg.chaos {
+            Some(chaos) => {
+                let chaotic = ChaosTransport::new(coordinator_end, chaos.for_link(w as u64));
+                chaos_counters.push(chaotic.counters());
+                Box::new(chaotic)
+            }
+            None => Box::new(coordinator_end),
         });
     }
 
-    let mut report = SimReport::blank(cfg, mode);
-
-    let mut coordinator = Coordinator {
-        service: &service,
-        links,
-        shipped: HashSet::new(),
-        compiled: HashMap::new(),
-        policy: cfg.retry,
-        jitter: StdRng::seed_from_u64(cfg.seed ^ 0x000C_4A05_u64),
-        traffic: Traffic::default(),
-        stats: ChaosStats::default(),
-        sector_bytes: cfg.sector_bytes,
-        total_sectors,
-    };
-
-    // Degraded-local repairs land here; `locations` remembers where
-    // every case's final bytes live for the comparison pass.
-    let mut orphans: HashMap<u64, Stripe> = HashMap::new();
-    let mut locations: HashMap<u64, Location> = HashMap::new();
-
-    let mut drive_err: Option<ClusterError> = None;
-    for case in &cases {
-        let owner = (case.id % cfg.workers as u64) as usize;
-        let outcome = if coordinator.is_alive(owner) {
-            coordinator.repair_one(mode, case, owner, &mut report)
-        } else {
-            Err(ClusterError::WorkerDead { worker: owner })
-        };
-        let location = match outcome {
-            Ok(()) => Ok(Location::Worker(owner)),
-            Err(ClusterError::RetriesExhausted { worker, .. }) => {
-                coordinator.declare_dead(worker);
-                coordinator.failover(mode, case, owner, &mut report, &mut orphans)
-            }
-            Err(ClusterError::WorkerDead { .. }) => {
-                coordinator.failover(mode, case, owner, &mut report, &mut orphans)
-            }
-            Err(e) => Err(e),
-        };
-        match location {
-            Ok(location) => {
-                locations.insert(case.id, location);
-                report.repaired += 1;
-            }
-            Err(e) => {
-                drive_err = Some(e);
-                break;
-            }
-        }
-    }
+    let drive = Instant::now();
+    let mut coordinator =
+        Coordinator::new(&service, transports, cfg.retry, cfg.sector_bytes, cfg.seed);
+    let outcome = coordinator.repair(mode, &jobs, &|job| {
+        archive.materialise(job.stripe).map(|(_, damaged)| damaged)
+    });
+    let drive_nanos = drive.elapsed().as_nanos() as u64;
 
     // Always shut the workers down and join them, even on a drive
-    // error, so threads never outlive the call. Chaos may eat a
-    // Shutdown frame — dropping the links afterwards closes every
-    // channel, and `serve` hands the shard back either way.
-    let shutdown = CoordinatorRequest::Shutdown.encode();
-    for w in 0..cfg.workers {
-        if coordinator.is_alive(w) {
-            let _ = coordinator.send_on(w, &shutdown);
-        }
+    // error, so threads never outlive the call; `serve` hands the shard
+    // back however its loop ended.
+    let compare = Instant::now();
+    let (traffic, mut chaos) = coordinator.shutdown();
+    for counters in &chaos_counters {
+        chaos.injected.absorb(&counters.snapshot());
     }
-    for link in &coordinator.links {
-        if let Some(counters) = &link.counters {
-            coordinator.stats.injected.absorb(&counters.snapshot());
-        }
-    }
-    coordinator.links.clear();
     let mut final_shards: Vec<HashMap<u64, Stripe>> = Vec::with_capacity(cfg.workers);
+    let mut worker_busy_nanos = Vec::with_capacity(cfg.workers);
+    let mut worker_wait_nanos = Vec::with_capacity(cfg.workers);
     for handle in handles {
         let (shard, _closed, worker_stats) = handle
             .join()
             .map_err(|_| ClusterError::Protocol("worker thread panicked".into()))?;
-        coordinator.stats.corrupt_frames_caught += worker_stats.corrupt_caught;
-        coordinator.stats.dup_frames_dropped += worker_stats.dups_dropped;
+        chaos.corrupt_frames_caught += worker_stats.corrupt_caught;
+        chaos.dup_frames_dropped += worker_stats.dups_dropped;
+        worker_busy_nanos.push(worker_stats.busy_nanos);
+        worker_wait_nanos.push(worker_stats.wait_nanos);
         final_shards.push(shard);
     }
-    if let Some(e) = drive_err {
-        return Err(e);
-    }
+    let outcome = outcome?;
 
-    for case in &cases {
-        let repaired = match locations.get(&case.id) {
-            Some(Location::Worker(w)) => final_shards.get(*w).and_then(|s| s.get(&case.id)),
-            Some(Location::Coordinator) => orphans.get(&case.id),
-            None => None,
-        };
-        if repaired != Some(&case.expected) {
-            report.identical = false;
-        }
-    }
-    report.traffic = coordinator.traffic;
-    report.chaos = coordinator.stats;
-    Ok(report)
+    let identical =
+        jobs.iter()
+            .zip(&outcome.homes)
+            .zip(&references)
+            .all(|((job, home), expected)| {
+                let repaired = match home {
+                    Home::Worker(w) => final_shards.get(*w).and_then(|s| s.get(&job.stripe)),
+                    Home::Coordinator => outcome.orphans.get(&job.stripe),
+                };
+                repaired == Some(expected)
+            });
+
+    let mut latencies = outcome.drive_nanos;
+    latencies.sort_unstable();
+    // Nearest-rank percentile; 0 when nothing was repaired.
+    let percentile = |pct: usize| {
+        let rank = (latencies.len() * pct).div_ceil(100).max(1);
+        latencies.get(rank - 1).copied().unwrap_or(0)
+    };
+    Ok(SimReport {
+        mode,
+        workers: cfg.workers,
+        archive_stripes: cfg.stripes,
+        sector_bytes: cfg.sector_bytes,
+        damaged: cfg.damaged,
+        repaired: outcome.homes.len(),
+        split_rests: outcome.tally.split_rests,
+        local_rests: outcome.tally.local_rests,
+        plans_shipped: outcome.tally.plans_shipped,
+        identical,
+        verified_clean: outcome.tally.verified_clean,
+        violations: outcome.tally.violations,
+        frame_version: cfg.frame_version,
+        traffic,
+        chaos,
+        wall_nanos: wall.elapsed().as_nanos() as u64,
+        materialise_nanos,
+        reference_nanos,
+        drive_nanos,
+        compare_nanos: compare.elapsed().as_nanos() as u64,
+        stripe_p50_nanos: percentile(50),
+        stripe_p99_nanos: percentile(99),
+        stripe_max_nanos: percentile(100),
+        worker_busy_nanos,
+        worker_wait_nanos,
+    })
 }
 
 /// Draws a pool of decodable failure scenarios: distinct sector sets of
@@ -1044,22 +518,6 @@ where
     Ok(pool)
 }
 
-fn unexpected(response: WorkerResponse) -> Result<(), ClusterError> {
-    Err(ClusterError::Protocol(format!(
-        "unexpected response kind: {response:?}"
-    )))
-}
-
-fn tally_verify(report: &mut SimReport, violated: Option<&[u32]>) {
-    if let Some(rows) = violated {
-        if rows.is_empty() {
-            report.verified_clean += 1;
-        } else {
-            report.violations += rows.len();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
@@ -1067,7 +525,6 @@ mod tests {
     use super::*;
     use crate::chaos::ChaosConfig;
     use ppm_codes::SdCode;
-    use ppm_core::Strategy;
     use ppm_faults::ChaosRates;
 
     fn paper_code() -> SdCode<u8> {
@@ -1087,19 +544,6 @@ mod tests {
             frame_version: FRAME_VERSION,
             chaos: None,
             retry: RetryPolicy::default(),
-        }
-    }
-
-    fn chaos_cfg(workers: usize, seed: u64, rates: ChaosRates) -> SimConfig {
-        SimConfig {
-            damaged: 8,
-            chaos: Some(ChaosConfig {
-                seed,
-                rates,
-                delay_ms: 5,
-            }),
-            retry: RetryPolicy::aggressive(),
-            ..small_cfg(workers)
         }
     }
 
@@ -1144,15 +588,86 @@ mod tests {
         );
     }
 
+    /// Everything `run_sim` counts (times are not counts).
+    fn counters(r: &SimReport) -> (Traffic, [usize; 5]) {
+        (
+            r.traffic,
+            [
+                r.plans_shipped,
+                r.split_rests,
+                r.local_rests,
+                r.verified_clean,
+                r.repaired,
+            ],
+        )
+    }
+
+    /// The links are driven on their own threads, and nothing counted
+    /// may depend on how those threads interleave: two runs of a seed
+    /// agree on the whole counter set at every worker count, and they
+    /// agree with what the serial coordinator this one replaced (commit
+    /// 5444d2c) counted for the same seed — the frozen benchmark's
+    /// `wire_bytes_per_op` and `cluster.frames_per_stripe` are
+    /// exact-repeat counts.
     #[test]
     fn sim_is_deterministic_for_a_seed() {
         let code = paper_code();
-        let cfg = small_cfg(3);
-        let a = run_sim(&code, &cfg, RepairMode::Partial).expect("a");
-        let b = run_sim(&code, &cfg, RepairMode::Partial).expect("b");
-        assert_eq!(a.traffic, b.traffic);
-        assert_eq!(a.plans_shipped, b.plans_shipped);
-        assert_eq!(a.split_rests, b.split_rests);
+        let traffic = |to_workers_bytes, plan_bytes, frames| Traffic {
+            to_workers_bytes,
+            from_workers_bytes: 10_956,
+            plan_bytes,
+            frames,
+        };
+        let recorded = [
+            (1, traffic(13_601, 2_018, 45), 3),
+            (2, traffic(14_980, 3_374, 46), 5),
+            (3, traffic(13_631, 2_018, 47), 3),
+            (5, traffic(17_055, 5_392, 49), 8),
+        ];
+        for (workers, traffic, plans_shipped) in recorded {
+            let cfg = small_cfg(workers);
+            let a = run_sim(&code, &cfg, RepairMode::Partial).expect("a");
+            let b = run_sim(&code, &cfg, RepairMode::Partial).expect("b");
+            assert_eq!(counters(&a), counters(&b), "{workers} workers");
+            assert_eq!(
+                counters(&a),
+                (traffic, [plans_shipped, 10, 2, 12, 12]),
+                "{workers} workers against the serial coordinator"
+            );
+        }
+    }
+
+    /// Failover re-materialises a dead worker's stripe instead of
+    /// keeping a copy of every stripe around: the second materialisation
+    /// must be the first, byte for byte.
+    #[test]
+    fn materialising_a_stripe_twice_gives_identical_bytes() {
+        let code = paper_code();
+        let cfg = small_cfg(2);
+        let service = RepairService::new(&code, DecoderConfig::default());
+        let mut rng = StdRng::seed_from_u64(cfg.seed);
+        let pool = scenario_pool(&service, &cfg, code.layout().sectors(), &mut rng).unwrap();
+        let archive = Archive {
+            code: &code,
+            service: &service,
+            cfg: &cfg,
+            pool,
+        };
+        for id in [0, 7, 999_999] {
+            let (scenario, damaged) = archive.materialise(id).unwrap();
+            assert_eq!(
+                archive.materialise(id).unwrap(),
+                (scenario.clone(), damaged.clone())
+            );
+            // And it is damaged: the scenario's sectors are erased.
+            for &s in scenario.faulty() {
+                assert!(damaged.sector(s).iter().all(|&b| b == 0));
+            }
+        }
+        assert_ne!(
+            archive.materialise(0).unwrap().1,
+            archive.materialise(1).unwrap().1
+        );
     }
 
     #[test]
@@ -1197,219 +712,6 @@ mod tests {
     }
 
     #[test]
-    fn chaos_drops_are_survived_by_retries() {
-        let code = paper_code();
-        let cfg = chaos_cfg(
-            3,
-            41,
-            ChaosRates {
-                drop: 0.15,
-                delay: 0.10,
-                ..ChaosRates::default()
-            },
-        );
-        let report = run_sim(&code, &cfg, RepairMode::Partial).expect("chaotic sim");
-        assert!(report.identical, "chaos must not change the bytes");
-        assert_eq!(report.repaired, report.damaged);
-        assert!(
-            report.chaos.injected.total() > 0,
-            "the configured chaos must actually fire"
-        );
-        assert!(
-            report.chaos.injected.dropped == 0 || report.chaos.timeouts > 0,
-            "dropped frames must surface as timeouts"
-        );
-    }
-
-    #[test]
-    fn chaos_corruption_is_caught_not_decoded() {
-        let code = paper_code();
-        let cfg = chaos_cfg(
-            3,
-            42,
-            ChaosRates {
-                corrupt: 0.20,
-                truncate: 0.05,
-                ..ChaosRates::default()
-            },
-        );
-        let report = run_sim(&code, &cfg, RepairMode::Partial).expect("chaotic sim");
-        assert!(report.identical);
-        assert!(report.chaos.injected.corrupted > 0);
-        assert!(
-            report.chaos.corrupt_frames_caught > 0,
-            "every corruption that reached a peer must be caught, got stats {:?}",
-            report.chaos
-        );
-        assert_eq!(report.violations, 0);
-    }
-
-    #[test]
-    fn all_links_hanging_degrades_to_local_repair() {
-        let code = paper_code();
-        let mut cfg = chaos_cfg(
-            2,
-            43,
-            ChaosRates {
-                hang: 1.0,
-                ..ChaosRates::default()
-            },
-        );
-        cfg.damaged = 4;
-        cfg.retry = RetryPolicy {
-            deadline_ms: 40,
-            max_attempts: 2,
-            backoff_base_ms: 1,
-            backoff_cap_ms: 5,
-            hedge_after_ms: 0,
-        };
-        let report = run_sim(&code, &cfg, RepairMode::Partial).expect("hung sim");
-        assert!(report.identical, "degraded repairs must still converge");
-        assert_eq!(report.repaired, report.damaged);
-        assert_eq!(report.chaos.workers_declared_dead as usize, cfg.workers);
-        assert_eq!(report.chaos.degraded_local as usize, cfg.damaged);
-        assert_eq!(report.chaos.redispatches, 0);
-    }
-
-    /// Trust boundary: `rest_pending` arrives over the wire. A worker
-    /// that sets it on a matrix-first plan (whose `H_rest` reads sectors
-    /// directly and cannot be finished from partial sums) is a protocol
-    /// violation the coordinator reports — it must not panic.
-    #[test]
-    fn forged_rest_pending_on_a_matrix_first_plan_is_a_protocol_error() {
-        let code = paper_code();
-        let cfg = small_cfg(1);
-        let scenario = FailureScenario::new(vec![2, 6, 10, 13, 14]);
-        for strategy in [
-            Strategy::TraditionalMatrixFirst,
-            Strategy::PpmMatrixFirstRest,
-        ] {
-            let service =
-                RepairService::new(&code, DecoderConfig::default()).with_strategy(strategy);
-            let (coordinator_end, worker_end) = channel_pair();
-            // The rogue worker's answer is already on the wire when the
-            // request goes out.
-            let forged = WorkerResponse::Partials {
-                stripe: 7,
-                rest_blocks: Vec::new(),
-                rest_pending: true,
-                violated_rows: None,
-            };
-            worker_end.send(seal_v2(0, &forged.encode())).unwrap();
-            let mut coordinator = lone_coordinator(&service, coordinator_end, &cfg);
-            let stripe = Stripe::zeroed(code.layout(), cfg.sector_bytes);
-            let case = Case {
-                id: 7,
-                scenario: scenario.clone(),
-                expected: stripe.clone(),
-                damaged: stripe,
-            };
-            let mut report = SimReport::blank(&cfg, RepairMode::Partial);
-            let err = coordinator
-                .repair_partial(&case, 0, &mut report)
-                .unwrap_err();
-            assert!(
-                matches!(&err, ClusterError::Protocol(m) if m.contains("non-splittable")),
-                "{strategy:?}: {err}"
-            );
-            assert_eq!(report.split_rests, 0);
-        }
-    }
-
-    /// A coordinator over one clean link, for driving its primitives
-    /// directly.
-    fn lone_coordinator<'a>(
-        service: &'a RepairService<u8, &'a SdCode<u8>>,
-        coordinator_end: crate::transport::ChannelTransport,
-        cfg: &SimConfig,
-    ) -> Coordinator<'a, u8, SdCode<u8>> {
-        Coordinator {
-            service,
-            links: vec![Link {
-                transport: Box::new(coordinator_end),
-                counters: None,
-                next_seq: 0,
-                last_seen: None,
-                alive: true,
-            }],
-            shipped: HashSet::new(),
-            compiled: HashMap::new(),
-            policy: cfg.retry,
-            jitter: StdRng::seed_from_u64(1),
-            traffic: Traffic::default(),
-            stats: ChaosStats::default(),
-            sector_bytes: cfg.sector_bytes,
-            total_sectors: service.code().layout().sectors(),
-        }
-    }
-
-    /// With v1 gone, a frame without the magic — a bare payload, or a
-    /// sealed frame whose magic byte took a bit-flip — is line noise on
-    /// both ends: counted as caught corruption, never handed to the
-    /// protocol decoder, never answered.
-    #[test]
-    fn bare_frames_are_caught_on_both_ends_and_never_decoded() {
-        let code = paper_code();
-        let bare_shutdown = CoordinatorRequest::Shutdown.encode();
-        let mut demoted = seal_v2(0, &bare_shutdown);
-        demoted[0] ^= 0x10;
-
-        // Worker side. Had either frame reached `CoordinatorRequest::
-        // decode`, the loop would have shut down before the sealed fetch
-        // was answered (and garbage would have counted `undecodable`).
-        let (coordinator_end, worker_end) = channel_pair();
-        let worker: Worker<u8> = Worker::new(0, HashMap::new(), DecoderConfig::default());
-        coordinator_end.send(bare_shutdown).unwrap();
-        coordinator_end.send(demoted).unwrap();
-        coordinator_end.send(vec![0xFF; 32]).unwrap();
-        let fetch = CoordinatorRequest::FetchSectors {
-            stripe: 9,
-            sectors: vec![0],
-        };
-        coordinator_end.send(seal_v2(0, &fetch.encode())).unwrap();
-        coordinator_end
-            .send(seal_v2(1, &CoordinatorRequest::Shutdown.encode()))
-            .unwrap();
-        let (_, err, stats) = worker.serve(&worker_end);
-        assert!(err.is_none());
-        assert_eq!(
-            stats,
-            crate::WorkerFrameStats {
-                corrupt_caught: 3,
-                dups_dropped: 0,
-                undecodable: 0,
-            }
-        );
-        // Exactly one reply — to the sealed fetch — and it is sealed.
-        let reply = unseal(coordinator_end.recv().unwrap()).expect("sealed reply");
-        assert!(matches!(
-            WorkerResponse::decode(&reply.payload).unwrap(),
-            WorkerResponse::Error { .. }
-        ));
-        assert!(coordinator_end
-            .recv_timeout(Duration::from_millis(1))
-            .is_ok_and(|f| f.is_none()));
-
-        // Coordinator side: a bare response ahead of the sealed one is
-        // skipped and counted; the sealed one is what comes back.
-        let service = RepairService::new(&code, DecoderConfig::default());
-        let (coordinator_end, worker_end) = channel_pair();
-        let installed = WorkerResponse::Installed {
-            stripe: 7,
-            violated_rows: None,
-        };
-        worker_end.send(installed.encode()).unwrap();
-        worker_end.send(seal_v2(0, &installed.encode())).unwrap();
-        let mut coordinator = lone_coordinator(&service, coordinator_end, &small_cfg(1));
-        let got = coordinator
-            .recv_until(0, Instant::now() + Duration::from_secs(10))
-            .unwrap();
-        assert_eq!(got, Some(installed));
-        assert_eq!(coordinator.stats.corrupt_frames_caught, 1);
-        assert_eq!(coordinator.stats.dup_frames_dropped, 0);
-    }
-
-    #[test]
     fn report_json_carries_the_grep_targets() {
         let code = paper_code();
         let report = run_sim(&code, &small_cfg(2), RepairMode::Partial).expect("sim");
@@ -1423,8 +725,26 @@ mod tests {
             "\"frame_version\":2",
             "\"chaos\":{\"retries\":0",
             "\"injected\":{\"dropped\":0",
+            "\"wall_nanos\":",
+            "\"materialise_nanos\":",
+            "\"reference_nanos\":",
+            "\"drive_nanos\":",
+            "\"compare_nanos\":",
+            "\"stripe_p50_nanos\":",
+            "\"stripe_p99_nanos\":",
+            "\"stripe_max_nanos\":",
+            "\"worker_busy_nanos\":[",
+            "\"worker_wait_nanos\":[",
         ] {
             assert!(json.contains(needle), "missing {needle} in {json}");
         }
+        // The phases are inside the wall, and the latency summary is
+        // ordered.
+        assert!(report.drive_nanos + report.compare_nanos <= report.wall_nanos);
+        assert!(report.stripe_p50_nanos > 0);
+        assert!(report.stripe_p50_nanos <= report.stripe_p99_nanos);
+        assert!(report.stripe_p99_nanos <= report.stripe_max_nanos);
+        assert_eq!(report.worker_busy_nanos.len(), 2);
+        assert!(report.worker_busy_nanos.iter().all(|&n| n > 0));
     }
 }

@@ -4,7 +4,7 @@
 //! [`WirePlan`](ppm_core::WirePlan).
 
 use crate::error::ClusterError;
-use crate::frame::{seal_v2, unseal};
+use crate::frame::{advances, seal_v2, unseal};
 use crate::message::{CoordinatorRequest, WorkerResponse};
 use crate::transport::Transport;
 use ppm_codes::StripeLayout;
@@ -12,6 +12,7 @@ use ppm_core::{DecoderConfig, ExecutableWirePlan, Executor, WirePlan};
 use ppm_gf::{Backend, GfWord};
 use ppm_stripe::Stripe;
 use std::collections::HashMap;
+use std::time::Instant;
 
 /// What a worker's frame layer saw and survived: the detection-side
 /// counters chaos tests assert on (the coordinator keeps its own; the
@@ -27,6 +28,12 @@ pub struct WorkerFrameStats {
     /// CRC-clean frames whose payload still failed to decode; answered
     /// with a [`WorkerResponse::Error`] instead of killing the loop.
     pub undecodable: u64,
+    /// Time spent serving: from a frame's arrival to its response
+    /// being handed to the transport (unseal, decode, the repair work,
+    /// encode, seal, send).
+    pub busy_nanos: u64,
+    /// Time spent blocked waiting for the coordinator's next frame.
+    pub wait_nanos: u64,
 }
 
 /// One worker: a shard of stripes keyed by archive-wide id, an
@@ -105,17 +112,31 @@ impl<W: GfWord> Worker<W> {
     /// worker sees its channel close) must still be able to account
     /// the shard's repaired stripes and the worker's catches.
     pub fn serve<T: Transport>(
+        self,
+        transport: &T,
+    ) -> (HashMap<u64, Stripe>, Option<ClusterError>, WorkerFrameStats) {
+        self.serve_from(transport, 0)
+    }
+
+    /// [`Worker::serve`] with the outbound sequence stream starting at
+    /// `next_send_seq` instead of 0 — how the tests put a link right
+    /// before the counter's wrap.
+    pub(crate) fn serve_from<T: Transport>(
         mut self,
         transport: &T,
+        mut next_send_seq: u32,
     ) -> (HashMap<u64, Stripe>, Option<ClusterError>, WorkerFrameStats) {
         let mut stats = WorkerFrameStats::default();
         // Sequence state for the v2 envelope: outbound responses get
         // this worker's own monotonic stream; inbound requests must
         // advance the last-seen number or be dropped as duplicates.
-        let mut next_send_seq: u32 = 0;
         let mut last_seen: Option<u32> = None;
         loop {
-            let frame = match transport.recv() {
+            let waiting = Instant::now();
+            let received = transport.recv();
+            let serving = Instant::now();
+            stats.wait_nanos += (serving - waiting).as_nanos() as u64;
+            let frame = match received {
                 Ok(f) => f,
                 Err(e) => return (self.stripes, Some(ClusterError::Io(e)), stats),
             };
@@ -125,7 +146,7 @@ impl<W: GfWord> Worker<W> {
                 stats.corrupt_caught += 1;
                 continue;
             };
-            if last_seen.is_some_and(|prev| opened.seq <= prev) {
+            if !advances(last_seen, opened.seq) {
                 stats.dups_dropped += 1;
                 continue;
             }
@@ -144,7 +165,9 @@ impl<W: GfWord> Worker<W> {
             };
             let sealed = seal_v2(next_send_seq, &response.encode());
             next_send_seq = next_send_seq.wrapping_add(1);
-            if let Err(e) = transport.send(sealed) {
+            let sent = transport.send(sealed);
+            stats.busy_nanos += serving.elapsed().as_nanos() as u64;
+            if let Err(e) = sent {
                 return (self.stripes, Some(ClusterError::Io(e)), stats);
             }
         }

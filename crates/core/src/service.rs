@@ -263,11 +263,6 @@ impl<W: GfWord, C: ErasureCode<W>> RepairService<W, C> {
         stripe: &mut Stripe,
         scenario: &FailureScenario,
     ) -> Result<ExecStats, DecodeError> {
-        // Escalated retries must re-read the *original* surviving data:
-        // a failed hypothesis overwrites sectors a later hypothesis
-        // treats as inputs, so each attempt decodes a fresh copy of the
-        // stripe as handed in.
-        let baseline = stripe.clone();
         let (plan, _) = self.plan_for(scenario)?;
         let mut stats = self.executor.decode(&plan, stripe)?;
         let report = self.executor.verify(&plan, stripe)?;
@@ -286,6 +281,16 @@ impl<W: GfWord, C: ErasureCode<W>> RepairService<W, C> {
             self.attach_counters(&mut stats);
             return Ok(stats);
         }
+
+        // Escalated retries must re-read the *original* surviving data:
+        // a failed hypothesis overwrites sectors a later hypothesis
+        // treats as inputs, so each attempt decodes a fresh copy. The
+        // copy is taken only here, off the clean path: the first decode
+        // wrote nothing but `plan.faulty()`, every escalation plan
+        // erases a superset of those sectors, and a decode never reads
+        // what it erases — so the decoded stripe is as good a baseline
+        // as the stripe handed in.
+        let baseline = stripe.clone();
 
         // Suspect list: consumed inputs first, then the rest of the
         // surviving sectors.
@@ -921,6 +926,72 @@ mod tests {
                 assert_eq!(budget, svc.fault_tolerance());
             }
             other => panic!("expected EscalationExhausted, got {other:?}"),
+        }
+    }
+
+    /// The error contract the escalation baseline now rests on: a first
+    /// pass with violations followed by an exhausted escalation leaves
+    /// every surviving sector as handed in and the faulty ones holding
+    /// the first decode.
+    #[test]
+    fn exhausted_escalation_leaves_survivors_untouched_and_the_first_decode_in_place() {
+        let svc = service(2);
+        let mut rng = StdRng::seed_from_u64(14);
+        let mut stripe = random_data_stripe(svc.code(), 64, &mut rng);
+        svc.encode(&mut stripe).unwrap();
+        let scenario = FailureScenario::new(vec![2, 6]);
+        stripe.erase(&scenario);
+        stripe.sector_mut(8)[0] ^= 0x01;
+        stripe.sector_mut(12)[1] ^= 0x80;
+        let input = stripe.clone();
+        let mut first_decode = input.clone();
+        svc.repair(&mut first_decode, &scenario).unwrap();
+
+        let err = svc.repair_verified(&mut stripe, &scenario).unwrap_err();
+        assert!(matches!(err, DecodeError::EscalationExhausted { .. }));
+        for s in 0..stripe.layout().sectors() {
+            if scenario.faulty().contains(&s) {
+                assert_eq!(stripe.sector(s), first_decode.sector(s), "faulty {s}");
+            } else {
+                assert_eq!(stripe.sector(s), input.sector(s), "survivor {s}");
+            }
+        }
+    }
+
+    /// Tape run heads overwrite their destination, so no decode may
+    /// depend on what an erased sector held: an escalation that locates
+    /// a corrupt survivor lands on the same bytes whether the declared
+    /// faulty sectors went in zeroed, full of garbage, or holding the
+    /// failed first decode — which is what lets the escalation baseline
+    /// be the decoded stripe.
+    #[test]
+    fn escalation_does_not_depend_on_what_the_faulty_sectors_held() {
+        let svc = service(2);
+        let mut rng = StdRng::seed_from_u64(12);
+        let mut stripe = random_data_stripe(svc.code(), 64, &mut rng);
+        svc.encode(&mut stripe).unwrap();
+        let pristine = stripe.clone();
+        let scenario = FailureScenario::new(vec![2, 6]);
+
+        let mut zeroed = pristine.clone();
+        zeroed.erase(&scenario);
+        zeroed.sector_mut(0)[7] ^= 0x21;
+        let mut garbage = zeroed.clone();
+        for &s in scenario.faulty() {
+            garbage.sector_mut(s).fill(0xA5);
+        }
+        let mut failed_decode = zeroed.clone();
+        svc.repair(&mut failed_decode, &scenario).unwrap();
+        assert_ne!(failed_decode, pristine, "the corrupt input poisons it");
+
+        for (label, mut broken) in [
+            ("zeros", zeroed),
+            ("garbage", garbage),
+            ("failed first decode", failed_decode),
+        ] {
+            let stats = svc.repair_verified(&mut broken, &scenario).unwrap();
+            assert_eq!(broken, pristine, "{label}");
+            assert_eq!(stats.verify.expect("attached").located, vec![0], "{label}");
         }
     }
 

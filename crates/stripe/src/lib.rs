@@ -21,4 +21,4 @@ mod buffer;
 mod workload;
 
 pub use buffer::{Stripe, StripeSizeError, SECTOR_ALIGN};
-pub use workload::{random_data_stripe, random_stripe};
+pub use workload::{fill_random_data, random_data_stripe, random_stripe};

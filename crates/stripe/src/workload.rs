@@ -28,12 +28,23 @@ where
     C: ErasureCode<W>,
     R: Rng + ?Sized,
 {
-    let layout = code.layout();
-    let mut s = Stripe::zeroed(layout, sector_bytes);
-    for l in code.data_sectors() {
-        rng.fill(s.sector_mut(l));
-    }
+    let mut s = Stripe::zeroed(code.layout(), sector_bytes);
+    fill_random_data(code, &mut s, rng);
     s
+}
+
+/// Overwrites the data sectors of `stripe` from `rng`, leaving its
+/// parity sectors alone — [`random_data_stripe`] into a buffer the
+/// caller already holds.
+pub fn fill_random_data<W, C, R>(code: &C, stripe: &mut Stripe, rng: &mut R)
+where
+    W: GfWord,
+    C: ErasureCode<W>,
+    R: Rng + ?Sized,
+{
+    for l in code.data_sectors() {
+        rng.fill(stripe.sector_mut(l));
+    }
 }
 
 #[cfg(test)]

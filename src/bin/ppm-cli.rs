@@ -63,8 +63,10 @@
 //! divergence is a hard error (nonzero exit). The summary line is
 //! greppable (`cluster-sim ... identical=true ... ratio=...`), and
 //! `--mode both` (the default) also runs the naive ship-everything
-//! baseline so the line carries the measured bandwidth ratio. `--stats`
-//! prints the full JSON report(s).
+//! baseline so the line carries the measured bandwidth ratio, and each
+//! run's wall time, drive time and per-stripe drive latency
+//! (`<mode>_stripe_us=p50/p99/max`). `--stats` prints the full JSON
+//! report(s), phase totals and per-worker busy/wait included.
 //!
 //! `cluster sim --chaos SEED` injects seeded faults into every
 //! coordinator↔worker link (`ppm_cluster::ChaosTransport`): `--drop`,
@@ -1089,6 +1091,19 @@ fn cluster_sim(args: &[String]) -> Result<(), String> {
         line.push_str(&format!(
             " ratio={:.3}",
             p.traffic.total_bytes() as f64 / n.traffic.total_bytes() as f64
+        ));
+    }
+    // Where each run's time went: whole call, the coordinator's drive,
+    // and per-stripe drive latency p50/p99/max (`--stats` has the rest).
+    for r in [&partial, &naive].into_iter().flatten() {
+        let mode = r.mode.name();
+        line.push_str(&format!(
+            " {mode}_wall_ms={:.1} {mode}_drive_ms={:.1} {mode}_stripe_us={}/{}/{}",
+            r.wall_nanos as f64 / 1e6,
+            r.drive_nanos as f64 / 1e6,
+            r.stripe_p50_nanos / 1_000,
+            r.stripe_p99_nanos / 1_000,
+            r.stripe_max_nanos / 1_000,
         ));
     }
     if let Some(chaos) = &cfg.chaos {
