@@ -8,109 +8,90 @@
 //! asymmetric (SD's global sector rows), while the partition gives
 //! parallelism everywhere whole rows fail independently.
 //!
-//! `cargo run --release -p ppm-bench --bin code_families [--stripe-mib N]`
+//! `figures code_families [--stripe-mib N]`
 
-use ppm_bench::{improvement, modeled_decode_time, ExpArgs, Table};
+use super::host_header;
+use crate::table::signed_pct;
+use crate::{improvement, modeled_decode_time, prepare, time_plan, ExpArgs, Table, SPAWN_OVERHEAD};
 use ppm_codes::{
     ErasureCode, EvenOddCode, FailureScenario, LrcCode, RdpCode, RsCode, SdCode, StarCode,
 };
-use ppm_core::{encode, Decoder, DecoderConfig, Strategy};
-use ppm_gf::{Backend, GfWord};
-use ppm_stripe::random_data_stripe;
+use ppm_core::Strategy;
+use ppm_gf::GfWord;
 use rand::{rngs::StdRng, SeedableRng};
-use std::time::Instant;
+use std::io::{self, Write};
 
-const SPAWN_OVERHEAD: f64 = 15e-6;
-
-fn run<W: GfWord, C: ErasureCode<W>>(
+fn row<W: GfWord, C: ErasureCode<W>>(
     code: &C,
     scenario: FailureScenario,
     args: &ExpArgs,
-    t: &Table,
-) {
-    let layout = code.layout();
-    let sector = (args.stripe_bytes / layout.sectors() / 8 * 8).max(8);
+    t: &mut Table,
+) -> io::Result<()> {
     let mut rng = StdRng::seed_from_u64(args.seed);
-    let mut pristine = random_data_stripe(code, sector, &mut rng);
-    let decoder = Decoder::new(DecoderConfig {
-        threads: 1,
-        backend: Backend::Auto,
-    });
-    encode(code, &decoder, &mut pristine).expect("encode");
-    let h = code.parity_check_matrix();
-
-    let time = |strategy: Strategy| {
-        let plan = decoder.plan(&h, &scenario, strategy).expect("plan");
-        let mut scratch = pristine.clone();
-        let mut best = f64::INFINITY;
-        for _ in 0..args.reps {
-            scratch.erase(&scenario);
-            let t0 = Instant::now();
-            decoder.decode(&plan, &mut scratch).expect("decode");
-            best = best.min(t0.elapsed().as_secs_f64());
-        }
-        assert!(scratch == pristine, "{}: not bit-exact", code.name());
-        (best, plan)
-    };
-
-    let (base, _) = time(Strategy::TraditionalNormal);
-    let (opt, plan) = time(Strategy::PpmAuto);
+    let prep = prepare(code, scenario, args.stripe_bytes, &mut rng).expect("decodable outage");
+    let (base, _) = time_plan(&prep, Strategy::TraditionalNormal, 1, args.reps);
+    let (opt, plan) = time_plan(&prep, Strategy::PpmAuto, 1, args.reps);
     let modeled = modeled_decode_time(&plan, opt, args.threads, 4, SPAWN_OVERHEAD);
     t.row(&[
-        code.name(),
+        prep.name,
         if code.is_symmetric() { "sym" } else { "asym" }.into(),
-        scenario.failed_disks(layout).len().to_string(),
+        prep.scenario.failed_disks(code.layout()).len().to_string(),
         plan.parallelism().to_string(),
         plan.sectors_read().to_string(),
-        format!("{:+.1}%", 100.0 * improvement(base, opt)),
-        format!("{:+.1}%", 100.0 * improvement(base, modeled)),
-    ]);
+        signed_pct(improvement(base, opt)),
+        signed_pct(improvement(base, modeled)),
+    ])
 }
 
-fn main() {
-    let args = ExpArgs::parse();
-    println!(
+pub(super) fn run(args: &ExpArgs, out: &mut dyn Write) -> io::Result<()> {
+    host_header(args, out)?;
+    writeln!(
+        out,
         "# PPM vs traditional across code families (stripe {:.0} MiB, worst-case outages)\n",
         args.stripe_mib()
-    );
-    let t = Table::new(&[
-        "code",
-        "parity",
-        "disks",
-        "p",
-        "reads",
-        "impr T=1",
-        "impr T=4*",
-    ]);
+    )?;
+    let mut t = Table::new(
+        out,
+        &[
+            "code",
+            "parity",
+            "disks",
+            "p",
+            "reads",
+            "impr T=1",
+            "impr T=4*",
+        ],
+    )?;
     let mut rng = StdRng::seed_from_u64(args.seed);
 
     let sd = SdCode::<u8>::search(8, 16, 2, 2, args.seed, 3).unwrap();
     let sc = sd.decodable_worst_case(1, &mut rng, 300).unwrap();
-    run(&sd, sc, &args, &t);
+    row(&sd, sc, args, &mut t)?;
 
     let lrc = LrcCode::<u8>::new(12, 2, 2, 16).unwrap();
     let sc = lrc.spread_disk_failures(&mut rng);
-    run(&lrc, sc, &args, &t);
+    row(&lrc, sc, args, &mut t)?;
 
     let rs = RsCode::<u8>::new(12, 4, 16).unwrap();
     let sc = rs.random_disk_failures(4, &mut rng);
-    run(&rs, sc, &args, &t);
+    row(&rs, sc, args, &mut t)?;
 
     let eo = EvenOddCode::<u8>::new(13).unwrap();
     let sc = FailureScenario::whole_disks(eo.layout(), &[2, 9]);
-    run(&eo, sc, &args, &t);
+    row(&eo, sc, args, &mut t)?;
 
     let rdp = RdpCode::<u8>::new(13).unwrap();
     let sc = FailureScenario::whole_disks(rdp.layout(), &[0, 7]);
-    run(&rdp, sc, &args, &t);
+    row(&rdp, sc, args, &mut t)?;
 
     let star = StarCode::<u8>::new(13).unwrap();
     let sc = FailureScenario::whole_disks(star.layout(), &[1, 6, 12]);
-    run(&star, sc, &args, &t);
+    row(&star, sc, args, &mut t)?;
 
-    println!(
+    writeln!(
+        out,
         "\npaper: PPM is the first general optimization for asymmetric parity\n\
          codes; symmetric codes still gain partition parallelism where whole\n\
          rows fail independently, but less from sequence optimization."
-    );
+    )
 }

@@ -2,21 +2,23 @@
 //!
 //! The paper runs the same experiment on an E5-2603 (4 cores), an
 //! i7-3930K (6 cores) and an E5-2650 (8 cores) and finds that PPM's
-//! improvement is essentially CPU-independent. This host exposes a single
-//! core, so the three machines are *simulated*: the measured single-core
-//! serial run calibrates the §III-C execution model, which is then
-//! evaluated at core counts {4, 6, 8} with T = 4 (the paper's setting) —
-//! see DESIGN.md §3.
+//! improvement is essentially CPU-independent. One host cannot be three
+//! machines, so they are *simulated*: the measured one-thread run
+//! calibrates the §III-C execution model, which is then evaluated at
+//! core counts {4, 6, 8} with T = 4 (the paper's setting) — see
+//! DESIGN.md §3.
 //!
-//! `cargo run --release -p ppm-bench --bin fig10 [--stripe-mib 32] [--full]`
+//! `figures fig10 [--stripe-mib 32] [--full]`
 
-use ppm_bench::{improvement, modeled_decode_time, ExpArgs, Table};
+use super::host_header;
+use crate::table::signed_pct;
+use crate::{
+    improvement, modeled_decode_time, prepare_sd, time_plan, ExpArgs, Table, SPAWN_OVERHEAD,
+};
 use ppm_core::Strategy;
+use std::io::{self, Write};
 
-const SPAWN_OVERHEAD: f64 = 15e-6;
-
-fn main() {
-    let args = ExpArgs::parse();
+pub(super) fn run(args: &ExpArgs, out: &mut dyn Write) -> io::Result<()> {
     let (r, z, threads) = (16usize, 1usize, 4usize);
     let cpus: [(&str, usize); 3] = [
         ("E5-2603 (4c)", 4),
@@ -30,11 +32,16 @@ fn main() {
     };
     let ss: Vec<usize> = if args.full { vec![1, 2, 3] } else { vec![1, 3] };
 
-    println!(
+    host_header(args, out)?;
+    writeln!(
+        out,
         "# Figure 10: improvement per simulated CPU (stripe {:.0} MiB, r={r}, T={threads}, z={z})\n",
         args.stripe_mib()
-    );
-    let t = Table::new(&["config", "T=1 meas", cpus[0].0, cpus[1].0, cpus[2].0]);
+    )?;
+    let mut t = Table::new(
+        out,
+        &["config", "T=1 meas", cpus[0].0, cpus[1].0, cpus[2].0],
+    )?;
 
     let mut spreads = Vec::new();
     for &s in &ss {
@@ -43,16 +50,14 @@ fn main() {
                 if n <= m || s > n - m {
                     continue;
                 }
-                let Some(prep) = ppm_bench::prepare_sd(n, r, m, s, z, args.stripe_bytes, args.seed)
-                else {
+                let Some(prep) = prepare_sd(n, r, m, s, z, args.stripe_bytes, args.seed) else {
                     continue;
                 };
-                let (base, _) =
-                    ppm_bench::time_plan(&prep, Strategy::TraditionalNormal, 1, args.reps);
-                let (serial, plan) = ppm_bench::time_plan(&prep, Strategy::PpmAuto, 1, args.reps);
+                let (base, _) = time_plan(&prep, Strategy::TraditionalNormal, 1, args.reps);
+                let (serial, plan) = time_plan(&prep, Strategy::PpmAuto, 1, args.reps);
                 let mut cells = vec![
                     format!("n={n} m={m} s={s}"),
-                    format!("{:+.1}%", 100.0 * improvement(base, serial)),
+                    signed_pct(improvement(base, serial)),
                 ];
                 let mut per_cpu = Vec::new();
                 for &(_, cores) in &cpus {
@@ -60,21 +65,22 @@ fn main() {
                         modeled_decode_time(&plan, serial, threads, cores, SPAWN_OVERHEAD);
                     let imp = improvement(base, modeled);
                     per_cpu.push(imp);
-                    cells.push(format!("{:+.1}%", 100.0 * imp));
+                    cells.push(signed_pct(imp));
                 }
                 let spread = per_cpu.iter().cloned().fold(f64::NEG_INFINITY, f64::max)
                     - per_cpu.iter().cloned().fold(f64::INFINITY, f64::min);
                 spreads.push(spread);
-                t.row(&cells);
+                t.row(&cells)?;
             }
         }
     }
     let max_spread = spreads.iter().cloned().fold(0.0f64, f64::max);
-    println!(
+    writeln!(
+        out,
         "\nmax spread across simulated CPUs: {:.1} points\n\
          paper: \"PPM achieves similar improvement on all the three CPUs\"\n\
          (with T = 4 <= all core counts, the model predicts identical scaling,\n\
          matching the paper's CPU-insensitivity claim by construction)",
         100.0 * max_spread
-    );
+    )
 }

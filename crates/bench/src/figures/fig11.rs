@@ -9,25 +9,36 @@
 //! Storage-cost points use l = 2, g = 2 with k ∈ {40, 14, 8, 6}
 //! (costs 1.10, 1.29, 1.50, 1.67).
 //!
-//! `cargo run --release -p ppm-bench --bin fig11 [--stripe-mib 32] [--full]`
+//! `figures fig11 [--stripe-mib 32] [--full]`
 
-use ppm_bench::{improvement, modeled_decode_time, ExpArgs, Table};
+use super::host_header;
+use crate::table::{secs, signed_pct};
+use crate::{
+    improvement, modeled_decode_time, prepare_lrc, time_plan, ExpArgs, Table, SPAWN_OVERHEAD,
+};
 use ppm_core::Strategy;
+use std::io::{self, Write};
 
-const SPAWN_OVERHEAD: f64 = 15e-6;
-
-fn run_panel(label: &str, stripe_bytes_for: impl Fn(usize) -> usize, args: &ExpArgs) -> Vec<f64> {
+fn run_panel(
+    label: &str,
+    stripe_bytes_for: impl Fn(usize) -> usize,
+    args: &ExpArgs,
+    out: &mut dyn Write,
+) -> io::Result<Vec<f64>> {
     // (k, l, g) tuples hitting the paper's storage-cost axis.
     let configs: [(usize, usize, usize); 4] = [(40, 2, 2), (14, 2, 2), (8, 2, 2), (6, 2, 2)];
     let r = 16usize;
     let sim_cores = 4usize;
 
-    println!("\n# {label}");
-    let t = Table::new(&["cost", "(k,l,g)", "C1 time", "impr T=1", "impr T=4*", "p"]);
+    writeln!(out, "\n# {label}")?;
+    let mut t = Table::new(
+        out,
+        &["cost", "(k,l,g)", "C1 time", "impr T=1", "impr T=4*", "p"],
+    )?;
     let mut imps = Vec::new();
     for &(k, l, g) in &configs {
         let n = k + l + g;
-        let Some(prep) = ppm_bench::prepare_lrc(k, l, g, r, stripe_bytes_for(n), args.seed) else {
+        let Some(prep) = prepare_lrc(k, l, g, r, stripe_bytes_for(n), args.seed) else {
             t.row(&[
                 format!("{:.2}", n as f64 / k as f64),
                 format!("({k},{l},{g})"),
@@ -35,28 +46,28 @@ fn run_panel(label: &str, stripe_bytes_for: impl Fn(usize) -> usize, args: &ExpA
                 "-".into(),
                 "-".into(),
                 "-".into(),
-            ]);
+            ])?;
             continue;
         };
-        let (base, _) = ppm_bench::time_plan(&prep, Strategy::TraditionalNormal, 1, args.reps);
-        let (opt, plan) = ppm_bench::time_plan(&prep, Strategy::PpmAuto, 1, args.reps);
+        let (base, _) = time_plan(&prep, Strategy::TraditionalNormal, 1, args.reps);
+        let (opt, plan) = time_plan(&prep, Strategy::PpmAuto, 1, args.reps);
         let modeled = modeled_decode_time(&plan, opt, args.threads, sim_cores, SPAWN_OVERHEAD);
         let imp4 = improvement(base, modeled);
         imps.push(imp4);
         t.row(&[
             format!("{:.2}", n as f64 / k as f64),
             format!("({k},{l},{g})"),
-            format!("{:.2}ms", base * 1e3),
-            format!("{:+.1}%", 100.0 * improvement(base, opt)),
-            format!("{:+.1}%", 100.0 * imp4),
+            secs(base),
+            signed_pct(improvement(base, opt)),
+            signed_pct(imp4),
             plan.parallelism().to_string(),
-        ]);
+        ])?;
     }
-    imps
+    Ok(imps)
 }
 
-fn main() {
-    let args = ExpArgs::parse();
+pub(super) fn run(args: &ExpArgs, out: &mut dyn Write) -> io::Result<()> {
+    host_header(args, out)?;
 
     // Panel 1: fixed stripe size (paper: 32 MB; default here 4 MiB unless
     // --stripe-mib is given).
@@ -64,8 +75,9 @@ fn main() {
     let mut all = run_panel(
         &format!("fixed stripe size = {:.0} MiB", args.stripe_mib()),
         |_n| stripe,
-        &args,
-    );
+        args,
+        out,
+    )?;
 
     // Panel 2: fixed strip size. The paper uses 64 MB per strip, i.e. a
     // 2.75 GB stripe at k=40 — beyond this container's memory budget; we
@@ -79,17 +91,19 @@ fn main() {
             strip as f64 / (1 << 20) as f64
         ),
         |n| strip * n,
-        &args,
-    ));
+        args,
+        out,
+    )?);
 
     let min = all.iter().cloned().fold(f64::INFINITY, f64::min);
     let max = all.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-    println!(
+    writeln!(
+        out,
         "\nLRC improvement range (T=4*): {:+.2}% .. {:+.2}%\n\
          paper: +16.28% .. +36.71% — smaller than SD because LRC's parallel\n\
          (local-repair) portion is a smaller share of the decode.\n\
          (* = simulated 4 cores; see DESIGN.md §3)",
         100.0 * min,
         100.0 * max
-    );
+    )
 }

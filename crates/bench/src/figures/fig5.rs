@@ -5,13 +5,14 @@
 //! (more coupled rows → the traditional method wastes more), and grows
 //! with `n`.
 //!
-//! `cargo run --release -p ppm-bench --bin fig5 [--full]`
+//! `figures fig5 [--full]`
 
-use ppm_bench::{ExpArgs, Table};
+use crate::table::pct;
+use crate::{prepare_sd, ExpArgs, Table};
 use ppm_core::cost::analyze;
+use std::io::{self, Write};
 
-fn main() {
-    let args = ExpArgs::parse();
+pub(super) fn run(args: &ExpArgs, out: &mut dyn Write) -> io::Result<()> {
     let (r, s) = (16usize, 3usize);
     let ns: Vec<usize> = if args.full {
         (6..=24).collect()
@@ -20,22 +21,25 @@ fn main() {
     };
 
     for m in 1..=3usize {
-        println!("\n# panel m={m} (s={s}, r={r})");
-        let t = Table::new(&["n", "C4/C1 z=1", "C4/C1 z=2", "C4/C1 z=3"]);
+        writeln!(out, "\n# panel m={m} (s={s}, r={r})")?;
+        let mut t = Table::new(out, &["n", "C4/C1 z=1", "C4/C1 z=2", "C4/C1 z=3"])?;
         for &n in &ns {
             if n <= m || s > n - m {
                 continue;
             }
             let mut cells = vec![n.to_string()];
             for z in 1..=3usize {
-                let cell = ppm_bench::prepare_sd(n, r, m, s, z, 8 * n * r, args.seed + z as u64)
+                let cell = prepare_sd(n, r, m, s, z, 8 * n * r, args.seed + z as u64)
                     .and_then(|prep| analyze(&prep.h, &prep.scenario).ok())
-                    .map(|rep| format!("{:.2}%", 100.0 * rep.c4 as f64 / rep.c1 as f64))
+                    .map(|rep| pct(rep.c4 as f64 / rep.c1 as f64))
                     .unwrap_or_else(|| "-".into());
                 cells.push(cell);
             }
-            t.row(&cells);
+            t.row(&cells)?;
         }
     }
-    println!("\npaper: C4/C1 decreases as z increases; all curves grow with n.");
+    writeln!(
+        out,
+        "\npaper: C4/C1 decreases as z increases; all curves grow with n."
+    )
 }

@@ -4,13 +4,14 @@
 //! The paper observes `C₄/C₁` decreases as `r` increases (more clean rows
 //! → more independent sub-matrices → bigger savings).
 //!
-//! `cargo run --release -p ppm-bench --bin fig6 [--full]`
+//! `figures fig6 [--full]`
 
-use ppm_bench::{ExpArgs, Table};
+use crate::table::pct;
+use crate::{prepare_sd, ExpArgs, Table};
 use ppm_core::cost::analyze;
+use std::io::{self, Write};
 
-fn main() {
-    let args = ExpArgs::parse();
+pub(super) fn run(args: &ExpArgs, out: &mut dyn Write) -> io::Result<()> {
     let (n, z) = (16usize, 1usize);
     let rs: Vec<usize> = if args.full {
         (4..=24).collect()
@@ -21,13 +22,11 @@ fn main() {
     let mut last_per_combo: Vec<(usize, usize, Vec<f64>)> = Vec::new();
     for m in 1..=3usize {
         for s in 1..=3usize {
-            println!("\n# panel m={m}, s={s} (n={n}, z={z})");
-            let t = Table::new(&["r", "C1", "C4", "C4/C1"]);
+            writeln!(out, "\n# panel m={m}, s={s} (n={n}, z={z})")?;
+            let mut t = Table::new(out, &["r", "C1", "C4", "C4/C1"])?;
             let mut series = Vec::new();
             for &r in &rs {
-                let Some(prep) =
-                    ppm_bench::prepare_sd(n, r, m, s, z, 8 * n * r, args.seed + r as u64)
-                else {
+                let Some(prep) = prepare_sd(n, r, m, s, z, 8 * n * r, args.seed + r as u64) else {
                     continue;
                 };
                 let rep = analyze(&prep.h, &prep.scenario).expect("analyzable");
@@ -37,23 +36,28 @@ fn main() {
                     r.to_string(),
                     rep.c1.to_string(),
                     rep.c4.to_string(),
-                    format!("{:.2}%", 100.0 * ratio),
-                ]);
+                    pct(ratio),
+                ])?;
             }
             last_per_combo.push((m, s, series));
         }
     }
 
-    println!("\nshape check (paper: C4/C1 decreases as r increases):");
+    writeln!(
+        out,
+        "\nshape check (paper: C4/C1 decreases as r increases):"
+    )?;
     for (m, s, series) in &last_per_combo {
         let monotone = series.windows(2).all(|w| w[1] <= w[0] + 1e-9);
-        println!(
+        writeln!(
+            out,
             "  m={m}, s={s}: {}",
             if monotone {
                 "decreasing ✓"
             } else {
                 "NOT monotone ✗"
             }
-        );
+        )?;
     }
+    Ok(())
 }

@@ -5,16 +5,19 @@
 //! as the stripe grows, so the improvement climbs and then plateaus once
 //! stripe size exceeds ~8 MB.
 //!
-//! `cargo run --release -p ppm-bench --bin fig9 [--full]`
-//! (`--full` extends the sweep to 128 MiB; default stops at 32 MiB.)
+//! `figures fig9 [--full]`
+//! (`--full` extends the sweep to 128 MiB; default stops at 32 MiB. The
+//! sweep sets the stripe size itself, so `--stripe-mib` has no effect.)
 
-use ppm_bench::{improvement, modeled_decode_time, ExpArgs, Table};
+use super::host_header;
+use crate::table::signed_pct;
+use crate::{
+    improvement, modeled_decode_time, prepare_sd, time_plan, ExpArgs, Table, SPAWN_OVERHEAD,
+};
 use ppm_core::Strategy;
+use std::io::{self, Write};
 
-const SPAWN_OVERHEAD: f64 = 15e-6;
-
-fn main() {
-    let args = ExpArgs::parse();
+pub(super) fn run(args: &ExpArgs, out: &mut dyn Write) -> io::Result<()> {
     let (n, r, z) = (16usize, 16usize, 1usize);
     let sim_cores = 4usize;
     let sizes_mib: Vec<usize> = if args.full {
@@ -28,30 +31,34 @@ fn main() {
         vec![(1, 1), (2, 2), (3, 3)]
     };
 
-    println!("# Figure 9: improvement vs stripe size (n={n}, r={r}, T=4*, z={z})\n");
+    host_header(args, out)?;
+    writeln!(
+        out,
+        "# Figure 9: improvement vs stripe size (n={n}, r={r}, T=4*, z={z})\n"
+    )?;
     let mut headers = vec!["stripe".to_string()];
     headers.extend(combos.iter().map(|(m, s)| format!("m={m},s={s}")));
-    let t = Table::new(&headers.iter().map(String::as_str).collect::<Vec<_>>());
+    let mut t = Table::new(out, &headers.iter().map(String::as_str).collect::<Vec<_>>())?;
 
     for &mib in &sizes_mib {
         let mut cells = vec![format!("{mib}MiB")];
         for &(m, s) in &combos {
-            let cell = ppm_bench::prepare_sd(n, r, m, s, z, mib << 20, args.seed)
+            let cell = prepare_sd(n, r, m, s, z, mib << 20, args.seed)
                 .map(|prep| {
-                    let (base, _) =
-                        ppm_bench::time_plan(&prep, Strategy::TraditionalNormal, 1, args.reps);
-                    let (opt, plan) = ppm_bench::time_plan(&prep, Strategy::PpmAuto, 1, args.reps);
+                    let (base, _) = time_plan(&prep, Strategy::TraditionalNormal, 1, args.reps);
+                    let (opt, plan) = time_plan(&prep, Strategy::PpmAuto, 1, args.reps);
                     let modeled =
                         modeled_decode_time(&plan, opt, args.threads, sim_cores, SPAWN_OVERHEAD);
-                    format!("{:+.1}%", 100.0 * improvement(base, modeled))
+                    signed_pct(improvement(base, modeled))
                 })
                 .unwrap_or_else(|| "-".into());
             cells.push(cell);
         }
-        t.row(&cells);
+        t.row(&cells)?;
     }
-    println!(
+    writeln!(
+        out,
         "\npaper: improvement becomes steady once stripe size exceeds 8 MB\n\
          (* = T=4 on a simulated 4-core machine; see DESIGN.md §3)"
-    );
+    )
 }

@@ -8,54 +8,69 @@
 //! w = 8 and w = 16 (and w = 32), quantifying the penalty a field switch
 //! pays and therefore the jag size.
 //!
-//! `cargo run --release -p ppm-bench --bin width_switch [--stripe-mib N]`
+//! `figures width_switch [--stripe-mib N]`
 
-use ppm_bench::{improvement, prepare_sd_w, throughput_mbs, ExpArgs, Table};
+use super::host_header;
+use crate::table::signed_pct;
+use crate::{improvement, prepare_sd_w, throughput_mbs, time_plan, ExpArgs, Table};
 use ppm_core::Strategy;
 use ppm_gf::GfWord;
+use std::io::{self, Write};
 
-fn row<W: GfWord>(n: usize, r: usize, m: usize, s: usize, args: &ExpArgs, t: &Table) {
+fn row<W: GfWord>(
+    n: usize,
+    r: usize,
+    m: usize,
+    s: usize,
+    args: &ExpArgs,
+    t: &mut Table,
+) -> io::Result<()> {
     let Some(prep) = prepare_sd_w::<W>(n, r, m, s, 1, args.stripe_bytes, args.seed) else {
-        t.row(&[
+        return t.row(&[
             format!("n={n} r={r} w={}", W::WIDTH),
             "-".into(),
             "-".into(),
             "-".into(),
             "-".into(),
         ]);
-        return;
     };
     let bytes = prep.pristine.total_bytes();
-    let (base, _) = ppm_bench::time_plan(&prep, Strategy::TraditionalNormal, 1, args.reps);
-    let (opt, _) = ppm_bench::time_plan(&prep, Strategy::PpmAuto, 1, args.reps);
+    let (base, _) = time_plan(&prep, Strategy::TraditionalNormal, 1, args.reps);
+    let (opt, _) = time_plan(&prep, Strategy::PpmAuto, 1, args.reps);
     t.row(&[
         format!("n={n} r={r} w={}", W::WIDTH),
         format!("{}", n * r),
         format!("{:.0}", throughput_mbs(bytes, base)),
         format!("{:.0}", throughput_mbs(bytes, opt)),
-        format!("{:+.1}%", 100.0 * improvement(base, opt)),
-    ]);
+        signed_pct(improvement(base, opt)),
+    ])
 }
 
-fn main() {
-    let args = ExpArgs::parse();
+pub(super) fn run(args: &ExpArgs, out: &mut dyn Write) -> io::Result<()> {
     let (m, s) = (2usize, 2usize);
-    println!(
+    host_header(args, out)?;
+    writeln!(
+        out,
         "# SD decode speed by GF width (m={m}, s={s}, stripe {:.0} MiB)\n\
          # n*r <= 255: GF(2^8) valid; beyond, the paper switches fields\n",
         args.stripe_mib()
-    );
-    let t = Table::new(&["config", "n*r", "SD MB/s", "opt-SD MB/s", "impr T=1"]);
+    )?;
+    let mut t = Table::new(
+        out,
+        &["config", "n*r", "SD MB/s", "opt-SD MB/s", "impr T=1"],
+    )?;
     for (n, r) in [(8usize, 16usize), (15, 16), (16, 16), (24, 16)] {
-        row::<u8>(n, r, m, s, &args, &t);
-        row::<u16>(n, r, m, s, &args, &t);
+        row::<u8>(n, r, m, s, args, &mut t)?;
+        row::<u16>(n, r, m, s, args, &mut t)?;
         if args.full {
-            row::<u32>(n, r, m, s, &args, &t);
+            row::<u32>(n, r, m, s, args, &mut t)?;
         }
     }
-    println!(
+    writeln!(
+        out,
         "\nthe w=8 -> w=16 drop is the paper's \"jag\": the wider field's\n\
-         region kernel is several times slower (see `gf_regions` bench),\n\
-         so crossing n*r = 255 costs a visible step in every curve."
-    );
+         region kernel is several times slower (`gf.mul_xor_gibps.w16` vs\n\
+         `.w8` in ppm-perf), so crossing n*r = 255 costs a visible step in\n\
+         every curve."
+    )
 }

@@ -3,6 +3,12 @@
 use ppm_core::DecodePlan;
 use ppm_gf::GfWord;
 
+/// Per-thread spawn overhead the model columns assume: the order of
+/// magnitude of creating and joining one scoped thread (`par_map` spawns
+/// per decode, as the paper does). An assumption, not a measurement —
+/// `benchmark/`'s `executor.thread_speedup` is the measured counterpart.
+pub const SPAWN_OVERHEAD: f64 = 15e-6;
+
 /// The paper's improvement ratio: how much faster `new` is than `base`
 /// (0.5 = "50% improvement", i.e. 1.5× the speed).
 pub fn improvement(base_secs: f64, new_secs: f64) -> f64 {
@@ -25,9 +31,10 @@ pub fn throughput_mbs(bytes: usize, secs: f64) -> f64 {
 /// extra thread adds `spawn_overhead` (the paper: "some additional time is
 /// spent on creating multiple threads", small relative to large sectors).
 ///
-/// Used only where real multi-core hardware is unavailable — see
-/// DESIGN.md §3. With `threads = 1` (or `cores = 1`) it returns the serial
-/// time plus nothing, so measured and modeled columns coincide there.
+/// Used for the columns that stand in for the paper's 4-, 6- and 8-core
+/// machines — see DESIGN.md §3. With `threads = 1` (or `cores = 1`) it
+/// returns the serial time plus nothing, so measured and modeled columns
+/// coincide there.
 pub fn modeled_decode_time<W: GfWord>(
     plan: &DecodePlan<W>,
     serial_secs: f64,

@@ -1,9 +1,7 @@
-//! Instance preparation and timing loops shared by the figure binaries.
+//! Instance preparation and the timing loop shared by the figures.
 
-use ppm_codes::{
-    ErasureCode, FailureScenario, HitchhikerXor, LrcCode, ProductCode, RsCode, SdCode,
-};
-use ppm_core::{encode, DecodePlan, Decoder, DecoderConfig, ExecStats, Strategy};
+use ppm_codes::{ErasureCode, FailureScenario, LrcCode, RsCode, SdCode};
+use ppm_core::{encode, DecodePlan, Decoder, DecoderConfig, Strategy};
 use ppm_gf::{Backend, GfWord};
 use ppm_matrix::Matrix;
 use ppm_stripe::{random_data_stripe, Stripe};
@@ -25,6 +23,35 @@ pub struct Prepared<W: GfWord> {
 
 fn sector_bytes(stripe_bytes: usize, sectors: usize) -> usize {
     (stripe_bytes / sectors / 8 * 8).max(8)
+}
+
+/// Encodes a random stripe of roughly `stripe_bytes` under `code` and
+/// pairs it with `scenario`. `rng` is the stream the caller drew the
+/// scenario from, so one seed fixes both. Returns `None` if the scenario
+/// is not decodable or encoding fails.
+pub fn prepare<W: GfWord, C: ErasureCode<W>>(
+    code: &C,
+    scenario: FailureScenario,
+    stripe_bytes: usize,
+    rng: &mut StdRng,
+) -> Option<Prepared<W>> {
+    let h = code.parity_check_matrix();
+    if h.select_columns(scenario.faulty()).rank() < scenario.len() {
+        return None;
+    }
+    let sectors = code.layout().sectors();
+    let mut pristine = random_data_stripe(code, sector_bytes(stripe_bytes, sectors), rng);
+    let enc = Decoder::new(DecoderConfig {
+        threads: 1,
+        backend: Backend::Auto,
+    });
+    encode(code, &enc, &mut pristine).ok()?;
+    Some(Prepared {
+        name: code.name(),
+        h,
+        scenario,
+        pristine,
+    })
 }
 
 /// Builds an SD instance over GF(2^8) — see [`prepare_sd_w`] for other
@@ -63,22 +90,7 @@ pub fn prepare_sd_w<W: GfWord>(
     } else {
         code.decodable_worst_case(z, &mut rng, 300)?
     };
-    let h = code.parity_check_matrix();
-    if h.select_columns(scenario.faulty()).rank() < scenario.len() {
-        return None;
-    }
-    let mut pristine = random_data_stripe(&code, sector_bytes(stripe_bytes, n * r), &mut rng);
-    let enc = Decoder::new(DecoderConfig {
-        threads: 1,
-        backend: Backend::Auto,
-    });
-    encode(&code, &enc, &mut pristine).ok()?;
-    Some(Prepared {
-        name: code.name(),
-        h,
-        scenario,
-        pristine,
-    })
+    prepare(&code, scenario, stripe_bytes, &mut rng)
 }
 
 /// Builds a `(k,l,g)`-LRC with `r` rows, encodes, and injects the
@@ -95,28 +107,7 @@ pub fn prepare_lrc(
     let code = LrcCode::<u8>::new(k, l, g, r).ok()?;
     let mut rng = StdRng::seed_from_u64(seed);
     let scenario = code.spread_disk_failures(&mut rng);
-    if code
-        .parity_check_matrix()
-        .select_columns(scenario.faulty())
-        .rank()
-        < scenario.len()
-    {
-        return None;
-    }
-    let h = code.parity_check_matrix();
-    let sectors = code.layout().sectors();
-    let mut pristine = random_data_stripe(&code, sector_bytes(stripe_bytes, sectors), &mut rng);
-    let enc = Decoder::new(DecoderConfig {
-        threads: 1,
-        backend: Backend::Auto,
-    });
-    encode(&code, &enc, &mut pristine).ok()?;
-    Some(Prepared {
-        name: code.name(),
-        h,
-        scenario,
-        pristine,
-    })
+    prepare(&code, scenario, stripe_bytes, &mut rng)
 }
 
 /// Builds an RS baseline (`k` data + `m` parity strips) and an `m`-disk
@@ -132,111 +123,31 @@ pub fn prepare_rs<W: GfWord>(
     let code = RsCode::<W>::new(k, m, r).ok()?;
     let mut rng = StdRng::seed_from_u64(seed);
     let scenario = code.random_disk_failures(m, &mut rng);
-    let h = code.parity_check_matrix();
-    let sectors = code.layout().sectors();
-    let mut pristine = random_data_stripe(&code, sector_bytes(stripe_bytes, sectors), &mut rng);
-    let enc = Decoder::new(DecoderConfig {
-        threads: 1,
-        backend: Backend::Auto,
-    });
-    encode(&code, &enc, &mut pristine).ok()?;
-    Some(Prepared {
-        name: code.name(),
-        h,
-        scenario,
-        pristine,
-    })
+    prepare(&code, scenario, stripe_bytes, &mut rng)
 }
 
-/// Builds a product code (`k1 × k2` data grid, `m1` column parities,
-/// `m2` row parities) and injects a correlated failure: a rack loss
-/// (`group` of `groups` contiguous disk groups) when `groups > 0`, or
-/// a row burst across `m1` disks otherwise.
-pub fn prepare_product(
-    k1: usize,
-    m1: usize,
-    k2: usize,
-    m2: usize,
-    groups: usize,
-    stripe_bytes: usize,
-    seed: u64,
-) -> Option<Prepared<u8>> {
-    let code = ProductCode::<u8>::new(k1, m1, k2, m2).ok()?;
-    let layout = code.layout();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let scenario = if groups > 0 {
-        FailureScenario::try_disk_group(layout, (seed as usize) % groups, groups).ok()?
-    } else {
-        FailureScenario::random_row_burst(layout, m1, &mut rng).ok()?
-    };
-    let h = code.parity_check_matrix();
-    if h.select_columns(scenario.faulty()).rank() < scenario.len() {
-        return None;
-    }
-    let sectors = layout.sectors();
-    let mut pristine = random_data_stripe(&code, sector_bytes(stripe_bytes, sectors), &mut rng);
-    let enc = Decoder::new(DecoderConfig {
-        threads: 1,
-        backend: Backend::Auto,
-    });
-    encode(&code, &enc, &mut pristine).ok()?;
-    Some(Prepared {
-        name: code.name(),
-        h,
-        scenario,
-        pristine,
-    })
-}
-
-/// Builds a Hitchhiker-XOR instance (`k` data + `m` parity disks, two
-/// coupled sub-stripes) and an `m`-whole-disk failure — the family's
-/// worst tolerable outage.
-pub fn prepare_hitchhiker(
-    k: usize,
-    m: usize,
-    stripe_bytes: usize,
-    seed: u64,
-) -> Option<Prepared<u8>> {
-    let code = HitchhikerXor::<u8>::new(k, m).ok()?;
-    let layout = code.layout();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut disks: Vec<usize> = (0..layout.n).collect();
-    rand::seq::SliceRandom::shuffle(disks.as_mut_slice(), &mut rng);
-    disks.truncate(m);
-    disks.sort_unstable();
-    let scenario = FailureScenario::whole_disks(layout, &disks);
-    let h = code.parity_check_matrix();
-    if h.select_columns(scenario.faulty()).rank() < scenario.len() {
-        return None;
-    }
-    let sectors = layout.sectors();
-    let mut pristine = random_data_stripe(&code, sector_bytes(stripe_bytes, sectors), &mut rng);
-    let enc = Decoder::new(DecoderConfig {
-        threads: 1,
-        backend: Backend::Auto,
-    });
-    encode(&code, &enc, &mut pristine).ok()?;
-    Some(Prepared {
-        name: code.name(),
-        h,
-        scenario,
-        pristine,
-    })
-}
-
-/// Times decoding `prep` with the given strategy and thread budget:
-/// best-of-`reps` wall-clock seconds, plus the plan (for cost/parallelism
-/// introspection). Panics if recovery is not bit-exact.
+/// Times decoding `prep` with the given strategy and thread budget on
+/// the `Backend::Auto` kernels: best-of-`reps` wall-clock seconds, plus
+/// the plan (for cost/parallelism introspection). Panics if recovery is
+/// not bit-exact.
 pub fn time_plan<W: GfWord>(
     prep: &Prepared<W>,
     strategy: Strategy,
     threads: usize,
     reps: usize,
 ) -> (f64, DecodePlan<W>) {
-    let decoder = Decoder::new(DecoderConfig {
-        threads,
-        backend: Backend::Auto,
-    });
+    time_plan_on(prep, strategy, threads, reps, Backend::Auto)
+}
+
+/// [`time_plan`] on an explicit region-kernel backend.
+pub fn time_plan_on<W: GfWord>(
+    prep: &Prepared<W>,
+    strategy: Strategy,
+    threads: usize,
+    reps: usize,
+    backend: Backend,
+) -> (f64, DecodePlan<W>) {
+    let decoder = Decoder::new(DecoderConfig { threads, backend });
     let plan = decoder
         .plan(&prep.h, &prep.scenario, strategy)
         .expect("plan");
@@ -256,51 +167,9 @@ pub fn time_plan<W: GfWord>(
     (best, plan)
 }
 
-/// Decodes `prep` once with runtime telemetry and verifies the §III-B
-/// ledger: the executed `mult_XORs` counted by the region kernels must
-/// equal the plan's predicted cost, and recovery must be bit-exact.
-/// Returns the stats and the plan for table rendering.
-pub fn ledger_plan<W: GfWord>(
-    prep: &Prepared<W>,
-    strategy: Strategy,
-    threads: usize,
-) -> (ExecStats, DecodePlan<W>) {
-    let decoder = Decoder::new(DecoderConfig {
-        threads,
-        backend: Backend::Auto,
-    });
-    let plan = decoder
-        .plan(&prep.h, &prep.scenario, strategy)
-        .expect("plan");
-    let mut scratch = prep.pristine.clone();
-    scratch.erase(&prep.scenario);
-    let stats = decoder.decode(&plan, &mut scratch).expect("decode");
-    assert!(
-        scratch == prep.pristine,
-        "{}: recovery not bit-exact",
-        prep.name
-    );
-    assert!(
-        stats.matches_prediction(),
-        "{}: executed {} mult_XORs, planner predicted {}",
-        prep.name,
-        stats.executed_mult_xors(),
-        stats.predicted_mult_xors
-    );
-    (stats, plan)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn ledger_matches_on_sd() {
-        let prep = prepare_sd(6, 4, 2, 1, 1, 64 * 24, 3).expect("prep");
-        let (stats, plan) = ledger_plan(&prep, Strategy::PpmAuto, 2);
-        assert_eq!(stats.executed_mult_xors(), plan.mult_xors() as u64);
-        assert!(stats.predicted_costs.is_some());
-    }
 
     #[test]
     fn prepare_and_time_sd() {
@@ -318,19 +187,6 @@ mod tests {
         assert!(secs > 0.0);
         let rs = prepare_rs::<u8>(4, 2, 2, 4096, 5).expect("rs");
         let (secs, _) = time_plan(&rs, Strategy::TraditionalMatrixFirst, 1, 1);
-        assert!(secs > 0.0);
-    }
-
-    #[test]
-    fn prepare_product_and_hitchhiker() {
-        let rack = prepare_product(4, 2, 3, 2, 3, 4096, 5).expect("product rack");
-        let (stats, _) = ledger_plan(&rack, Strategy::PpmAuto, 2);
-        assert!(stats.matches_prediction());
-        let burst = prepare_product(4, 2, 3, 2, 0, 4096, 5).expect("product burst");
-        assert_eq!(burst.scenario.len(), 2); // width m1
-        let hh = prepare_hitchhiker(5, 3, 4096, 5).expect("hitchhiker");
-        assert_eq!(hh.scenario.len(), 6); // m disks x 2 rows
-        let (secs, _) = time_plan(&hh, Strategy::PpmAuto, 1, 1);
         assert!(secs > 0.0);
     }
 

@@ -1,39 +1,34 @@
-//! Plain-text table output for the figure binaries.
+//! Plain-text table output for the figures.
+
+use std::io::{self, Write};
 
 /// A simple fixed-width table printer: header once, then rows; every cell
 /// is right-aligned to its column width.
-pub struct Table {
+pub struct Table<'a> {
+    out: &'a mut dyn Write,
     widths: Vec<usize>,
 }
 
-impl Table {
-    /// Prints the header and remembers column widths (at least the header
+impl<'a> Table<'a> {
+    /// Writes the header and remembers column widths (at least the header
     /// width, at least 8).
-    pub fn new(headers: &[&str]) -> Self {
+    pub fn new(out: &'a mut dyn Write, headers: &[&str]) -> io::Result<Self> {
         let widths: Vec<usize> = headers.iter().map(|h| h.len().max(8)).collect();
-        let t = Table { widths };
-        t.print_row(&headers.iter().map(|s| s.to_string()).collect::<Vec<_>>());
-        t.print_rule();
-        t
+        let rule: Vec<String> = widths.iter().map(|w| "-".repeat(*w)).collect();
+        let mut t = Table { out, widths };
+        t.row(&headers.iter().map(|s| s.to_string()).collect::<Vec<_>>())?;
+        t.row(&rule)?;
+        Ok(t)
     }
 
-    /// Prints one data row.
-    pub fn row(&self, cells: &[String]) {
-        self.print_row(cells);
-    }
-
-    fn print_row(&self, cells: &[String]) {
+    /// Writes one data row.
+    pub fn row(&mut self, cells: &[String]) -> io::Result<()> {
         let line: Vec<String> = cells
             .iter()
             .enumerate()
             .map(|(i, c)| format!("{:>w$}", c, w = self.widths.get(i).copied().unwrap_or(8)))
             .collect();
-        println!("{}", line.join("  "));
-    }
-
-    fn print_rule(&self) {
-        let line: Vec<String> = self.widths.iter().map(|w| "-".repeat(*w)).collect();
-        println!("{}", line.join("  "));
+        writeln!(self.out, "{}", line.join("  "))
     }
 }
 
@@ -69,8 +64,16 @@ mod tests {
     }
 
     #[test]
-    fn table_prints_without_panicking() {
-        let t = Table::new(&["n", "C4/C1"]);
-        t.row(&["6".into(), "85.78%".into()]);
+    fn table_right_aligns_to_header_width() {
+        let mut buf = Vec::new();
+        let mut t = Table::new(&mut buf, &["n", "C4/C1 (closed form)"]).unwrap();
+        t.row(&["6".into(), "85.78%".into()]).unwrap();
+        let lines = [
+            "       n  C4/C1 (closed form)",
+            "--------  -------------------",
+            "       6               85.78%",
+            "",
+        ];
+        assert_eq!(String::from_utf8(buf).unwrap(), lines.join("\n"));
     }
 }

@@ -5,7 +5,7 @@
 //! plan: phase A recovers sectors from independent sub-matrices using
 //! only locally surviving sectors, and phase B (`H_rest`) combines
 //! partial sums. In a distributed archive that structure maps directly
-//! onto the network: a coordinator holds the [`Planner`] half of
+//! onto the network: a coordinator holds the `Planner` half of
 //! [`RepairService`](ppm_core::RepairService) and ships each failure
 //! scenario's [`WirePlan`](ppm_core::WirePlan) — a few hundred bytes —
 //! to the worker that owns the damaged stripe. The worker's
@@ -24,7 +24,7 @@
 //!
 //! The crate layers, bottom up:
 //!
-//! - [`frame`]: length-prefixed byte frames over `io::Read`/`io::Write`,
+//! - `frame`: length-prefixed byte frames over `io::Read`/`io::Write`,
 //!   and the v2 integrity envelope (slice-by-16 CRC32, wrap-safe
 //!   sequence numbers).
 //! - [`Transport`]: how frames move — in-process channels

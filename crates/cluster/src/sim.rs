@@ -524,7 +524,7 @@ mod tests {
 
     use super::*;
     use crate::chaos::ChaosConfig;
-    use ppm_codes::SdCode;
+    use ppm_codes::{HitchhikerXor, LrcCode, PmdsCode, ProductCode, RsCode, SdCode};
     use ppm_faults::ChaosRates;
 
     fn paper_code() -> SdCode<u8> {
@@ -574,18 +574,50 @@ mod tests {
         assert_eq!(report.plans_shipped, 0);
     }
 
+    /// Moving plans and partial sums beats moving sectors, strictly, for
+    /// every code family — and both modes land on the single-node repair.
     #[test]
     fn partial_mode_moves_fewer_bytes_than_naive() {
-        let code = paper_code();
+        let codes: [(&str, Box<dyn ErasureCode<u8>>); 6] = [
+            ("sd_4_4", Box::new(paper_code())),
+            (
+                "pmds_6_4",
+                Box::new(PmdsCode::<u8>::search(6, 4, 1, 1, 7, 3).expect("PMDS code")),
+            ),
+            (
+                "lrc_6_2_2",
+                Box::new(LrcCode::<u8>::new(6, 2, 2, 3).expect("LRC code")),
+            ),
+            (
+                "rs_5_3",
+                Box::new(RsCode::<u8>::new(5, 3, 4).expect("RS code")),
+            ),
+            (
+                "pc_4_2_3_2",
+                Box::new(ProductCode::<u8>::new(4, 2, 3, 2).expect("product code")),
+            ),
+            (
+                "hh_5_3",
+                Box::new(HitchhikerXor::<u8>::new(5, 3).expect("Hitchhiker code")),
+            ),
+        ];
         let cfg = small_cfg(4);
-        let partial = run_sim(&code, &cfg, RepairMode::Partial).expect("partial");
-        let naive = run_sim(&code, &cfg, RepairMode::Naive).expect("naive");
-        assert!(
-            partial.traffic.total_bytes() < naive.traffic.total_bytes(),
-            "partial moved {} bytes, naive {}",
-            partial.traffic.total_bytes(),
-            naive.traffic.total_bytes()
-        );
+        for (name, code) in &codes {
+            let code = &**code;
+            let partial = run_sim(&code, &cfg, RepairMode::Partial).expect("partial");
+            let naive = run_sim(&code, &cfg, RepairMode::Naive).expect("naive");
+            assert!(partial.identical, "{name}: partial repair diverged");
+            assert!(naive.identical, "{name}: naive repair diverged");
+            assert_eq!(partial.repaired, cfg.damaged, "{name}: partial short");
+            assert_eq!(naive.repaired, cfg.damaged, "{name}: naive short");
+            assert_eq!(partial.violations, 0, "{name}: verify violations");
+            assert!(
+                partial.traffic.total_bytes() < naive.traffic.total_bytes(),
+                "{name}: partial moved {} bytes, naive {}",
+                partial.traffic.total_bytes(),
+                naive.traffic.total_bytes()
+            );
+        }
     }
 
     /// Everything `run_sim` counts (times are not counts).

@@ -125,8 +125,8 @@ impl PlanKey {
         self.strategy
     }
 
-    /// Parses the stable serialized form produced by the [`Display`]
-    /// (`std::fmt::Display`) impl back into a key. The code-id may
+    /// Parses the stable serialized form produced by the
+    /// [`Display`](std::fmt::Display) impl back into a key. The code-id may
     /// itself contain `|`, so the three trailing fields are split off
     /// from the right. Returns `None` for anything malformed.
     pub fn parse(s: &str) -> Option<PlanKey> {

@@ -307,7 +307,7 @@ const FUSE_BLOCK_BYTES: usize = 256 * 1024;
 ///
 /// Semantically identical to calling [`RegionMul::mul_xor`] once per term
 /// (per-byte XOR accumulation is order-independent), but the destination
-/// is swept in [`FUSE_BLOCK_BYTES`] blocks with every term applied to a
+/// is swept in `FUSE_BLOCK_BYTES` blocks with every term applied to a
 /// block before moving on — so for plans whose destinations are fed by
 /// several coefficients, `dst` is written from cache instead of streamed
 /// from memory once per term. This is the execution kernel behind the

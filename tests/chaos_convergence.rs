@@ -3,8 +3,8 @@
 //! amplification — the end-to-end contract of the chaos hardening
 //! (`ChaosTransport` + v2 framing + supervised coordinator).
 //!
-//! The matrix here mirrors the `chaos_convergence` bench at CI-test
-//! scale: three seeds × three fault profiles, each checked for
+//! The matrix: three seeds × four fault profiles (drop-heavy,
+//! corrupt-heavy, straggler-heavy, partition), each checked for
 //! convergence, detection (corrupt frames must be *caught*, not
 //! decoded), and amplification against a clean run of the same
 //! configuration.
@@ -142,6 +142,26 @@ fn straggler_heavy_profile_survives_reorder_and_duplication() {
             assert!(
                 report.chaos.dup_frames_dropped > 0,
                 "{label}: duplicates delivered but never dropped"
+            );
+        }
+    }
+}
+
+#[test]
+fn partition_profile_fails_over_from_dead_workers() {
+    for seed in seed_triplet() {
+        let rates = ChaosRates {
+            drop: 0.10,
+            hang: 0.02,
+            ..ChaosRates::default()
+        };
+        let (reference, report) = run_chaotic(seed, rates);
+        let label = format!("partition/{seed}");
+        assert_converged(&label, &reference, &report);
+        if report.chaos.workers_declared_dead > 0 {
+            assert!(
+                report.chaos.redispatches + report.chaos.degraded_local > 0,
+                "{label}: dead workers but no failover"
             );
         }
     }
