@@ -3,12 +3,14 @@
 //!
 //! The supervision variants ([`Timeout`](ClusterError::Timeout),
 //! [`CorruptFrame`](ClusterError::CorruptFrame),
-//! [`WorkerDead`](ClusterError::WorkerDead),
 //! [`RetriesExhausted`](ClusterError::RetriesExhausted)) replace the
 //! generic `io::Error` passthrough the chaos-free coordinator got away
 //! with: a caller can now tell "the wire broke" from "the peer was too
-//! slow" from "the peer is gone", and retry policy dispatches on the
-//! variant instead of string-matching messages.
+//! slow" from "the peer never answered", and retry policy dispatches on
+//! the variant instead of string-matching messages. A worker that
+//! exhausts its retries is declared dead inside the coordinator, whose
+//! failover re-homes or locally repairs its stripes, so no error
+//! reports a dead worker.
 
 use crate::frame::FrameError;
 use ppm_core::{RepairError, WireError};
@@ -39,12 +41,6 @@ pub enum ClusterError {
     /// A frame failed the v2 integrity checks — corruption was
     /// *detected*, not decoded into garbage.
     CorruptFrame(FrameError),
-    /// A worker was declared dead after exhausting its retry budget;
-    /// its repairs were re-dispatched.
-    WorkerDead {
-        /// The dead worker's index.
-        worker: usize,
-    },
     /// Every retry of a request failed; the stripe could not be
     /// repaired over this link.
     RetriesExhausted {
@@ -73,9 +69,6 @@ impl std::fmt::Display for ClusterError {
                 "timeout: worker {worker} gave no response for stripe {stripe} within {after_ms} ms"
             ),
             ClusterError::CorruptFrame(e) => write!(f, "corrupt frame: {e}"),
-            ClusterError::WorkerDead { worker } => {
-                write!(f, "worker {worker} declared dead")
-            }
             ClusterError::RetriesExhausted {
                 worker,
                 stripe,
@@ -97,7 +90,6 @@ impl std::error::Error for ClusterError {
             ClusterError::CorruptFrame(e) => Some(e),
             ClusterError::Protocol(_)
             | ClusterError::Timeout { .. }
-            | ClusterError::WorkerDead { .. }
             | ClusterError::RetriesExhausted { .. } => None,
         }
     }
@@ -148,10 +140,6 @@ mod tests {
                 vec!["worker 3".into(), "951003".into(), "250 ms".into()],
             ),
             (
-                ClusterError::WorkerDead { worker: 7 },
-                vec!["worker 7".into(), "dead".into()],
-            ),
-            (
                 ClusterError::RetriesExhausted {
                     worker: 2,
                     stripe: 41,
@@ -191,7 +179,6 @@ mod tests {
         assert!(io_err.source().is_some());
         let frame_err = ClusterError::from(FrameError::TooShort { got: 2 });
         assert!(frame_err.source().is_some());
-        assert!(ClusterError::WorkerDead { worker: 0 }.source().is_none());
         assert!(ClusterError::Timeout {
             worker: 0,
             stripe: 0,

@@ -428,8 +428,16 @@ impl<W: GfWord> PlanCache<W> {
             let mut victim: Option<(usize, PlanKey, u64)> = None;
             for (index, shard) in self.shards.iter().enumerate() {
                 let map = shard.map.read().unwrap_or_else(PoisonError::into_inner);
+                let mut oldest: Option<(&PlanKey, u64)> = None;
                 for (key, entry) in map.iter() {
                     let used = entry.last_used.load(Ordering::Relaxed);
+                    if oldest.is_none_or(|(_, best)| used < best) {
+                        oldest = Some((key, used));
+                    }
+                }
+                // Clone a key only for a shard's oldest entry, and only
+                // when it beats every earlier shard's.
+                if let Some((key, used)) = oldest {
                     if victim.as_ref().is_none_or(|(_, _, best)| used < *best) {
                         victim = Some((index, key.clone(), used));
                     }
@@ -442,14 +450,17 @@ impl<W: GfWord> PlanCache<W> {
             let Some(shard) = self.shards.get(index) else {
                 break;
             };
+            // The evicted plan (its kernels and tape) is freed after the
+            // write guard is released, not under it.
             let removed = {
                 let mut map = shard.map.write().unwrap_or_else(PoisonError::into_inner);
-                map.remove(&key).is_some()
+                map.remove(&key)
             };
-            if removed {
+            if removed.is_some() {
                 self.len.fetch_sub(1, Ordering::Relaxed);
                 self.evictions.fetch_add(1, Ordering::Relaxed);
             }
+            drop(removed);
             // If another worker evicted the same key first, loop and
             // re-scan; the while condition re-checks the bound either way.
         }

@@ -10,11 +10,12 @@
 //! (footnote 2), so the plan may be amortized or rebuilt per decode
 //! without affecting the comparison.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
+
 use crate::{DecodeError, Partition};
 use ppm_codes::FailureScenario;
 use ppm_gf::{Backend, GfWord, RegionMul};
 use ppm_matrix::Matrix;
-use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
 /// The two orders in which `F⁻¹ · S · BS` can be evaluated (paper §II-B).
@@ -170,7 +171,8 @@ impl<W: GfWord> Program<W> {
                     .filter(|(s, _)| keep.contains(s))
                     .cloned()
                     .collect();
-                // Scratch regions still referenced, in ascending order.
+                // Scratch regions still referenced, in ascending order; a
+                // region's new index is its position in this list.
                 let used: Vec<usize> = {
                     let mut u: Vec<usize> = f_kept
                         .iter()
@@ -180,17 +182,19 @@ impl<W: GfWord> Program<W> {
                     u.dedup();
                     u
                 };
-                let remap: std::collections::HashMap<usize, usize> = used
-                    .iter()
-                    .enumerate()
-                    .map(|(new, &old)| (old, new))
-                    .collect();
                 Program::Normal {
-                    t_terms: used.iter().map(|&e| t_terms[e].clone()).collect(),
+                    t_terms: used
+                        .iter()
+                        .map(|&e| t_terms.get(e).cloned().unwrap_or_default())
+                        .collect(),
                     f_terms: f_kept
                         .into_iter()
                         .map(|(s, terms)| {
-                            (s, terms.into_iter().map(|(c, e)| (c, remap[&e])).collect())
+                            let terms = terms
+                                .into_iter()
+                                .filter_map(|(c, e)| Some((c, used.binary_search(&e).ok()?)))
+                                .collect();
+                            (s, terms)
                         })
                         .collect(),
                 }
@@ -224,45 +228,54 @@ pub(crate) struct SubPlan<W: GfWord> {
 /// the parent's multiplication tables instead of rebuilding them.
 #[derive(Debug)]
 pub(crate) struct RegionCache<W: GfWord> {
-    map: HashMap<u64, Arc<RegionMul<W>>>,
+    /// One kernel per distinct coefficient, sorted by coefficient.
+    kernels: Vec<(W, Arc<RegionMul<W>>)>,
+    backend: Backend,
 }
 
 impl<W: GfWord> RegionCache<W> {
-    pub(crate) fn build(coeffs: impl Iterator<Item = W>, backend: Backend) -> Self {
-        let mut map = HashMap::new();
-        for c in coeffs {
-            // Checked construction: each multiplier probes its dispatched
-            // kernel against the scalar reference once (at plan build, not
-            // per region op) and demotes itself to scalar on a mismatch,
-            // so a faulty SIMD unit degrades throughput instead of bytes.
-            map.entry(c.to_u64())
-                .or_insert_with(|| Arc::new(RegionMul::new_checked(c, backend)));
-        }
-        RegionCache { map }
+    /// One kernel per distinct coefficient among `coeffs` (which may
+    /// repeat).
+    pub(crate) fn build(coeffs: Vec<W>, backend: Backend) -> Self {
+        let empty = RegionCache {
+            kernels: Vec::new(),
+            backend,
+        };
+        empty.share(coeffs)
     }
 
-    /// A cache for the subset `coeffs`, sharing this cache's kernels: a
-    /// restricted plan's coefficients all come from parent programs, so
-    /// restriction never rebuilds a table the parent already owns. (A
-    /// coefficient the parent somehow lacks is built fresh rather than
-    /// panicking.)
-    fn share(&self, coeffs: impl Iterator<Item = W>, backend: Backend) -> Self {
-        let mut map = HashMap::new();
-        for c in coeffs {
-            let key = c.to_u64();
-            map.entry(key).or_insert_with(|| match self.map.get(&key) {
-                Some(kernel) => Arc::clone(kernel),
-                None => Arc::new(RegionMul::new_checked(c, backend)),
-            });
-        }
-        RegionCache { map }
+    fn find(&self, c: W) -> Option<&Arc<RegionMul<W>>> {
+        let i = self.kernels.binary_search_by_key(&c, |(k, _)| *k).ok()?;
+        self.kernels.get(i).map(|(_, kernel)| kernel)
     }
 
-    /// A shared handle to the multiplier for `c` (must have been
-    /// collected at build) — the tape compiler embeds these in its
-    /// instructions.
+    /// A cache for `coeffs`, sharing this cache's kernels where it has
+    /// them: a restricted plan's coefficients all come from parent
+    /// programs, so restriction never rebuilds a table the parent already
+    /// owns.
+    fn share(&self, mut coeffs: Vec<W>) -> Self {
+        coeffs.sort_unstable();
+        coeffs.dedup();
+        let kernels = coeffs.into_iter().map(|c| (c, self.get_arc(c))).collect();
+        RegionCache {
+            kernels,
+            backend: self.backend,
+        }
+    }
+
+    /// A shared handle to the multiplier for `c` — the tape compiler
+    /// embeds these in its instructions. A coefficient the cache lacks is
+    /// built fresh rather than panicking.
     pub(crate) fn get_arc(&self, c: W) -> Arc<RegionMul<W>> {
-        Arc::clone(&self.map[&c.to_u64()])
+        match self.find(c) {
+            Some(kernel) => Arc::clone(kernel),
+            // Checked construction: each multiplier probes its dispatched
+            // kernel against the scalar reference once (at plan build,
+            // not per region op) and demotes itself to scalar on a
+            // mismatch, so a faulty SIMD unit degrades throughput instead
+            // of bytes.
+            None => Arc::new(RegionMul::new_checked(c, self.backend)),
+        }
     }
 }
 
@@ -283,9 +296,9 @@ pub struct DecodePlan<W: GfWord> {
     backend: Backend,
     cost: usize,
     /// `C₁..C₄` of every candidate sequence, captured when the plan was
-    /// chosen by [`Strategy::PpmAuto`] (the sweep builds all four
-    /// anyway, so recording them is free). `None` for plans built with a
-    /// concrete strategy or derived by [`DecodePlan::restrict_to`].
+    /// chosen by [`Strategy::PpmAuto`] (which prices all four as
+    /// programs before materializing the winner). `None` for plans built
+    /// with a concrete strategy or derived by [`DecodePlan::restrict_to`].
     predicted: Option<crate::cost::CostReport>,
     /// Surplus parity-check rows: `(global H row, non-zero terms over all
     /// stripe sectors)` for every row of `H` the plan's sub-systems did
@@ -352,144 +365,123 @@ impl<W: GfWord> DecodePlan<W> {
             });
         }
 
-        if let Strategy::PpmAuto = strategy {
-            // The paper's sequence optimization: evaluate the candidate
-            // calculation sequences and keep the cheapest, preferring the
-            // partitioned plans (parallelism) on ties — iterate C₄, C₃,
-            // C₂, C₁ and keep strict improvements only.
-            let mut best: Option<DecodePlan<W>> = None;
-            let (mut c1, mut c2, mut c3, mut c4, mut parallelism) = (0, 0, 0, 0, 0);
-            for s in [
-                Strategy::PpmNormalRest,
-                Strategy::PpmMatrixFirstRest,
-                Strategy::TraditionalMatrixFirst,
-                Strategy::TraditionalNormal,
-            ] {
-                let plan = Self::build_with(h, scenario, s, backend, precomputed)?;
-                match s {
-                    Strategy::TraditionalNormal => c1 = plan.cost,
-                    Strategy::TraditionalMatrixFirst => c2 = plan.cost,
-                    Strategy::PpmMatrixFirstRest => c3 = plan.cost,
-                    Strategy::PpmNormalRest => {
-                        c4 = plan.cost;
-                        parallelism = plan.parallelism();
+        let faulty = scenario.faulty().to_vec();
+        let (strategy, programs, predicted) = match strategy {
+            _ if faulty.is_empty() => {
+                // Nothing to recover: every candidate costs 0, so the
+                // sequence optimization keeps the first one it prices, C₄.
+                let none = Programs {
+                    phase_a: Vec::new(),
+                    phase_b: None,
+                    consumed: Vec::new(),
+                };
+                match strategy {
+                    Strategy::PpmAuto => {
+                        let zero = crate::cost::CostReport {
+                            c1: 0,
+                            c2: 0,
+                            c3: 0,
+                            c4: 0,
+                            parallelism: 0,
+                        };
+                        (Strategy::PpmNormalRest, none, Some(zero))
                     }
-                    Strategy::PpmAuto => unreachable!(),
-                }
-                if best.as_ref().is_none_or(|b| plan.cost < b.cost) {
-                    best = Some(plan);
+                    concrete => (concrete, none, None),
                 }
             }
-            // The loop above ran at least once, so `best` is populated;
-            // keep the failure structured rather than panicking.
-            let Some(mut best) = best else {
-                return Err(DecodeError::Unrecoverable {
-                    needed: scenario.len(),
-                    rank: 0,
-                });
-            };
-            best.predicted = Some(crate::cost::CostReport {
-                c1,
-                c2,
-                c3,
-                c4,
-                parallelism,
-            });
-            return Ok(best);
-        }
-
-        let faulty = scenario.faulty().to_vec();
-        // Global H rows consumed as F rows across every sub-system; the
-        // complement becomes the plan's surplus verification rows.
-        let mut consumed: Vec<usize> = Vec::new();
-        let (phase_a, phase_b) = if faulty.is_empty() {
-            (Vec::new(), None)
-        } else {
-            match strategy {
-                Strategy::TraditionalNormal | Strategy::TraditionalMatrixFirst => {
-                    let seq = if strategy == Strategy::TraditionalNormal {
-                        CalcSequence::Normal
-                    } else {
-                        CalcSequence::MatrixFirst
-                    };
-                    let all_rows: Vec<usize> = (0..h.rows()).collect();
-                    let sources = scenario.surviving(h.cols());
-                    let (sub, rows) = build_subsystem(h, &all_rows, &faulty, &sources, seq)?;
-                    consumed.extend(rows);
-                    (Vec::new(), Some(sub))
-                }
-                Strategy::PpmMatrixFirstRest | Strategy::PpmNormalRest => {
-                    let owned;
-                    let part = match precomputed {
-                        Some(p) => p,
-                        None => {
-                            owned = Partition::build(h, scenario);
-                            &owned
-                        }
-                    };
-                    let surviving = scenario.surviving(h.cols());
-                    // Independent sub-matrices always use matrix-first:
-                    // every element on their faulty columns is non-zero,
-                    // so u(Fᵢ) + u(Sᵢ) > u(Fᵢ⁻¹·Sᵢ) (paper §III-B).
-                    let mut phase_a = Vec::with_capacity(part.independent.len());
-                    for sub in &part.independent {
-                        let (sp, rows) = build_subsystem(
-                            h,
-                            &sub.rows,
-                            &sub.faulty,
-                            &surviving,
-                            CalcSequence::MatrixFirst,
-                        )?;
-                        consumed.extend(rows);
-                        phase_a.push(sp);
+            Strategy::TraditionalNormal | Strategy::TraditionalMatrixFirst => {
+                let sys = SolvedSystem::traditional(h, scenario)?;
+                let program = sys.program(sequence_of(strategy));
+                (strategy, Programs::traditional(program, sys.rows), None)
+            }
+            Strategy::PpmMatrixFirstRest | Strategy::PpmNormalRest => {
+                let ppm = Partitioned::build(h, scenario, precomputed)?;
+                let rest = ppm.rest.as_ref().map(|r| r.program(sequence_of(strategy)));
+                (strategy, ppm.with_rest(rest), None)
+            }
+            Strategy::PpmAuto => {
+                // The paper's sequence optimization: price C₁..C₄ as
+                // programs and keep the cheapest. Each system is
+                // eliminated once — the partition and phase A serve C₃
+                // and C₄, one factorization of H_rest emits both of their
+                // rest programs, one of the traditional system emits C₁
+                // and C₂ — and only the winner gets kernels and surplus
+                // rows. The partitioned candidates are priced first, so
+                // an unrecoverable pattern reports their error.
+                let ppm = Partitioned::build(h, scenario, precomputed)?;
+                let trad = SolvedSystem::traditional(h, scenario)?;
+                let rest_normal = ppm.rest.as_ref().map(|r| r.program(CalcSequence::Normal));
+                let rest_first = ppm
+                    .rest
+                    .as_ref()
+                    .map(|r| r.program(CalcSequence::MatrixFirst));
+                let trad_normal = trad.program(CalcSequence::Normal);
+                let trad_first = trad.program(CalcSequence::MatrixFirst);
+                let phase_a_cost: usize = ppm.phase_a.iter().map(Program::mult_xors).sum();
+                let rest_cost = |p: &Option<Program<W>>| p.as_ref().map_or(0, Program::mult_xors);
+                let report = crate::cost::CostReport {
+                    c1: trad_normal.mult_xors(),
+                    c2: trad_first.mult_xors(),
+                    c3: phase_a_cost + rest_cost(&rest_first),
+                    c4: phase_a_cost + rest_cost(&rest_normal),
+                    parallelism: ppm.phase_a.len(),
+                };
+                // Ties go to the partitioned plans, for their parallelism.
+                let (winner, _) = report.best();
+                let programs = match winner {
+                    Strategy::TraditionalNormal => Programs::traditional(trad_normal, trad.rows),
+                    Strategy::TraditionalMatrixFirst => {
+                        Programs::traditional(trad_first, trad.rows)
                     }
-                    let phase_b = match &part.rest {
-                        None => None,
-                        Some(rest) => {
-                            let seq = if strategy == Strategy::PpmNormalRest {
-                                CalcSequence::Normal
-                            } else {
-                                CalcSequence::MatrixFirst
-                            };
-                            // Recovered independent blocks are inputs here.
-                            let mut sources = surviving.clone();
-                            sources.extend(part.independent_faulty());
-                            sources.sort_unstable();
-                            let (sp, rows) =
-                                build_subsystem(h, &rest.rows, &rest.faulty, &sources, seq)?;
-                            consumed.extend(rows);
-                            Some(sp)
-                        }
-                    };
-                    (phase_a, phase_b)
-                }
-                Strategy::PpmAuto => unreachable!("handled above"),
+                    Strategy::PpmMatrixFirstRest => ppm.with_rest(rest_first),
+                    _ => ppm.with_rest(rest_normal),
+                };
+                (winner, programs, Some(report))
             }
         };
+        Ok(Self::materialize(
+            h, faulty, programs, strategy, backend, predicted,
+        ))
+    }
 
+    /// Turns the chosen programs into an executable plan: the surplus
+    /// rows (every parity equation the programs do not consume) and one
+    /// checked kernel per distinct coefficient of the programs and those
+    /// rows.
+    fn materialize(
+        h: &Matrix<W>,
+        faulty: Vec<usize>,
+        Programs {
+            phase_a,
+            phase_b,
+            consumed,
+        }: Programs<W>,
+        strategy: Strategy,
+        backend: Backend,
+        predicted: Option<crate::cost::CostReport>,
+    ) -> DecodePlan<W> {
         // Surplus rows: every parity equation the decode did not consume,
         // with its non-zero terms over the full stripe. An empty scenario
         // leaves all of H surplus — verification degenerates to the full
         // parity-consistency check.
         let mut used = vec![false; h.rows()];
-        for &r in &consumed {
-            used[r] = true;
+        for r in consumed {
+            if let Some(u) = used.get_mut(r) {
+                *u = true;
+            }
         }
         let surplus: Vec<SurplusRow<W>> = used
             .iter()
             .enumerate()
             .filter(|(_, &u)| !u)
-            .map(|(r, _)| {
-                let terms = (0..h.cols())
-                    .filter_map(|c| {
-                        let v = h.get(r, c);
-                        (v != W::ZERO).then_some((v, c))
-                    })
-                    .collect();
-                (r, terms)
-            })
+            .map(|(r, _)| (r, nonzero_terms(h.row(r), 0..)))
             .collect();
 
+        let phase_a: Vec<SubPlan<W>> = phase_a
+            .into_iter()
+            .map(|program| SubPlan { program })
+            .collect();
+        let phase_b = phase_b.map(|program| SubPlan { program });
         let cost = phase_a.iter().map(|s| s.program.mult_xors()).sum::<usize>()
             + phase_b.as_ref().map_or(0, |s| s.program.mult_xors());
         let coeffs = phase_a
@@ -497,20 +489,20 @@ impl<W: GfWord> DecodePlan<W> {
             .chain(&phase_b)
             .flat_map(|s| s.program.coefficients())
             .chain(surplus.iter().flat_map(|(_, t)| t.iter().map(|(c, _)| *c)))
-            .collect::<Vec<_>>();
-        Ok(DecodePlan {
+            .collect();
+        DecodePlan {
             phase_a,
             phase_b,
-            regions: RegionCache::build(coeffs.into_iter(), backend),
+            regions: RegionCache::build(coeffs, backend),
             total_sectors: h.cols(),
             faulty,
             strategy,
             backend,
             cost,
-            predicted: None,
+            predicted,
             surplus: Some(surplus),
             tape: OnceLock::new(),
-        })
+        }
     }
 
     /// Derives a *degraded-read* plan recovering only the `wanted` faulty
@@ -609,7 +601,7 @@ impl<W: GfWord> DecodePlan<W> {
         DecodePlan {
             phase_a,
             phase_b,
-            regions: self.regions.share(coeffs.into_iter(), self.backend),
+            regions: self.regions.share(coeffs),
             total_sectors: self.total_sectors,
             faulty,
             strategy: self.strategy,
@@ -671,9 +663,9 @@ impl<W: GfWord> DecodePlan<W> {
     }
 
     /// The predicted `C₁..C₄` of all four candidate sequences, when this
-    /// plan was selected by [`Strategy::PpmAuto`] (the sweep prices every
-    /// candidate, so the report is captured for free). `None` for plans
-    /// built with a concrete strategy or restricted plans.
+    /// plan was selected by [`Strategy::PpmAuto`], which prices every
+    /// candidate to choose. `None` for plans built with a concrete
+    /// strategy or restricted plans.
     pub fn predicted_costs(&self) -> Option<crate::cost::CostReport> {
         self.predicted
     }
@@ -759,89 +751,222 @@ impl<W: GfWord> DecodePlan<W> {
     }
 }
 
-/// Builds one sub-matrix program: select a square invertible system from
-/// the candidate rows, invert, and emit the chosen sequence. Also returns
-/// the *global* `H` rows the system consumed, so the caller can derive
-/// the plan's surplus (unused) verification rows.
-fn build_subsystem<W: GfWord>(
-    h: &Matrix<W>,
-    candidate_rows: &[usize],
-    faulty: &[usize],
-    sources: &[usize],
-    seq: CalcSequence,
-) -> Result<(SubPlan<W>, Vec<usize>), DecodeError> {
-    let f_all = h.select_rows(candidate_rows).select_columns(faulty);
-    let picked = f_all.select_independent_rows();
-    if picked.len() < faulty.len() {
-        return Err(DecodeError::Unrecoverable {
-            needed: faulty.len(),
-            rank: picked.len(),
-        });
+/// The calculation sequence a concrete strategy uses for its last
+/// (traditional or `H_rest`) system.
+fn sequence_of(strategy: Strategy) -> CalcSequence {
+    match strategy {
+        Strategy::TraditionalNormal | Strategy::PpmNormalRest => CalcSequence::Normal,
+        _ => CalcSequence::MatrixFirst,
     }
-    let rows: Vec<usize> = picked.iter().map(|&i| candidate_rows[i]).collect();
-    // One elimination serves both sequences: the factorization yields the
-    // matrix-first product `F⁻¹·S` directly (no explicit inverse) and the
-    // explicit `F⁻¹` for the normal sequence. Independent row selection
-    // guarantees invertibility, so the None arm is defensive.
-    let Some((fact, _unused_local)) = ppm_matrix::Factorization::with_residual(&f_all, &picked)
-    else {
-        return Err(DecodeError::Unrecoverable {
+}
+
+/// The non-zero entries of `row` as `(coefficient, label)` terms, where
+/// the `j`-th entry is labelled with the `j`-th item of `labels`.
+fn nonzero_terms<W: GfWord>(row: &[W], labels: impl IntoIterator<Item = usize>) -> Vec<(W, usize)> {
+    row.iter()
+        .zip(labels)
+        .filter(|(&c, _)| c != W::ZERO)
+        .map(|(&c, l)| (c, l))
+        .collect()
+}
+
+/// One sub-matrix's square system, eliminated once: the independent rows
+/// chosen from the candidates, their factored `F`, and `S` over the
+/// sources. Either calculation sequence is emitted from the same
+/// factorization.
+struct SolvedSystem<W: GfWord> {
+    faulty: Vec<usize>,
+    sources: Vec<usize>,
+    /// The *global* `H` rows the system consumes, so the caller can
+    /// derive the plan's surplus (unused) verification rows.
+    rows: Vec<usize>,
+    fact: ppm_matrix::Factorization<W>,
+    s: Matrix<W>,
+}
+
+impl<W: GfWord> SolvedSystem<W> {
+    /// Selects a square invertible system for `faulty` from the candidate
+    /// rows and factors it.
+    fn solve(
+        h: &Matrix<W>,
+        candidate_rows: &[usize],
+        faulty: Vec<usize>,
+        sources: Vec<usize>,
+    ) -> Result<Self, DecodeError> {
+        let f_all = h.select_rows(candidate_rows).select_columns(&faulty);
+        let picked = f_all.select_independent_rows();
+        let unrecoverable = DecodeError::Unrecoverable {
             needed: faulty.len(),
             rank: picked.len(),
-        });
-    };
-    let s = h.select_rows(&rows).select_columns(sources);
+        };
+        if picked.len() < faulty.len() {
+            return Err(unrecoverable);
+        }
+        let Some(rows) = picked
+            .iter()
+            .map(|&i| candidate_rows.get(i).copied())
+            .collect::<Option<Vec<usize>>>()
+        else {
+            return Err(unrecoverable);
+        };
+        // Independent row selection guarantees invertibility, so the
+        // None arm is defensive.
+        let Some((fact, _unused_local)) = ppm_matrix::Factorization::with_residual(&f_all, &picked)
+        else {
+            return Err(unrecoverable);
+        };
+        let s = h.select_rows(&rows).select_columns(&sources);
+        Ok(SolvedSystem {
+            faulty,
+            sources,
+            rows,
+            fact,
+            s,
+        })
+    }
 
-    let program = match seq {
-        CalcSequence::MatrixFirst => {
-            let g = fact.solve_mat(&s);
-            let outputs = faulty
-                .iter()
-                .enumerate()
-                .map(|(fi, &sector)| {
-                    let terms = (0..sources.len())
-                        .filter_map(|j| {
-                            let c = g.get(fi, j);
-                            (c != W::ZERO).then_some((c, sources[j]))
-                        })
-                        .collect();
-                    (sector, terms)
-                })
-                .collect();
-            Program::MatrixFirst { outputs }
+    /// The traditional method's one system: every row of `H`, every
+    /// faulty sector, every surviving sector as a source.
+    fn traditional(h: &Matrix<W>, scenario: &FailureScenario) -> Result<Self, DecodeError> {
+        let all_rows: Vec<usize> = (0..h.rows()).collect();
+        Self::solve(
+            h,
+            &all_rows,
+            scenario.faulty().to_vec(),
+            scenario.surviving(h.cols()),
+        )
+    }
+
+    /// The system's program in sequence `seq`: the matrix-first product
+    /// `F⁻¹·S` straight from the factors (no explicit inverse), or `S`
+    /// and the explicit `F⁻¹` for the normal sequence.
+    fn program(&self, seq: CalcSequence) -> Program<W> {
+        match seq {
+            CalcSequence::MatrixFirst => {
+                let g = self.fact.solve_mat(&self.s);
+                let outputs = self
+                    .faulty
+                    .iter()
+                    .enumerate()
+                    .map(|(fi, &sector)| {
+                        (
+                            sector,
+                            nonzero_terms(g.row(fi), self.sources.iter().copied()),
+                        )
+                    })
+                    .collect();
+                Program::MatrixFirst { outputs }
+            }
+            CalcSequence::Normal => {
+                let f_inv = self.fact.inverse();
+                let t_terms = (0..self.rows.len())
+                    .map(|e| nonzero_terms(self.s.row(e), self.sources.iter().copied()))
+                    .collect();
+                let f_terms = self
+                    .faulty
+                    .iter()
+                    .enumerate()
+                    .map(|(fi, &sector)| (sector, nonzero_terms(f_inv.row(fi), 0..)))
+                    .collect();
+                Program::Normal { t_terms, f_terms }
+            }
         }
-        CalcSequence::Normal => {
-            let f_inv = fact.inverse();
-            let t_terms = (0..rows.len())
-                .map(|e| {
-                    (0..sources.len())
-                        .filter_map(|j| {
-                            let c = s.get(e, j);
-                            (c != W::ZERO).then_some((c, sources[j]))
-                        })
-                        .collect()
-                })
-                .collect();
-            let f_terms = faulty
-                .iter()
-                .enumerate()
-                .map(|(fi, &sector)| {
-                    let terms = (0..rows.len())
-                        .filter_map(|e| {
-                            let c = f_inv.get(fi, e);
-                            (c != W::ZERO).then_some((c, e))
-                        })
-                        .collect();
-                    (sector, terms)
-                })
-                .collect();
-            Program::Normal { t_terms, f_terms }
+    }
+}
+
+/// A decode's programs before kernels are attached: phase A, the last
+/// (traditional or `H_rest`) system, and every global `H` row they
+/// consume.
+struct Programs<W: GfWord> {
+    phase_a: Vec<Program<W>>,
+    phase_b: Option<Program<W>>,
+    consumed: Vec<usize>,
+}
+
+impl<W: GfWord> Programs<W> {
+    /// The traditional method's one program over `rows`.
+    fn traditional(program: Program<W>, rows: Vec<usize>) -> Self {
+        Programs {
+            phase_a: Vec::new(),
+            phase_b: Some(program),
+            consumed: rows,
         }
-    };
-    Ok((SubPlan { program }, rows))
+    }
+}
+
+/// PPM's partitioned systems for one scenario: phase A's independent
+/// sub-matrices (always matrix-first, shared by C₃ and C₄) and the
+/// factored `H_rest`, whose sequence is still open.
+struct Partitioned<W: GfWord> {
+    phase_a: Vec<Program<W>>,
+    /// Global `H` rows phase A consumed.
+    consumed: Vec<usize>,
+    rest: Option<SolvedSystem<W>>,
+}
+
+impl<W: GfWord> Partitioned<W> {
+    fn build(
+        h: &Matrix<W>,
+        scenario: &FailureScenario,
+        precomputed: Option<&Partition>,
+    ) -> Result<Self, DecodeError> {
+        let owned;
+        let part = match precomputed {
+            Some(p) => p,
+            None => {
+                owned = Partition::build(h, scenario);
+                &owned
+            }
+        };
+        let surviving = scenario.surviving(h.cols());
+        // Independent sub-matrices always use matrix-first: every element
+        // on their faulty columns is non-zero, so u(Fᵢ) + u(Sᵢ) >
+        // u(Fᵢ⁻¹·Sᵢ) (paper §III-B).
+        let mut phase_a = Vec::with_capacity(part.independent.len());
+        let mut consumed = Vec::new();
+        for sub in &part.independent {
+            let sys = SolvedSystem::solve(h, &sub.rows, sub.faulty.clone(), surviving.clone())?;
+            consumed.extend_from_slice(&sys.rows);
+            phase_a.push(sys.program(CalcSequence::MatrixFirst));
+        }
+        let rest = match &part.rest {
+            None => None,
+            Some(rest) => {
+                // Recovered independent blocks are inputs here.
+                let mut sources = surviving;
+                sources.extend(part.independent_faulty());
+                sources.sort_unstable();
+                Some(SolvedSystem::solve(
+                    h,
+                    &rest.rows,
+                    rest.faulty.clone(),
+                    sources,
+                )?)
+            }
+        };
+        Ok(Partitioned {
+            phase_a,
+            consumed,
+            rest,
+        })
+    }
+
+    /// The partitioned plan's programs, with `rest` (emitted from
+    /// [`Partitioned::rest`] in either sequence) as `H_rest`'s.
+    fn with_rest(mut self, rest: Option<Program<W>>) -> Programs<W> {
+        if let Some(sys) = &self.rest {
+            self.consumed.extend_from_slice(&sys.rows);
+        }
+        Programs {
+            phase_a: self.phase_a,
+            phase_b: rest,
+            consumed: self.consumed,
+        }
+    }
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
 mod tests {
     use super::*;
     use ppm_codes::{ErasureCode, SdCode};
@@ -957,16 +1082,15 @@ mod tests {
         let full = DecodePlan::build(&h, &sc, Strategy::PpmNormalRest, Backend::Scalar).unwrap();
         for wanted in [&[2][..], &[13], &[2, 6, 10, 13, 14]] {
             let restricted = full.restrict_to(wanted);
-            assert!(!restricted.regions.map.is_empty(), "{wanted:?}");
-            for (key, kernel) in &restricted.regions.map {
+            assert!(!restricted.regions.kernels.is_empty(), "{wanted:?}");
+            for (c, kernel) in &restricted.regions.kernels {
                 let parent = full
                     .regions
-                    .map
-                    .get(key)
+                    .find(*c)
                     .expect("restricted coefficient must come from the parent");
                 assert!(
                     Arc::ptr_eq(kernel, parent),
-                    "kernel for coefficient {key:#x} was rebuilt on restriction"
+                    "kernel for coefficient {c:#x} was rebuilt on restriction"
                 );
             }
         }
@@ -1107,6 +1231,7 @@ mod tests {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
 mod restrict_matrix_first_tests {
     use super::*;
     use ppm_codes::{ErasureCode, SdCode};
@@ -1131,6 +1256,7 @@ mod restrict_matrix_first_tests {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
 mod io_tests {
     use super::*;
     use ppm_codes::{ErasureCode, LrcCode, RsCode};

@@ -500,7 +500,7 @@ mod tests {
                     .collect(),
             };
             let regions = RegionCache::build(
-                program_coeffs(&program).into_iter(),
+                program_coeffs(&program),
                 Backend::Scalar,
             );
             let seg = lower_subplan(&SubPlan { program: program.clone() }, &regions);

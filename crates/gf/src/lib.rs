@@ -13,8 +13,9 @@
 //! * **Region operations** — the `mult_XORs(d0, d1, a)` primitive the paper
 //!   counts its computational cost in: multiply a region of bytes by the
 //!   w-bit constant `a` and XOR the product into a same-sized target region.
-//!   [`RegionMul`] precomputes per-constant split tables (one 256-entry table
-//!   per byte of the word) so the per-byte work is a table lookup, and SIMD
+//!   [`RegionMul`] precomputes per-constant product tables (the 32 nibble
+//!   products at w = 8, one 256-entry table per byte of the word at w = 16
+//!   and 32) so the per-byte work is one or two lookups, and SIMD
 //!   paths (SSSE3/AVX2 nibble shuffles, the "screaming fast" technique of
 //!   Plank et al., FAST'13) accelerate GF(2^8) and GF(2^16) when available.
 //!

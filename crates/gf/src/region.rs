@@ -6,10 +6,13 @@
 //! many of these it performs, so this is the hot kernel of the whole
 //! workspace.
 //!
-//! A [`RegionMul`] precomputes, for its constant, one 256-entry product
-//! table per byte of the word (`table_k[b] = a · (b · x^{8k})`), exploiting
-//! the linearity of GF(2^w) multiplication: a word is the XOR of its bytes
-//! shifted into place, so its product is the XOR of one lookup per byte.
+//! A [`RegionMul`] precomputes, for its constant, the products of every
+//! nibble value, exploiting the linearity of GF(2^w) multiplication: a
+//! word is the XOR of its nibbles shifted into place, so its product is
+//! the XOR of their products. At w = 8 the two 16-entry nibble tables are
+//! the whole state (a byte costs two lookups); at w = 16 and 32 they are
+//! expanded into one 256-entry table per byte of the word
+//! (`table_k[b] = a · (b · x^{8k})`, one lookup per byte).
 //! Buffers hold words in little-endian byte order and must be a multiple of
 //! the word size in length.
 
@@ -51,15 +54,19 @@ pub fn xor_region_with(src: &[u8], dst: &mut [u8], stats: &RegionStats) {
 
 /// A precomputed multiply-by-constant over byte regions in GF(2^w).
 ///
-/// Constructing one costs a few hundred XORs (the tables are built
-/// incrementally from the 8·`BYTES` basis products `a · x^i`); applying it
-/// costs one table lookup per byte. Decoding plans cache one `RegionMul`
+/// Constructing one costs 30 XORs per byte of the word: the 16 + 16
+/// products of the low and high nibble. At w = 8 those 32 bytes are the
+/// whole table (what isa-l's `ec_init_tables` keeps per coefficient) and
+/// a byte's product is `lo[b & 15] ^ hi[b >> 4]`; at w = 16 and 32 they
+/// expand into one 256-entry table per byte of the word, one XOR per
+/// entry, looked up once per byte. Decoding plans cache one `RegionMul`
 /// per distinct non-zero matrix coefficient.
 pub struct RegionMul<W: GfWord> {
     a: W,
     kind: Kind,
     backend: Backend,
-    /// `256 * W::BYTES` entries; empty for the 0/1 fast paths.
+    /// 32 nibble products at w = 8, `256 * W::BYTES` split-table entries
+    /// otherwise; empty for the 0/1 fast paths.
     tables: Box<[W]>,
 }
 
@@ -114,8 +121,8 @@ impl<W: GfWord> RegionMul<W> {
     /// [`Backend::Scalar`] and bumps the process-wide
     /// [`crate::kernel_fallbacks`] counter, so callers always get correct
     /// region arithmetic. The probe runs once per constructed multiplier
-    /// (plan-build time, not per region op) and is noise next to building
-    /// the 256-entry split tables.
+    /// (plan-build time, not per region op), on stack buffers: two
+    /// 64-byte passes.
     ///
     /// # Panics
     /// Panics if a forced SIMD backend is not available on this CPU.
@@ -124,11 +131,12 @@ impl<W: GfWord> RegionMul<W> {
         if rm.kind != Kind::Table || rm.backend == Backend::Scalar {
             return rm;
         }
-        let src: Vec<u8> = (0..64u8)
-            .map(|i| i.wrapping_mul(37).wrapping_add(11))
-            .collect();
-        let mut got = vec![0xA5u8; 64];
-        let mut want = got.clone();
+        let mut src = [0u8; 64];
+        for (i, b) in (0u8..).zip(&mut src) {
+            *b = i.wrapping_mul(37).wrapping_add(11);
+        }
+        let mut got = [0xA5u8; 64];
+        let mut want = got;
         rm.table_apply(&src, &mut got, true);
         scalar_apply::<W>(&rm.tables, &src, &mut want, true);
         if got == want {
@@ -219,7 +227,7 @@ impl<W: GfWord> RegionMul<W> {
     fn table_apply(&self, src: &[u8], dst: &mut [u8], accumulate: bool) {
         if W::WIDTH == 8 {
             // SAFETY: W::WIDTH == 8 implies W = u8 (the trait is sealed over
-            // u8/u16/u32), so the table memory is exactly 256 bytes of u8.
+            // u8/u16/u32), so the table memory is exactly 32 bytes of u8.
             let t8: &[u8] = unsafe {
                 std::slice::from_raw_parts(self.tables.as_ptr().cast::<u8>(), self.tables.len())
             };
@@ -227,16 +235,6 @@ impl<W: GfWord> RegionMul<W> {
                 crate::fault::poison_if_forced(dst);
                 return;
             }
-            if accumulate {
-                for (s, d) in src.iter().zip(dst.iter_mut()) {
-                    *d ^= t8[*s as usize];
-                }
-            } else {
-                for (s, d) in src.iter().zip(dst.iter_mut()) {
-                    *d = t8[*s as usize];
-                }
-            }
-            return;
         }
         if W::WIDTH == 32
             && simd::try_mul_u32(self.backend, self.a.to_u64() as u32, src, dst, accumulate)
@@ -404,30 +402,53 @@ impl<W: GfWord> std::fmt::Debug for RegionMul<W> {
     }
 }
 
-/// Builds the split product tables for a non-trivial constant.
+/// Builds the product tables for a non-trivial constant.
 ///
-/// `tables[k*256 + b] = a · (b << 8k)`. Each 256-entry table is filled
-/// incrementally: the entry for `b` is the entry for `b` with its lowest
-/// set bit cleared, XOR the basis product for that bit.
+/// For byte `k` of the word, the 16 + 16 products `a · (n << 8k)` and
+/// `a · (n << (8k + 4))` of its low and high nibble are filled
+/// incrementally (the entry for `n` is the entry for `n` with its lowest
+/// set bit cleared, XOR the basis product for that bit). At w = 8 those
+/// 32 products are the table. Wider words expand each pair into the
+/// 256-entry split table `tables[k*256 + b] = a · (b << 8k)`, which by
+/// linearity is `lo[b & 15] ^ hi[b >> 4]`.
 fn build_tables<W: GfWord>(a: W) -> Box<[W]> {
-    let mut t = vec![W::ZERO; 256 * W::BYTES];
-    let mut cur = a; // a · x^(8k + j), advanced as we walk k and j
-    for k in 0..W::BYTES {
-        let tk = &mut t[k * 256..(k + 1) * 256];
-        let mut basis = [W::ZERO; 8];
+    let mut nibbles = [[W::ZERO; 16]; 8];
+    let mut cur = a; // a · x^(4j + i), advanced as we walk j and i
+    for half in nibbles.iter_mut().take(2 * W::BYTES) {
+        let mut basis = [W::ZERO; 4];
         for slot in &mut basis {
             *slot = cur;
             cur = cur.xtimes();
         }
-        for b in 1..256usize {
-            let low = b.trailing_zeros() as usize;
-            tk[b] = tk[b & (b - 1)].gf_add(basis[low]);
+        for n in 1..16usize {
+            half[n] = half[n & (n - 1)].gf_add(basis[n.trailing_zeros() as usize]);
+        }
+    }
+    if W::BYTES == 1 {
+        return nibbles[..2].concat().into_boxed_slice();
+    }
+    let mut t = vec![W::ZERO; 256 * W::BYTES];
+    for (tk, pair) in t.chunks_exact_mut(256).zip(nibbles.chunks_exact(2)) {
+        // Row `h` of the 16×16 table is entry `16·h + l`.
+        for (row, &h) in tk.chunks_exact_mut(16).zip(&pair[1]) {
+            for (entry, &l) in row.iter_mut().zip(&pair[0]) {
+                *entry = l.gf_add(h);
+            }
         }
     }
     t.into_boxed_slice()
 }
 
 fn scalar_apply<W: GfWord>(tables: &[W], src: &[u8], dst: &mut [u8], accumulate: bool) {
+    if W::BYTES == 1 {
+        let (lo, hi) = tables.split_at(16);
+        for (s, d) in src.iter().zip(dst.iter_mut()) {
+            let p = lo[usize::from(s & 15)].gf_add(hi[usize::from(s >> 4)]);
+            let p = p.to_u64() as u8;
+            *d = if accumulate { *d ^ p } else { p };
+        }
+        return;
+    }
     let b = W::BYTES;
     for (s, d) in src.chunks_exact(b).zip(dst.chunks_exact_mut(b)) {
         let mut acc = W::ZERO;

@@ -8,15 +8,17 @@
 //! up with a byte shuffle compute 16 (SSSE3) or 32 (AVX2) products per
 //! instruction pair.
 //!
-//! The 16-entry tables are sliced out of the full 256-entry scalar table
-//! (`lo[i] = t[i]`, `hi[i] = t[i << 4]`), so the kernels are guaranteed to
-//! agree with the scalar path by construction.
+//! The two 16-entry tables are the whole per-constant state at w = 8
+//! (`t[..16]` = `a·i`, `t[16..]` = `a·(i << 4)`), and the scalar path
+//! looks up the same two tables, so the kernels agree with it by
+//! construction.
 
 use crate::Backend;
 
 /// Attempts to run the GF(2^8) region multiply on a vector unit.
 ///
-/// `table` is the full 256-entry product table for the constant. Returns
+/// `table` is the constant's 32 nibble products (low nibble, then high
+/// nibble). Returns
 /// `false` when no SIMD path applies (non-x86 build, scalar backend, or a
 /// forced backend that the CPU lacks — the latter is rejected earlier at
 /// `RegionMul::new`).
@@ -30,7 +32,7 @@ pub(crate) fn try_mul_u8(
 ) -> bool {
     #[cfg(target_arch = "x86_64")]
     {
-        debug_assert_eq!(table.len(), 256);
+        debug_assert_eq!(table.len(), 32);
         match backend {
             Backend::Avx2 if std::arch::is_x86_feature_detected!("avx2") => {
                 // SAFETY: AVX2 support was just verified.
@@ -103,28 +105,22 @@ pub(crate) fn try_mul_u32(
 mod x86 {
     use std::arch::x86_64::*;
 
-    /// Extracts the two 16-byte nibble tables from the full product table.
+    /// Splits the 32 nibble products into the low and high 16-byte tables.
     #[inline]
     fn nibble_tables(table: &[u8]) -> ([u8; 16], [u8; 16]) {
         let mut lo = [0u8; 16];
         let mut hi = [0u8; 16];
-        for i in 0..16 {
-            lo[i] = table[i];
-            hi[i] = table[i << 4];
-        }
+        lo.copy_from_slice(&table[..16]);
+        hi.copy_from_slice(&table[16..32]);
         (lo, hi)
     }
 
     #[inline]
     fn scalar_tail(table: &[u8], src: &[u8], dst: &mut [u8], accumulate: bool) {
-        if accumulate {
-            for (s, d) in src.iter().zip(dst.iter_mut()) {
-                *d ^= table[*s as usize];
-            }
-        } else {
-            for (s, d) in src.iter().zip(dst.iter_mut()) {
-                *d = table[*s as usize];
-            }
+        let (lo, hi) = nibble_tables(table);
+        for (s, d) in src.iter().zip(dst.iter_mut()) {
+            let p = lo[usize::from(s & 15)] ^ hi[usize::from(s >> 4)];
+            *d = if accumulate { *d ^ p } else { p };
         }
     }
 

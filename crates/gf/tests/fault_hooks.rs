@@ -131,3 +131,81 @@ fn checked_constructor_all_widths() {
     go!(u16, 0x1D2C);
     go!(u32, 0xDEAD_BEEF);
 }
+
+/// Every backend this CPU runs, `Auto` included.
+fn backends() -> Vec<Backend> {
+    [
+        Backend::Scalar,
+        Backend::Ssse3,
+        Backend::Avx2,
+        Backend::Auto,
+    ]
+    .into_iter()
+    .filter(|b| b.is_available())
+    .collect()
+}
+
+/// Checks `RegionMul::new_checked(a, backend)` against `a.gf_mul(b)` for
+/// every word `b` of `words`, both accumulating and overwriting.
+fn check_products<W: GfWord>(a: W, backend: Backend, words: &[W]) {
+    let src: Vec<u8> = words
+        .iter()
+        .flat_map(|b| b.to_u64().to_le_bytes().into_iter().take(W::BYTES))
+        .collect();
+    let rm = RegionMul::<W>::new_checked(a, backend);
+    let mut copied = vec![0xA5u8; src.len()];
+    rm.mul_copy(&src, &mut copied);
+    let mut accumulated = src.clone();
+    rm.mul_xor(&src, &mut accumulated);
+    for (i, &b) in words.iter().enumerate() {
+        let at = |buf: &[u8]| {
+            let bytes = &buf[i * W::BYTES..(i + 1) * W::BYTES];
+            W::from_u64(bytes.iter().rev().fold(0, |x, &v| x << 8 | u64::from(v)))
+        };
+        let want = a.gf_mul(b);
+        assert_eq!(at(&copied), want, "mul_copy a={a:?} b={b:?} {backend:?}");
+        assert_eq!(at(&accumulated), want.gf_add(b), "mul_xor a={a:?} b={b:?}");
+    }
+}
+
+/// The product tables are pinned exhaustively at w = 8 — every constant
+/// against every byte, through the checked constructor on every backend,
+/// with a 7-byte tail past the last vector block — and on sampled
+/// constants at w = 16 and w = 32. A healthy probe never falls back.
+#[test]
+fn checked_tables_match_gf_mul() {
+    let _guard = FAULT_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+    let before = kernel_fallbacks();
+    let bytes: Vec<u8> = (0..=255).chain(249..=255).collect();
+    let halves: Vec<u16> = (0..=u16::MAX).collect();
+    let words: Vec<u32> = pseudo_bytes(4 * 4096, 5)
+        .chunks_exact(4)
+        .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
+        .chain([0, 1, 0x8000_0000, u32::MAX])
+        .collect();
+    for backend in backends() {
+        for a in 0..=255u8 {
+            check_products(a, backend, &bytes);
+        }
+        for a in [0u16, 1, 2, 3, 0x100, 0x1D2C, 0x8000, 0xFFFF, 0x1234, 0xBEEF] {
+            check_products(a, backend, &halves);
+        }
+        for a in [
+            0u32,
+            1,
+            2,
+            0x100,
+            0x1_0000,
+            0x0040_0007,
+            0x8000_0000,
+            0xDEAD_BEEF,
+        ] {
+            check_products(a, backend, &words);
+        }
+    }
+    assert_eq!(
+        kernel_fallbacks(),
+        before,
+        "healthy probes must not fall back"
+    );
+}

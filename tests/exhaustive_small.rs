@@ -5,7 +5,9 @@
 //! reported `Unrecoverable` — and the engine and the oracle agree on
 //! which — through both the whole-sector path (serial decoder) and the
 //! chunked sub-range path (multi-threaded decoder), with executed == predicted
-//! on each.
+//! on each. On every pattern the `PpmAuto` plan also picks exactly what
+//! the long way picks: all four concrete plans built, the first strict
+//! minimum kept.
 //!
 //! For SD and PMDS the suite additionally pins the families' defining
 //! guarantees (Plank & Blaum, arXiv:1401.4715): any `m` whole disks plus
@@ -15,11 +17,12 @@
 mod common;
 
 use common::reference_decode;
+use ppm::cost::CostReport;
 use ppm::stripe::random_data_stripe;
 use ppm::{
-    encode, Backend, Decoder, DecoderConfig, ErasureCode, EvenOddCode, FailureScenario,
-    HitchhikerXor, LrcCode, PmdsCode, ProductCode, RdpCode, RepairError, RsCode, SdCode, StarCode,
-    Strategy, Stripe,
+    encode, Backend, DecodeError, DecodePlan, Decoder, DecoderConfig, ErasureCode, EvenOddCode,
+    FailureScenario, HitchhikerXor, LrcCode, PmdsCode, ProductCode, RdpCode, RepairError, RsCode,
+    SdCode, StarCode, Strategy, Stripe,
 };
 use rand::{rngs::StdRng, SeedableRng};
 
@@ -46,6 +49,34 @@ fn for_each_subset(n: usize, k: usize, visit: &mut impl FnMut(&[usize])) {
         }
     }
     extend(n, k, 0, &mut Vec::with_capacity(k), visit);
+}
+
+/// The sequence optimization the long way: build the four concrete plans
+/// and keep the first strict minimum in C₄, C₃, C₂, C₁ order. Returns the
+/// winner, its cost and the four costs.
+fn reference_auto(
+    h: &ppm::Matrix<u8>,
+    scenario: &FailureScenario,
+) -> Result<(Strategy, usize, CostReport), DecodeError> {
+    let build = |s| DecodePlan::build(h, scenario, s, Backend::Scalar);
+    let c4 = build(Strategy::PpmNormalRest)?;
+    let c3 = build(Strategy::PpmMatrixFirstRest)?;
+    let c2 = build(Strategy::TraditionalMatrixFirst)?;
+    let c1 = build(Strategy::TraditionalNormal)?;
+    let mut best = &c4;
+    for plan in [&c3, &c2, &c1] {
+        if plan.mult_xors() < best.mult_xors() {
+            best = plan;
+        }
+    }
+    let report = CostReport {
+        c1: c1.mult_xors(),
+        c2: c2.mult_xors(),
+        c3: c3.mult_xors(),
+        c4: c4.mult_xors(),
+        parallelism: c4.parallelism(),
+    };
+    Ok((best.strategy(), best.mult_xors(), report))
 }
 
 struct Harness<'a, C> {
@@ -84,7 +115,17 @@ impl<'a, C: ErasureCode<u8>> Harness<'a, C> {
         by_oracle.erase(&scenario);
         let decodable = reference_decode(&self.h, &scenario, &mut by_oracle);
 
-        let plan = match self.serial.plan(&self.h, &scenario, Strategy::PpmAuto) {
+        let auto = self.serial.plan(&self.h, &scenario, Strategy::PpmAuto);
+        match (&auto, reference_auto(&self.h, &scenario)) {
+            (Ok(plan), Ok(reference)) => assert_eq!(
+                (plan.strategy(), plan.mult_xors(), plan.predicted_costs()),
+                (reference.0, reference.1, Some(reference.2)),
+                "{name} {faulty:?}: PpmAuto against the four concrete plans"
+            ),
+            (Err(e), Err(reference)) => assert_eq!(*e, reference, "{name} {faulty:?}"),
+            (got, reference) => panic!("{name} {faulty:?}: {got:?} against {reference:?}"),
+        }
+        let plan = match auto {
             Ok(plan) => plan,
             Err(RepairError::Unrecoverable { needed, rank }) => {
                 assert!(
