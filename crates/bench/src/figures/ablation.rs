@@ -37,13 +37,13 @@ pub(super) fn run(args: &ExpArgs, out: &mut dyn Write) -> io::Result<()> {
 
     let (base, base_plan) = time_plan(&prep, Strategy::TraditionalNormal, 1, args.reps);
 
-    let mut t = Table::new(out, &["variant", "mult_XORs", "time", "improvement"])?;
+    let mut t = Table::new(out, &["variant", "mult_XORs", "time", "improvement"]);
     t.row(&[
         "C1 traditional".into(),
         base_plan.mult_xors().to_string(),
         secs(base),
         "+0.0%".into(),
-    ])?;
+    ]);
 
     for (label, strategy) in [
         ("C2 sequence-opt only", Strategy::TraditionalMatrixFirst),
@@ -56,7 +56,7 @@ pub(super) fn run(args: &ExpArgs, out: &mut dyn Write) -> io::Result<()> {
             plan.mult_xors().to_string(),
             secs(time),
             signed_pct(improvement(base, time)),
-        ])?;
+        ]);
     }
 
     let (serial, plan) = time_plan(&prep, Strategy::PpmAuto, 1, args.reps);
@@ -66,7 +66,7 @@ pub(super) fn run(args: &ExpArgs, out: &mut dyn Write) -> io::Result<()> {
         plan.mult_xors().to_string(),
         secs(modeled),
         signed_pct(improvement(base, modeled)),
-    ])?;
+    ]);
     // Our extension: chunk H_rest's regions across the threads as well.
     let chunked = modeled_decode_time_chunked(&plan, serial, 4, 4, SPAWN_OVERHEAD);
     t.row(&[
@@ -74,13 +74,19 @@ pub(super) fn run(args: &ExpArgs, out: &mut dyn Write) -> io::Result<()> {
         plan.mult_xors().to_string(),
         secs(chunked),
         signed_pct(improvement(base, chunked)),
-    ])?;
+    ]);
+    t.finish()?;
 
-    // Backend ablation: same C1 plan, scalar vs best SIMD.
+    // Backend ablation: same C1 plan on every backend this CPU runs.
     writeln!(out, "\nregion-kernel backend ablation (C1 plan):")?;
-    let mut bt = Table::new(out, &["backend", "time", "speedup vs scalar"])?;
+    let mut bt = Table::new(out, &["backend", "time", "speedup vs scalar"]);
     let mut scalar_time = None;
-    for backend in [Backend::Scalar, Backend::Ssse3, Backend::Avx2] {
+    for backend in [
+        Backend::Scalar,
+        Backend::Ssse3,
+        Backend::Avx2,
+        Backend::Gfni,
+    ] {
         if !backend.is_available() {
             continue;
         }
@@ -90,7 +96,8 @@ pub(super) fn run(args: &ExpArgs, out: &mut dyn Write) -> io::Result<()> {
             format!("{backend:?}"),
             secs(best),
             format!("{:.2}x", scalar / best),
-        ])?;
+        ]);
     }
+    bt.finish()?;
     writeln!(out, "\n(* = simulated 4 cores; see DESIGN.md §3)")
 }

@@ -26,7 +26,7 @@ fn row<W: GfWord, C: ErasureCode<W>>(
     scenario: FailureScenario,
     args: &ExpArgs,
     t: &mut Table,
-) -> io::Result<()> {
+) {
     let mut rng = StdRng::seed_from_u64(args.seed);
     let prep = prepare(code, scenario, args.stripe_bytes, &mut rng).expect("decodable outage");
     let (base, _) = time_plan(&prep, Strategy::TraditionalNormal, 1, args.reps);
@@ -40,7 +40,7 @@ fn row<W: GfWord, C: ErasureCode<W>>(
         plan.sectors_read().to_string(),
         signed_pct(improvement(base, opt)),
         signed_pct(improvement(base, modeled)),
-    ])
+    ]);
 }
 
 pub(super) fn run(args: &ExpArgs, out: &mut dyn Write) -> io::Result<()> {
@@ -61,32 +61,33 @@ pub(super) fn run(args: &ExpArgs, out: &mut dyn Write) -> io::Result<()> {
             "impr T=1",
             "impr T=4*",
         ],
-    )?;
+    );
     let mut rng = StdRng::seed_from_u64(args.seed);
 
     let sd = SdCode::<u8>::search(8, 16, 2, 2, args.seed, 3).unwrap();
     let sc = sd.decodable_worst_case(1, &mut rng, 300).unwrap();
-    row(&sd, sc, args, &mut t)?;
+    row(&sd, sc, args, &mut t);
 
     let lrc = LrcCode::<u8>::new(12, 2, 2, 16).unwrap();
     let sc = lrc.spread_disk_failures(&mut rng);
-    row(&lrc, sc, args, &mut t)?;
+    row(&lrc, sc, args, &mut t);
 
     let rs = RsCode::<u8>::new(12, 4, 16).unwrap();
     let sc = rs.random_disk_failures(4, &mut rng);
-    row(&rs, sc, args, &mut t)?;
+    row(&rs, sc, args, &mut t);
 
     let eo = EvenOddCode::<u8>::new(13).unwrap();
     let sc = FailureScenario::whole_disks(eo.layout(), &[2, 9]);
-    row(&eo, sc, args, &mut t)?;
+    row(&eo, sc, args, &mut t);
 
     let rdp = RdpCode::<u8>::new(13).unwrap();
     let sc = FailureScenario::whole_disks(rdp.layout(), &[0, 7]);
-    row(&rdp, sc, args, &mut t)?;
+    row(&rdp, sc, args, &mut t);
 
     let star = StarCode::<u8>::new(13).unwrap();
     let sc = FailureScenario::whole_disks(star.layout(), &[1, 6, 12]);
-    row(&star, sc, args, &mut t)?;
+    row(&star, sc, args, &mut t);
+    t.finish()?;
 
     writeln!(
         out,

@@ -22,7 +22,7 @@ use ppm_gf::GfWord;
 use rand::{rngs::StdRng, SeedableRng};
 use std::io::{self, Write};
 
-fn row<W: GfWord, C: ErasureCode<W>>(code: &C, args: &ExpArgs, t: &mut Table) -> io::Result<()> {
+fn row<W: GfWord, C: ErasureCode<W>>(code: &C, args: &ExpArgs, t: &mut Table) {
     // Encoding is decoding with every parity sector "lost".
     let scenario = FailureScenario::new(code.parity_sectors());
     let mut rng = StdRng::seed_from_u64(args.seed);
@@ -38,7 +38,7 @@ fn row<W: GfWord, C: ErasureCode<W>>(code: &C, args: &ExpArgs, t: &mut Table) ->
         signed_pct(improvement(trad, ppm)),
         signed_pct(improvement(trad, modeled)),
         plan.parallelism().to_string(),
-    ])
+    ]);
 }
 
 pub(super) fn run(args: &ExpArgs, out: &mut dyn Write) -> io::Result<()> {
@@ -58,21 +58,22 @@ pub(super) fn run(args: &ExpArgs, out: &mut dyn Write) -> io::Result<()> {
             "impr T=4*",
             "p",
         ],
-    )?;
+    );
     let seed = args.seed;
     row(
         &SdCode::<u8>::search(8, 16, 2, 2, seed, 3).unwrap(),
         args,
         &mut t,
-    )?;
+    );
     row(
         &SdCode::<u8>::search(16, 16, 3, 3, seed, 2).unwrap(),
         args,
         &mut t,
-    )?;
-    row(&LrcCode::<u8>::new(12, 2, 2, 16).unwrap(), args, &mut t)?;
-    row(&RsCode::<u8>::new(12, 4, 16).unwrap(), args, &mut t)?;
-    row(&EvenOddCode::<u8>::new(17).unwrap(), args, &mut t)?;
+    );
+    row(&LrcCode::<u8>::new(12, 2, 2, 16).unwrap(), args, &mut t);
+    row(&RsCode::<u8>::new(12, 4, 16).unwrap(), args, &mut t);
+    row(&EvenOddCode::<u8>::new(17).unwrap(), args, &mut t);
+    t.finish()?;
     writeln!(
         out,
         "\n(encoding = decoding of the parity positions, §II-B footnote 1)"

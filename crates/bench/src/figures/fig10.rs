@@ -41,7 +41,7 @@ pub(super) fn run(args: &ExpArgs, out: &mut dyn Write) -> io::Result<()> {
     let mut t = Table::new(
         out,
         &["config", "T=1 meas", cpus[0].0, cpus[1].0, cpus[2].0],
-    )?;
+    );
 
     let mut spreads = Vec::new();
     for &s in &ss {
@@ -70,10 +70,11 @@ pub(super) fn run(args: &ExpArgs, out: &mut dyn Write) -> io::Result<()> {
                 let spread = per_cpu.iter().cloned().fold(f64::NEG_INFINITY, f64::max)
                     - per_cpu.iter().cloned().fold(f64::INFINITY, f64::min);
                 spreads.push(spread);
-                t.row(&cells)?;
+                t.row(&cells);
             }
         }
     }
+    t.finish()?;
     let max_spread = spreads.iter().cloned().fold(0.0f64, f64::max);
     writeln!(
         out,

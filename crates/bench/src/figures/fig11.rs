@@ -34,7 +34,7 @@ fn run_panel(
     let mut t = Table::new(
         out,
         &["cost", "(k,l,g)", "C1 time", "impr T=1", "impr T=4*", "p"],
-    )?;
+    );
     let mut imps = Vec::new();
     for &(k, l, g) in &configs {
         let n = k + l + g;
@@ -46,7 +46,7 @@ fn run_panel(
                 "-".into(),
                 "-".into(),
                 "-".into(),
-            ])?;
+            ]);
             continue;
         };
         let (base, _) = time_plan(&prep, Strategy::TraditionalNormal, 1, args.reps);
@@ -61,8 +61,9 @@ fn run_panel(
             signed_pct(improvement(base, opt)),
             signed_pct(imp4),
             plan.parallelism().to_string(),
-        ])?;
+        ]);
     }
+    t.finish()?;
     Ok(imps)
 }
 

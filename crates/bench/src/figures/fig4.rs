@@ -27,7 +27,7 @@ pub(super) fn run(args: &ExpArgs, out: &mut dyn Write) -> io::Result<()> {
             let mut t = Table::new(
                 out,
                 &["n", "C1", "C2/C1", "C3/C1", "C4/C1", "C4/C1 (closed form)"],
-            )?;
+            );
             for &n in &ns {
                 if n <= m || s > n - m {
                     continue;
@@ -47,8 +47,9 @@ pub(super) fn run(args: &ExpArgs, out: &mut dyn Write) -> io::Result<()> {
                     ratio(rep.c3),
                     ratio(rep.c4),
                     pct(cf.c4() as f64 / cf.c1() as f64),
-                ])?;
+                ]);
             }
+            t.finish()?;
         }
     }
 

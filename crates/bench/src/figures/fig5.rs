@@ -22,7 +22,7 @@ pub(super) fn run(args: &ExpArgs, out: &mut dyn Write) -> io::Result<()> {
 
     for m in 1..=3usize {
         writeln!(out, "\n# panel m={m} (s={s}, r={r})")?;
-        let mut t = Table::new(out, &["n", "C4/C1 z=1", "C4/C1 z=2", "C4/C1 z=3"])?;
+        let mut t = Table::new(out, &["n", "C4/C1 z=1", "C4/C1 z=2", "C4/C1 z=3"]);
         for &n in &ns {
             if n <= m || s > n - m {
                 continue;
@@ -35,8 +35,9 @@ pub(super) fn run(args: &ExpArgs, out: &mut dyn Write) -> io::Result<()> {
                     .unwrap_or_else(|| "-".into());
                 cells.push(cell);
             }
-            t.row(&cells)?;
+            t.row(&cells);
         }
+        t.finish()?;
     }
     writeln!(
         out,

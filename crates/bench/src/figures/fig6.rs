@@ -23,7 +23,7 @@ pub(super) fn run(args: &ExpArgs, out: &mut dyn Write) -> io::Result<()> {
     for m in 1..=3usize {
         for s in 1..=3usize {
             writeln!(out, "\n# panel m={m}, s={s} (n={n}, z={z})")?;
-            let mut t = Table::new(out, &["r", "C1", "C4", "C4/C1"])?;
+            let mut t = Table::new(out, &["r", "C1", "C4", "C4/C1"]);
             let mut series = Vec::new();
             for &r in &rs {
                 let Some(prep) = prepare_sd(n, r, m, s, z, 8 * n * r, args.seed + r as u64) else {
@@ -37,8 +37,9 @@ pub(super) fn run(args: &ExpArgs, out: &mut dyn Write) -> io::Result<()> {
                     rep.c1.to_string(),
                     rep.c4.to_string(),
                     pct(ratio),
-                ])?;
+                ]);
             }
+            t.finish()?;
             last_per_combo.push((m, s, series));
         }
     }

@@ -52,7 +52,7 @@ pub(super) fn run(args: &ExpArgs, out: &mut dyn Write) -> io::Result<()> {
             "T=4 model",
             "T=6 model",
         ],
-    )?;
+    );
 
     for &s in &ss {
         for &m in &ms {
@@ -79,10 +79,11 @@ pub(super) fn run(args: &ExpArgs, out: &mut dyn Write) -> io::Result<()> {
                     model(3),
                     model(4),
                     model(6),
-                ])?;
+                ]);
             }
         }
     }
+    t.finish()?;
     writeln!(
         out,
         "\npaper: improvement increases with T up to T = corenumbers, then reverses;\n\

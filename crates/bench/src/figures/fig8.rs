@@ -82,7 +82,7 @@ pub(super) fn run(args: &ExpArgs, out: &mut dyn Write) -> io::Result<()> {
                     "RS w=16",
                     "RS w=32",
                 ],
-            )?;
+            );
             for &n in &ns {
                 if n <= m + 1 || s > n - m {
                     continue;
@@ -99,8 +99,9 @@ pub(super) fn run(args: &ExpArgs, out: &mut dyn Write) -> io::Result<()> {
                 cells.push(rs_mbs::<u8>(n - m, m + 1, r, args));
                 cells.push(rs_mbs::<u16>(n - m, m + 1, r, args));
                 cells.push(rs_mbs::<u32>(n - m, m + 1, r, args));
-                t.row(&cells)?;
+                t.row(&cells);
             }
+            t.finish()?;
         }
     }
 
@@ -116,15 +117,16 @@ pub(super) fn run(args: &ExpArgs, out: &mut dyn Write) -> io::Result<()> {
     let mut t = Table::new(
         out,
         &["r", "SD MB/s", "opt-SD MB/s", "impr T=1", "impr T=4*"],
-    )?;
+    );
     for &rr in &rs_sweep {
         let Some(prep) = prepare_sd(16, rr, 2, 2, z, args.stripe_bytes, args.seed) else {
             continue;
         };
         let mut cells = vec![rr.to_string()];
         cells.extend(sd_cells(&prep, args).0);
-        t.row(&cells)?;
+        t.row(&cells);
     }
+    t.finish()?;
 
     let avg = improvements.iter().sum::<f64>() / improvements.len() as f64;
     let min = improvements.iter().cloned().fold(f64::INFINITY, f64::min);

@@ -38,7 +38,7 @@ pub(super) fn run(args: &ExpArgs, out: &mut dyn Write) -> io::Result<()> {
     )?;
     let mut headers = vec!["stripe".to_string()];
     headers.extend(combos.iter().map(|(m, s)| format!("m={m},s={s}")));
-    let mut t = Table::new(out, &headers.iter().map(String::as_str).collect::<Vec<_>>())?;
+    let mut t = Table::new(out, &headers.iter().map(String::as_str).collect::<Vec<_>>());
 
     for &mib in &sizes_mib {
         let mut cells = vec![format!("{mib}MiB")];
@@ -54,8 +54,9 @@ pub(super) fn run(args: &ExpArgs, out: &mut dyn Write) -> io::Result<()> {
                 .unwrap_or_else(|| "-".into());
             cells.push(cell);
         }
-        t.row(&cells)?;
+        t.row(&cells);
     }
+    t.finish()?;
     writeln!(
         out,
         "\npaper: improvement becomes steady once stripe size exceeds 8 MB\n\

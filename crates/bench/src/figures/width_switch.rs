@@ -17,22 +17,16 @@ use ppm_core::Strategy;
 use ppm_gf::GfWord;
 use std::io::{self, Write};
 
-fn row<W: GfWord>(
-    n: usize,
-    r: usize,
-    m: usize,
-    s: usize,
-    args: &ExpArgs,
-    t: &mut Table,
-) -> io::Result<()> {
+fn row<W: GfWord>(n: usize, r: usize, m: usize, s: usize, args: &ExpArgs, t: &mut Table) {
     let Some(prep) = prepare_sd_w::<W>(n, r, m, s, 1, args.stripe_bytes, args.seed) else {
-        return t.row(&[
+        t.row(&[
             format!("n={n} r={r} w={}", W::WIDTH),
             "-".into(),
             "-".into(),
             "-".into(),
             "-".into(),
         ]);
+        return;
     };
     let bytes = prep.pristine.total_bytes();
     let (base, _) = time_plan(&prep, Strategy::TraditionalNormal, 1, args.reps);
@@ -43,7 +37,7 @@ fn row<W: GfWord>(
         format!("{:.0}", throughput_mbs(bytes, base)),
         format!("{:.0}", throughput_mbs(bytes, opt)),
         signed_pct(improvement(base, opt)),
-    ])
+    ]);
 }
 
 pub(super) fn run(args: &ExpArgs, out: &mut dyn Write) -> io::Result<()> {
@@ -58,14 +52,15 @@ pub(super) fn run(args: &ExpArgs, out: &mut dyn Write) -> io::Result<()> {
     let mut t = Table::new(
         out,
         &["config", "n*r", "SD MB/s", "opt-SD MB/s", "impr T=1"],
-    )?;
+    );
     for (n, r) in [(8usize, 16usize), (15, 16), (16, 16), (24, 16)] {
-        row::<u8>(n, r, m, s, args, &mut t)?;
-        row::<u16>(n, r, m, s, args, &mut t)?;
+        row::<u8>(n, r, m, s, args, &mut t);
+        row::<u16>(n, r, m, s, args, &mut t);
         if args.full {
-            row::<u32>(n, r, m, s, args, &mut t)?;
+            row::<u32>(n, r, m, s, args, &mut t);
         }
     }
+    t.finish()?;
     writeln!(
         out,
         "\nthe w=8 -> w=16 drop is the paper's \"jag\": the wider field's\n\

@@ -18,6 +18,10 @@
 //!   and 32) so the per-byte work is one or two lookups, and SIMD
 //!   paths (SSSE3/AVX2 nibble shuffles, the "screaming fast" technique of
 //!   Plank et al., FAST'13) accelerate GF(2^8) and GF(2^16) when available.
+//!   On CPUs with GFNI, GF(2^8) multiplies 32 bytes per affine instruction
+//!   against an 8×8 bit matrix of the constant, and a fused run of terms
+//!   into one destination is summed in registers: each source is read
+//!   once and the destination written once (the isa-l dot-product shape).
 //!
 //! # Example
 //!
@@ -40,6 +44,7 @@
 
 #![forbid(unsafe_op_in_unsafe_fn)]
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 mod fault;
 mod region;
@@ -67,9 +72,9 @@ pub use word::GfWord;
 pub enum Backend {
     /// Portable split-table lookups; works everywhere.
     Scalar,
-    /// Pick the fastest available backend at runtime (AVX2, then SSSE3,
-    /// then scalar). The choice is made per region call and is free after
-    /// the first feature probe.
+    /// Pick the fastest available backend at runtime (GFNI, then AVX2,
+    /// then SSSE3, then scalar). The choice is made when a multiplier is
+    /// constructed and is free after the first feature probe.
     #[default]
     Auto,
     /// Force the 128-bit vector kernels: SSSE3 nibble shuffles for
@@ -80,6 +85,12 @@ pub enum Backend {
     /// Force the 256-bit AVX2 kernel for GF(2^8); GF(2^16) and GF(2^32)
     /// use their 128-bit kernels. Panics at use if unsupported.
     Avx2,
+    /// Force the GFNI kernel for GF(2^8): one `vgf2p8affineqb` per 32
+    /// bytes against the constant's 8×8 bit matrix, with every term of a
+    /// fused run accumulated in AVX2 registers. GF(2^16) and GF(2^32) use
+    /// their 128-bit kernels, as with `Avx2`. Needs GFNI and AVX2; panics
+    /// at use if unsupported.
+    Gfni,
 }
 
 impl Backend {
@@ -88,6 +99,9 @@ impl Backend {
     pub fn detect() -> Backend {
         #[cfg(target_arch = "x86_64")]
         {
+            if Backend::Gfni.is_available() {
+                return Backend::Gfni;
+            }
             if std::arch::is_x86_feature_detected!("avx2") {
                 return Backend::Avx2;
             }
@@ -106,6 +120,11 @@ impl Backend {
             Backend::Ssse3 => std::arch::is_x86_feature_detected!("ssse3"),
             #[cfg(target_arch = "x86_64")]
             Backend::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
+            #[cfg(target_arch = "x86_64")]
+            Backend::Gfni => {
+                std::arch::is_x86_feature_detected!("gfni")
+                    && std::arch::is_x86_feature_detected!("avx2")
+            }
             #[cfg(not(target_arch = "x86_64"))]
             _ => false,
         }

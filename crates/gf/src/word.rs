@@ -67,6 +67,10 @@ pub trait GfWord:
     /// # Panics
     /// Panics if `self` is zero.
     #[inline]
+    #[allow(
+        clippy::expect_used,
+        reason = "the documented panic for zero; `gf_checked_inv` is the fallible form"
+    )]
     fn gf_inv(self) -> Self {
         self.gf_checked_inv()
             .expect("zero has no inverse in GF(2^w)")

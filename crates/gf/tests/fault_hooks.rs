@@ -6,7 +6,8 @@
 //! mutex serializes every test that flips the switch.
 
 use ppm_gf::{
-    force_simd_miscompute, kernel_fallbacks, simd_miscompute_forced, Backend, GfWord, RegionMul,
+    force_simd_miscompute, kernel_fallbacks, mul_copy_fused, mul_xor_fused, simd_miscompute_forced,
+    Backend, GfWord, RegionMul,
 };
 use std::sync::{Mutex, PoisonError};
 
@@ -132,12 +133,82 @@ fn checked_constructor_all_widths() {
     go!(u32, 0xDEAD_BEEF);
 }
 
+/// A GFNI kernel whose probe sees a forced miscompute demotes to scalar
+/// and is counted. A fused run mixing it with a healthy GFNI kernel then
+/// leaves the dot kernel for the per-term sweep and stays bit-exact.
+#[test]
+fn gfni_kernel_demotes_and_mixed_run_stays_exact() {
+    if !Backend::Gfni.is_available() {
+        return;
+    }
+    let before = kernel_fallbacks();
+    let demoted = with_forced_miscompute(|| RegionMul::<u8>::new_checked(0x1D, Backend::Gfni));
+    assert_eq!(demoted.backend(), Backend::Scalar);
+    assert!(kernel_fallbacks() > before, "the demotion must be counted");
+
+    let _guard = FAULT_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+    let healthy = RegionMul::<u8>::new_checked(0xCA, Backend::Gfni);
+    assert_eq!(healthy.backend(), Backend::Gfni);
+    for len in [64usize, 1000, 4096] {
+        let srcs = [pseudo_bytes(len, 61), pseudo_bytes(len, 62)];
+        let base = pseudo_bytes(len, 63);
+        let terms = [(&demoted, &srcs[0][..]), (&healthy, &srcs[1][..])];
+        let mut want = base.clone();
+        for (a, src) in [0x1Du8, 0xCA].into_iter().zip(&srcs) {
+            RegionMul::<u8>::new(a, Backend::Scalar).mul_xor(src, &mut want);
+        }
+        let mut got = base.clone();
+        mul_xor_fused(&terms, &mut got);
+        assert_eq!(got, want, "accumulate len={len}");
+
+        let mut want = vec![0u8; len];
+        for (a, src) in [0x1Du8, 0xCA].into_iter().zip(&srcs) {
+            RegionMul::<u8>::new(a, Backend::Scalar).mul_xor(src, &mut want);
+        }
+        let mut got = base;
+        mul_copy_fused(&terms, &mut got);
+        assert_eq!(got, want, "overwrite len={len}");
+    }
+}
+
+/// Under a forced miscompute the dot kernel's output is poisoned once
+/// when its run has a GF term; an XOR-only run runs no GF instruction
+/// and, like `xor_region`, is left alone.
+#[test]
+fn forced_miscompute_poisons_gf_runs_not_xor_runs() {
+    if !Backend::Gfni.is_available() {
+        return;
+    }
+    let srcs = [pseudo_bytes(256, 71), pseudo_bytes(256, 72)];
+    let base = pseudo_bytes(256, 73);
+    let one = RegionMul::<u8>::new(1, Backend::Gfni);
+    let mul = RegionMul::<u8>::new(0x53, Backend::Gfni);
+    let mut want = base.clone();
+    RegionMul::<u8>::new(0x53, Backend::Scalar).mul_xor(&srcs[0], &mut want);
+    one.mul_xor(&srcs[1], &mut want);
+    let mut xor_want = base.clone();
+    one.mul_xor(&srcs[0], &mut xor_want);
+    one.mul_xor(&srcs[1], &mut xor_want);
+
+    let (got, xor_got) = with_forced_miscompute(|| {
+        let mut got = base.clone();
+        mul_xor_fused(&[(&mul, &srcs[0][..]), (&one, &srcs[1][..])], &mut got);
+        let mut xor_got = base.clone();
+        mul_xor_fused(&[(&one, &srcs[0][..]), (&one, &srcs[1][..])], &mut xor_got);
+        (got, xor_got)
+    });
+    assert_ne!(got[0], want[0], "a GF run is poisoned");
+    assert_eq!(got[1..], want[1..], "once, in its first byte");
+    assert_eq!(xor_got, xor_want, "an XOR-only run is not");
+}
+
 /// Every backend this CPU runs, `Auto` included.
 fn backends() -> Vec<Backend> {
     [
         Backend::Scalar,
         Backend::Ssse3,
         Backend::Avx2,
+        Backend::Gfni,
         Backend::Auto,
     ]
     .into_iter()

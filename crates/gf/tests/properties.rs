@@ -156,7 +156,7 @@ proptest! {
     fn backends_agree(a: u8, data in proptest::collection::vec(any::<u8>(), 0..200)) {
         let mut scalar = vec![0u8; data.len()];
         RegionMul::<u8>::new(a, Backend::Scalar).mul_xor(&data, &mut scalar);
-        for backend in [Backend::Ssse3, Backend::Avx2, Backend::Auto] {
+        for backend in [Backend::Ssse3, Backend::Avx2, Backend::Gfni, Backend::Auto] {
             if !backend.is_available() {
                 continue;
             }
@@ -173,7 +173,7 @@ proptest! {
         let data = &words[..n];
         let mut scalar = vec![0u8; n];
         RegionMul::<u16>::new(a, Backend::Scalar).mul_xor(data, &mut scalar);
-        for backend in [Backend::Ssse3, Backend::Avx2, Backend::Auto] {
+        for backend in [Backend::Ssse3, Backend::Avx2, Backend::Gfni, Backend::Auto] {
             if !backend.is_available() {
                 continue;
             }
@@ -205,15 +205,12 @@ fn exhaustive_w8_constants() {
         for (b, &got) in src.iter().zip(&out) {
             assert_eq!(got, a.gf_mul(*b), "a={a} b={b}");
         }
-        if Backend::Ssse3.is_available() {
-            let mut vec_out = vec![0u8; 256];
-            RegionMul::<u8>::new(a, Backend::Ssse3).mul_copy(&src, &mut vec_out);
-            assert_eq!(vec_out, out, "ssse3 a={a}");
-        }
-        if Backend::Avx2.is_available() {
-            let mut vec_out = vec![0u8; 256];
-            RegionMul::<u8>::new(a, Backend::Avx2).mul_copy(&src, &mut vec_out);
-            assert_eq!(vec_out, out, "avx2 a={a}");
+        for backend in [Backend::Ssse3, Backend::Avx2, Backend::Gfni] {
+            if backend.is_available() {
+                let mut vec_out = vec![0u8; 256];
+                RegionMul::<u8>::new(a, backend).mul_copy(&src, &mut vec_out);
+                assert_eq!(vec_out, out, "{backend:?} a={a}");
+            }
         }
     }
 }
