@@ -34,14 +34,22 @@
 //! predicted cost, bytes moved, wall times, the session's `"cache"`
 //! counters (hits/misses/evictions/hit_rate), and a per-sub-plan sample.
 //!
-//! `repair --workers N` repairs the whole archive through one shared
-//! `RepairService` session driving `repair_batch`: the broken stripes
-//! are read into memory and split across `N` worker threads (the
-//! service picks inter-stripe vs intra-stripe parallelism adaptively —
-//! see `DESIGN.md` §9), then written back. The summary line reports the
-//! mode, throughput in stripes/s, and the session's plan-cache
-//! (hits/misses/coalesced) and scratch-arena (reuses/fresh/contended)
-//! counters.
+//! Every command streams the archive through one reused stripe buffer:
+//! each device file is opened once (and once more if it is written),
+//! and each sector moves with positioned I/O straight between its strip
+//! file and the buffer. A command reads only the sectors it needs
+//! (`decode` the data sectors, `repair` the sectors its plan reads) and
+//! `repair` writes back only the sectors it recovered, so surviving
+//! devices are never rewritten.
+//!
+//! `repair --workers N` splits the stripes into `N` contiguous ranges
+//! when there are at least `2·N` of them (the inter-stripe split of
+//! `repair_batch`, `DESIGN.md` §9): each range streams through its own
+//! buffer on a one-decode-thread session shared by all `N` workers.
+//! Fewer stripes keep the intra-stripe split, one stream on the
+//! `--threads` decoder. The summary line reports the mode, throughput in
+//! stripes/s, and the session's plan-cache (hits/misses/coalesced) and
+//! scratch-arena (reuses/fresh/contended) counters.
 //!
 //! `repair --verify` checks every recovered stripe against the surplus
 //! parity-check rows of `H` (the rows the decode did not consume) and,
@@ -96,6 +104,10 @@
 //! buffered path is compared against in CI. `--workers N` drains the
 //! final flush with N threads through the one shared session.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
+
+use ppm::core::par_map;
+use ppm::stripe::SECTOR_ALIGN;
 use ppm::update::trace::{parse_trace, synthesize, SynthKind, TraceOp};
 use ppm::{
     parity_consistent, run_sim, Backend, ChaosConfig, ChaosRates, DecoderConfig, EngineConfig,
@@ -105,9 +117,13 @@ use ppm::{
     StripeLayout, UpdateEngine,
 };
 use std::fs;
-use std::io::{Read, Write};
+use std::io::{BufWriter, Read, Write};
+use std::ops::Range;
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::sync::OnceLock;
+use std::time::Instant;
 
 /// All supported code families, monomorphized to GF(2^8).
 enum Code {
@@ -136,73 +152,26 @@ impl Code {
             })
             .collect::<Result<_, _>>()?;
         let wrong = |want: usize| format!("{family} expects {want} parameters, got {}", nums.len());
-        let code = match family {
-            "sd" => {
-                if nums.len() != 4 {
-                    return Err(wrong(4));
-                }
-                Code::Sd(
-                    SdCode::search(nums[0], nums[1], nums[2], nums[3], 2015, 3)
-                        .map_err(|e| e.to_string())?,
-                )
+        let err = |e: ppm::CodeError| e.to_string();
+        let code = match (family, nums.as_slice()) {
+            ("sd", &[n, r, m, s]) => Code::Sd(SdCode::search(n, r, m, s, 2015, 3).map_err(err)?),
+            ("pmds", &[n, r, m, s]) => {
+                Code::Pmds(PmdsCode::search(n, r, m, s, 2015, 3).map_err(err)?)
             }
-            "pmds" => {
-                if nums.len() != 4 {
-                    return Err(wrong(4));
-                }
-                Code::Pmds(
-                    PmdsCode::search(nums[0], nums[1], nums[2], nums[3], 2015, 3)
-                        .map_err(|e| e.to_string())?,
-                )
+            ("lrc", &[k, l, g, r]) => Code::Lrc(LrcCode::new(k, l, g, r).map_err(err)?),
+            ("rs", &[k, m, r]) => Code::Rs(RsCode::new(k, m, r).map_err(err)?),
+            ("evenodd", &[p]) => Code::EvenOdd(EvenOddCode::new(p).map_err(err)?),
+            ("rdp", &[p]) => Code::Rdp(RdpCode::new(p).map_err(err)?),
+            ("star", &[p]) => Code::Star(StarCode::new(p).map_err(err)?),
+            ("pc", &[k1, m1, k2, m2]) => {
+                Code::Product(ProductCode::new(k1, m1, k2, m2).map_err(err)?)
             }
-            "lrc" => {
-                if nums.len() != 4 {
-                    return Err(wrong(4));
-                }
-                Code::Lrc(
-                    LrcCode::new(nums[0], nums[1], nums[2], nums[3]).map_err(|e| e.to_string())?,
-                )
-            }
-            "rs" => {
-                if nums.len() != 3 {
-                    return Err(wrong(3));
-                }
-                Code::Rs(RsCode::new(nums[0], nums[1], nums[2]).map_err(|e| e.to_string())?)
-            }
-            "evenodd" => {
-                if nums.len() != 1 {
-                    return Err(wrong(1));
-                }
-                Code::EvenOdd(EvenOddCode::new(nums[0]).map_err(|e| e.to_string())?)
-            }
-            "rdp" => {
-                if nums.len() != 1 {
-                    return Err(wrong(1));
-                }
-                Code::Rdp(RdpCode::new(nums[0]).map_err(|e| e.to_string())?)
-            }
-            "star" => {
-                if nums.len() != 1 {
-                    return Err(wrong(1));
-                }
-                Code::Star(StarCode::new(nums[0]).map_err(|e| e.to_string())?)
-            }
-            "pc" => {
-                if nums.len() != 4 {
-                    return Err(wrong(4));
-                }
-                Code::Product(
-                    ProductCode::new(nums[0], nums[1], nums[2], nums[3])
-                        .map_err(|e| e.to_string())?,
-                )
-            }
-            "hh" => {
-                if nums.len() != 2 {
-                    return Err(wrong(2));
-                }
-                Code::Hitchhiker(HitchhikerXor::new(nums[0], nums[1]).map_err(|e| e.to_string())?)
-            }
-            other => return Err(format!("unknown code family {other:?}")),
+            ("hh", &[k, m]) => Code::Hitchhiker(HitchhikerXor::new(k, m).map_err(err)?),
+            ("sd" | "pmds" | "lrc" | "pc", _) => return Err(wrong(4)),
+            ("rs", _) => return Err(wrong(3)),
+            ("hh", _) => return Err(wrong(2)),
+            ("evenodd" | "rdp" | "star", _) => return Err(wrong(1)),
+            (other, _) => return Err(format!("unknown code family {other:?}")),
         };
         Ok(code)
     }
@@ -264,14 +233,40 @@ impl Archive {
             }
         }
         let spec = spec.ok_or("manifest missing code=")?;
-        Ok(Archive {
+        let archive = Archive {
             dir: dir.to_path_buf(),
             code: Code::parse(&spec)?,
             spec,
             sector_bytes: sector_bytes.ok_or("manifest missing sector_bytes=")?,
             stripes: stripes.ok_or("manifest missing stripes=")?,
             file_len: file_len.ok_or("manifest missing file_len=")?,
-        })
+        };
+        archive.check_sector_bytes()?;
+        let per_stripe = archive.data_per_stripe() as u64;
+        let expected = archive.file_len.div_ceil(per_stripe).max(1);
+        if archive.stripes as u64 != expected {
+            return Err(format!(
+                "manifest stripes={} does not match file_len={} ({expected} stripes of {per_stripe} bytes)",
+                archive.stripes, archive.file_len
+            ));
+        }
+        Ok(archive)
+    }
+
+    /// The sector size comes from outside the program (`--sector-kib` or
+    /// the manifest): a stripe buffer needs a positive multiple of
+    /// [`SECTOR_ALIGN`] whose stripe size fits in memory.
+    fn check_sector_bytes(&self) -> Result<(), String> {
+        let sector_bytes = self.sector_bytes;
+        if sector_bytes == 0
+            || !sector_bytes.is_multiple_of(SECTOR_ALIGN)
+            || self.layout().sectors().checked_mul(sector_bytes).is_none()
+        {
+            return Err(format!(
+                "sector size of {sector_bytes} bytes: must be a positive multiple of {SECTOR_ALIGN}"
+            ));
+        }
+        Ok(())
     }
 
     fn layout(&self) -> StripeLayout {
@@ -282,64 +277,186 @@ impl Archive {
     fn data_per_stripe(&self) -> usize {
         self.code.as_dyn().data_sectors().len() * self.sector_bytes
     }
+}
 
-    /// Reads stripe `s` from the strip files. Missing or short devices
-    /// yield zeroed sectors and are reported in the returned scenario.
-    fn read_stripe(&self, s: usize) -> (Stripe, FailureScenario) {
-        let layout = self.layout();
-        let mut stripe = Stripe::zeroed(layout, self.sector_bytes);
-        let mut lost = Vec::new();
-        for disk in 0..layout.n {
-            let path = self.strip_path(disk);
-            let mut ok = false;
-            if let Ok(mut f) = fs::File::open(&path) {
-                let mut buf = vec![0u8; self.sector_bytes * layout.r];
-                use std::io::Seek;
-                if f.seek(std::io::SeekFrom::Start(
-                    (s * layout.r * self.sector_bytes) as u64,
-                ))
-                .is_ok()
-                    && f.read_exact(&mut buf).is_ok()
-                {
-                    for row in 0..layout.r {
-                        stripe.write_sector(
-                            layout.sector(row, disk),
-                            &buf[row * self.sector_bytes..(row + 1) * self.sector_bytes],
-                        );
-                    }
-                    ok = true;
-                }
-            }
-            if !ok {
-                for row in 0..layout.r {
-                    lost.push(layout.sector(row, disk));
-                }
-            }
+/// One command's handles on an archive's device files. Each file is
+/// opened at most once for reading and once for writing, and every
+/// sector moves with positioned I/O straight between its place in the
+/// strip file and a stripe buffer — no staging copy, and a command
+/// touches only the sectors it names.
+struct Devices {
+    layout: StripeLayout,
+    sector_bytes: usize,
+    devices: Vec<Device>,
+}
+
+/// One device's strip file: stripe `s` occupies bytes
+/// `[s·r·sector_bytes, (s+1)·r·sector_bytes)`, row by row.
+struct Device {
+    path: PathBuf,
+    /// Read handle and file length; `None` when the file is missing.
+    reader: Option<(fs::File, u64)>,
+    /// Write handle, opened (creating the file) on the device's first
+    /// write: a device the command never writes is never opened for
+    /// writing.
+    writer: OnceLock<fs::File>,
+}
+
+impl Device {
+    /// The read handle when the file holds its first `end` bytes.
+    fn reader(&self, end: u64) -> Option<&fs::File> {
+        match &self.reader {
+            Some((file, len)) if *len >= end => Some(file),
+            _ => None,
         }
-        (stripe, FailureScenario::new(lost))
     }
 
-    /// Writes stripe `s` back to the strip files (creating them).
-    fn write_stripe(&self, s: usize, stripe: &Stripe) -> std::io::Result<()> {
-        let layout = self.layout();
-        for disk in 0..layout.n {
-            let path = self.strip_path(disk);
-            // No truncate: stripes are written at their own offsets into
-            // the shared per-device file.
-            #[allow(clippy::suspicious_open_options)]
-            let mut f = fs::OpenOptions::new()
-                .create(true)
-                .write(true)
-                .open(&path)?;
-            use std::io::Seek;
-            f.seek(std::io::SeekFrom::Start(
-                (s * layout.r * self.sector_bytes) as u64,
-            ))?;
-            for row in 0..layout.r {
-                f.write_all(stripe.sector(layout.sector(row, disk)))?;
+    fn writer(&self) -> Result<&fs::File, String> {
+        if let Some(file) = self.writer.get() {
+            return Ok(file);
+        }
+        // No truncate: stripes are written at their own offsets into the
+        // shared per-device file.
+        #[allow(clippy::suspicious_open_options)]
+        let file = fs::OpenOptions::new()
+            .create(true)
+            .write(true)
+            .open(&self.path)
+            .map_err(|e| self.error(e))?;
+        // A racing worker may have opened it first; keep one handle.
+        Ok(self.writer.get_or_init(|| file))
+    }
+
+    fn error(&self, e: std::io::Error) -> String {
+        format!("{}: {e}", self.path.display())
+    }
+}
+
+impl Devices {
+    /// Opens every existing device file of `archive` for reading; a
+    /// missing file is a device lost from every stripe.
+    fn open(archive: &Archive) -> Devices {
+        let layout = archive.layout();
+        let device = |d| {
+            let path = archive.strip_path(d);
+            let reader = fs::File::open(&path).ok().and_then(|file| {
+                let len = file.metadata().ok()?.len();
+                Some((file, len))
+            });
+            Device {
+                path,
+                reader,
+                writer: OnceLock::new(),
+            }
+        };
+        Devices {
+            layout,
+            sector_bytes: archive.sector_bytes,
+            devices: (0..layout.n).map(device).collect(),
+        }
+    }
+
+    fn strip_bytes(&self) -> u64 {
+        (self.layout.r * self.sector_bytes) as u64
+    }
+
+    /// Byte offset of sector `l` of stripe `s` in its device's file.
+    fn offset(&self, s: usize, l: usize) -> u64 {
+        s as u64 * self.strip_bytes() + (self.layout.row_of(l) * self.sector_bytes) as u64
+    }
+
+    /// Every sector of stripe `s` on a device whose file is missing or
+    /// too short to hold the stripe.
+    fn lost(&self, s: usize) -> FailureScenario {
+        let end = (s as u64 + 1) * self.strip_bytes();
+        let disks: Vec<usize> = (self.devices.iter().enumerate())
+            .filter(|(_, device)| device.reader(end).is_none())
+            .map(|(d, _)| d)
+            .collect();
+        FailureScenario::whole_disks(self.layout, &disks)
+    }
+
+    /// Loads stripe `s` into `stripe`: reads the sectors `want` accepts
+    /// from the devices that hold the stripe, zero-fills every sector of
+    /// the devices that do not, and returns those as the lost sectors.
+    fn load(
+        &self,
+        s: usize,
+        stripe: &mut Stripe,
+        want: impl Fn(usize) -> bool,
+    ) -> Result<FailureScenario, String> {
+        let end = (s as u64 + 1) * self.strip_bytes();
+        for (d, device) in self.devices.iter().enumerate() {
+            let reader = device.reader(end);
+            for row in 0..self.layout.r {
+                let l = self.layout.sector(row, d);
+                match reader {
+                    None => stripe.sector_mut(l).fill(0),
+                    Some(file) if want(l) => file
+                        .read_exact_at(stripe.sector_mut(l), self.offset(s, l))
+                        .map_err(|e| device.error(e))?,
+                    Some(_) => {}
+                }
             }
         }
+        Ok(self.lost(s))
+    }
+
+    /// Streams stripes `range` through one reused buffer: loads each
+    /// stripe (see [`Devices::load`]) and hands it to `f` with its lost
+    /// sectors.
+    fn stream(
+        &self,
+        range: Range<usize>,
+        want: impl Fn(usize) -> bool,
+        mut f: impl FnMut(usize, &mut Stripe, FailureScenario) -> Result<(), String>,
+    ) -> Result<(), String> {
+        let mut stripe = Stripe::zeroed(self.layout, self.sector_bytes);
+        for s in range {
+            let lost = self.load(s, &mut stripe, &want)?;
+            f(s, &mut stripe, lost)?;
+        }
         Ok(())
+    }
+
+    /// Writes the sectors `sectors` of `stripe` as stripe `s`.
+    fn write(
+        &self,
+        s: usize,
+        stripe: &Stripe,
+        sectors: impl IntoIterator<Item = usize>,
+    ) -> Result<(), String> {
+        for l in sectors {
+            let d = self.layout.col_of(l);
+            let device = self
+                .devices
+                .get(d)
+                .ok_or_else(|| format!("sector {l}: no device {d}"))?;
+            device
+                .writer()?
+                .write_all_at(stripe.sector(l), self.offset(s, l))
+                .map_err(|e| device.error(e))?;
+        }
+        Ok(())
+    }
+}
+
+/// Fills `sector` from `input` and zero-fills what the input could not:
+/// returns the input bytes copied, short of the sector only at the end
+/// of the input.
+fn read_sector(input: &mut impl Read, sector: &mut [u8]) -> std::io::Result<usize> {
+    let mut filled = 0;
+    loop {
+        let rest = sector.get_mut(filled..).unwrap_or_default();
+        match input.read(rest) {
+            Ok(0) => {
+                rest.fill(0);
+                return Ok(filled);
+            }
+            Ok(n) => filled += n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
     }
 }
 
@@ -408,27 +525,24 @@ fn cmd_encode(args: &[String]) -> Result<(), String> {
         .get("code")
         .ok_or("encode requires --code <spec>")?
         .clone();
-    let sector_kib: usize = flag_num(&flags, "sector-kib").unwrap_or(64);
+    let sector_kib = flag_num(&flags, "sector-kib")?.unwrap_or(64);
     let [input, dir] = pos.as_slice() else {
         return Err(format!("usage: {USAGE}"));
     };
 
-    let code = Code::parse(&spec)?;
-    let data = fs::read(input).map_err(|e| format!("cannot read {input}: {e}"))?;
-    fs::create_dir_all(dir).map_err(|e| e.to_string())?;
-
-    let sector_bytes = sector_kib * 1024;
-    let archive = Archive {
+    let mut archive = Archive {
         dir: PathBuf::from(dir),
+        code: Code::parse(&spec)?,
         spec,
-        code,
-        sector_bytes,
+        sector_bytes: sector_kib
+            .checked_mul(1024)
+            .ok_or_else(|| format!("--sector-kib {sector_kib} is too large"))?,
         stripes: 0,
-        file_len: data.len() as u64,
+        file_len: 0,
     };
-    let per_stripe = archive.data_per_stripe();
-    let stripes = data.len().div_ceil(per_stripe).max(1);
-    let archive = Archive { stripes, ..archive };
+    archive.check_sector_bytes()?;
+    let mut input_file = fs::File::open(input).map_err(|e| format!("cannot read {input}: {e}"))?;
+    fs::create_dir_all(dir).map_err(|e| e.to_string())?;
     let dyn_code = archive.code.as_dyn();
 
     // Encoding is decoding with every parity sector "faulty": the
@@ -439,32 +553,40 @@ fn cmd_encode(args: &[String]) -> Result<(), String> {
         .map_err(|e| e.to_string())?;
     let predicted = plan.mult_xors();
     let data_sectors = dyn_code.data_sectors();
+    let per_stripe = archive.data_per_stripe();
+    let layout = archive.layout();
+    let devices = Devices::open(&archive);
+    let mut stripe = Stripe::zeroed(layout, archive.sector_bytes);
     let mut agg = StatsAgg::default();
-    for s in 0..stripes {
-        let mut stripe = Stripe::zeroed(archive.layout(), sector_bytes);
-        let base = s * per_stripe;
-        for (i, &sector) in data_sectors.iter().enumerate() {
-            let start = base + i * sector_bytes;
-            if start >= data.len() {
-                break;
-            }
-            let end = (start + sector_bytes).min(data.len());
-            stripe.sector_mut(sector)[..end - start].copy_from_slice(&data[start..end]);
+    // The input streams into the data sectors one stripe at a time: the
+    // last stripe is zero-padded, and an empty input still makes one.
+    let (mut stripes, mut file_len) = (0, 0u64);
+    loop {
+        let mut filled = 0;
+        for &sector in &data_sectors {
+            filled += read_sector(&mut input_file, stripe.sector_mut(sector))
+                .map_err(|e| format!("cannot read {input}: {e}"))?;
+        }
+        if filled == 0 && stripes > 0 {
+            break;
         }
         agg.add(&service.encode(&mut stripe).map_err(|e| e.to_string())?);
-        archive
-            .write_stripe(s, &stripe)
-            .map_err(|e| e.to_string())?;
+        devices.write(stripes, &stripe, 0..layout.sectors())?;
+        stripes += 1;
+        file_len += filled as u64;
+        if filled < per_stripe {
+            break;
+        }
     }
+    archive.stripes = stripes;
+    archive.file_len = file_len;
     archive.save_manifest().map_err(|e| e.to_string())?;
     if flags.contains_key("stats") {
         println!("{}", agg.to_json(predicted));
     }
     println!(
-        "encoded {} bytes into {} stripes across {} devices ({})",
-        data.len(),
-        stripes,
-        archive.layout().n,
+        "encoded {file_len} bytes into {stripes} stripes across {} devices ({})",
+        layout.n,
         dyn_code.name()
     );
     Ok(())
@@ -500,13 +622,12 @@ fn cmd_repair(args: &[String]) -> Result<(), String> {
     let [dir] = pos.as_slice() else {
         return Err(format!("usage: {USAGE}"));
     };
+    let threads = flag_num(&flags, "threads")?.unwrap_or(4);
+    let workers = flag_num(&flags, "workers")?;
     let archive = Archive::load(Path::new(dir))?;
-    let config = DecoderConfig {
-        threads: flag_num(&flags, "threads").unwrap_or(4),
-        backend: Backend::Auto,
-    };
+    let devices = Devices::open(&archive);
 
-    let (_, scenario) = archive.read_stripe(0);
+    let scenario = devices.lost(0);
     if scenario.is_empty() {
         println!("nothing to repair");
         return Ok(());
@@ -519,7 +640,6 @@ fn cmd_repair(args: &[String]) -> Result<(), String> {
         ),
         None => None,
     };
-    let workers = flag_num(&flags, "workers");
     if workers.is_some() && (verify || inject_seed.is_some()) {
         return Err(
             "--workers cannot be combined with --verify/--inject (verified repair \
@@ -534,6 +654,27 @@ fn cmd_repair(args: &[String]) -> Result<(), String> {
                 .into(),
         );
     }
+
+    // `repair_batch`'s rule: split between stripes only when every
+    // worker gets two or more. Each worker then owns whole stripes, so
+    // the session decodes on one thread; otherwise one stream keeps the
+    // paper's intra-stripe parallelism on `--threads`.
+    let stripes = archive.stripes;
+    let workers_asked = workers.unwrap_or(1).max(1);
+    let inter_stripe = workers_asked > 1 && stripes >= 2 * workers_asked;
+    let chunk = if inter_stripe {
+        stripes.div_ceil(workers_asked)
+    } else {
+        stripes
+    };
+    let ranges: Vec<Range<usize>> = (0..stripes)
+        .step_by(chunk.max(1))
+        .map(|start| start..(start + chunk).min(stripes))
+        .collect();
+    let config = DecoderConfig {
+        threads: if inter_stripe { 1 } else { threads },
+        backend: Backend::Auto,
+    };
 
     // One session for every variant: the plan is built here, once, and
     // every stripe after that is a cache hit replaying its tape through
@@ -550,38 +691,69 @@ fn cmd_repair(args: &[String]) -> Result<(), String> {
         predicted
     );
     let mut agg = StatsAgg::default();
-    let summary = match workers {
-        Some(workers) => {
+    let started = Instant::now();
+    let summary = if verify {
+        println!(
+            "repairing {} lost sectors/stripe with verification (strategy {:?}, {} surplus rows, {} verify mult_XORs/pass, escalation budget {})",
+            scenario.len(),
+            plan.strategy(),
+            plan.verify_rows(),
+            plan.verify_mult_xors(),
+            service.fault_tolerance(),
+        );
+        if plan.verify_rows() == 0 {
             println!(
-                "repairing {} lost sectors/stripe ({shape}, {} workers)",
-                scenario.len(),
-                workers.max(1)
+                "warning: the failure pattern consumes every parity-check row; \
+                 verification is vacuous and corruption undetectable"
             );
-            repair_workers(&archive, &service, &scenario, workers, &mut agg)?
         }
-        None => {
-            if verify {
-                println!(
-                    "repairing {} lost sectors/stripe with verification (strategy {:?}, {} surplus rows, {} verify mult_XORs/pass, escalation budget {})",
-                    scenario.len(),
-                    plan.strategy(),
-                    plan.verify_rows(),
-                    plan.verify_mult_xors(),
-                    service.fault_tolerance(),
-                );
-                if plan.verify_rows() == 0 {
-                    println!(
-                        "warning: the failure pattern consumes every parity-check row; \
-                         verification is vacuous and corruption undetectable"
-                    );
-                }
+        repair_verified(
+            &devices,
+            &service,
+            &scenario,
+            stripes,
+            inject_seed,
+            &mut agg,
+        )?
+    } else {
+        let workers_note = workers.map_or(String::new(), |_| format!(", {workers_asked} workers"));
+        println!(
+            "repairing {} lost sectors/stripe ({shape}{workers_note})",
+            scenario.len()
+        );
+        let workers_used = ranges.len();
+        let reads = plan.read_sectors();
+        for st in &repair_ranges(&devices, &service, &scenario, &reads, ranges)? {
+            agg.add(st);
+        }
+        let (cs, ar) = (service.cache_stats(), service.arena().stats());
+        if workers.is_none() {
+            format!(
+                "repaired {stripes} stripes (plan cache: {} hits / {} misses, {} scratch reuses)",
+                cs.hits, cs.misses, ar.reused
+            )
+        } else {
+            let split = if inter_stripe {
+                "inter-stripe"
             } else {
-                println!("repairing {} lost sectors/stripe ({shape})", scenario.len());
-            }
-            repair_sequential(&archive, &service, &scenario, verify, inject_seed, &mut agg)?
+                "intra-stripe"
+            };
+            format!(
+                "repaired {stripes} stripes with {workers_used} workers ({split} split) at {:.0} stripes/s \
+                 (plan cache: {} hits / {} misses / {} coalesced; arena: {} reuses / {} fresh / {} contended)",
+                stripes as f64 / started.elapsed().as_secs_f64(),
+                cs.hits,
+                cs.misses,
+                cs.coalesced,
+                ar.reused,
+                ar.fresh,
+                ar.contended,
+            )
         }
     };
     if flags.contains_key("stats") {
+        // Workers finish in any order: report the session's final counters.
+        agg.cache = Some(service.cache_stats());
         println!("{}", agg.to_json(predicted));
     }
     println!("{summary}");
@@ -591,103 +763,85 @@ fn cmd_repair(args: &[String]) -> Result<(), String> {
 /// A repair session over the archive's (dynamically chosen) code.
 type Session<'a> = RepairService<u8, &'a dyn ErasureCode<u8>>;
 
-/// The `repair --workers N` path: every broken stripe is read into
-/// memory and repaired through the shared session via `repair_batch`,
-/// which splits the job across `N` worker threads (inter-stripe when the
-/// batch is large enough, intra-stripe otherwise) against the sharded
-/// plan cache and scratch arena. Returns the summary line.
-fn repair_workers(
-    archive: &Archive,
+/// Repairs stripe `ranges` with one worker thread per range, each
+/// streaming its range through its own stripe buffer: it reads only the
+/// sectors the plan reads (`reads`), repairs the stripe, and writes back
+/// only the lost sectors. Returns the per-stripe stats in stripe order.
+fn repair_ranges(
+    devices: &Devices,
     service: &Session<'_>,
     scenario: &FailureScenario,
-    workers: usize,
-    agg: &mut StatsAgg,
-) -> Result<String, String> {
-    let mut stripes = Vec::with_capacity(archive.stripes);
-    for s in 0..archive.stripes {
-        let (stripe, lost) = archive.read_stripe(s);
-        if &lost != scenario {
-            return Err(format!("stripe {s}: inconsistent failure pattern"));
-        }
-        stripes.push(stripe);
-    }
-    let report = service
-        .repair_batch(&mut stripes, scenario, workers)
-        .map_err(|e| e.to_string())?;
-    for (s, stripe) in stripes.iter().enumerate() {
-        archive.write_stripe(s, stripe).map_err(|e| e.to_string())?;
-    }
-    for st in &report.stats {
-        agg.add(st);
-    }
-    let cs = service.cache_stats();
-    let ar = service.arena().stats();
-    Ok(format!(
-        "repaired {} stripes with {} workers ({} split) at {:.0} stripes/s \
-         (plan cache: {} hits / {} misses / {} coalesced; arena: {} reuses / {} fresh / {} contended)",
-        report.stripes(),
-        report.workers,
-        if report.inter_stripe {
-            "inter-stripe"
-        } else {
-            "intra-stripe"
-        },
-        report.stripes_per_sec(),
-        cs.hits,
-        cs.misses,
-        cs.coalesced,
-        ar.reused,
-        ar.fresh,
-        ar.contended,
-    ))
+    reads: &[usize],
+    ranges: Vec<Range<usize>>,
+) -> Result<Vec<ExecStats>, String> {
+    let per_range = par_map(ranges.len(), ranges, |range| {
+        let mut stats = Vec::with_capacity(range.len());
+        let wanted = |l: usize| reads.binary_search(&l).is_ok();
+        devices.stream(range, wanted, |s, stripe, lost| {
+            if &lost != scenario {
+                return Err(format!("stripe {s}: inconsistent failure pattern"));
+            }
+            stats.push(
+                service
+                    .repair(stripe, scenario)
+                    .map_err(|e| format!("stripe {s}: {e}"))?,
+            );
+            devices.write(s, stripe, scenario.faulty().iter().copied())
+        })?;
+        Ok::<_, String>(stats)
+    })?;
+    Ok(per_range.into_iter().flatten().collect())
 }
 
-/// The stripe-at-a-time path. With `verify`, every recovered stripe is
+/// The verified path, one stripe at a time: every recovered stripe is
 /// checked against the surplus parity-check rows and violations trigger
-/// erasure escalation; with `inject_seed` on top, one surviving sector
-/// per stripe is bit-flipped first and the summary reports how many
-/// injections escalation located. Returns the summary line(s).
-fn repair_sequential(
-    archive: &Archive,
+/// erasure escalation; with `inject_seed`, one surviving sector per
+/// stripe is bit-flipped first and the summary reports how many
+/// injections escalation located. Besides the lost sectors, the sectors
+/// escalation located are written back, so corruption found on disk is
+/// healed there. Returns the summary line(s).
+fn repair_verified(
+    devices: &Devices,
     service: &Session<'_>,
     scenario: &FailureScenario,
-    verify: bool,
+    stripes: usize,
     inject_seed: Option<u64>,
     agg: &mut StatsAgg,
 ) -> Result<String, String> {
     let mut injector = inject_seed.map(FaultInjector::new);
     let (mut injected, mut located_exactly, mut escalations, mut extra_passes) = (0, 0, 0, 0);
-    for s in 0..archive.stripes {
-        let (mut stripe, lost) = archive.read_stripe(s);
-        if &lost != scenario {
-            return Err(format!("stripe {s}: inconsistent failure pattern"));
-        }
-        let flip = injector
-            .as_mut()
-            .map(|inj| inj.corrupt_survivor(&mut stripe, scenario));
-        if flip.is_some() {
-            injected += 1;
-        }
-        let st = if verify {
-            service.repair_verified(&mut stripe, scenario)
-        } else {
-            service.repair(&mut stripe, scenario)
-        }
-        .map_err(|e| format!("stripe {s}: {e}"))?;
-        if let Some(v) = &st.verify {
-            escalations += v.escalations;
-            extra_passes += v.passes.saturating_sub(1);
-            if let Some(f) = &flip {
-                if v.located == [f.sector] {
-                    located_exactly += 1;
+    devices.stream(
+        0..stripes,
+        |_| true,
+        |s, stripe, lost| {
+            if &lost != scenario {
+                return Err(format!("stripe {s}: inconsistent failure pattern"));
+            }
+            let flip = injector
+                .as_mut()
+                .map(|inj| inj.corrupt_survivor(stripe, scenario));
+            if flip.is_some() {
+                injected += 1;
+            }
+            let st = service
+                .repair_verified(stripe, scenario)
+                .map_err(|e| format!("stripe {s}: {e}"))?;
+            let located = st.verify.as_ref().map_or(&[][..], |v| &v.located);
+            if let Some(v) = &st.verify {
+                escalations += v.escalations;
+                extra_passes += v.passes.saturating_sub(1);
+                if let Some(f) = &flip {
+                    if v.located == [f.sector] {
+                        located_exactly += 1;
+                    }
                 }
             }
-        }
-        agg.add(&st);
-        archive
-            .write_stripe(s, &stripe)
-            .map_err(|e| e.to_string())?;
-    }
+            let written = scenario.faulty().iter().chain(located).copied();
+            devices.write(s, stripe, written)?;
+            agg.add(&st);
+            Ok(())
+        },
+    )?;
     let mut summary = String::new();
     if let Some(seed) = inject_seed {
         summary.push_str(&format!(
@@ -696,9 +850,7 @@ fn repair_sequential(
     }
     let cs = service.cache_stats();
     summary.push_str(&format!(
-        "repaired{} {} stripes (plan cache: {} hits / {} misses, {} scratch reuses)",
-        if verify { " and verified" } else { "" },
-        archive.stripes,
+        "repaired and verified {stripes} stripes (plan cache: {} hits / {} misses, {} scratch reuses)",
         cs.hits,
         cs.misses,
         service.arena().reuses()
@@ -747,8 +899,8 @@ fn cmd_update(args: &[String]) -> Result<(), String> {
         (None, Some(spec)) => {
             let kind = SynthKind::parse(spec)
                 .ok_or_else(|| format!("bad --synth {spec:?} (zipf[:SKEW], seq, uniform)"))?;
-            let n = flag_num(&flags, "ops").unwrap_or(256);
-            let write_bytes = flag_num(&flags, "write-bytes")
+            let n = flag_num(&flags, "ops")?.unwrap_or(256);
+            let write_bytes = flag_num(&flags, "write-bytes")?
                 .map(|b| b as u64)
                 .unwrap_or_else(|| (archive.sector_bytes as u64 / 4).max(1))
                 .min(volume_bytes);
@@ -761,11 +913,11 @@ fn cmd_update(args: &[String]) -> Result<(), String> {
         Some(p) => EvictionPolicy::parse(p).ok_or_else(|| format!("bad --policy {p:?}"))?,
         None => EvictionPolicy::Lru,
     };
-    let buffer_bytes = flag_num(&flags, "buffer")
+    let buffer_bytes = flag_num(&flags, "buffer")?
         .map(|b| b.max(1) as u64)
         .unwrap_or(1 << 20);
-    let workers = flag_num(&flags, "workers").unwrap_or(1);
-    let threads = flag_num(&flags, "threads").unwrap_or(4);
+    let workers = flag_num(&flags, "workers")?.unwrap_or(1);
+    let threads = flag_num(&flags, "threads")?.unwrap_or(4);
     let mode = if flags.contains_key("naive") {
         FlushMode::ReencodeOnly
     } else {
@@ -774,17 +926,23 @@ fn cmd_update(args: &[String]) -> Result<(), String> {
 
     // The whole archive must be healthy: updates patch parity in place,
     // so a missing device would silently diverge.
+    // The engine owns the volume, so every stripe is kept.
+    let devices = Devices::open(&archive);
     let mut stripes = Vec::with_capacity(archive.stripes);
-    for s in 0..archive.stripes {
-        let (stripe, lost) = archive.read_stripe(s);
-        if !lost.is_empty() {
-            return Err(format!(
-                "stripe {s}: {} sectors unavailable (run repair before update)",
-                lost.len()
-            ));
-        }
-        stripes.push(stripe);
-    }
+    devices.stream(
+        0..archive.stripes,
+        |_| true,
+        |s, stripe, lost| {
+            if !lost.is_empty() {
+                return Err(format!(
+                    "stripe {s}: {} sectors unavailable (run repair before update)",
+                    lost.len()
+                ));
+            }
+            stripes.push(stripe.clone());
+            Ok(())
+        },
+    )?;
 
     let service = RepairService::new(
         dyn_code,
@@ -822,7 +980,7 @@ fn cmd_update(args: &[String]) -> Result<(), String> {
     let reencode_cost = engine.reencode_mult_xors();
     let volume = engine.into_volume();
     for (s, stripe) in volume.iter().enumerate() {
-        archive.write_stripe(s, stripe).map_err(|e| e.to_string())?;
+        devices.write(s, stripe, 0..stripe.layout().sectors())?;
     }
 
     if flags.contains_key("stats") {
@@ -880,18 +1038,23 @@ fn cmd_verify(args: &[String]) -> Result<(), String> {
     };
     let archive = Archive::load(Path::new(dir))?;
     let h = archive.code.as_dyn().parity_check_matrix();
-    for s in 0..archive.stripes {
-        let (stripe, lost) = archive.read_stripe(s);
-        if !lost.is_empty() {
-            return Err(format!(
-                "stripe {s}: {} sectors unavailable (run repair)",
-                lost.len()
-            ));
-        }
-        if !parity_consistent(&h, &stripe, Backend::Auto) {
-            return Err(format!("stripe {s}: parity check FAILED"));
-        }
-    }
+    let devices = Devices::open(&archive);
+    devices.stream(
+        0..archive.stripes,
+        |_| true,
+        |s, stripe, lost| {
+            if !lost.is_empty() {
+                return Err(format!(
+                    "stripe {s}: {} sectors unavailable (run repair)",
+                    lost.len()
+                ));
+            }
+            if !parity_consistent(&h, stripe, Backend::Auto) {
+                return Err(format!("stripe {s}: parity check FAILED"));
+            }
+            Ok(())
+        },
+    )?;
     println!("all {} stripes parity-consistent", archive.stripes);
     Ok(())
 }
@@ -903,21 +1066,28 @@ fn cmd_decode(args: &[String]) -> Result<(), String> {
         return Err(format!("usage: {USAGE}"));
     };
     let archive = Archive::load(Path::new(dir))?;
-    let dyn_code = archive.code.as_dyn();
-    let data_sectors = dyn_code.data_sectors();
-    let mut out = Vec::with_capacity(archive.file_len as usize);
-    for s in 0..archive.stripes {
-        let (stripe, lost) = archive.read_stripe(s);
-        if !lost.is_empty() {
-            return Err(format!("stripe {s}: data unavailable (run repair first)"));
-        }
-        for &sector in &data_sectors {
-            out.extend_from_slice(stripe.sector(sector));
-        }
+    let devices = Devices::open(&archive);
+    // A damaged archive is refused, not served degraded: every device,
+    // parity included, must hold every stripe.
+    if let Some(s) = (0..archive.stripes).find(|&s| !devices.lost(s).is_empty()) {
+        return Err(format!("stripe {s}: data unavailable (run repair first)"));
     }
-    out.truncate(archive.file_len as usize);
-    fs::write(output, &out).map_err(|e| e.to_string())?;
-    println!("wrote {} bytes to {output}", out.len());
+    let data_sectors = archive.code.as_dyn().data_sectors();
+    let file = fs::File::create(output).map_err(|e| format!("{output}: {e}"))?;
+    let mut out = BufWriter::new(file);
+    let mut remaining = archive.file_len;
+    let is_data = |l: usize| data_sectors.contains(&l);
+    devices.stream(0..archive.stripes, is_data, |_, stripe, _| {
+        for &sector in &data_sectors {
+            let take = remaining.min(archive.sector_bytes as u64);
+            let (bytes, _) = stripe.sector(sector).split_at(take as usize);
+            out.write_all(bytes).map_err(|e| format!("{output}: {e}"))?;
+            remaining -= take;
+        }
+        Ok(())
+    })?;
+    out.flush().map_err(|e| format!("{output}: {e}"))?;
+    println!("wrote {} bytes to {output}", archive.file_len);
     Ok(())
 }
 
@@ -1033,13 +1203,13 @@ fn cluster_sim(args: &[String]) -> Result<(), String> {
         retry.hedge_after_ms = v.parse().map_err(|e| format!("bad --hedge: {e}"))?;
     }
     let cfg = SimConfig {
-        workers: flag_num(&flags, "workers").unwrap_or(4),
+        workers: flag_num(&flags, "workers")?.unwrap_or(4),
         stripes: parse_u64("stripes", 1_000_000)?,
-        damaged: flag_num(&flags, "damaged").unwrap_or(16),
-        scenarios: flag_num(&flags, "scenarios").unwrap_or(3),
-        sector_bytes: flag_num(&flags, "bytes").unwrap_or(4096),
+        damaged: flag_num(&flags, "damaged")?.unwrap_or(16),
+        scenarios: flag_num(&flags, "scenarios")?.unwrap_or(3),
+        sector_bytes: flag_num(&flags, "bytes")?.unwrap_or(4096),
         seed: parse_u64("seed", 2015)?,
-        threads: flag_num(&flags, "threads").unwrap_or(1),
+        threads: flag_num(&flags, "threads")?.unwrap_or(1),
         chaos,
         retry,
         ..SimConfig::default()
@@ -1178,8 +1348,13 @@ fn split_flags(args: &[String], usage: &str) -> Result<(Flags, Vec<String>), Str
     Ok((flags, pos))
 }
 
-fn flag_num(flags: &Flags, name: &str) -> Option<usize> {
-    flags.get(name).and_then(|v| v.parse().ok())
+/// The value of the numeric flag `--name`, if given: a value that does
+/// not parse is the usage error, never a silent default.
+fn flag_num(flags: &Flags, name: &str) -> Result<Option<usize>, String> {
+    flags
+        .get(name)
+        .map(|v| v.parse().map_err(|e| format!("bad --{name} {v:?}: {e}")))
+        .transpose()
 }
 
 fn main() -> ExitCode {

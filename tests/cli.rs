@@ -3,6 +3,7 @@
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
+use std::time::{Duration, SystemTime};
 
 fn cli() -> Command {
     Command::new(env!("CARGO_BIN_EXE_ppm-cli"))
@@ -49,6 +50,28 @@ fn make_input(dir: &Path, len: usize, seed: u8) -> PathBuf {
     path
 }
 
+/// Name, length and modification time of every strip file in `archive`.
+fn strip_files(archive: &Path) -> Vec<(String, u64, SystemTime)> {
+    let mut files: Vec<_> = std::fs::read_dir(archive)
+        .unwrap()
+        .map(|entry| entry.unwrap())
+        .filter(|entry| entry.file_name().to_string_lossy().starts_with("strip_"))
+        .map(|entry| {
+            let meta = entry.metadata().unwrap();
+            (
+                entry.file_name().to_string_lossy().into_owned(),
+                meta.len(),
+                meta.modified().unwrap(),
+            )
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+/// Encodes, then loses `kill_disks` twice: once repaired sequentially,
+/// once with `--workers 2`. Each repair must leave the surviving strip
+/// files untouched and the decoded file bit-exact.
 fn roundtrip(tag: &str, spec: &str, kill_disks: &str, len: usize) {
     let dir = workdir(tag);
     let input = make_input(&dir, len, 7);
@@ -66,20 +89,31 @@ fn roundtrip(tag: &str, spec: &str, kill_disks: &str, len: usize) {
         archive_s,
     ]);
     run_ok(&["verify", archive_s]);
-    run_ok(&["corrupt", archive_s, "--disks", kill_disks]);
+    for repair in [["--threads", "2"], ["--workers", "2"]] {
+        run_ok(&["corrupt", archive_s, "--disks", kill_disks]);
 
-    // Data is unavailable until repaired.
-    let err = run_err(&["decode", archive_s, dir.join("out.bin").to_str().unwrap()]);
-    assert!(err.contains("unavailable"), "unexpected error: {err}");
+        // Data is unavailable until repaired.
+        let err = run_err(&["decode", archive_s, dir.join("out.bin").to_str().unwrap()]);
+        assert!(err.contains("unavailable"), "unexpected error: {err}");
 
-    run_ok(&["repair", archive_s, "--threads", "2"]);
-    run_ok(&["verify", archive_s]);
-    let out = dir.join("out.bin");
-    run_ok(&["decode", archive_s, out.to_str().unwrap()]);
+        let survivors = strip_files(&archive);
+        // Past the filesystem's coarse clock tick, a rewrite would move
+        // a survivor's mtime.
+        std::thread::sleep(Duration::from_millis(20));
+        run_ok(&[&["repair", archive_s][..], &repair].concat());
+        let after: Vec<_> = strip_files(&archive)
+            .into_iter()
+            .filter(|file| survivors.iter().any(|s| s.0 == file.0))
+            .collect();
+        assert_eq!(after, survivors, "{tag} {repair:?}: survivors rewritten");
 
-    let original = std::fs::read(&input).unwrap();
-    let recovered = std::fs::read(&out).unwrap();
-    assert_eq!(original, recovered, "{tag}: file must survive the outage");
+        run_ok(&["verify", archive_s]);
+        let out = dir.join("out.bin");
+        run_ok(&["decode", archive_s, out.to_str().unwrap()]);
+        let original = std::fs::read(&input).unwrap();
+        let recovered = std::fs::read(&out).unwrap();
+        assert_eq!(original, recovered, "{tag} {repair:?}: file must survive");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -117,6 +151,56 @@ fn pmds_roundtrip() {
 #[test]
 fn tiny_file_single_stripe() {
     roundtrip("tiny", "rdp:5", "1", 100);
+}
+
+#[test]
+fn empty_file_roundtrip() {
+    roundtrip("empty", "rs:4,2,4", "1", 0);
+}
+
+#[test]
+fn exact_stripe_multiple_roundtrip() {
+    // RS(6,4) with 4 rows of 1 KiB sectors holds 16 KiB per stripe.
+    roundtrip("exact", "rs:4,2,4", "0,3", 5 * 16 * 1024);
+}
+
+/// A byte flipped on disk in a surviving strip is found by `repair
+/// --verify`, and the located sector is written back: the archive then
+/// verifies and decodes bit-exactly.
+#[test]
+fn verified_repair_heals_corruption_on_disk() {
+    let dir = workdir("heal");
+    let input = make_input(&dir, 100_000, 6);
+    let archive = dir.join("a");
+    let archive_s = archive.to_str().unwrap();
+    run_ok(&[
+        "encode",
+        "--code",
+        "sd:6,8,2,2",
+        "--sector-kib",
+        "1",
+        input.to_str().unwrap(),
+        archive_s,
+    ]);
+    // Stripe 1 of device 0 starts at 8 rows x 1 KiB.
+    let strip = archive.join("strip_000.bin");
+    let mut bytes = std::fs::read(&strip).unwrap();
+    bytes[8 * 1024 + 100] ^= 0x5a;
+    std::fs::write(&strip, bytes).unwrap();
+    let err = run_err(&["verify", archive_s]);
+    assert!(err.contains("stripe 1: parity check FAILED"), "{err}");
+
+    run_ok(&["corrupt", archive_s, "--disks", "2"]);
+    run_ok(&["repair", archive_s, "--verify"]);
+    run_ok(&["verify", archive_s]);
+    let out = dir.join("out.bin");
+    run_ok(&["decode", archive_s, out.to_str().unwrap()]);
+    assert_eq!(
+        std::fs::read(&input).unwrap(),
+        std::fs::read(&out).unwrap(),
+        "the healed archive must decode bit-exactly"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -206,6 +290,19 @@ fn unknown_flags_are_usage_errors() {
     assert!(err.contains("usage: verify"), "{err}");
     let err = run_err(&["repair", archive_s, "--threads"]);
     assert!(err.contains("needs a value"), "{err}");
+    // A number that does not parse is an error, not a silent default.
+    let err = run_err(&["repair", archive_s, "--workers", "abc"]);
+    assert!(err.contains("bad --workers"), "{err}");
+    let err = run_err(&[
+        "encode",
+        "--code",
+        "rs:4,2,4",
+        "--sector-kib",
+        "x",
+        input.to_str().unwrap(),
+        dir.join("b").to_str().unwrap(),
+    ]);
+    assert!(err.contains("bad --sector-kib"), "{err}");
     // Nothing above touched the archive: it still repairs.
     run_ok(&["repair", archive_s]);
     run_ok(&["verify", archive_s]);
@@ -275,6 +372,16 @@ fn bad_specs_rejected() {
         ]);
         assert!(err.contains("error"), "spec {spec}: {err}");
     }
+    let err = run_err(&[
+        "encode",
+        "--code",
+        "rs:4,2,4",
+        "--sector-kib",
+        "0",
+        input.to_str().unwrap(),
+        dir.join("x").to_str().unwrap(),
+    ]);
+    assert!(err.starts_with("error: sector size"), "{err}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -296,6 +403,28 @@ fn malformed_manifest_rejected() {
     .unwrap();
     let err = run_err(&["info", dir.to_str().unwrap()]);
     assert!(err.contains("unknown code family"), "{err}");
+    // Geometry a stripe buffer cannot hold, or a stripe count that
+    // disagrees with the file length: a typed error, never a panic.
+    for (fields, want) in [
+        ("sector_bytes=0\nstripes=1\nfile_len=10", "sector size"),
+        ("sector_bytes=12\nstripes=1\nfile_len=10", "sector size"),
+        (
+            "sector_bytes=1024\nstripes=7\nfile_len=10",
+            "does not match",
+        ),
+        (
+            "sector_bytes=1024\nstripes=1\nfile_len=16385",
+            "does not match",
+        ),
+    ] {
+        std::fs::write(
+            dir.join("ppm-manifest.txt"),
+            format!("code=rs:4,2,4\n{fields}\n"),
+        )
+        .unwrap();
+        let err = run_err(&["verify", dir.to_str().unwrap()]);
+        assert!(err.starts_with("error: ") && err.contains(want), "{err}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
