@@ -12,16 +12,21 @@
 //! per-thread-affine shards (so the warm path rarely crosses a lock
 //! another worker holds), reuse prefers the best-fitting capacity (so a
 //! 64-byte take can never pin a multi-MiB chunked-decode buffer), and the
-//! total bytes parked across all shards are capped (so a burst of large
-//! decodes cannot strand unbounded memory in the pool).
-
-#![deny(clippy::unwrap_used, clippy::expect_used)]
+//! total bytes parked across all shards are capped at
+//! [`ScratchArena::DEFAULT_MAX_POOLED_BYTES`] (so a burst of large decodes
+//! cannot strand unbounded memory in the pool).
+//!
+//! Unlike the plan cache, which a session consults once per call, the
+//! arena is used on every stripe's decode, several times: the shards are
+//! kept because they are measured to pay. On `repair_warm_small` (256
+//! stripes per batch at 2 workers) one lock instead of eight cost 7–15 %
+//! of `ops_per_s` and multiplied `arena.contended` by 8.4.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError, TryLockError};
 
-/// Number of independent freelists. Matches the plan-cache shard count:
-/// enough that a handful of repair workers each effectively own a shard.
+/// Number of independent freelists: enough that a handful of repair
+/// workers each effectively own a shard.
 const SHARD_COUNT: usize = 8;
 
 /// Round-robin seed for assigning each OS thread a home shard.
@@ -32,9 +37,8 @@ thread_local! {
     static HOME_SLOT: usize = NEXT_HOME.fetch_add(1, Ordering::Relaxed);
 }
 
-/// Point-in-time counters of a [`ScratchArena`], carried in
-/// [`ExecStats`](crate::ExecStats) next to the plan-cache counters so
-/// allocator behaviour shows up in the same telemetry stream.
+/// Point-in-time counters of a [`ScratchArena`], read from the session
+/// that owns it ([`RepairService::arena`](crate::RepairService::arena)).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ArenaStats {
     /// Buffers that had to be freshly allocated (no fitting pooled one).
@@ -51,7 +55,8 @@ pub struct ArenaStats {
     pub pooled_buffers: usize,
     /// Bytes (capacity) currently parked across all shards.
     pub pooled_bytes: usize,
-    /// Configured cap on parked bytes.
+    /// The cap on parked bytes,
+    /// [`ScratchArena::DEFAULT_MAX_POOLED_BYTES`].
     pub max_pooled_bytes: usize,
 }
 
@@ -87,7 +92,7 @@ impl ArenaStats {
 /// arena serves stripes of different sector sizes (chunked decode splits,
 /// mixed codes) without a small request pinning a huge buffer. A reused
 /// buffer is truncated/zero-extended to the requested length. Total
-/// parked capacity is bounded by [`ScratchArena::max_pooled_bytes`];
+/// parked capacity is bounded by [`ScratchArena::DEFAULT_MAX_POOLED_BYTES`];
 /// returns beyond the cap drop the buffer instead of growing the pool.
 ///
 /// A panicking worker cannot wedge the arena: the shard guards hold plain
@@ -96,7 +101,6 @@ impl ArenaStats {
 #[derive(Debug)]
 pub struct ScratchArena {
     shards: Box<[Mutex<Vec<Vec<u8>>>]>,
-    max_pooled_bytes: usize,
     pooled_bytes: AtomicUsize,
     fresh: AtomicU64,
     reused: AtomicU64,
@@ -106,30 +110,9 @@ pub struct ScratchArena {
 
 impl Default for ScratchArena {
     fn default() -> Self {
-        Self::with_max_pooled_bytes(Self::DEFAULT_MAX_POOLED_BYTES)
-    }
-}
-
-impl ScratchArena {
-    /// Default cap on parked capacity: 64 MiB, comfortably above the
-    /// steady-state working set of (workers × buffers-per-subplan) for
-    /// realistic sector sizes, while bounding what a burst of large
-    /// chunked decodes can strand.
-    pub const DEFAULT_MAX_POOLED_BYTES: usize = 64 << 20;
-
-    /// Creates an empty arena with the default byte cap.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates an empty arena capping parked capacity at `max_bytes`
-    /// (zero disables pooling entirely: every take allocates, every give
-    /// drops).
-    pub fn with_max_pooled_bytes(max_bytes: usize) -> Self {
         let shards = (0..SHARD_COUNT).map(|_| Mutex::new(Vec::new())).collect();
         ScratchArena {
             shards,
-            max_pooled_bytes: max_bytes,
             pooled_bytes: AtomicUsize::new(0),
             fresh: AtomicU64::new(0),
             reused: AtomicU64::new(0),
@@ -137,10 +120,18 @@ impl ScratchArena {
             contended: AtomicU64::new(0),
         }
     }
+}
 
-    /// The configured cap on parked bytes.
-    pub fn max_pooled_bytes(&self) -> usize {
-        self.max_pooled_bytes
+impl ScratchArena {
+    /// The cap on parked capacity: 64 MiB, comfortably above the
+    /// steady-state working set of (workers × buffers-per-subplan) for
+    /// realistic sector sizes, while bounding what a burst of large
+    /// chunked decodes can strand.
+    pub const DEFAULT_MAX_POOLED_BYTES: usize = 64 << 20;
+
+    /// Creates an empty arena.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Index of the calling thread's home shard.
@@ -197,10 +188,10 @@ impl ScratchArena {
         let home = self.home_shard();
         // Home shard first; then steal a fitting buffer from any other
         // shard that is free right now (never block on a foreign shard).
-        let mut recycled = {
-            let mut pool = self.lock_shard(&self.shards[home]);
-            Self::pop_best_fit(&mut pool, len)
-        };
+        let mut recycled = self
+            .shards
+            .get(home)
+            .and_then(|shard| Self::pop_best_fit(&mut self.lock_shard(shard), len));
         if recycled.is_none() {
             for (index, shard) in self.shards.iter().enumerate() {
                 if index == home {
@@ -243,67 +234,42 @@ impl ScratchArena {
         if cap == 0 {
             return;
         }
+        let Some(home) = self.shards.get(self.home_shard()) else {
+            return;
+        };
         // Reserve the bytes first; back out if the cap is exceeded. The
         // reservation is atomic, so concurrent givers cannot jointly
         // overshoot the bound.
-        if self.pooled_bytes.fetch_add(cap, Ordering::Relaxed) + cap > self.max_pooled_bytes {
+        if self.pooled_bytes.fetch_add(cap, Ordering::Relaxed) + cap
+            > Self::DEFAULT_MAX_POOLED_BYTES
+        {
             self.pooled_bytes.fetch_sub(cap, Ordering::Relaxed);
             self.dropped.fetch_add(1, Ordering::Relaxed);
             return;
         }
-        let home = self.home_shard();
-        self.lock_shard(&self.shards[home]).push(buf);
-    }
-
-    /// Buffers currently parked across all shards.
-    pub fn pooled(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|shard| shard.lock().unwrap_or_else(PoisonError::into_inner).len())
-            .sum()
-    }
-
-    /// Bytes of capacity currently parked across all shards.
-    pub fn pooled_bytes(&self) -> usize {
-        self.pooled_bytes.load(Ordering::Relaxed)
-    }
-
-    /// Buffers that had to be freshly allocated (no fitting pooled one).
-    pub fn fresh_allocations(&self) -> u64 {
-        self.fresh.load(Ordering::Relaxed)
-    }
-
-    /// Buffers served by recycling a returned one.
-    pub fn reuses(&self) -> u64 {
-        self.reused.load(Ordering::Relaxed)
-    }
-
-    /// Buffers dropped at return because the pool was at its byte cap.
-    pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
-    }
-
-    /// Lock acquisitions that had to wait behind another worker.
-    pub fn contended(&self) -> u64 {
-        self.contended.load(Ordering::Relaxed)
+        self.lock_shard(home).push(buf);
     }
 
     /// A snapshot of the cumulative counters.
     pub fn stats(&self) -> ArenaStats {
         ArenaStats {
-            fresh: self.fresh_allocations(),
-            reused: self.reuses(),
-            dropped: self.dropped(),
-            contended: self.contended(),
-            pooled_buffers: self.pooled(),
-            pooled_bytes: self.pooled_bytes(),
-            max_pooled_bytes: self.max_pooled_bytes,
+            fresh: self.fresh.load(Ordering::Relaxed),
+            reused: self.reused.load(Ordering::Relaxed),
+            dropped: self.dropped.load(Ordering::Relaxed),
+            contended: self.contended.load(Ordering::Relaxed),
+            pooled_buffers: self
+                .shards
+                .iter()
+                .map(|shard| shard.lock().unwrap_or_else(PoisonError::into_inner).len())
+                .sum(),
+            pooled_bytes: self.pooled_bytes.load(Ordering::Relaxed),
+            max_pooled_bytes: Self::DEFAULT_MAX_POOLED_BYTES,
         }
     }
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
 mod tests {
     use super::*;
 
@@ -312,15 +278,15 @@ mod tests {
         let arena = ScratchArena::new();
         let a = arena.take(64);
         assert_eq!(a, vec![0u8; 64]);
-        assert_eq!(arena.fresh_allocations(), 1);
+        assert_eq!(arena.stats().fresh, 1);
         arena.give(a);
-        assert_eq!(arena.pooled(), 1);
+        assert_eq!(arena.stats().pooled_buffers, 1);
         let b = arena.take(64);
         assert_eq!(b, vec![0u8; 64]);
-        assert_eq!(arena.reuses(), 1);
-        assert_eq!(arena.fresh_allocations(), 1, "no second allocation");
-        assert_eq!(arena.pooled(), 0);
-        assert_eq!(arena.pooled_bytes(), 0);
+        assert_eq!(arena.stats().reused, 1);
+        assert_eq!(arena.stats().fresh, 1, "no second allocation");
+        assert_eq!(arena.stats().pooled_buffers, 0);
+        assert_eq!(arena.stats().pooled_bytes, 0);
     }
 
     #[test]
@@ -347,7 +313,7 @@ mod tests {
         // Reuse without zeroing: stale bytes survive, count as a reuse.
         let b = arena.take_dirty(8);
         assert_eq!(b, vec![0xAB; 8]);
-        assert_eq!(arena.reuses(), 1);
+        assert_eq!(arena.stats().reused, 1);
         arena.give(b);
         // Growing still zero-fills the extension beyond the stale bytes.
         let c = arena.take_dirty(12);
@@ -380,16 +346,16 @@ mod tests {
             h.join().unwrap();
         }
         // Everything given back; served = fresh + reused.
-        assert_eq!(arena.fresh_allocations() + arena.reuses(), 200);
-        assert!(arena.pooled() <= 4);
+        assert_eq!(arena.stats().fresh + arena.stats().reused, 200);
+        assert!(arena.stats().pooled_buffers <= 4);
     }
 
     #[test]
     fn empty_buffers_are_not_pooled() {
         let arena = ScratchArena::new();
         arena.give(Vec::new());
-        assert_eq!(arena.pooled(), 0);
-        assert_eq!(arena.pooled_bytes(), 0);
+        assert_eq!(arena.stats().pooled_buffers, 0);
+        assert_eq!(arena.stats().pooled_bytes, 0);
     }
 
     #[test]
@@ -404,12 +370,16 @@ mod tests {
         arena.give(small);
         let again = arena.take(64);
         assert_eq!(again.capacity(), 64, "best fit picks the small buffer");
-        assert_eq!(arena.pooled_bytes(), 4 << 20, "big buffer stays pooled");
+        assert_eq!(
+            arena.stats().pooled_bytes,
+            4 << 20,
+            "big buffer stays pooled"
+        );
         // And a large take still reuses the large buffer.
         let big_again = arena.take(4 << 20);
         assert!(big_again.capacity() >= 4 << 20);
-        assert_eq!(arena.reuses(), 2);
-        assert_eq!(arena.fresh_allocations(), 2);
+        assert_eq!(arena.stats().reused, 2);
+        assert_eq!(arena.stats().fresh, 2);
     }
 
     #[test]
@@ -421,34 +391,28 @@ mod tests {
         arena.give(arena.take(64));
         let big = arena.take(1024);
         assert_eq!(big.len(), 1024);
-        assert_eq!(arena.fresh_allocations(), 2);
-        assert_eq!(arena.pooled(), 1, "small buffer stays for small takes");
+        assert_eq!(arena.stats().fresh, 2);
+        assert_eq!(
+            arena.stats().pooled_buffers,
+            1,
+            "small buffer stays for small takes"
+        );
     }
 
     #[test]
     fn pooled_bytes_are_bounded() {
-        let arena = ScratchArena::with_max_pooled_bytes(1024);
-        let a = arena.take(512);
-        let b = arena.take(512);
-        let c = arena.take(512);
-        arena.give(a);
-        arena.give(b);
-        // Third return would exceed the 1024-byte cap: dropped.
-        arena.give(c);
-        assert_eq!(arena.dropped(), 1);
-        assert!(arena.pooled_bytes() <= 1024);
-        assert_eq!(arena.pooled(), 2);
-    }
-
-    #[test]
-    fn zero_cap_disables_pooling() {
-        let arena = ScratchArena::with_max_pooled_bytes(0);
-        arena.give(arena.take(64));
-        assert_eq!(arena.pooled(), 0);
-        assert_eq!(arena.dropped(), 1);
-        let again = arena.take(64);
-        assert_eq!(again.len(), 64);
-        assert_eq!(arena.fresh_allocations(), 2);
+        // Reserved-only buffers: the cap counts capacity, and
+        // `with_capacity` touches no pages.
+        const HALF: usize = ScratchArena::DEFAULT_MAX_POOLED_BYTES / 2;
+        let arena = ScratchArena::new();
+        arena.give(Vec::with_capacity(HALF));
+        arena.give(Vec::with_capacity(HALF));
+        // A third return would exceed the cap: dropped.
+        arena.give(Vec::with_capacity(HALF));
+        let s = arena.stats();
+        assert_eq!(s.dropped, 1);
+        assert_eq!(s.pooled_bytes, ScratchArena::DEFAULT_MAX_POOLED_BYTES);
+        assert_eq!(s.pooled_buffers, 2);
     }
 
     #[test]
@@ -462,10 +426,14 @@ mod tests {
             let arena = std::sync::Arc::clone(&arena);
             std::thread::spawn(move || arena.give(buf)).join().unwrap();
         }
-        assert_eq!(arena.pooled(), 1);
+        assert_eq!(arena.stats().pooled_buffers, 1);
         let again = arena.take(256);
         assert_eq!(again.len(), 256);
-        assert_eq!(arena.reuses(), 1, "buffer stolen from the foreign shard");
+        assert_eq!(
+            arena.stats().reused,
+            1,
+            "buffer stolen from the foreign shard"
+        );
     }
 
     #[test]
@@ -487,20 +455,20 @@ mod tests {
         // take/give/pooled all strip the poison and keep working.
         let buf = arena.take(128);
         assert_eq!(buf, vec![0u8; 128]);
-        assert_eq!(arena.reuses(), 1, "pooled buffer survives the poison");
+        assert_eq!(arena.stats().reused, 1, "pooled buffer survives the poison");
         arena.give(buf);
-        assert_eq!(arena.pooled(), 1);
+        assert_eq!(arena.stats().pooled_buffers, 1);
     }
 
     #[test]
     fn stats_snapshot_and_json() {
-        let arena = ScratchArena::with_max_pooled_bytes(4096);
+        let arena = ScratchArena::new();
         arena.give(arena.take(64));
         let _ = arena.take(64);
         let s = arena.stats();
         assert_eq!((s.fresh, s.reused, s.dropped), (1, 1, 0));
         assert_eq!((s.pooled_buffers, s.pooled_bytes), (0, 0));
-        assert_eq!(s.max_pooled_bytes, 4096);
+        assert_eq!(s.max_pooled_bytes, 64 << 20);
         let j = s.to_json();
         for needle in [
             "\"fresh\":1",
@@ -509,7 +477,7 @@ mod tests {
             "\"contended\":",
             "\"pooled_buffers\":0",
             "\"pooled_bytes\":0",
-            "\"max_pooled_bytes\":4096",
+            "\"max_pooled_bytes\":67108864",
         ] {
             assert!(j.contains(needle), "missing {needle} in {j}");
         }

@@ -10,37 +10,27 @@
 //! hands out shared references, so a warm decode performs zero matrix
 //! inversions and zero plan-construction allocations.
 //!
-//! The cache is a concurrent structure: every method takes `&self`, the
-//! key space is split across [`RwLock`]ed shards so warm lookups from
-//! different workers take disjoint read locks, and cold builds are
+//! The cache is shared by every worker of a session and sized to its
+//! traffic: a session looks a plan up once per call, not once per
+//! stripe, so one mutex guards the whole map. Cold builds are
 //! **single-flight** — when k workers miss on the same key at once, one
-//! becomes the leader and runs the factorization while the other k−1
-//! block on the in-flight build and then share its result, instead of
-//! duplicating the inversion k times.
-
-#![deny(clippy::unwrap_used, clippy::expect_used)]
+//! runs the factorization under a build lock while the other k−1 wait
+//! for it and then share its result, instead of duplicating the
+//! inversion k times.
 
 use crate::plan::{DecodePlan, Strategy};
 use ppm_codes::FailureScenario;
 use ppm_gf::GfWord;
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock};
-
-/// Number of independent key-space shards. Eight read-write locks are
-/// plenty to keep tens of repair workers from serializing on warm hits,
-/// while the cross-shard eviction scan (cold path only) stays trivial.
-const SHARD_COUNT: usize = 8;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Locks a mutex, recovering the plain data on poison.
 ///
-/// Every value guarded here (shard maps, in-flight markers) is a plain
-/// collection with no invariant that a panicking peer could have left
-/// half-established, so a poisoned lock is safe to strip: the worst case
-/// is a stale in-flight marker, which the owning guard removes on unwind
-/// anyway.
+/// Both locks here guard plain data with no invariant that a panicking
+/// peer could have left half-established: the map, clock and counters
+/// are updated together under one guard, and the build lock guards
+/// nothing. A poisoned lock is therefore safe to strip; after a build
+/// panics, the next waiter looks again, finds no plan, and builds it.
 fn lock_plain<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -149,13 +139,6 @@ impl PlanKey {
         };
         Some(PlanKey::from_parts(code_id, gf_width, faulty, strategy))
     }
-
-    /// The shard this key hashes into, for `shard_count` shards.
-    fn shard_index(&self, shard_count: usize) -> usize {
-        let mut hasher = DefaultHasher::new();
-        self.hash(&mut hasher);
-        (hasher.finish() as usize) % shard_count
-    }
 }
 
 /// The stable serialized form: `code-id|w<width>|f<c0.c1...>|<strategy>`,
@@ -177,24 +160,23 @@ impl std::fmt::Display for PlanKey {
     }
 }
 
-/// Point-in-time counters of a [`PlanCache`], carried in
-/// [`ExecStats`](crate::ExecStats) so cache behaviour shows up in the
-/// same telemetry stream as the §III-B ledger.
+/// Point-in-time counters of a [`PlanCache`], read from the session
+/// that owns it ([`RepairService::cache_stats`](crate::RepairService::cache_stats)).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PlanCacheStats {
     /// Lookups served from the cache (no plan build, no inversion).
     pub hits: u64,
     /// Lookups that had to build (and insert) a plan.
     pub misses: u64,
-    /// Lookups that blocked on another worker's in-flight build and then
-    /// shared its plan (single-flight coalescing). These also count as
-    /// hits: the caller performed no factorization.
+    /// Lookups that waited on another worker's build and then shared its
+    /// plan (single-flight coalescing). These also count as hits: the
+    /// caller performed no factorization.
     pub coalesced: u64,
     /// Entries evicted to respect the capacity bound.
     pub evictions: u64,
     /// Plans currently resident.
     pub entries: usize,
-    /// Configured capacity bound.
+    /// The capacity bound, [`PlanCache::CAPACITY`].
     pub capacity: usize,
 }
 
@@ -225,245 +207,101 @@ impl PlanCacheStats {
     }
 }
 
-struct Entry<W: GfWord> {
-    plan: Arc<DecodePlan<W>>,
-    /// Global recency tick at last touch. Atomic so a warm hit can bump
-    /// recency under the shard's *read* lock — the hit path never takes a
-    /// write lock and never scans.
-    last_used: AtomicU64,
+/// Everything the cache's one lock guards: each resident plan with the
+/// tick of its last use, the clock those ticks come from, and the
+/// counters.
+struct Inner<W: GfWord> {
+    map: HashMap<PlanKey, (Arc<DecodePlan<W>>, u64)>,
+    tick: u64,
+    stats: PlanCacheStats,
 }
 
-/// Rendezvous point for one in-flight plan build. The leader flips
-/// `done` and notifies when the build finishes (successfully or not);
-/// followers block until then and re-check the cache.
-struct InFlight {
-    done: Mutex<bool>,
-    cv: Condvar,
-}
-
-impl InFlight {
-    fn new() -> Self {
-        InFlight {
-            done: Mutex::new(false),
-            cv: Condvar::new(),
-        }
-    }
-
-    fn wait(&self) {
-        let mut done = lock_plain(&self.done);
-        while !*done {
-            done = self.cv.wait(done).unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-
-    fn finish(&self) {
-        *lock_plain(&self.done) = true;
-        self.cv.notify_all();
-    }
-}
-
-struct Shard<W: GfWord> {
-    map: RwLock<HashMap<PlanKey, Entry<W>>>,
-    /// Keys with a build currently in flight, each with its rendezvous.
-    building: Mutex<HashMap<PlanKey, Arc<InFlight>>>,
-}
-
-impl<W: GfWord> Default for Shard<W> {
-    fn default() -> Self {
-        Shard {
-            map: RwLock::new(HashMap::new()),
-            building: Mutex::new(HashMap::new()),
-        }
-    }
-}
-
-/// Removes the in-flight marker and wakes followers when the leader's
-/// build scope exits — by success, error return, or panic. Dropping on
-/// the unwind path is what keeps a panicking build from wedging every
-/// follower forever: they wake, find no plan and no marker, and elect a
-/// new leader.
-struct FlightGuard<'a, W: GfWord> {
-    shard: &'a Shard<W>,
-    key: &'a PlanKey,
-}
-
-impl<W: GfWord> Drop for FlightGuard<'_, W> {
-    fn drop(&mut self) {
-        let flight = lock_plain(&self.shard.building).remove(self.key);
-        if let Some(flight) = flight {
-            flight.finish();
-        }
-    }
-}
-
-/// A bounded, concurrent LRU cache of built decode plans.
+/// A bounded LRU cache of built decode plans, shared by every worker of
+/// a session.
 ///
 /// Plans are immutable and `Sync`, so the cache hands out [`Arc`]s; a
-/// borrowed plan stays valid even if it is evicted mid-use. All methods
-/// take `&self`: the map is sharded across [`RwLock`]s by key hash, warm
-/// hits take only a read lock on one shard (recency is an atomic tick, so
-/// hits never scan and never write-lock), and cold builds are
-/// single-flight per key. Eviction scans for the global minimum recency,
-/// which is O(capacity) — capacities here are tens of entries (distinct
-/// erasure patterns under repair), not millions, and the scan is only
-/// paid on insert-at-capacity, right after a full matrix factorization
-/// that dwarfs it.
+/// borrowed plan stays valid even if it is evicted mid-use. One mutex
+/// guards the map, the recency clock and the counters: a session looks a
+/// plan up once per call (once per batch for
+/// [`RepairService::repair_batch`](crate::RepairService::repair_batch)),
+/// never once per stripe, so the lock is taken a handful of times per
+/// repair and a hit costs tens of nanoseconds against a decode's
+/// microseconds. A second mutex, `building`, is held across a cold
+/// build, so workers that miss on the same key at once build it once.
+/// Eviction scans for the smallest tick, which is O([`Self::CAPACITY`])
+/// and is paid only on an insert that follows a full plan build.
 pub struct PlanCache<W: GfWord> {
-    shards: Box<[Shard<W>]>,
-    capacity: usize,
-    /// Resident entries across all shards.
-    len: AtomicUsize,
-    /// Global recency clock; each touch takes the next tick.
-    tick: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    coalesced: AtomicU64,
-    evictions: AtomicU64,
+    inner: Mutex<Inner<W>>,
+    building: Mutex<()>,
+}
+
+impl<W: GfWord> Default for PlanCache<W> {
+    fn default() -> Self {
+        PlanCache {
+            inner: Mutex::new(Inner {
+                map: HashMap::new(),
+                tick: 0,
+                stats: PlanCacheStats::default(),
+            }),
+            building: Mutex::new(()),
+        }
+    }
 }
 
 impl<W: GfWord> PlanCache<W> {
-    /// Default capacity used by [`PlanCache::with_default_capacity`] and
-    /// the session layer: comfortably above the distinct erasure patterns
-    /// of any device-repair job (one pattern repeated per stripe) while
-    /// bounding memory for degraded-read floods.
-    pub const DEFAULT_CAPACITY: usize = 64;
+    /// Plans resident at most: comfortably above the distinct erasure
+    /// patterns of any device-repair job (one pattern repeated per
+    /// stripe) while bounding memory for degraded-read floods.
+    pub const CAPACITY: usize = 64;
 
-    /// Creates a cache holding at most `capacity` plans.
-    ///
-    /// # Panics
-    /// Panics if `capacity` is zero — a cache that can hold nothing would
-    /// silently turn every lookup into a rebuild; disable caching by not
-    /// using a cache instead.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "plan cache capacity must be positive");
-        let shards = (0..SHARD_COUNT).map(|_| Shard::default()).collect();
-        PlanCache {
-            shards,
-            capacity,
-            len: AtomicUsize::new(0),
-            tick: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            coalesced: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-        }
+    /// Creates an empty cache holding at most [`Self::CAPACITY`] plans.
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    /// Creates a cache with [`PlanCache::DEFAULT_CAPACITY`].
-    pub fn with_default_capacity() -> Self {
-        Self::new(Self::DEFAULT_CAPACITY)
+    fn lock(&self) -> MutexGuard<'_, Inner<W>> {
+        lock_plain(&self.inner)
     }
 
-    fn shard_for(&self, key: &PlanKey) -> &Shard<W> {
-        let index = key.shard_index(self.shards.len());
-        self.shards
-            .get(index)
-            .unwrap_or_else(|| unreachable!("shard index is reduced modulo shard count"))
+    /// Looks `key` up, counting a hit and bumping its tick when found.
+    fn get(&self, key: &PlanKey) -> Option<Arc<DecodePlan<W>>> {
+        let mut guard = self.lock();
+        let inner = &mut *guard;
+        let (plan, used) = inner.map.get_mut(key)?;
+        inner.tick += 1;
+        *used = inner.tick;
+        inner.stats.hits += 1;
+        Some(Arc::clone(plan))
     }
 
-    fn next_tick(&self) -> u64 {
-        self.tick.fetch_add(1, Ordering::Relaxed) + 1
-    }
-
-    /// Looks up `key` without touching the hit/miss counters, bumping its
-    /// recency on success. This is the shared warm path: one shard read
-    /// lock, one atomic store.
-    fn peek(&self, shard: &Shard<W>, key: &PlanKey) -> Option<Arc<DecodePlan<W>>> {
-        let map = shard.map.read().unwrap_or_else(PoisonError::into_inner);
-        map.get(key).map(|entry| {
-            entry.last_used.store(self.next_tick(), Ordering::Relaxed);
-            Arc::clone(&entry.plan)
-        })
-    }
-
-    /// Looks up `key`, counting a hit or miss, and bumps its recency.
-    pub fn get(&self, key: &PlanKey) -> Option<Arc<DecodePlan<W>>> {
-        match self.peek(self.shard_for(key), key) {
-            Some(plan) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(plan)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
-    /// Inserts a plan under `key`, evicting the least-recently-used
-    /// entry if the cache is over capacity. Does not touch the hit/miss
-    /// counters (pair with [`PlanCache::get`], or use
-    /// [`PlanCache::get_or_build`]).
+    /// Inserts a plan under `key`, evicting the least-recently-used entry
+    /// when the cache is over capacity. The new entry carries the newest
+    /// tick, so it is never the one evicted.
     ///
     /// Insertion compiles the plan's instruction tape
     /// ([`DecodePlan::ensure_tape`]): the lowering is matrix-free
     /// bookkeeping that belongs with the one-time plan cost, so every
     /// warm hit finds the tape ready and pays pure region arithmetic.
-    pub fn insert(&self, key: PlanKey, plan: Arc<DecodePlan<W>>) {
+    fn insert(&self, key: PlanKey, plan: Arc<DecodePlan<W>>) {
         plan.ensure_tape();
-        let shard = self.shard_for(&key);
-        let entry = Entry {
-            plan,
-            last_used: AtomicU64::new(self.next_tick()),
-        };
-        let fresh = {
-            let mut map = shard.map.write().unwrap_or_else(PoisonError::into_inner);
-            map.insert(key, entry).is_none()
-        };
-        // Evict only after the new plan is resident: the cache can
-        // momentarily hold capacity+1 entries, but never loses an entry
-        // without gaining one, and the brand-new entry carries the
-        // freshest tick so the LRU scan cannot victimize it.
-        if fresh {
-            self.len.fetch_add(1, Ordering::Relaxed);
-            self.evict_over_capacity();
+        let mut guard = self.lock();
+        let inner = &mut *guard;
+        inner.tick += 1;
+        let replaced = inner.map.insert(key, (plan, inner.tick));
+        let mut evicted = None;
+        if inner.map.len() > Self::CAPACITY {
+            let oldest = inner
+                .map
+                .iter()
+                .min_by_key(|(_, (_, used))| *used)
+                .map(|(key, _)| key.clone());
+            evicted = oldest.and_then(|key| inner.map.remove(&key));
+            inner.stats.evictions += 1;
         }
-    }
-
-    /// Evicts globally-least-recently-used entries until the resident
-    /// count is back within capacity. Cold path only (runs after an
-    /// insert that grew the cache past its bound).
-    fn evict_over_capacity(&self) {
-        while self.len.load(Ordering::Relaxed) > self.capacity {
-            let mut victim: Option<(usize, PlanKey, u64)> = None;
-            for (index, shard) in self.shards.iter().enumerate() {
-                let map = shard.map.read().unwrap_or_else(PoisonError::into_inner);
-                let mut oldest: Option<(&PlanKey, u64)> = None;
-                for (key, entry) in map.iter() {
-                    let used = entry.last_used.load(Ordering::Relaxed);
-                    if oldest.is_none_or(|(_, best)| used < best) {
-                        oldest = Some((key, used));
-                    }
-                }
-                // Clone a key only for a shard's oldest entry, and only
-                // when it beats every earlier shard's.
-                if let Some((key, used)) = oldest {
-                    if victim.as_ref().is_none_or(|(_, _, best)| used < *best) {
-                        victim = Some((index, key.clone(), used));
-                    }
-                }
-            }
-            let Some((index, key, _)) = victim else {
-                // Counter raced ahead of the maps; nothing left to evict.
-                break;
-            };
-            let Some(shard) = self.shards.get(index) else {
-                break;
-            };
-            // The evicted plan (its kernels and tape) is freed after the
-            // write guard is released, not under it.
-            let removed = {
-                let mut map = shard.map.write().unwrap_or_else(PoisonError::into_inner);
-                map.remove(&key)
-            };
-            if removed.is_some() {
-                self.len.fetch_sub(1, Ordering::Relaxed);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-            }
-            drop(removed);
-            // If another worker evicted the same key first, loop and
-            // re-scan; the while condition re-checks the bound either way.
-        }
+        // A replaced or evicted plan (its kernels and tape) is freed after
+        // the guard is released, not under it.
+        drop(guard);
+        drop((replaced, evicted));
     }
 
     /// The cached plan for `key`, building and inserting it on a miss.
@@ -471,67 +309,38 @@ impl<W: GfWord> PlanCache<W> {
     /// `build` ran. A failed build inserts nothing (and still counts as
     /// a miss — the lookup did not find a plan).
     ///
-    /// Builds are **single-flight**: when several workers miss on the
-    /// same key concurrently, exactly one runs `build` while the rest
-    /// block on the in-flight marker, then share the finished plan
-    /// (counted as a hit plus a `coalesced` tick). If the leader's build
-    /// fails or panics, waiters wake, find neither plan nor marker, and
-    /// elect a new leader with their own `build` closure — an error poisons
-    /// nothing and is never served to later lookups.
+    /// Builds are **single-flight**: a miss takes the build lock and
+    /// looks again before building, so when several workers miss on the
+    /// same key at once, one runs `build` and the rest find its plan
+    /// (counted as a hit plus a `coalesced` tick). If that build fails or
+    /// panics, the next waiter finds no plan and builds with its own
+    /// closure — an error poisons nothing and is never served to later
+    /// lookups. Builds of distinct keys queue behind one another.
+    ///
+    /// `build` must not look anything up in this cache: the build lock is
+    /// held while it runs and is not re-entrant.
     pub fn get_or_build<E>(
         &self,
         key: PlanKey,
         build: impl FnOnce() -> Result<DecodePlan<W>, E>,
     ) -> Result<(Arc<DecodePlan<W>>, bool), E> {
-        let shard = self.shard_for(&key);
-        let mut waited = false;
-        loop {
-            if let Some(plan) = self.peek(shard, &key) {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                if waited {
-                    self.coalesced.fetch_add(1, Ordering::Relaxed);
-                }
-                return Ok((plan, true));
-            }
-            // Contend for build leadership.
-            let flight = {
-                let mut building = lock_plain(&shard.building);
-                // Re-check under the build lock: a leader may have
-                // published between our peek and this lock.
-                if let Some(plan) = self.peek(shard, &key) {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    if waited {
-                        self.coalesced.fetch_add(1, Ordering::Relaxed);
-                    }
-                    return Ok((plan, true));
-                }
-                match building.get(&key) {
-                    Some(flight) => Some(Arc::clone(flight)),
-                    None => {
-                        building.insert(key.clone(), Arc::new(InFlight::new()));
-                        None
-                    }
-                }
-            };
-            if let Some(flight) = flight {
-                // Follower: block on the leader, then re-check the map.
-                flight.wait();
-                waited = true;
-                continue;
-            }
-            // Leader: build outside every lock. The guard removes the
-            // marker and wakes followers however this scope exits.
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            let _guard = FlightGuard { shard, key: &key };
-            let plan = Arc::new(build()?);
-            self.insert(key.clone(), Arc::clone(&plan));
-            return Ok((plan, false));
+        if let Some(plan) = self.get(&key) {
+            return Ok((plan, true));
         }
+        let _building = lock_plain(&self.building);
+        if let Some(plan) = self.get(&key) {
+            self.lock().stats.coalesced += 1;
+            return Ok((plan, true));
+        }
+        self.lock().stats.misses += 1;
+        let plan = Arc::new(build()?);
+        self.insert(key, Arc::clone(&plan));
+        Ok((plan, false))
     }
 
     /// Number of resident plans.
     pub fn len(&self) -> usize {
-        self.len.load(Ordering::Relaxed)
+        self.lock().map.len()
     }
 
     /// True when no plan is resident.
@@ -541,23 +350,18 @@ impl<W: GfWord> PlanCache<W> {
 
     /// Drops every resident plan, keeping the cumulative counters.
     pub fn clear(&self) {
-        for shard in self.shards.iter() {
-            let mut map = shard.map.write().unwrap_or_else(PoisonError::into_inner);
-            let removed = map.len();
-            map.clear();
-            self.len.fetch_sub(removed, Ordering::Relaxed);
-        }
+        // The plans are freed after the guard is released.
+        let resident = std::mem::take(&mut self.lock().map);
+        drop(resident);
     }
 
     /// A snapshot of the cumulative counters.
     pub fn stats(&self) -> PlanCacheStats {
+        let inner = self.lock();
         PlanCacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            coalesced: self.coalesced.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            entries: self.len(),
-            capacity: self.capacity,
+            entries: inner.map.len(),
+            capacity: Self::CAPACITY,
+            ..inner.stats
         }
     }
 }
@@ -601,6 +405,17 @@ mod tests {
             &FailureScenario::new(faulty.to_vec()),
             Strategy::PpmAuto,
         )
+    }
+
+    /// Fills `cache` to capacity under keys `[0]..[CAPACITY - 1]`, all
+    /// sharing one plan (the key alone is the cache's identity), inserted
+    /// in key order.
+    fn fill(cache: &PlanCache<u8>) -> Arc<DecodePlan<u8>> {
+        let plan = Arc::new(plan_for(&[2]));
+        for i in 0..PlanCache::<u8>::CAPACITY {
+            cache.insert(key(&[i]), Arc::clone(&plan));
+        }
+        plan
     }
 
     #[test]
@@ -697,18 +512,21 @@ mod tests {
 
     #[test]
     fn hit_miss_and_counters() {
-        let cache = PlanCache::<u8>::new(4);
+        let cache = PlanCache::<u8>::new();
         assert!(cache.get(&key(&[2])).is_none());
-        cache.insert(key(&[2]), Arc::new(plan_for(&[2])));
+        let (_, hit) = cache
+            .get_or_build(key(&[2]), || Ok::<_, crate::DecodeError>(plan_for(&[2])))
+            .unwrap();
+        assert!(!hit);
         assert!(cache.get(&key(&[2])).is_some());
         let s = cache.stats();
-        assert_eq!((s.hits, s.misses, s.entries, s.capacity), (1, 1, 1, 4));
+        assert_eq!((s.hits, s.misses, s.entries, s.capacity), (1, 1, 1, 64));
         assert!((s.hit_rate() - 0.5).abs() < 1e-12);
     }
 
     #[test]
     fn get_or_build_builds_once() {
-        let cache = PlanCache::<u8>::new(4);
+        let cache = PlanCache::<u8>::new();
         let mut builds = 0;
         for _ in 0..3 {
             let (plan, hit) = cache
@@ -727,31 +545,36 @@ mod tests {
 
     #[test]
     fn lru_evicts_least_recently_used() {
-        let cache = PlanCache::<u8>::new(2);
-        cache.insert(key(&[2]), Arc::new(plan_for(&[2])));
-        cache.insert(key(&[6]), Arc::new(plan_for(&[6])));
-        // Touch [2] so [6] becomes the LRU victim.
-        assert!(cache.get(&key(&[2])).is_some());
-        cache.insert(key(&[10]), Arc::new(plan_for(&[10])));
-        assert_eq!(cache.len(), 2);
-        assert!(cache.get(&key(&[2])).is_some());
-        assert!(cache.get(&key(&[6])).is_none(), "LRU entry evicted");
-        assert!(cache.get(&key(&[10])).is_some());
-        assert_eq!(cache.stats().evictions, 1);
+        let cache = PlanCache::<u8>::new();
+        let plan = fill(&cache);
+        // Touch every key but [5], newest-inserted first: [5] is now the
+        // least recently used, then [CAPACITY - 1].
+        for i in (0..PlanCache::<u8>::CAPACITY).rev().filter(|&i| i != 5) {
+            assert!(cache.get(&key(&[i])).is_some());
+        }
+        cache.insert(key(&[100]), Arc::clone(&plan));
+        assert_eq!(cache.len(), PlanCache::<u8>::CAPACITY);
+        assert!(cache.get(&key(&[5])).is_none(), "LRU entry evicted");
+        cache.insert(key(&[101]), plan);
+        assert!(cache.get(&key(&[PlanCache::<u8>::CAPACITY - 1])).is_none());
+        for i in [0, 100, 101] {
+            assert!(cache.get(&key(&[i])).is_some());
+        }
+        assert_eq!(cache.stats().evictions, 2);
     }
 
     #[test]
     fn reinserting_same_key_does_not_evict() {
-        let cache = PlanCache::<u8>::new(1);
-        cache.insert(key(&[2]), Arc::new(plan_for(&[2])));
-        cache.insert(key(&[2]), Arc::new(plan_for(&[2])));
-        assert_eq!(cache.len(), 1);
+        let cache = PlanCache::<u8>::new();
+        let plan = fill(&cache);
+        cache.insert(key(&[0]), plan);
+        assert_eq!(cache.len(), PlanCache::<u8>::CAPACITY);
         assert_eq!(cache.stats().evictions, 0);
     }
 
     #[test]
     fn clear_keeps_counters() {
-        let cache = PlanCache::<u8>::new(2);
+        let cache = PlanCache::<u8>::new();
         cache.insert(key(&[2]), Arc::new(plan_for(&[2])));
         let _ = cache.get(&key(&[2]));
         cache.clear();
@@ -761,14 +584,8 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "capacity must be positive")]
-    fn zero_capacity_panics() {
-        let _ = PlanCache::<u8>::new(0);
-    }
-
-    #[test]
     fn failed_build_is_not_cached() {
-        let cache = PlanCache::<u8>::new(4);
+        let cache = PlanCache::<u8>::new();
         let err = cache.get_or_build(key(&[2]), || {
             Err::<DecodePlan<u8>, _>(crate::RepairError::Unrecoverable { needed: 9, rank: 5 })
         });
@@ -789,7 +606,7 @@ mod tests {
     fn panicking_build_leaves_cache_consistent() {
         use std::panic::{catch_unwind, AssertUnwindSafe};
 
-        let cache = PlanCache::<u8>::new(2);
+        let cache = PlanCache::<u8>::new();
         cache.insert(key(&[2]), Arc::new(plan_for(&[2])));
         let result = catch_unwind(AssertUnwindSafe(|| {
             let _ = cache.get_or_build(
@@ -804,9 +621,9 @@ mod tests {
         assert_eq!(cache.len(), 1);
         assert!(cache.get(&key(&[6])).is_none());
         assert!(cache.get(&key(&[2])).is_some());
-        // The cache keeps working after the unwind: the in-flight marker
-        // was removed by the leader's guard, so this build runs fresh
-        // instead of blocking on a dead leader.
+        // The cache keeps working after the unwind: the poisoned build
+        // lock is stripped, so this build runs fresh instead of blocking
+        // on a dead leader.
         let (_, hit) = cache
             .get_or_build(key(&[6]), || Ok::<_, crate::RepairError>(plan_for(&[6])))
             .unwrap();
@@ -816,41 +633,30 @@ mod tests {
 
     #[test]
     fn insert_at_capacity_never_victimizes_the_new_entry() {
-        let cache = PlanCache::<u8>::new(1);
-        cache.insert(key(&[2]), Arc::new(plan_for(&[2])));
-        cache.insert(key(&[6]), Arc::new(plan_for(&[6])));
-        assert_eq!(cache.len(), 1);
-        assert!(cache.get(&key(&[6])).is_some(), "newest entry must survive");
-        assert_eq!(cache.stats().evictions, 1);
-    }
-
-    #[test]
-    fn eviction_is_lru_across_shards() {
-        // Keys hash to arbitrary shards, so a capacity-3 cache filled
-        // with four keys must evict the globally least-recently-used one
-        // no matter which shard it landed in.
-        let cache = PlanCache::<u8>::new(3);
-        for faulty in [[2usize], [6], [10]] {
-            cache.insert(key(&faulty), Arc::new(plan_for(&faulty)));
+        let cache = PlanCache::<u8>::new();
+        let plan = fill(&cache);
+        // Every resident entry is touched after the fill, so the new
+        // entry is the only one without a hit.
+        for i in 0..PlanCache::<u8>::CAPACITY {
+            assert!(cache.get(&key(&[i])).is_some());
         }
-        // Refresh [2] and [6]; [10] is now the global LRU.
-        assert!(cache.get(&key(&[2])).is_some());
-        assert!(cache.get(&key(&[6])).is_some());
-        cache.insert(key(&[14]), Arc::new(plan_for(&[14])));
-        assert_eq!(cache.len(), 3);
-        assert!(cache.get(&key(&[10])).is_none(), "global LRU evicted");
-        for faulty in [[2usize], [6], [14]] {
-            assert!(cache.get(&key(&faulty)).is_some());
-        }
+        cache.insert(key(&[100]), plan);
+        assert_eq!(cache.len(), PlanCache::<u8>::CAPACITY);
+        assert!(
+            cache.get(&key(&[100])).is_some(),
+            "newest entry must survive"
+        );
+        assert!(cache.get(&key(&[0])).is_none());
         assert_eq!(cache.stats().evictions, 1);
     }
 
     #[test]
     fn concurrent_cold_misses_build_once() {
+        use std::sync::atomic::{AtomicU64, Ordering};
         use std::sync::Barrier;
 
         const WORKERS: usize = 8;
-        let cache = PlanCache::<u8>::new(4);
+        let cache = PlanCache::<u8>::new();
         let barrier = Barrier::new(WORKERS);
         let builds = AtomicU64::new(0);
         std::thread::scope(|scope| {
@@ -886,7 +692,7 @@ mod tests {
         use std::panic::{catch_unwind, AssertUnwindSafe};
         use std::sync::Barrier;
 
-        let cache = PlanCache::<u8>::new(4);
+        let cache = PlanCache::<u8>::new();
         let barrier = Barrier::new(2);
         std::thread::scope(|scope| {
             let leader = scope.spawn(|| {
@@ -919,7 +725,7 @@ mod tests {
 
     #[test]
     fn stats_json_shape() {
-        let cache = PlanCache::<u8>::new(3);
+        let cache = PlanCache::<u8>::new();
         cache.insert(key(&[2]), Arc::new(plan_for(&[2])));
         let _ = cache.get(&key(&[2]));
         let j = cache.stats().to_json();
@@ -929,7 +735,7 @@ mod tests {
             "\"coalesced\":0",
             "\"evictions\":0",
             "\"entries\":1",
-            "\"capacity\":3",
+            "\"capacity\":64",
             "\"hit_rate\":1.0000",
         ] {
             assert!(j.contains(needle), "missing {needle} in {j}");

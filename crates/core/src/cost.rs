@@ -146,6 +146,7 @@ impl SdClosedForm {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
 mod tests {
     use super::*;
     use ppm_codes::ErasureCode;

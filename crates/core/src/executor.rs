@@ -20,8 +20,6 @@
 //! move. The aggregating side finishes `F⁻¹ · T` with
 //! [`Executor::finish_rest`] without ever holding the stripe.
 
-#![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
-
 use crate::arena::ScratchArena;
 use crate::exec::{
     check_geometry, give_buf, run_tape_section, run_verify_runs, take_buf_dirty, Decoder,

@@ -60,6 +60,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
 
 mod arena;
 mod cache;

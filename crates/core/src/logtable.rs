@@ -64,6 +64,7 @@ impl LogTable {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
 mod tests {
     use super::*;
     use ppm_codes::{ErasureCode, SdCode};

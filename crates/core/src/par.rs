@@ -8,8 +8,6 @@
 //! and joins them before returning, so borrows of the caller's stack
 //! (`&mut` stripes, the shared session) need no `'static` bound.
 
-#![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
-
 use std::sync::Mutex;
 
 /// Maps `f` over `items` on up to `workers` threads and returns the

@@ -106,7 +106,10 @@ impl Partition {
             if picked.len() < *t {
                 continue; // rank-deficient standalone; leave for H_rest
             }
-            let chosen: Vec<usize> = picked.iter().map(|&i| rows[i]).collect();
+            let chosen: Vec<usize> = picked
+                .iter()
+                .filter_map(|&i| rows.get(i).copied())
+                .collect();
             independent.push(SubSystem {
                 rows: chosen,
                 faulty: support.clone(),
@@ -162,10 +165,13 @@ impl Partition {
         debug_assert_eq!(h.rows(), m * r + s, "H does not match the code");
         let layout = code.layout();
 
-        // Bucket faulty sectors by stripe row.
+        // Bucket faulty sectors by stripe row. A sector outside the
+        // layout has no row; `DecodePlan::build_sd` rejects it first.
         let mut by_row: Vec<Vec<usize>> = vec![Vec::new(); r];
         for &f in scenario.faulty() {
-            by_row[layout.row_of(f)].push(f);
+            if let Some(row) = by_row.get_mut(layout.row_of(f)) {
+                row.push(f);
+            }
         }
 
         let mut independent = Vec::new();
@@ -181,7 +187,10 @@ impl Partition {
                 let picked = sub.select_independent_rows();
                 if picked.len() == row_faulty.len() {
                     independent.push(SubSystem {
-                        rows: picked.iter().map(|&e| eq_rows[e]).collect(),
+                        rows: picked
+                            .iter()
+                            .filter_map(|&e| eq_rows.get(e).copied())
+                            .collect(),
                         faulty: row_faulty.clone(),
                     });
                     continue;
@@ -240,6 +249,7 @@ impl Partition {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
 mod tests {
     use super::*;
     use ppm_codes::{ErasureCode, LrcCode, RsCode, SdCode, StripeLayout};

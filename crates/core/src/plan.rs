@@ -10,8 +10,6 @@
 //! (footnote 2), so the plan may be amortized or rebuilt per decode
 //! without affecting the comparison.
 
-#![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
-
 use crate::{DecodeError, Partition};
 use ppm_codes::FailureScenario;
 use ppm_gf::{Backend, GfWord, RegionMul};

@@ -9,8 +9,6 @@
 //! [`RepairService`](crate::RepairService) that a cluster coordinator
 //! keeps: plans travel to the data, the data stays put.
 
-#![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
-
 use crate::cache::{PlanCache, PlanCacheStats, PlanKey};
 use crate::plan::{DecodePlan, Strategy};
 use crate::wire::WirePlan;
@@ -21,9 +19,9 @@ use ppm_matrix::Matrix;
 use std::sync::Arc;
 
 /// The planning half of a repair session: code, parity-check matrix,
-/// strategy, and the [`PlanCache`] with its single-flight builds. Every
-/// entry point takes `&self`; the planner is `Sync` and shareable like
-/// the service it came out of.
+/// strategy, and the one-lock [`PlanCache`] with its single-flight
+/// builds. Every entry point takes `&self`; the planner is `Sync` and
+/// shareable like the service it came out of.
 pub struct Planner<W: GfWord, C: ErasureCode<W>> {
     code: C,
     code_id: Arc<str>,
@@ -38,7 +36,8 @@ pub struct Planner<W: GfWord, C: ErasureCode<W>> {
 
 impl<W: GfWord, C: ErasureCode<W>> Planner<W, C> {
     /// Creates a planner for `code` building plans for `backend`, with
-    /// [`Strategy::PpmAuto`] and the default cache capacity.
+    /// [`Strategy::PpmAuto`] and an empty cache of
+    /// [`PlanCache::CAPACITY`] plans.
     pub fn new(code: C, backend: Backend) -> Self {
         let code_id: Arc<str> = Arc::from(code.cache_id());
         let h = code.parity_check_matrix();
@@ -47,7 +46,7 @@ impl<W: GfWord, C: ErasureCode<W>> Planner<W, C> {
             code,
             code_id,
             h,
-            cache: PlanCache::with_default_capacity(),
+            cache: PlanCache::new(),
             strategy: Strategy::PpmAuto,
             backend,
             tolerance,
@@ -58,15 +57,6 @@ impl<W: GfWord, C: ErasureCode<W>> Planner<W, C> {
     /// (part of the cache key).
     pub fn with_strategy(mut self, strategy: Strategy) -> Self {
         self.strategy = strategy;
-        self
-    }
-
-    /// Replaces the plan cache with an empty one of `capacity` entries.
-    ///
-    /// # Panics
-    /// Panics if `capacity` is zero.
-    pub fn with_cache_capacity(mut self, capacity: usize) -> Self {
-        self.cache = PlanCache::new(capacity);
         self
     }
 

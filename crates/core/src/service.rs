@@ -13,13 +13,14 @@
 //!
 //! The service is a *shared* session: every entry point takes `&self` and
 //! `RepairService` is `Sync`, so N repair workers can drive one session
-//! concurrently — sharing the plan cache (with single-flight builds) and
-//! the scratch arena — either by hand or through the built-in
-//! [`RepairService::repair_batch`] / [`RepairService::repair_stream`]
-//! drivers, which split work between the paper's intra-stripe parallelism
-//! and one-worker-per-stripe parallelism adaptively.
-
-#![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
+//! concurrently — sharing the plan cache and the scratch arena — either
+//! by hand or through the built-in [`RepairService::repair_batch`] /
+//! [`RepairService::repair_stream`] drivers, which split work between the
+//! paper's intra-stripe parallelism and one-worker-per-stripe parallelism
+//! adaptively. Each entry point looks its plan up once per call (once per
+//! batch for the drivers), so the cache is one lock with single-flight
+//! builds, while the arena, which every stripe's decode borrows from,
+//! keeps thread-affine shards.
 
 use crate::arena::ScratchArena;
 use crate::cache::PlanCacheStats;
@@ -43,9 +44,9 @@ use std::time::Instant;
 /// the blanket borrow impl) and captures the parity-check matrix once at
 /// construction. Every decode entry point takes `&self` — the cache, the
 /// arena, and their counters use interior mutability, and the service is
-/// `Sync` — and returns [`ExecStats`] whose `cache`/`arena` fields carry
-/// the counters at that decode, so telemetry can assert hit rates end to
-/// end.
+/// `Sync` — and returns the decode's [`ExecStats`]. The cache and arena
+/// counters are read from the session itself
+/// ([`RepairService::cache_stats`], [`RepairService::arena`]).
 ///
 /// ```
 /// use ppm_codes::{FailureScenario, SdCode};
@@ -87,8 +88,8 @@ pub struct RepairService<W: GfWord, C: ErasureCode<W>> {
 }
 
 impl<W: GfWord, C: ErasureCode<W>> RepairService<W, C> {
-    /// Creates a session for `code` with [`Strategy::PpmAuto`] and the
-    /// default cache capacity.
+    /// Creates a session for `code` with [`Strategy::PpmAuto`] and an
+    /// empty plan cache.
     pub fn new(code: C, config: DecoderConfig) -> Self {
         Self::from_parts(Planner::new(code, config.backend), Executor::new(config))
     }
@@ -111,17 +112,6 @@ impl<W: GfWord, C: ErasureCode<W>> RepairService<W, C> {
     /// the cache holding both).
     pub fn with_strategy(mut self, strategy: Strategy) -> Self {
         self.planner = self.planner.with_strategy(strategy);
-        self
-    }
-
-    /// Replaces the plan cache with an empty one of `capacity` entries.
-    /// Intended for construction time; swapping mid-session discards the
-    /// resident plans and counters.
-    ///
-    /// # Panics
-    /// Panics if `capacity` is zero.
-    pub fn with_cache_capacity(mut self, capacity: usize) -> Self {
-        self.planner = self.planner.with_cache_capacity(capacity);
         self
     }
 
@@ -166,12 +156,6 @@ impl<W: GfWord, C: ErasureCode<W>> RepairService<W, C> {
         self.planner.clear_cache();
     }
 
-    /// Attaches the session's cache and arena counters to `stats`.
-    fn attach_counters(&self, stats: &mut ExecStats) {
-        stats.cache = Some(self.planner.cache_stats());
-        stats.arena = Some(self.executor.arena().stats());
-    }
-
     /// A one-thread decoder for inter-stripe workers: when each worker
     /// owns whole stripes there is nothing left to parallelize inside
     /// one, and a serial decoder reports its thread budget honestly.
@@ -195,16 +179,14 @@ impl<W: GfWord, C: ErasureCode<W>> RepairService<W, C> {
 
     /// Repairs one stripe in place: plans (or re-uses the cached plan
     /// for) `scenario`, replays its compiled tape through the arena, and
-    /// returns the run's stats with the cache counters attached.
+    /// returns the run's stats.
     pub fn repair(
         &self,
         stripe: &mut Stripe,
         scenario: &FailureScenario,
     ) -> Result<ExecStats, DecodeError> {
         let (plan, _) = self.plan_for(scenario)?;
-        let mut stats = self.executor.decode(&plan, stripe)?;
-        self.attach_counters(&mut stats);
-        Ok(stats)
+        self.executor.decode(&plan, stripe)
     }
 
     /// The escalation budget: the session code's declared
@@ -278,7 +260,6 @@ impl<W: GfWord, C: ErasureCode<W>> RepairService<W, C> {
         };
         if report.clean() {
             stats.verify = Some(verify);
-            self.attach_counters(&mut stats);
             return Ok(stats);
         }
 
@@ -339,7 +320,6 @@ impl<W: GfWord, C: ErasureCode<W>> RepairService<W, C> {
                     verify.located = vec![suspect];
                     let mut out = esc_stats;
                     out.verify = Some(verify);
-                    self.attach_counters(&mut out);
                     return Ok(out);
                 }
             }
@@ -363,14 +343,12 @@ impl<W: GfWord, C: ErasureCode<W>> RepairService<W, C> {
         chunk_bytes: usize,
     ) -> Result<ExecStats, DecodeError> {
         let (plan, _) = self.plan_for(scenario)?;
-        let mut stats = self.executor.decoder().run_tape(
+        self.executor.decoder().run_tape(
             plan.ensure_tape(),
             stripe,
             Some(self.executor.arena()),
             Some(chunk_bytes),
-        )?;
-        self.attach_counters(&mut stats);
-        Ok(stats)
+        )
     }
 
     /// Encodes a stripe in place — the decoding special case where every
@@ -462,14 +440,12 @@ impl<W: GfWord, C: ErasureCode<W>> RepairService<W, C> {
 
         let parallelism = phase_a.len();
         let phase_a_nanos = phase_a.iter().map(|s| s.nanos).sum();
-        let mut stats = ExecStats {
+        Ok(ExecStats {
             strategy: self.planner.strategy(),
             threads: 1,
             parallelism,
             predicted_mult_xors: predicted,
             predicted_costs: None,
-            cache: None,
-            arena: None,
             phase_a,
             phase_a_nanos,
             phase_b: None,
@@ -481,9 +457,7 @@ impl<W: GfWord, C: ErasureCode<W>> RepairService<W, C> {
                 dirty_bytes,
             }),
             total_nanos: started.elapsed().as_nanos(),
-        };
-        self.attach_counters(&mut stats);
-        Ok(stats)
+        })
     }
 
     /// Repairs a slice of stripes sharing one scenario with up to
@@ -506,8 +480,9 @@ impl<W: GfWord, C: ErasureCode<W>> RepairService<W, C> {
     /// Either way the plan is looked up once (workers arriving at a cold
     /// key coalesce into a single build) and every worker borrows decode
     /// buffers from the shared arena. Per-stripe stats come back in
-    /// stripe order inside a [`BatchReport`] with the cache/arena
-    /// counters of the batch attached.
+    /// stripe order inside a [`BatchReport`]; the cache and arena
+    /// counters stay with the session ([`RepairService::cache_stats`],
+    /// [`RepairService::arena`]).
     ///
     /// # Errors
     /// Geometry is validated for the whole batch before any decode, so a
@@ -534,7 +509,7 @@ impl<W: GfWord, C: ErasureCode<W>> RepairService<W, C> {
             }
         }
         let inter_stripe = workers > 1 && stripes.len() >= 2 * workers;
-        let mut stats: Vec<ExecStats>;
+        let stats: Vec<ExecStats>;
         let workers_used;
         if inter_stripe {
             // A static partition, one contiguous chunk per worker: no
@@ -555,12 +530,6 @@ impl<W: GfWord, C: ErasureCode<W>> RepairService<W, C> {
                 .iter_mut()
                 .map(|stripe| self.executor.decode(&plan, stripe))
                 .collect::<Result<_, _>>()?;
-        }
-        let cache = self.planner.cache_stats();
-        let arena = self.executor.arena().stats();
-        for s in &mut stats {
-            s.cache = Some(cache);
-            s.arena = Some(arena);
         }
         Ok(BatchReport {
             stats,
@@ -607,13 +576,7 @@ impl<W: GfWord, C: ErasureCode<W>> RepairService<W, C> {
             let stats = decoder.decode_in(&plan, &mut stripe, self.arena())?;
             Ok::<_, DecodeError>((stripe, stats))
         })?;
-        let (out_stripes, mut stats): (Vec<Stripe>, Vec<ExecStats>) = repaired.into_iter().unzip();
-        let cache = self.planner.cache_stats();
-        let arena = self.executor.arena().stats();
-        for s in &mut stats {
-            s.cache = Some(cache);
-            s.arena = Some(arena);
-        }
+        let (out_stripes, stats): (Vec<Stripe>, Vec<ExecStats>) = repaired.into_iter().unzip();
         Ok((
             out_stripes,
             BatchReport {
@@ -631,8 +594,7 @@ impl<W: GfWord, C: ErasureCode<W>> RepairService<W, C> {
 /// order plus how the driver split the work.
 #[derive(Clone, Debug)]
 pub struct BatchReport {
-    /// Per-stripe decode telemetry, in stripe order, each carrying the
-    /// batch's final cache/arena counters.
+    /// Per-stripe decode telemetry, in stripe order.
     pub stats: Vec<ExecStats>,
     /// Worker threads actually used at the stripe level (1 in
     /// intra-stripe mode).
@@ -729,13 +691,13 @@ mod tests {
             let stats = svc.repair(&mut broken, &scenario).unwrap();
             assert_eq!(broken, pristine, "round {round}");
             assert!(stats.matches_prediction());
-            let cache = stats.cache.expect("service attaches cache stats");
+            let cache = svc.cache_stats();
             // Round 0 misses (plus the encode's miss); later rounds hit.
             assert_eq!(cache.misses, 2);
             assert_eq!(cache.hits, round);
         }
         // Warm rounds recycled buffers instead of allocating.
-        assert!(svc.arena().reuses() > 0);
+        assert!(svc.arena().stats().reused > 0);
 
         // Steady state: a warm repair of the paper case takes exactly 4
         // arena reservations — one per tape segment (3 independent
@@ -798,19 +760,23 @@ mod tests {
         assert_eq!(broken, pristine);
         assert_eq!(all.len(), 3);
         assert!(all.iter().all(|s| s.matches_prediction()));
-        assert!(all.iter().all(|s| s.cache.is_some()));
 
         let mut b = pristine[0].clone();
         b.erase(&scenario);
+        let takes = |svc: &RepairService<u8, SdCode<u8>>| {
+            let a = svc.arena().stats();
+            a.fresh + a.reused
+        };
+        let before = takes(&svc);
         let stats = svc.decode_chunked(&mut b, &scenario, 32).unwrap();
         assert_eq!(b, pristine[0]);
         assert!(stats.matches_prediction(), "chunked stats are complete");
         assert!(
-            stats.arena.is_some(),
+            takes(&svc) > before,
             "chunked decode borrows from the arena"
         );
         // Hits: two repeated encode plans + this chunked decode's plan.
-        assert_eq!(stats.cache.expect("attached").hits, 3);
+        assert_eq!(svc.cache_stats().hits, 3);
     }
 
     #[test]
@@ -1109,8 +1075,6 @@ mod tests {
         assert!(report.all_match_prediction());
         assert_eq!(report.stripes(), 8);
         assert!(report.stats.iter().all(|s| s.threads == 1));
-        assert!(report.stats.iter().all(|s| s.cache.is_some()));
-        assert!(report.stats.iter().all(|s| s.arena.is_some()));
 
         // A bad-geometry batch is rejected up front, untouched.
         let mut mixed = vec![
@@ -1147,7 +1111,6 @@ mod tests {
             stats.executed_mult_xors(),
             "every executed mult_XOR is a parity patch"
         );
-        assert!(stats.cache.is_some() && stats.arena.is_some());
         let h = ErasureCode::<u8>::parity_check_matrix(svc.code());
         assert!(crate::parity_consistent(
             &h,
@@ -1160,7 +1123,7 @@ mod tests {
         // A second flush reuses both the plan and the arena scratch.
         let stats2 = svc.apply_update(&mut stripe, &writes).unwrap();
         assert!(stats2.matches_prediction());
-        assert!(svc.arena().reuses() > 0, "delta scratch recycled");
+        assert!(svc.arena().stats().reused > 0, "delta scratch recycled");
     }
 
     #[test]
@@ -1184,7 +1147,7 @@ mod tests {
         // Apply-time validation: the bad write surfaces its error and
         // the arena gets its scratch buffer back (give resets counters'
         // balance — a following flush reuses rather than allocates).
-        let before_fresh = svc.arena().fresh_allocations();
+        let before_fresh = svc.arena().stats().fresh;
         let err = svc
             .apply_update(&mut stripe, &[(0, good.as_slice()), (1, short.as_slice())])
             .unwrap_err();
@@ -1192,7 +1155,7 @@ mod tests {
         svc.apply_update(&mut stripe, &[(0, good.as_slice())])
             .unwrap();
         assert_eq!(
-            svc.arena().fresh_allocations(),
+            svc.arena().stats().fresh,
             before_fresh,
             "error path returned its scratch for reuse"
         );

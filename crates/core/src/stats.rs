@@ -9,8 +9,6 @@
 //! assert `executed == predicted` in tests and to print
 //! predicted-vs-executed tables from the CLI and benches.
 
-use crate::arena::ArenaStats;
-use crate::cache::PlanCacheStats;
 use crate::cost::CostReport;
 use crate::plan::Strategy;
 use ppm_gf::RegionStats;
@@ -189,16 +187,6 @@ pub struct ExecStats {
     /// Predicted `C₁..C₄` of all candidates, when the plan was chosen by
     /// [`Strategy::PpmAuto`].
     pub predicted_costs: Option<CostReport>,
-    /// Plan-cache counters at the time of this decode, when it went
-    /// through a [`RepairService`](crate::RepairService) (bare
-    /// [`Decoder`](crate::Decoder) calls leave this `None`). A decode
-    /// whose lookup hit performed zero matrix work at plan time.
-    pub cache: Option<PlanCacheStats>,
-    /// Scratch-arena counters at the time of this decode, when it went
-    /// through a [`RepairService`](crate::RepairService) (bare
-    /// [`Decoder`](crate::Decoder) calls leave this `None`). A warm
-    /// decode shows `reused` growing while `fresh` stays flat.
-    pub arena: Option<ArenaStats>,
     /// Per-sub-plan executed work for phase A, in plan order.
     pub phase_a: Vec<SubPlanStats>,
     /// Wall time of the whole phase A dispatch (parallel), nanoseconds.
@@ -285,14 +273,6 @@ impl ExecStats {
                 ),
             ),
             None => push_kv(&mut out, "predicted_costs", "null"),
-        }
-        match &self.cache {
-            Some(c) => push_kv(&mut out, "cache", &c.to_json()),
-            None => push_kv(&mut out, "cache", "null"),
-        }
-        match &self.arena {
-            Some(a) => push_kv(&mut out, "arena", &a.to_json()),
-            None => push_kv(&mut out, "arena", "null"),
         }
         push_kv(
             &mut out,
@@ -384,8 +364,6 @@ mod tests {
                 c4: 29,
                 parallelism: 3,
             }),
-            cache: None,
-            arena: None,
             phase_a: vec![
                 SubPlanStats {
                     outputs: 1,
@@ -468,8 +446,6 @@ mod tests {
         let j = none.to_json();
         assert!(j.contains("\"predicted_costs\":null"), "{j}");
         assert!(j.contains("\"phase_b\":null"), "{j}");
-        assert!(j.contains("\"cache\":null"), "{j}");
-        assert!(j.contains("\"arena\":null"), "{j}");
     }
 
     #[test]
@@ -545,36 +521,5 @@ mod tests {
         assert_eq!(j.matches('{').count(), j.matches('}').count());
         let j = sample().to_json();
         assert!(j.contains("\"update\":null"), "{j}");
-    }
-
-    #[test]
-    fn json_embeds_cache_counters() {
-        let s = ExecStats {
-            cache: Some(PlanCacheStats {
-                hits: 9,
-                misses: 1,
-                coalesced: 3,
-                evictions: 0,
-                entries: 1,
-                capacity: 64,
-            }),
-            arena: Some(ArenaStats {
-                fresh: 4,
-                reused: 16,
-                dropped: 0,
-                contended: 2,
-                pooled_buffers: 4,
-                pooled_bytes: 1024,
-                max_pooled_bytes: 64 << 20,
-            }),
-            ..sample()
-        };
-        let j = s.to_json();
-        assert!(j.contains("\"cache\":{\"hits\":9,\"misses\":1"), "{j}");
-        assert!(j.contains("\"coalesced\":3"), "{j}");
-        assert!(j.contains("\"hit_rate\":0.9000"), "{j}");
-        assert!(j.contains("\"arena\":{\"fresh\":4,\"reused\":16"), "{j}");
-        assert!(j.contains("\"contended\":2"), "{j}");
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
     }
 }

@@ -37,8 +37,6 @@
 //! over unchanged: the tape holds exactly one instruction per predicted
 //! `mult_XORs`, so executed == predicted holds on every decode.
 
-#![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
-
 use crate::cost::CostReport;
 use crate::plan::{DecodePlan, Program, RegionCache, SubPlan};
 use ppm_gf::{GfWord, RegionMul};

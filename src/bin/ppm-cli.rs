@@ -491,8 +491,6 @@ impl StatsAgg {
         if self.sample.is_none() {
             self.sample = Some(stats.to_json());
         }
-        // Keep the latest snapshot: its cumulative counters cover the run.
-        self.cache = stats.cache.or(self.cache);
     }
 
     fn to_json(&self, predicted_per_stripe: usize) -> String {
@@ -582,6 +580,7 @@ fn cmd_encode(args: &[String]) -> Result<(), String> {
     archive.file_len = file_len;
     archive.save_manifest().map_err(|e| e.to_string())?;
     if flags.contains_key("stats") {
+        agg.cache = Some(service.cache_stats());
         println!("{}", agg.to_json(predicted));
     }
     println!(
@@ -853,7 +852,7 @@ fn repair_verified(
         "repaired and verified {stripes} stripes (plan cache: {} hits / {} misses, {} scratch reuses)",
         cs.hits,
         cs.misses,
-        service.arena().reuses()
+        service.arena().stats().reused
     ));
     Ok(summary)
 }

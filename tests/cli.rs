@@ -237,12 +237,14 @@ fn stats_flag_reports_matching_ledger() {
     assert!(text.contains("\"executed_mult_xors_total\":"), "{text}");
     // Encode runs through one session: the plan is built exactly once,
     // however many stripes the file spans.
+    assert!(text.contains("\"cache\":{\"hits\":"), "{text}");
     assert!(text.contains("\"misses\":1,"), "{text}");
 
     run_ok(&["corrupt", archive_s, "--disks", "0,5"]);
     let out = run_ok(&["repair", archive_s, "--threads", "2", "--stats"]);
     let text = String::from_utf8_lossy(&out.stdout).into_owned();
     assert!(text.contains("\"matches_prediction\":true"), "{text}");
+    assert!(text.contains("\"cache\":{\"hits\":"), "{text}");
     assert!(text.contains("\"sample\":{"), "{text}");
     assert!(
         text.contains("\"predicted_mult_xors_per_stripe\":"),

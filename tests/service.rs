@@ -5,8 +5,8 @@
 
 use ppm::stripe::random_data_stripe;
 use ppm::{
-    encode, Backend, Decoder, DecoderConfig, FailureScenario, PlanKey, RepairService, SdCode,
-    Strategy,
+    encode, Backend, Decoder, DecoderConfig, ErasureCode, FailureScenario, PlanCache, PlanKey,
+    RepairService, SdCode, Strategy,
 };
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
@@ -134,7 +134,7 @@ fn session_cache_evicts_least_recently_used() {
         threads: 1,
         backend: Backend::Scalar,
     };
-    let svc = RepairService::new(&code, config).with_cache_capacity(2);
+    let svc = RepairService::new(&code, config);
 
     // Encode outside the session so the cache only ever sees repairs.
     let dec = Decoder::new(config);
@@ -143,9 +143,16 @@ fn session_cache_evicts_least_recently_used() {
     encode(&code, &dec, &mut stripe).unwrap();
     let pristine = stripe.clone();
 
-    let a = FailureScenario::new(vec![2]);
-    let b = FailureScenario::new(vec![6]);
-    let c = FailureScenario::new(vec![10]);
+    // CAPACITY + 1 distinct patterns: every single lost sector, then
+    // pairs of them.
+    const CAPACITY: usize = PlanCache::<u8>::CAPACITY;
+    let sectors = code.layout().sectors();
+    let patterns: Vec<FailureScenario> = (0..sectors)
+        .map(|a| vec![a])
+        .chain((0..sectors).flat_map(|a| (a + 1..sectors).map(move |b| vec![a, b])))
+        .take(CAPACITY + 1)
+        .map(FailureScenario::new)
+        .collect();
     let run = |sc: &FailureScenario| {
         let mut broken = pristine.clone();
         broken.erase(sc);
@@ -153,22 +160,27 @@ fn session_cache_evicts_least_recently_used() {
         assert_eq!(broken, pristine);
     };
 
-    run(&a); // miss          cache: {A}
-    run(&b); // miss          cache: {A, B}
-    run(&a); // hit (bumps A) cache: {A, B}
-    run(&c); // miss, evicts B (least recently used)
-    run(&a); // hit — A survived the eviction
-    run(&b); // miss — B was evicted, rebuilt; evicts C
+    for p in &patterns[..CAPACITY] {
+        run(p); // misses fill the cache
+    }
+    run(&patterns[0]); // hit (bumps the first pattern)
+    run(&patterns[CAPACITY]); // miss, evicts the second (least recently used)
+    run(&patterns[0]); // hit — the first survived the eviction
+    run(&patterns[1]); // miss — the second was evicted, rebuilt; evicts the third
 
     let s = svc.cache_stats();
-    assert_eq!((s.hits, s.misses, s.evictions), (2, 4, 2));
-    assert_eq!(s.entries, 2);
-    assert_eq!(s.capacity, 2);
+    assert_eq!((s.hits, s.misses, s.evictions), (2, CAPACITY as u64 + 2, 2));
+    assert_eq!(s.entries, CAPACITY);
+    assert_eq!(s.capacity, CAPACITY);
 }
 
-/// Batch and chunked decodes through the session report complete
-/// per-stripe stats (the executed == predicted ledger holds) with the
-/// cache counters attached, and restore every stripe.
+/// Batch, stream, single, verified and chunked decodes through the
+/// session report complete per-stripe stats (the executed == predicted
+/// ledger holds), restore every stripe, and each look the plan up
+/// exactly once per call — not once per stripe. That traffic is what
+/// the plan cache's design rests on: one mutex for the whole map and
+/// one build lock are enough because a session takes them a handful of
+/// times per call, however many stripes or workers the call spans.
 #[test]
 fn batch_and_chunked_report_full_stats() {
     let code = SdCode::<u8>::new(4, 4, 1, 1, vec![1, 2]).unwrap();
@@ -192,8 +204,14 @@ fn batch_and_chunked_report_full_stats() {
         pristine.push(s);
         broken.push(b);
     }
+    let lookups = || {
+        let s = svc.cache_stats();
+        s.hits + s.misses
+    };
 
+    let before = lookups();
     let report = svc.repair_batch(&mut broken, &scenario, 2).unwrap();
+    assert_eq!(lookups(), before + 1, "one lookup per batch");
     assert_eq!(broken, pristine, "batch restores every stripe in order");
     assert!(
         report.inter_stripe,
@@ -202,19 +220,41 @@ fn batch_and_chunked_report_full_stats() {
     assert_eq!(report.stripes(), 4);
     for stats in &report.stats {
         assert!(stats.matches_prediction(), "batched stats stay on ledger");
-        assert!(stats.cache.is_some(), "cache counters attached");
+    }
+
+    let erased: Vec<_> = pristine
+        .iter()
+        .map(|s| {
+            let mut b = s.clone();
+            b.erase(&scenario);
+            b
+        })
+        .collect();
+    let before = lookups();
+    let (repaired, report) = svc.repair_stream(erased, &scenario, 2).unwrap();
+    assert_eq!(lookups(), before + 1, "one lookup per stream");
+    assert_eq!(repaired, pristine);
+    assert!(report.all_match_prediction());
+
+    for (label, verified) in [("repair", false), ("repair_verified", true)] {
+        let mut b = pristine[0].clone();
+        b.erase(&scenario);
+        let before = lookups();
+        let stats = if verified {
+            svc.repair_verified(&mut b, &scenario).unwrap()
+        } else {
+            svc.repair(&mut b, &scenario).unwrap()
+        };
+        assert_eq!(lookups(), before + 1, "one lookup per {label}");
+        assert_eq!(b, pristine[0]);
+        assert!(stats.matches_prediction(), "{label} stats stay on ledger");
     }
 
     let mut b = pristine[0].clone();
     b.erase(&scenario);
+    let before = lookups();
     let stats = svc.decode_chunked(&mut b, &scenario, 32).unwrap();
+    assert_eq!(lookups(), before + 1, "one lookup per chunked decode");
     assert_eq!(b, pristine[0]);
     assert!(stats.matches_prediction(), "chunked stats stay on ledger");
-    let cache = stats.cache.expect("cache counters attached");
-    assert!(cache.hit_rate() > 0.0);
-    let json = stats.to_json();
-    assert!(
-        json.contains("\"cache\":{\"hits\":"),
-        "JSON embeds counters"
-    );
 }
