@@ -55,11 +55,12 @@ pub fn modeled_decode_time<W: GfWord>(
 }
 
 /// Like [`modeled_decode_time`], but with the `H_rest` phase *also*
-/// parallelized across the workers — the prediction for
-/// `Decoder::decode_chunked`, our region-chunking extension, which splits
-/// the remaining sub-matrix's byte-wise-independent region work instead
-/// of leaving it serial. The chunk-dispatch overhead is folded into
-/// `spawn_overhead`.
+/// parallelized across the workers, as a threaded decode of long sectors
+/// does: it cuts every sector into 4 KiB spans and runs the whole tape,
+/// `H_rest` included, on each span, so the byte-wise-independent region
+/// work of the remaining sub-matrix is split instead of left serial.
+/// Phase A is still modeled per sub-matrix. The span-dispatch overhead
+/// is folded into `spawn_overhead`.
 pub fn modeled_decode_time_chunked<W: GfWord>(
     plan: &DecodePlan<W>,
     serial_secs: f64,

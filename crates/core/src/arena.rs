@@ -11,7 +11,7 @@
 //! The arena is built for many concurrent workers: buffers are parked in
 //! per-thread-affine shards (so the warm path rarely crosses a lock
 //! another worker holds), reuse prefers the best-fitting capacity (so a
-//! 64-byte take can never pin a multi-MiB chunked-decode buffer), and the
+//! 64-byte take can never pin a multi-MiB whole-sector buffer), and the
 //! total bytes parked across all shards are capped at
 //! [`ScratchArena::DEFAULT_MAX_POOLED_BYTES`] (so a burst of large decodes
 //! cannot strand unbounded memory in the pool).
@@ -89,8 +89,9 @@ impl ArenaStats {
 ///
 /// Buffers are recycled by *capacity* with best-fit selection: a take
 /// picks the smallest pooled buffer that already fits the request, so one
-/// arena serves stripes of different sector sizes (chunked decode splits,
-/// mixed codes) without a small request pinning a huge buffer. A reused
+/// arena serves stripes of different sector sizes (span-sized and
+/// whole-sector reservations, mixed codes) without a small request
+/// pinning a huge buffer. A reused
 /// buffer is truncated/zero-extended to the requested length. Total
 /// parked capacity is bounded by [`ScratchArena::DEFAULT_MAX_POOLED_BYTES`];
 /// returns beyond the cap drop the buffer instead of growing the pool.
@@ -126,7 +127,7 @@ impl ScratchArena {
     /// The cap on parked capacity: 64 MiB, comfortably above the
     /// steady-state working set of (workers × buffers-per-subplan) for
     /// realistic sector sizes, while bounding what a burst of large
-    /// chunked decodes can strand.
+    /// whole-sector decodes can strand.
     pub const DEFAULT_MAX_POOLED_BYTES: usize = 64 << 20;
 
     /// Creates an empty arena.
@@ -360,8 +361,8 @@ mod tests {
 
     #[test]
     fn small_take_prefers_best_fit_over_large_buffer() {
-        // Mixed sector sizes: a chunked decode of large sectors and a
-        // small-sector repair share one arena. The 64-byte take must not
+        // Mixed sector sizes: a whole-sector decode of large sectors and
+        // a small-sector repair share one arena. The 64-byte take must not
         // pin the multi-MiB buffer.
         let arena = ScratchArena::new();
         let big = arena.take(4 << 20);

@@ -1,7 +1,7 @@
 //! The repair-error taxonomy.
 //!
 //! Every fallible entry point of this crate — plan construction, decode,
-//! chunked/batch execution, verification, escalation — reports through
+//! batch execution, verification, escalation — reports through
 //! [`RepairError`]. The taxonomy is the robustness contract of the
 //! verified-repair pipeline: bad geometry, mislabeled scenarios, corrupt
 //! inputs and exhausted escalation all surface as structured variants, so
@@ -49,12 +49,6 @@ pub enum RepairError {
         expected: usize,
         /// What the stripe provides.
         actual: usize,
-    },
-    /// A chunked decode was asked for an unusable chunk size (zero or not
-    /// a multiple of the 8-byte XOR word).
-    BadChunkSize {
-        /// The rejected chunk size in bytes.
-        chunk_bytes: usize,
     },
     /// The recovered stripe failed the surplus-row parity check: the
     /// listed parity-check rows of `H` (global row indices) are violated,
@@ -119,12 +113,6 @@ impl std::fmt::Display for RepairError {
             RepairError::GeometryMismatch { expected, actual } => {
                 write!(f, "stripe has {actual} sectors, plan expects {expected}")
             }
-            RepairError::BadChunkSize { chunk_bytes } => {
-                write!(
-                    f,
-                    "chunk size {chunk_bytes} must be a positive multiple of 8"
-                )
-            }
             RepairError::VerificationFailed { violated_rows } => {
                 write!(
                     f,
@@ -181,8 +169,6 @@ mod tests {
             actual: 48,
         };
         assert!(e.to_string().contains("48") && e.to_string().contains("64"));
-        let e = RepairError::BadChunkSize { chunk_bytes: 12 };
-        assert!(e.to_string().contains("12"));
         let e = RepairError::VerificationFailed {
             violated_rows: vec![3, 7],
         };

@@ -1,13 +1,21 @@
 //! Plan execution: one loop over a compiled tape.
 //!
-//! A [`Decoder`] carries a thread budget `T` (Algorithm 1's "arrange T
-//! (T ≤ p) threads") and executes exactly one thing: a [`PlanTape`].
-//! Phase A maps the tape's `p` independent segments over `T` per-call
-//! threads ([`par_map`]); each recovers its sectors from the surviving
-//! sectors only, so they are embarrassingly parallel. Once all are installed,
-//! phase B replays the `H_rest` segment with the recovered blocks as
-//! additional inputs. Every run is instrumented — the region kernels
-//! tally into [`ExecStats`]; callers that do not want the ledger drop it.
+//! A [`Decoder`] carries a thread budget `T` and executes exactly one
+//! thing: a [`PlanTape`]. Phase A replays the tape's `p` independent
+//! segments, each recovering its sectors from the surviving sectors only
+//! and installing them; phase B then replays the `H_rest` segment with
+//! the recovered blocks as additional inputs.
+//!
+//! The threads divide bytes, not sub-matrices. `mult_XORs` are byte-wise
+//! independent, so a decoder with `T > 1` cuts sectors of at least
+//! `2 · T · 4 KiB` into 4 KiB spans and maps the spans over `T` per-call
+//! threads ([`par_map`]), each span running the whole tape — phase A and
+//! `H_rest` — over its own byte range. This departs from the paper's
+//! Algorithm 1, which runs the `p` sub-matrices on `T ≤ p` threads and
+//! `H_rest` on one thread after them. Every other decode is one
+//! whole-sector span on the calling thread. Every run is instrumented —
+//! the region kernels tally into [`ExecStats`]; callers that do not want
+//! the ledger drop it.
 //!
 //! This module is decode hot path: its public entry points must stay
 //! panic-free on bad input (structured [`RepairError`](crate::RepairError)s
@@ -23,18 +31,23 @@ use crate::DecodeError;
 use ppm_codes::{ErasureCode, FailureScenario};
 use ppm_gf::{mul_copy_fused_with, Backend, GfWord, RegionMul, RegionStats};
 use ppm_matrix::Matrix;
-use ppm_stripe::Stripe;
+use ppm_stripe::{Stripe, StripeSpan};
 use std::convert::Infallible;
-use std::ops::Range;
 use std::time::Instant;
+
+/// Bytes per span when a threaded decode cuts its sectors (see
+/// `Decoder::run_spans`).
+const SPAN_BYTES: usize = 4096;
 
 /// Decoder configuration.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DecoderConfig {
-    /// Thread budget `T` for the independent phase. `1` decodes on the
-    /// calling thread and never spawns. The paper restrains
-    /// `T ≤ min{4, core count}` to avoid thread-overloading;
-    /// [`DecoderConfig::default`] follows that rule.
+    /// Thread budget `T`. A decode of sectors of at least `2 · T · 4 KiB`
+    /// cuts them into 4 KiB spans and maps the spans, each running the
+    /// whole tape, over `T` threads; any other decode, and every decode
+    /// with `T = 1`, runs on the calling thread and never spawns. The
+    /// paper restrains `T ≤ min{4, core count}` to avoid
+    /// thread-overloading; [`DecoderConfig::default`] follows that rule.
     pub threads: usize,
     /// Region-operation backend (SIMD/scalar) used by plans built through
     /// this decoder.
@@ -58,10 +71,6 @@ impl Default for DecoderConfig {
 pub struct Decoder {
     config: DecoderConfig,
 }
-
-/// One unit of tape work: a segment replayed over one byte range of
-/// every sector it touches.
-type Job<'t, W> = (&'t TapeSegment<W>, Range<usize>);
 
 impl Decoder {
     /// Creates a decoder.
@@ -100,7 +109,7 @@ impl Decoder {
         plan: &DecodePlan<W>,
         stripe: &mut Stripe,
     ) -> Result<ExecStats, DecodeError> {
-        self.run_tape(plan.ensure_tape(), stripe, None, None)
+        self.run_tape(plan.ensure_tape(), stripe, None)
     }
 
     /// Like [`Decoder::decode`], but borrows every working buffer from
@@ -113,7 +122,7 @@ impl Decoder {
         stripe: &mut Stripe,
         arena: &ScratchArena,
     ) -> Result<ExecStats, DecodeError> {
-        self.run_tape(plan.ensure_tape(), stripe, Some(arena), None)
+        self.run_tape(plan.ensure_tape(), stripe, Some(arena))
     }
 
     /// The pre-PR-12 name of [`Decoder::decode_in`], kept for the frozen
@@ -126,31 +135,6 @@ impl Decoder {
         arena: &ScratchArena,
     ) -> Result<ExecStats, DecodeError> {
         self.decode_in(plan, stripe, arena)
-    }
-
-    /// Like [`Decoder::decode`], but replays the *remaining* sub-matrix's
-    /// segment once per byte range `[off, off + chunk_bytes)` of its
-    /// sectors, spread across the decoder's threads (with `threads == 1`
-    /// this is [`Decoder::decode`]).
-    ///
-    /// This is an extension beyond the paper: PPM parallelizes only
-    /// across independent sub-matrices, so `H_rest` is a serial Amdahl
-    /// bottleneck (§III-C stops at "the remaining sub-matrix is decoded
-    /// after the p matrix decoding operations have finished"). Chunking
-    /// exploits that `mult_XORs` is byte-wise independent: every output
-    /// region slice depends only on the same slice of its inputs.
-    ///
-    /// # Errors
-    /// Returns [`RepairError::BadChunkSize`](crate::RepairError::BadChunkSize)
-    /// unless `chunk_bytes` is a positive multiple of 8 (the region
-    /// alignment).
-    pub fn decode_chunked<W: GfWord>(
-        &self,
-        plan: &DecodePlan<W>,
-        stripe: &mut Stripe,
-        chunk_bytes: usize,
-    ) -> Result<ExecStats, DecodeError> {
-        self.run_tape(plan.ensure_tape(), stripe, None, Some(chunk_bytes))
     }
 
     /// Convenience: plan and decode in one call.
@@ -203,46 +187,30 @@ impl Decoder {
     }
 
     /// The one execution loop, behind every in-process and wire-plan
-    /// decode: geometry check → phase-A segments → install → the `H_rest`
-    /// segment → [`ExecStats`]. With `chunk_bytes` and `threads > 1`,
-    /// `H_rest` is replayed per byte range across the threads instead of
-    /// once.
+    /// decode: geometry check → `Decoder::run_spans` over every segment
+    /// (phase A, then `H_rest`) → [`ExecStats`].
+    ///
+    /// The span map's wall time is split between `phase_a_nanos` and
+    /// `phase_b.nanos` in proportion to each phase's summed span time,
+    /// so the two still add up to the tape's wall time.
     pub(crate) fn run_tape<W: GfWord>(
         &self,
         tape: &PlanTape<W>,
         stripe: &mut Stripe,
         arena: Option<&ScratchArena>,
-        chunk_bytes: Option<usize>,
     ) -> Result<ExecStats, DecodeError> {
-        if let Some(chunk_bytes) = chunk_bytes.filter(|c| *c == 0 || !c.is_multiple_of(8)) {
-            return Err(DecodeError::BadChunkSize { chunk_bytes });
-        }
         check_geometry(tape.total_sectors, stripe)?;
         let started = Instant::now();
-        let (phase_a, phase_a_nanos) = self.run_phase_a(tape, stripe, arena);
-
-        let sb = stripe.sector_bytes();
-        let phase_b = tape.phase_b.as_ref().map(|seg| {
-            // One job over whole sectors, or — chunked, with threads to
-            // spread over — one per `chunk`-byte range of them.
-            let chunk = chunk_bytes
-                .filter(|_| self.config.threads > 1)
-                .unwrap_or(sb);
-            let jobs: Vec<Job<'_, W>> = (0..sb)
-                .step_by(chunk.max(1))
-                .map(|off| (seg, off..(off + chunk).min(sb)))
-                .collect();
-            let (chunks, nanos) = self.run_jobs(&jobs, stripe, arena);
-            // Every chunk replays the same instruction list over its own
-            // byte range, so the sector-granular op counts are any one
-            // chunk's; the bytes add up across chunks.
-            SubPlanStats {
-                bytes: chunks.iter().map(|c| c.bytes).sum(),
-                nanos,
-                ..chunks.first().copied().unwrap_or_default()
-            }
-        });
-
+        let (mut phase_a, wall) =
+            self.run_spans(tape.phase_a.iter().chain(&tape.phase_b), stripe, arena);
+        let mut phase_b = tape.phase_b.as_ref().and_then(|_| phase_a.pop());
+        let busy_a: u128 = phase_a.iter().map(|s| s.nanos).sum();
+        let mut phase_a_nanos = wall;
+        if let Some(rest) = &mut phase_b {
+            let busy = busy_a + rest.nanos;
+            rest.nanos = (wall * rest.nanos).checked_div(busy).unwrap_or(0);
+            phase_a_nanos = wall - rest.nanos;
+        }
         Ok(ExecStats {
             strategy: tape.strategy,
             threads: self.config.threads,
@@ -258,54 +226,114 @@ impl Decoder {
         })
     }
 
-    /// Phase A of [`Decoder::run_tape`] on its own, for the cluster split
-    /// ([`Executor::wire_partials`](crate::Executor::wire_partials)), which
-    /// stops here and ships `H_rest`'s partial sums instead.
-    pub(crate) fn run_phase_a<W: GfWord>(
+    /// Runs `segments` over the stripe with [`map_spans`], choosing the
+    /// span size: with `threads > 1` and sectors of at least `2 · threads
+    /// · SPAN_BYTES` bytes, `SPAN_BYTES` spans mapped over the threads;
+    /// otherwise one whole-sector span on the calling thread.
+    pub(crate) fn run_spans<'t, W: GfWord>(
         &self,
-        tape: &PlanTape<W>,
+        segments: impl Iterator<Item = &'t TapeSegment<W>> + Clone + Sync,
         stripe: &mut Stripe,
         arena: Option<&ScratchArena>,
     ) -> (Vec<SubPlanStats>, u128) {
+        let threads = self.config.threads;
         let sb = stripe.sector_bytes();
-        let jobs: Vec<Job<'_, W>> = tape.phase_a.iter().map(|seg| (seg, 0..sb)).collect();
-        self.run_jobs(&jobs, stripe, arena)
-    }
-
-    /// Runs independent jobs against the stripe and installs their
-    /// outputs — mapped over the decoder's threads when it has more than
-    /// one, serially otherwise. Independent jobs never read each other's
-    /// outputs, so the serial path installs as it goes. Returns per-job
-    /// stats and the time the jobs took (the map's wall time when
-    /// threaded; installs excluded either way).
-    fn run_jobs<W: GfWord>(
-        &self,
-        jobs: &[Job<'_, W>],
-        stripe: &mut Stripe,
-        arena: Option<&ScratchArena>,
-    ) -> (Vec<SubPlanStats>, u128) {
-        if self.config.threads > 1 {
-            let started = Instant::now();
-            let source: &Stripe = stripe;
-            let Ok(flats) = par_map(self.config.threads, jobs, |(seg, range)| {
-                Ok::<_, Infallible>(run_tape_segment(seg, source, range.clone(), arena))
-            });
-            let nanos = started.elapsed().as_nanos();
-            let install = |((seg, range), (flat, stats)): (&Job<'_, W>, (Vec<u8>, _))| {
-                install_tape_outputs(seg, flat, range.clone(), stripe, arena);
-                stats
-            };
-            (jobs.iter().zip(flats).map(install).collect(), nanos)
+        let span_bytes = if threads > 1 && sb >= 2 * threads * SPAN_BYTES {
+            SPAN_BYTES
         } else {
-            let run = |(seg, range): &Job<'_, W>| {
-                let (flat, stats) = run_tape_segment(seg, stripe, range.clone(), arena);
-                install_tape_outputs(seg, flat, range.clone(), stripe, arena);
-                stats
-            };
-            let stats: Vec<SubPlanStats> = jobs.iter().map(run).collect();
-            let nanos = stats.iter().map(|s| s.nanos).sum();
-            (stats, nanos)
+            sb
+        };
+        map_spans(threads, segments, stripe, span_bytes, arena)
+    }
+}
+
+/// Cuts every sector into `span_bytes` spans and maps them over up to
+/// `threads` threads; each span runs `segments` with [`run_span`] over
+/// its own byte range. `mult_XORs` are byte-wise independent, so every
+/// span size gives the bytes a whole-sector run gives. A span as long as
+/// the sector is the stripe itself, run on the calling thread.
+///
+/// Returns one [`SubPlanStats`] per segment — the op counts of any one
+/// span, `bytes` and `nanos` summed over spans — and the wall time of
+/// the whole map.
+fn map_spans<'t, W: GfWord>(
+    threads: usize,
+    segments: impl Iterator<Item = &'t TapeSegment<W>> + Clone + Sync,
+    stripe: &mut Stripe,
+    span_bytes: usize,
+    arena: Option<&ScratchArena>,
+) -> (Vec<SubPlanStats>, u128) {
+    let started = Instant::now();
+    let per_span = if span_bytes >= stripe.sector_bytes() {
+        vec![run_span(segments, stripe, arena)]
+    } else {
+        let Ok(spans) = par_map(threads, stripe.spans_mut(span_bytes), |mut span| {
+            Ok::<_, Infallible>(run_span(segments.clone(), &mut span, arena))
+        });
+        spans
+    };
+    let wall = started.elapsed().as_nanos();
+    let mut spans = per_span.into_iter();
+    let mut total = spans.next().unwrap_or_default();
+    for span in spans {
+        for (sum, part) in total.iter_mut().zip(span) {
+            sum.bytes += part.bytes;
+            sum.nanos += part.nanos;
         }
+    }
+    (total, wall)
+}
+
+/// Runs `segments` in order over one span and installs each segment's
+/// outputs before the next one runs, so a later segment (`H_rest`) reads
+/// what an earlier one recovered. Returns each segment's counters.
+fn run_span<'t, W: GfWord>(
+    segments: impl Iterator<Item = &'t TapeSegment<W>>,
+    span: &mut impl Sectors,
+    arena: Option<&ScratchArena>,
+) -> Vec<SubPlanStats> {
+    segments
+        .map(|seg| {
+            let (flat, stats) = run_tape_segment(seg, span, arena);
+            install_tape_outputs(seg, flat, span, arena);
+            stats
+        })
+        .collect()
+}
+
+/// What [`run_span`] reads and writes: the same byte range of every
+/// sector — all of each sector for a [`Stripe`], one span of each for a
+/// [`StripeSpan`]. The whole stripe implements it so that a one-span
+/// decode reads the stripe in place: cutting it into a one-span
+/// [`StripeSpan`] first made `encode_mid`'s T = 1 encode 4–21 % slower
+/// in 5 of 6 benchmark pairs.
+trait Sectors {
+    fn sector_bytes(&self) -> usize;
+    fn sector(&self, l: usize) -> &[u8];
+    fn sector_mut(&mut self, l: usize) -> &mut [u8];
+}
+
+impl Sectors for Stripe {
+    fn sector_bytes(&self) -> usize {
+        Stripe::sector_bytes(self)
+    }
+    fn sector(&self, l: usize) -> &[u8] {
+        Stripe::sector(self, l)
+    }
+    fn sector_mut(&mut self, l: usize) -> &mut [u8] {
+        Stripe::sector_mut(self, l)
+    }
+}
+
+impl Sectors for StripeSpan<'_> {
+    fn sector_bytes(&self) -> usize {
+        StripeSpan::sector_bytes(self)
+    }
+    fn sector(&self, l: usize) -> &[u8] {
+        StripeSpan::sector(self, l)
+    }
+    fn sector_mut(&mut self, l: usize) -> &mut [u8] {
+        StripeSpan::sector_mut(self, l)
     }
 }
 
@@ -414,28 +442,27 @@ pub(crate) fn give_buf(arena: Option<&ScratchArena>, buf: Vec<u8>) {
     }
 }
 
-/// Executes one tape segment over byte range `range` of every sector it
-/// touches: takes the segment's single arena reservation (sized for
-/// `range.len()`-byte slots), replays its fused instruction runs, and
-/// returns the flat buffer with the outputs at their precomputed slots
-/// together with the run's counters (the caller installs the outputs
-/// and recycles the buffer). A whole-sector run passes `0..sector_bytes`.
+/// Executes one tape segment over one span of every sector it touches:
+/// takes the segment's single arena reservation (sized for span-long
+/// slots), replays its fused instruction runs, and returns the flat
+/// buffer with the outputs at their precomputed slots together with the
+/// run's counters (the caller installs the outputs and recycles the
+/// buffer).
 //
 // The slot arithmetic is safe by tape construction (`crate::tape`,
 // re-validated for wire input by `WirePlan::compile`): every destination
 // is below the segment's slot count, every `Slot` source is below
-// `scratch_slots`, the reservation is exactly `total_slots()` slots long,
-// and `range` lies inside the sector (`Decoder::run_tape` builds it).
+// `scratch_slots`, and the reservation is exactly `total_slots()` slots
+// long.
 #[allow(clippy::indexing_slicing)]
 fn run_tape_segment<W: GfWord>(
     seg: &TapeSegment<W>,
-    stripe: &Stripe,
-    range: Range<usize>,
+    span: &impl Sectors,
     arena: Option<&ScratchArena>,
 ) -> (Vec<u8>, SubPlanStats) {
     let sink = RegionStats::new();
     let started = Instant::now();
-    let len = range.len();
+    let len = span.sector_bytes();
     // Unzeroed reservation: every slot's first touch is an overwriting
     // run head (enforced at tape compile), except the listed zero slots
     // — degenerate empty term lists — which are cleared here.
@@ -444,13 +471,12 @@ fn run_tape_segment<W: GfWord>(
         flat[slot * len..(slot + 1) * len].fill(0);
     }
     let (scratch, outs) = flat.split_at_mut(seg.scratch_slots * len);
-    let sector = |s: usize| &stripe.sector(s)[range.clone()];
 
     // Intermediate section: T-slot accumulators, reading sectors only.
     run_tape_section(
         &seg.instrs[..seg.scratch_boundary],
         |loc| match loc {
-            Loc::Sector(s) => sector(s),
+            Loc::Sector(s) => span.sector(s),
             // Tape invariant: the intermediate section never reads slots.
             Loc::Slot(_) => unreachable!("scratch section reads sectors only"),
         },
@@ -465,7 +491,7 @@ fn run_tape_segment<W: GfWord>(
     run_tape_section(
         &seg.instrs[seg.scratch_boundary..],
         |loc| match loc {
-            Loc::Sector(s) => sector(s),
+            Loc::Sector(s) => span.sector(s),
             Loc::Slot(e) => &scratch[e * len..(e + 1) * len],
         },
         outs,
@@ -528,23 +554,22 @@ pub(crate) fn run_tape_section<'a, W: GfWord>(
     }
 }
 
-/// Writes a tape segment's outputs into byte range `range` of their
-/// stripe sectors from the flat reservation [`run_tape_segment`]
-/// returned for that range, then recycles the buffer.
+/// Writes a tape segment's outputs into their sectors' span from the
+/// flat reservation [`run_tape_segment`] returned for that span, then
+/// recycles the buffer.
 //
 // `slot * len..` is in bounds: outputs live inside the reservation the
-// tape sized, and `range` lies inside the sector (see `run_tape_segment`).
+// tape sized (see `run_tape_segment`).
 #[allow(clippy::indexing_slicing)]
 fn install_tape_outputs<W: GfWord>(
     seg: &TapeSegment<W>,
     flat: Vec<u8>,
-    range: Range<usize>,
-    stripe: &mut Stripe,
+    span: &mut impl Sectors,
     arena: Option<&ScratchArena>,
 ) {
-    let len = range.len();
+    let len = span.sector_bytes();
     for &(slot, sector) in &seg.outputs {
-        stripe.sector_mut(sector)[range.clone()]
+        span.sector_mut(sector)
             .copy_from_slice(&flat[slot * len..(slot + 1) * len]);
     }
     give_buf(arena, flat);
@@ -689,77 +714,101 @@ mod tests {
         }
     }
 
+    /// Decodes `sc` span by span at every size in `spans` and checks
+    /// the recovered sectors and the ledger against the pristine stripe.
+    fn check_spans<W: GfWord>(plan: &DecodePlan<W>, pristine: &Stripe, sc: &FailureScenario) {
+        let sb = pristine.sector_bytes();
+        let tape = plan.ensure_tape();
+        for span_bytes in [8, 40, 64, SPAN_BYTES, sb] {
+            let mut broken = pristine.clone();
+            broken.erase(sc);
+            let segments = tape.phase_a.iter().chain(&tape.phase_b);
+            let (stats, _) = map_spans(2, segments, &mut broken, span_bytes, None);
+            let label = format!("{:?}, {span_bytes}-byte spans", plan.strategy());
+            for &l in plan.faulty() {
+                assert_eq!(broken.sector(l), pristine.sector(l), "{label}: sector {l}");
+            }
+            // Every span replays every segment, yet the ledger stays
+            // sector-granular: executed == predicted, bytes whole.
+            let executed: u64 = stats.iter().map(|s| s.mult_xors).sum();
+            assert_eq!(executed, plan.mult_xors() as u64, "{label}");
+            let bytes: u64 = stats.iter().map(|s| s.bytes).sum();
+            assert_eq!(bytes, sb as u64 * executed, "{label}");
+        }
+    }
+
     #[test]
-    fn decode_chunked_matches_decode() {
+    fn spans_match_whole_sector_decode() {
+        // Two full spans and a 24-byte tail: 40, 64 and SPAN_BYTES all
+        // leave a short last span.
+        let sb = 2 * SPAN_BYTES + 24;
+        let dec = decoder(1);
         let code = SdCode::<u8>::search(6, 6, 2, 2, 3, 3).unwrap();
         let h = code.parity_check_matrix();
         let mut rng = StdRng::seed_from_u64(55);
         let sc = code.decodable_worst_case(1, &mut rng, 100).unwrap();
-        let dec = decoder(3);
-        let mut stripe = random_data_stripe(&code, 96, &mut rng);
-        encode(&code, &dec, &mut stripe).unwrap();
-        let pristine = stripe.clone();
-        // Chunk sizes exercising: sub-sector, exact divisor, non-divisor
-        // tail, larger than a sector.
-        for chunk in [8usize, 32, 40, 96, 1024] {
-            let plan = dec.plan(&h, &sc, Strategy::PpmAuto).unwrap();
-            let mut broken = pristine.clone();
-            broken.erase(&sc);
-            let stats = dec.decode_chunked(&plan, &mut broken, chunk).unwrap();
-            assert_eq!(broken, pristine, "chunk={chunk}");
-            // Chunking replays H_rest once per byte range, yet the ledger
-            // stays sector-granular: executed == predicted, bytes whole.
-            assert!(stats.matches_prediction(), "chunk={chunk}");
-            assert_eq!(stats.bytes_moved(), 96 * plan.mult_xors() as u64);
-        }
-        // Every strategy shape: traditional (single Normal/MatrixFirst
-        // program, no phase A) and the partitioned variants.
+        let mut pristine = random_data_stripe(&code, sb, &mut rng);
+        encode(&code, &dec, &mut pristine).unwrap();
+        // Every strategy shape: traditional (one program, no phase A)
+        // and the partitioned variants.
         for strategy in Strategy::CONCRETE {
-            let plan = dec.plan(&h, &sc, strategy).unwrap();
-            let mut broken = pristine.clone();
-            broken.erase(&sc);
-            let stats = dec.decode_chunked(&plan, &mut broken, 40).unwrap();
-            assert_eq!(broken, pristine, "{strategy:?}");
-            assert!(stats.matches_prediction(), "{strategy:?}");
+            check_spans(&dec.plan(&h, &sc, strategy).unwrap(), &pristine, &sc);
         }
-        // A restricted plan decodes chunked, too.
-        let plan = dec
+        // A restricted plan recovers only its wanted sectors.
+        let restricted = dec
             .plan(&h, &sc, Strategy::PpmNormalRest)
             .unwrap()
             .restrict_to(&sc.faulty()[..2]);
-        let mut broken = pristine.clone();
-        broken.erase(&sc);
-        dec.decode_chunked(&plan, &mut broken, 32).unwrap();
-        for &w in &sc.faulty()[..2] {
-            assert_eq!(broken.sector(w), pristine.sector(w));
-        }
-        // Single-threaded decoder: falls back to plain decode.
-        let serial = decoder(1);
-        let plan = serial.plan(&h, &sc, Strategy::PpmAuto).unwrap();
-        let mut broken = pristine.clone();
-        broken.erase(&sc);
-        serial.decode_chunked(&plan, &mut broken, 64).unwrap();
-        assert_eq!(broken, pristine);
+        check_spans(&restricted, &pristine, &sc);
+
+        let code16 = SdCode::<u16>::with_generator_coeffs(5, 4, 1, 1).unwrap();
+        let sc16 = code16.decodable_worst_case(1, &mut rng, 50).unwrap();
+        let mut pristine16 = random_data_stripe(&code16, sb, &mut rng);
+        encode(&code16, &dec, &mut pristine16).unwrap();
+        let plan16 = dec.plan(&code16.parity_check_matrix(), &sc16, Strategy::PpmAuto);
+        check_spans(&plan16.unwrap(), &pristine16, &sc16);
+
+        let code32 = SdCode::<u32>::with_generator_coeffs(5, 4, 1, 1).unwrap();
+        let sc32 = code32.decodable_worst_case(1, &mut rng, 50).unwrap();
+        let mut pristine32 = random_data_stripe(&code32, sb, &mut rng);
+        encode(&code32, &dec, &mut pristine32).unwrap();
+        let plan32 = dec.plan(&code32.parity_check_matrix(), &sc32, Strategy::PpmAuto);
+        check_spans(&plan32.unwrap(), &pristine32, &sc32);
     }
 
+    /// A threaded decoder spans sectors of at least `2 · threads ·
+    /// SPAN_BYTES` bytes and nothing smaller — visible in the arena,
+    /// whose reservations shrink to span-long slots — and either way the
+    /// stripe comes back whole, on the ledger, with phase times inside
+    /// the decode's wall time.
     #[test]
-    fn decode_chunked_rejects_misaligned_chunk() {
+    fn threaded_decode_spans_large_sectors_only() {
         let code = SdCode::<u8>::new(4, 4, 1, 1, vec![1, 2]).unwrap();
         let h = code.parity_check_matrix();
-        let dec = decoder(2);
-        let plan = dec
-            .plan(&h, &FailureScenario::new(vec![2]), Strategy::PpmAuto)
-            .unwrap();
-        let mut stripe = Stripe::zeroed(code.layout(), 64);
-        // A bad chunk size is an error, never a panic — threaded or not —
-        // and the stripe is untouched.
-        for bad in [0usize, 12] {
-            for dec in [&dec, &decoder(1)] {
-                let err = dec.decode_chunked(&plan, &mut stripe, bad).unwrap_err();
-                assert_eq!(err, DecodeError::BadChunkSize { chunk_bytes: bad });
-            }
+        let sc = FailureScenario::new(vec![2, 6, 10, 13, 14]);
+        let mut rng = StdRng::seed_from_u64(8);
+        for (sb, spanned) in [
+            (64, false),
+            (4 * SPAN_BYTES - 8, false),
+            (4 * SPAN_BYTES + 24, true),
+        ] {
+            let mut pristine = random_data_stripe(&code, sb, &mut rng);
+            encode(&code, &decoder(1), &mut pristine).unwrap();
+            let pooled = [1, 2].map(|threads| {
+                let dec = decoder(threads);
+                let plan = dec.plan(&h, &sc, Strategy::PpmAuto).unwrap();
+                let arena = ScratchArena::new();
+                let mut broken = pristine.clone();
+                broken.erase(&sc);
+                let stats = dec.decode_in(&plan, &mut broken, &arena).unwrap();
+                assert_eq!(broken, pristine, "{sb} B, T={threads}");
+                assert!(stats.matches_prediction(), "{sb} B, T={threads}");
+                assert_eq!(stats.bytes_moved(), sb as u64 * stats.executed_mult_xors());
+                assert!(stats.phase_a_nanos + stats.phase_b_nanos() <= stats.total_nanos);
+                arena.stats().pooled_bytes
+            });
+            assert_eq!(pooled[1] < pooled[0], spanned, "{sb} B: {pooled:?}");
         }
-        assert_eq!(stripe, Stripe::zeroed(code.layout(), 64));
     }
 
     #[test]

@@ -59,9 +59,10 @@ impl Executor {
         &self.arena
     }
 
-    /// Decodes one stripe on the decoder's thread budget (the paper's
-    /// intra-stripe parallelism over independent sub-matrices),
-    /// borrowing scratch from the executor's arena.
+    /// Decodes one stripe on the decoder's thread budget (intra-stripe
+    /// parallelism over 4 KiB spans of long sectors, see
+    /// [`DecoderConfig::threads`]), borrowing scratch from the executor's
+    /// arena.
     pub fn decode<W: GfWord>(
         &self,
         plan: &DecodePlan<W>,
@@ -89,8 +90,7 @@ impl Executor {
         wire: &ExecutableWirePlan<W>,
         stripe: &mut Stripe,
     ) -> Result<ExecStats, DecodeError> {
-        self.decoder
-            .run_tape(&wire.tape, stripe, Some(&self.arena), None)
+        self.decoder.run_tape(&wire.tape, stripe, Some(&self.arena))
     }
 
     /// The survivor side of partial-block repair: runs the wire plan's
@@ -126,14 +126,15 @@ impl Executor {
         else {
             // No H_rest, or one that reads sectors directly: the whole
             // tape runs here and nothing ships.
-            self.decoder.run_tape(&wire.tape, stripe, arena, None)?;
+            self.decoder.run_tape(&wire.tape, stripe, arena)?;
             return Ok(WirePartials {
                 rest_blocks: Vec::new(),
                 rest_pending: false,
             });
         };
         check_geometry(wire.total_sectors(), stripe)?;
-        self.decoder.run_phase_a(&wire.tape, stripe, arena);
+        self.decoder
+            .run_spans(wire.tape.phase_a.iter(), stripe, arena);
 
         // Splittable H_rest: compute the scratch (T) section only — the
         // sums over locally held sectors. The output section (F⁻¹ · T)

@@ -18,8 +18,11 @@
 //!    (*normal*: `F⁻¹·(S·BS)`; *matrix-first*: `(F⁻¹·S)·BS`) minimizing
 //!    the mult_XORs count, using the [`cost`] model `C₁..C₄`.
 //! 4. [`Decoder`] — execute the plan's compiled [`PlanTape`]: the `p`
-//!    independent segments run on `T ≤ p` threads; once they finish,
-//!    their recovered blocks join the surviving blocks to decode `H_rest`.
+//!    independent segments recover their blocks, which then join the
+//!    surviving blocks to decode `H_rest`. Where the paper runs the `p`
+//!    segments on `T ≤ p` threads and `H_rest` on one, the decoder cuts
+//!    long sectors into 4 KiB spans and runs the whole tape on each span
+//!    across its `T` threads.
 //!
 //! The traditional baseline ([`Strategy::TraditionalNormal`] /
 //! [`Strategy::TraditionalMatrixFirst`]) runs the same machinery without

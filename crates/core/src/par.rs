@@ -2,9 +2,10 @@
 //! scoped threads.
 //!
 //! This is the paper's threading model and nothing more — §III-C runs
-//! the `p` independent sub-matrices on `T` threads created for the
-//! decode, accepting that "some additional time is spent on creating
-//! multiple threads". There is no pool: every call spawns its helpers
+//! its decode on `T` threads created for the decode, accepting that
+//! "some additional time is spent on creating multiple threads" (the
+//! decoder maps 4 KiB spans of long sectors where the paper maps the
+//! `p` independent sub-matrices). There is no pool: every call spawns its helpers
 //! and joins them before returning, so borrows of the caller's stack
 //! (`&mut` stripes, the shared session) need no `'static` bound.
 

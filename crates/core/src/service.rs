@@ -15,12 +15,13 @@
 //! `RepairService` is `Sync`, so N repair workers can drive one session
 //! concurrently — sharing the plan cache and the scratch arena — either
 //! by hand or through the built-in [`RepairService::repair_batch`] /
-//! [`RepairService::repair_stream`] drivers, which split work between the
-//! paper's intra-stripe parallelism and one-worker-per-stripe parallelism
-//! adaptively. Each entry point looks its plan up once per call (once per
-//! batch for the drivers), so the cache is one lock with single-flight
-//! builds, while the arena, which every stripe's decode borrows from,
-//! keeps thread-affine shards.
+//! [`RepairService::repair_stream`] drivers, which split work between
+//! intra-stripe parallelism (the decoder's threads over 4 KiB spans of
+//! long sectors) and one-worker-per-stripe parallelism adaptively. Each
+//! entry point looks its plan up once per call (once per batch for the
+//! drivers), so the cache is one lock with single-flight builds, while
+//! the arena, which every stripe's decode borrows from, keeps
+//! thread-affine shards.
 
 use crate::arena::ScratchArena;
 use crate::cache::PlanCacheStats;
@@ -333,24 +334,6 @@ impl<W: GfWord, C: ErasureCode<W>> RepairService<W, C> {
         }
     }
 
-    /// Repairs one stripe with `H_rest` region chunking (see
-    /// [`Decoder::decode_chunked`]), through the session's cache and
-    /// arena.
-    pub fn decode_chunked(
-        &self,
-        stripe: &mut Stripe,
-        scenario: &FailureScenario,
-        chunk_bytes: usize,
-    ) -> Result<ExecStats, DecodeError> {
-        let (plan, _) = self.plan_for(scenario)?;
-        self.executor.decoder().run_tape(
-            plan.ensure_tape(),
-            stripe,
-            Some(self.executor.arena()),
-            Some(chunk_bytes),
-        )
-    }
-
     /// Encodes a stripe in place — the decoding special case where every
     /// parity sector is "faulty" (paper §II-B, footnote 1). The encode
     /// plan is cached like any repair plan, so streaming ingest pays the
@@ -472,10 +455,11 @@ impl<W: GfWord, C: ErasureCode<W>> RepairService<W, C> {
     ///   dominates here — every worker runs the full §III-B workload with
     ///   no synchronization beyond the shared cache and arena.
     /// * **Few stripes**: intra-stripe mode. Stripes decode sequentially
-    ///   on the session decoder's thread budget, keeping the
-    ///   paper's §IV parallelism over independent sub-matrices — the only
-    ///   parallelism that helps when there aren't enough stripes to go
-    ///   around.
+    ///   on the session decoder's thread budget, which cuts sectors of at
+    ///   least `2 · T · 4 KiB` into 4 KiB spans and runs the whole tape on
+    ///   each span across its threads — the only parallelism that helps
+    ///   when there aren't enough stripes to go around. Shorter sectors
+    ///   decode on the calling thread without spawning.
     ///
     /// Either way the plan is looked up once (workers arriving at a cold
     /// key coalesce into a single build) and every worker borrows decode
@@ -545,7 +529,8 @@ impl<W: GfWord, C: ErasureCode<W>> RepairService<W, C> {
     /// self-balance), repairs each against `scenario`, and returns the
     /// repaired stripes **in input order** together with the batch
     /// report. With `workers == 1` the stream is consumed on the calling
-    /// thread through the session's (intra-stripe parallel) decoder.
+    /// thread through the session's decoder, whose threads split long
+    /// sectors into spans (intra-stripe parallelism).
     ///
     /// # Errors
     /// The first decode error stops all workers and is returned; stripes
@@ -580,8 +565,9 @@ impl<W: GfWord, C: ErasureCode<W>> RepairService<W, C> {
         Ok((
             out_stripes,
             BatchReport {
+                // `par_map` runs no more workers than there are stripes.
+                workers: workers.min(stats.len()).max(1),
                 stats,
-                workers,
                 inter_stripe,
                 wall_nanos: started.elapsed().as_nanos(),
             },
@@ -597,10 +583,10 @@ pub struct BatchReport {
     /// Per-stripe decode telemetry, in stripe order.
     pub stats: Vec<ExecStats>,
     /// Worker threads actually used at the stripe level (1 in
-    /// intra-stripe mode).
+    /// intra-stripe mode, and never more than the stripes repaired).
     pub workers: usize,
     /// True when the driver chose one-worker-per-stripe parallelism;
-    /// false when it kept the paper's intra-stripe parallelism.
+    /// false when it kept intra-stripe parallelism.
     pub inter_stripe: bool,
     /// Wall time of the whole batch call, nanoseconds.
     pub wall_nanos: u128,
@@ -741,7 +727,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_and_chunked_flow_through_cache() {
+    fn batch_and_spanned_flow_through_cache() {
         let svc = service(2);
         let scenario = FailureScenario::new(vec![2, 6]);
         let mut rng = StdRng::seed_from_u64(5);
@@ -761,22 +747,27 @@ mod tests {
         assert_eq!(all.len(), 3);
         assert!(all.iter().all(|s| s.matches_prediction()));
 
-        let mut b = pristine[0].clone();
+        // Sectors long enough for the T = 2 decode to cut them into
+        // spans, with a short tail.
+        let mut large = random_data_stripe(svc.code(), 4 * 4096 + 24, &mut rng);
+        svc.encode(&mut large).unwrap();
+        let mut b = large.clone();
         b.erase(&scenario);
         let takes = |svc: &RepairService<u8, SdCode<u8>>| {
             let a = svc.arena().stats();
             a.fresh + a.reused
         };
         let before = takes(&svc);
-        let stats = svc.decode_chunked(&mut b, &scenario, 32).unwrap();
-        assert_eq!(b, pristine[0]);
-        assert!(stats.matches_prediction(), "chunked stats are complete");
+        let stats = svc.repair(&mut b, &scenario).unwrap();
+        assert_eq!(b, large);
+        assert!(stats.matches_prediction(), "spanned stats are complete");
         assert!(
             takes(&svc) > before,
-            "chunked decode borrows from the arena"
+            "spanned decode borrows from the arena"
         );
-        // Hits: two repeated encode plans + this chunked decode's plan.
-        assert_eq!(svc.cache_stats().hits, 3);
+        // Hits: two repeated encode plans, the large stripe's encode and
+        // its decode's plan.
+        assert_eq!(svc.cache_stats().hits, 4);
     }
 
     #[test]
@@ -1269,5 +1260,24 @@ mod tests {
         assert_eq!(repaired, vec![pristine; 5]);
         assert_eq!(report.workers, 1);
         assert_eq!(pulls, 5);
+    }
+
+    /// `BatchReport::workers` counts the workers that ran, not the ones
+    /// asked for: one stripe is repaired by one worker.
+    #[test]
+    fn repair_stream_reports_the_workers_it_used() {
+        let svc = service(2);
+        let scenario = FailureScenario::new(vec![2, 6]);
+        let mut rng = StdRng::seed_from_u64(24);
+        let mut pristine = random_data_stripe(svc.code(), 64, &mut rng);
+        svc.encode(&mut pristine).unwrap();
+        let mut broken = pristine.clone();
+        broken.erase(&scenario);
+
+        let (repaired, report) = svc.repair_stream([broken], &scenario, 4).unwrap();
+        assert_eq!(repaired, vec![pristine]);
+        assert_eq!(report.workers, 1);
+        let (_, report) = svc.repair_stream(Vec::new(), &scenario, 4).unwrap();
+        assert_eq!(report.workers, 1);
     }
 }

@@ -187,11 +187,17 @@ pub struct ExecStats {
     /// Predicted `C₁..C₄` of all candidates, when the plan was chosen by
     /// [`Strategy::PpmAuto`].
     pub predicted_costs: Option<CostReport>,
-    /// Per-sub-plan executed work for phase A, in plan order.
+    /// Per-sub-plan executed work for phase A, in plan order: the op
+    /// counts of one span, `bytes` and `nanos` summed over spans.
     pub phase_a: Vec<SubPlanStats>,
-    /// Wall time of the whole phase A dispatch (parallel), nanoseconds.
+    /// Phase A's share of the span map's wall time, nanoseconds: the
+    /// map's wall time split between the phases in proportion to their
+    /// busy time, so `phase_a_nanos + phase_b_nanos()` is the tape's
+    /// wall time.
     pub phase_a_nanos: u128,
-    /// Executed work of the `H_rest` sub-plan, if the plan has one.
+    /// Executed work of the `H_rest` sub-plan, if the plan has one,
+    /// counted like a phase-A entry except that `nanos` is phase B's
+    /// share of the span map's wall time.
     pub phase_b: Option<SubPlanStats>,
     /// Wall time of the whole decode call, nanoseconds.
     pub total_nanos: u128,
@@ -225,7 +231,8 @@ impl ExecStats {
         self.phase_a.iter().map(|s| s.bytes).sum::<u64>() + self.phase_b.map_or(0, |s| s.bytes)
     }
 
-    /// Wall time of the `H_rest` phase, nanoseconds (0 if no phase B).
+    /// Phase B's share of the span map's wall time, nanoseconds (0 if
+    /// no phase B).
     pub fn phase_b_nanos(&self) -> u128 {
         self.phase_b.map_or(0, |s| s.nanos)
     }
@@ -236,17 +243,19 @@ impl ExecStats {
         self.executed_mult_xors() == self.predicted_mult_xors as u64
     }
 
-    /// Phase-A thread utilization in `[0, 1]`: busy worker time divided
-    /// by wall time × effective workers (`min(T, p)`). `1.0` means the
-    /// sub-plans packed perfectly onto the workers; low values mean
-    /// phase A was skewed (one big sub-plan dominated the wall clock).
+    /// Thread utilization in `[0, 1]`: phase A's busy time (summed over
+    /// spans) divided by its share of the wall time × `T`. Phase A's
+    /// share of the wall time is in proportion to its busy time, so this
+    /// is the whole decode's busy time over wall time × `T`. `1.0` means
+    /// every thread was busy for the whole span map; a decode too small
+    /// to cut into spans runs on one thread and reports about `1/T`.
     /// Returns 1.0 for plans with no phase A.
     pub fn thread_utilization(&self) -> f64 {
         if self.phase_a.is_empty() || self.phase_a_nanos == 0 {
             return 1.0;
         }
         let busy: u128 = self.phase_a.iter().map(|s| s.nanos).sum();
-        let workers = self.threads.min(self.phase_a.len()).max(1) as u128;
+        let workers = self.threads.max(1) as u128;
         (busy as f64 / (self.phase_a_nanos * workers) as f64).min(1.0)
     }
 
@@ -408,7 +417,7 @@ mod tests {
     fn utilization_bounds() {
         let s = sample();
         let u = s.thread_utilization();
-        // busy = 250, wall = 150, workers = min(2, 2) = 2 → 250/300.
+        // busy = 250, phase-A wall = 150, T = 2 → 250/300.
         assert!((u - 250.0 / 300.0).abs() < 1e-9, "{u}");
 
         let empty = ExecStats {

@@ -1,6 +1,7 @@
 //! The [`Stripe`] buffer: one flat allocation of `n·r` equal sectors.
 
 use ppm_codes::{FailureScenario, StripeLayout};
+use std::slice::ChunksMut;
 
 /// Sector sizes must be a multiple of this, so that every GF(2^w) word
 /// width (1, 2 or 4 bytes) and the 64-bit XOR fast path divide evenly.
@@ -112,9 +113,92 @@ impl Stripe {
         sectors.iter().all(|&l| self.sector(l) == other.sector(l))
     }
 
+    /// Cuts every sector into consecutive `span_bytes`-byte ranges (the
+    /// last one shorter when `span_bytes` does not divide the sector) and
+    /// yields one [`StripeSpan`] per range: span `k` holds bytes
+    /// `k·span_bytes..` of every sector. The spans are disjoint, so they
+    /// can be handed to different threads.
+    ///
+    /// # Panics
+    /// Panics if `span_bytes` is zero.
+    pub fn spans_mut(&mut self, span_bytes: usize) -> SpansMut<'_> {
+        assert!(span_bytes > 0, "span size must be positive");
+        SpansMut {
+            left: self.sector_bytes.div_ceil(span_bytes),
+            sectors: self
+                .data
+                .chunks_exact_mut(self.sector_bytes)
+                .map(|sector| sector.chunks_mut(span_bytes))
+                .collect(),
+        }
+    }
+
     fn offset(&self, l: usize) -> usize {
         assert!(l < self.layout.sectors(), "sector {l} out of range");
         l * self.sector_bytes
+    }
+}
+
+/// The iterator [`Stripe::spans_mut`] returns: exact-size, and `Send`, so
+/// a thread pool can pull spans from it. Each span's sector views are
+/// cut when the span is pulled.
+#[derive(Debug)]
+pub struct SpansMut<'a> {
+    sectors: Vec<ChunksMut<'a, u8>>,
+    left: usize,
+}
+
+impl<'a> Iterator for SpansMut<'a> {
+    type Item = StripeSpan<'a>;
+
+    fn next(&mut self) -> Option<StripeSpan<'a>> {
+        if self.left == 0 {
+            return None;
+        }
+        let sectors = self
+            .sectors
+            .iter_mut()
+            .map(Iterator::next)
+            .collect::<Option<Vec<_>>>()?;
+        self.left -= 1;
+        Some(StripeSpan { sectors })
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for SpansMut<'_> {}
+
+/// One byte range of every sector of a stripe, borrowed mutably (see
+/// [`Stripe::spans_mut`]). Sector `l` of the span is the same byte range
+/// of the stripe's sector `l`.
+#[derive(Debug)]
+pub struct StripeSpan<'a> {
+    sectors: Vec<&'a mut [u8]>,
+}
+
+impl StripeSpan<'_> {
+    /// Bytes of each sector this span holds.
+    pub fn sector_bytes(&self) -> usize {
+        self.sectors.first().map_or(0, |s| s.len())
+    }
+
+    /// Read-only view of this span's range of sector `l`.
+    ///
+    /// # Panics
+    /// Panics if `l` is not a sector of the stripe.
+    pub fn sector(&self, l: usize) -> &[u8] {
+        self.sectors[l]
+    }
+
+    /// Mutable view of this span's range of sector `l`.
+    ///
+    /// # Panics
+    /// Panics if `l` is not a sector of the stripe.
+    pub fn sector_mut(&mut self, l: usize) -> &mut [u8] {
+        self.sectors[l]
     }
 }
 
@@ -220,6 +304,42 @@ mod tests {
         a.write_sector(1, &[1u8; 8]);
         assert!(!a.sectors_eq(&b, &[0, 1]));
         assert!(a.sectors_eq(&b, &[0, 2, 3]));
+    }
+
+    #[test]
+    fn spans_cover_every_sector_once_in_order() {
+        let mut s = Stripe::zeroed(layout(), 40);
+        for l in 0..16 {
+            let bytes: Vec<u8> = (0..40).map(|b| (l * 40 + b) as u8).collect();
+            s.write_sector(l, &bytes);
+        }
+        let pristine = s.clone();
+        for span_bytes in [8, 16, 40, 64] {
+            let spans = s.spans_mut(span_bytes);
+            assert_eq!(spans.len(), 40usize.div_ceil(span_bytes));
+            let mut offset = 0;
+            for mut span in spans {
+                let len = span.sector_bytes();
+                assert_eq!(len, span_bytes.min(40 - offset));
+                for l in 0..16 {
+                    assert_eq!(span.sector(l), &pristine.sector(l)[offset..offset + len]);
+                    span.sector_mut(l).fill(0xEE);
+                }
+                offset += len;
+            }
+            assert_eq!(offset, 40);
+            assert!((0..16).all(|l| s.sector(l).iter().all(|&b| b == 0xEE)));
+            s = pristine.clone();
+        }
+    }
+
+    #[test]
+    fn spans_are_send() {
+        fn is_send<T: Send>(_: &T) {}
+        let mut s = Stripe::zeroed(layout(), 16);
+        let mut spans = s.spans_mut(8);
+        is_send(&spans);
+        is_send(&spans.next().unwrap());
     }
 
     #[test]

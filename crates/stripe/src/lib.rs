@@ -20,5 +20,5 @@
 mod buffer;
 mod workload;
 
-pub use buffer::{Stripe, StripeSizeError, SECTOR_ALIGN};
+pub use buffer::{SpansMut, Stripe, StripeSizeError, StripeSpan, SECTOR_ALIGN};
 pub use workload::{fill_random_data, random_data_stripe, random_stripe};

@@ -13,6 +13,10 @@ use ppm::{
 };
 use rand::{rngs::StdRng, SeedableRng};
 
+/// Four 4 KiB spans and a 24-byte tail: a T = 2 decoder cuts these
+/// sectors into spans.
+const SPANNED_SECTOR_BYTES: usize = 4 * 4096 + 24;
+
 fn decoder(threads: usize) -> Decoder {
     Decoder::new(DecoderConfig {
         threads,
@@ -46,17 +50,23 @@ fn check<W: GfWord, C: ErasureCode<W>>(
         code.name()
     );
 
-    // Chunking H_rest replays its segment once per byte range, but the
-    // ledger stays sector-granular: same op counts, same bytes.
-    let mut chunked = pristine.clone();
-    chunked.erase(scenario);
-    let by_chunks = dec
-        .decode_chunked(&plan, &mut chunked, 8 * W::BYTES)
-        .expect("chunked decode");
-    assert_eq!(chunked, pristine, "{}: chunked decode", code.name());
-    assert_eq!(by_chunks.executed_mult_xors(), stats.executed_mult_xors());
-    assert_eq!(by_chunks.executed_plain_xors(), stats.executed_plain_xors());
-    assert_eq!(by_chunks.bytes_moved(), stats.bytes_moved());
+    // A T = 2 decode of long sectors replays every segment once per
+    // span, but the ledger stays sector-granular: same op counts, bytes
+    // scaled by the sector size.
+    let mut spanned = random_data_stripe(code, SPANNED_SECTOR_BYTES, &mut rng);
+    encode(code, &dec, &mut spanned).expect("encode");
+    let spanned_pristine = spanned.clone();
+    spanned.erase(scenario);
+    let by_spans = decoder(2)
+        .decode(&plan, &mut spanned)
+        .expect("spanned decode");
+    assert_eq!(spanned, spanned_pristine, "{}: spanned decode", code.name());
+    assert_eq!(by_spans.executed_mult_xors(), stats.executed_mult_xors());
+    assert_eq!(by_spans.executed_plain_xors(), stats.executed_plain_xors());
+    assert_eq!(
+        by_spans.bytes_moved() * pristine.sector_bytes() as u64,
+        stats.bytes_moved() * SPANNED_SECTOR_BYTES as u64
+    );
 
     // The ledger: executed region ops == the plan's predicted cost.
     assert_eq!(
@@ -222,6 +232,36 @@ fn restricted_plan_invalidates_cost_report_and_stays_on_ledger() {
         assert!(stats.matches_prediction());
         assert!(stats.predicted_costs.is_none());
     }
+}
+
+/// A T = 2 decode of sectors cut into spans reports one ledger for the
+/// whole stripe: executed == predicted, every term moves one whole
+/// sector, one phase-A entry per independent sub-matrix, and the two
+/// phase times (shares of the span map's wall time) inside the decode's.
+#[test]
+fn spanned_decode_stats_stay_on_ledger() {
+    let code = SdCode::<u8>::search(6, 8, 2, 2, 3, 3).unwrap();
+    let h = code.parity_check_matrix();
+    let mut rng = StdRng::seed_from_u64(43);
+    let sc = code.decodable_worst_case(2, &mut rng, 200).unwrap();
+    let dec = decoder(2);
+    let mut stripe = random_data_stripe(&code, SPANNED_SECTOR_BYTES, &mut rng);
+    encode(&code, &dec, &mut stripe).expect("encode");
+    let pristine = stripe.clone();
+    stripe.erase(&sc);
+    let plan = dec.plan(&h, &sc, Strategy::PpmAuto).expect("plan");
+    assert!(plan.parallelism() > 1 && plan.has_phase_b());
+    let stats = dec.decode(&plan, &mut stripe).expect("decode");
+    assert_eq!(stripe, pristine);
+
+    assert!(stats.matches_prediction());
+    assert_eq!(stats.executed_mult_xors(), plan.mult_xors() as u64);
+    assert_eq!(
+        stats.bytes_moved(),
+        SPANNED_SECTOR_BYTES as u64 * stats.executed_mult_xors()
+    );
+    assert_eq!(stats.phase_a.len(), stats.parallelism);
+    assert!(stats.phase_a_nanos + stats.phase_b_nanos() <= stats.total_nanos);
 }
 
 /// The JSON rendering of a real run contains the ledger keys.

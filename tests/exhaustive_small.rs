@@ -4,8 +4,8 @@
 //! bit-identically to the word-level oracle of `tests/common` or is
 //! reported `Unrecoverable` — and the engine and the oracle agree on
 //! which — through both the whole-sector path (serial decoder) and the
-//! chunked sub-range path (multi-threaded decoder), with executed == predicted
-//! on each. On every pattern the `PpmAuto` plan also picks exactly what
+//! span path (a T = 2 decoder on sectors long enough to be cut into 4 KiB
+//! spans), with executed == predicted on each. On every pattern the `PpmAuto` plan also picks exactly what
 //! the long way picks: all four concrete plans built, the first strict
 //! minimum kept.
 //!
@@ -27,7 +27,9 @@ use ppm::{
 use rand::{rngs::StdRng, SeedableRng};
 
 const SECTOR_BYTES: usize = 32;
-const CHUNK_BYTES: usize = 8;
+/// Four 4 KiB spans and a 24-byte tail: a T = 2 decoder cuts these
+/// sectors into spans.
+const SPANNED_SECTOR_BYTES: usize = 4 * 4096 + 24;
 
 /// Calls `visit` with every `k`-subset of `0..n`, in lexicographic order.
 fn for_each_subset(n: usize, k: usize, visit: &mut impl FnMut(&[usize])) {
@@ -83,6 +85,7 @@ struct Harness<'a, C> {
     code: &'a C,
     h: ppm::Matrix<u8>,
     pristine: Stripe,
+    spanned: Stripe,
     serial: Decoder,
     pooled: Decoder,
 }
@@ -98,10 +101,13 @@ impl<'a, C: ErasureCode<u8>> Harness<'a, C> {
         let mut rng = StdRng::seed_from_u64(common::seed_from_env());
         let mut pristine = random_data_stripe(code, SECTOR_BYTES, &mut rng);
         encode(code, &decoder(1), &mut pristine).expect("encode");
+        let mut spanned = random_data_stripe(code, SPANNED_SECTOR_BYTES, &mut rng);
+        encode(code, &decoder(1), &mut spanned).expect("encode");
         Harness {
             code,
             h: code.parity_check_matrix(),
             pristine,
+            spanned,
             serial: decoder(1),
             pooled: decoder(2),
         }
@@ -149,16 +155,18 @@ impl<'a, C: ErasureCode<u8>> Harness<'a, C> {
         assert_eq!(whole, by_oracle, "{name} {faulty:?}: whole-sector decode");
         assert!(stats.matches_prediction(), "{name} {faulty:?}: ledger");
 
-        let mut chunked = self.pristine.clone();
-        chunked.erase(&scenario);
+        // The oracle agreed the pattern decodes, so the spanned decode
+        // must restore its own pristine stripe.
+        let mut spanned = self.spanned.clone();
+        spanned.erase(&scenario);
         let stats = self
             .pooled
-            .decode_chunked(&plan, &mut chunked, CHUNK_BYTES)
-            .expect("chunked decode");
-        assert_eq!(chunked, by_oracle, "{name} {faulty:?}: chunked decode");
+            .decode(&plan, &mut spanned)
+            .expect("spanned decode");
+        assert_eq!(spanned, self.spanned, "{name} {faulty:?}: spanned decode");
         assert!(
             stats.matches_prediction(),
-            "{name} {faulty:?}: chunked ledger"
+            "{name} {faulty:?}: spanned ledger"
         );
         true
     }

@@ -183,7 +183,7 @@ proptest! {
         let mut inj = FaultInjector::new(seed);
         for mut bad in [inj.truncated_stripe(&stripe), inj.misaligned_stripe(&stripe)] {
             match svc.repair_verified(&mut bad, &scenario) {
-                Err(RepairError::GeometryMismatch { .. } | RepairError::BadChunkSize { .. }) => {}
+                Err(RepairError::GeometryMismatch { .. }) => {}
                 Err(RepairError::SectorOutOfRange { .. }) => {}
                 other => {
                     return Err(TestCaseError::fail(format!(

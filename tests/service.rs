@@ -174,15 +174,15 @@ fn session_cache_evicts_least_recently_used() {
     assert_eq!(s.capacity, CAPACITY);
 }
 
-/// Batch, stream, single, verified and chunked decodes through the
+/// Batch, stream, single, verified and spanned decodes through the
 /// session report complete per-stripe stats (the executed == predicted
 /// ledger holds), restore every stripe, and each look the plan up
-/// exactly once per call — not once per stripe. That traffic is what
-/// the plan cache's design rests on: one mutex for the whole map and
-/// one build lock are enough because a session takes them a handful of
-/// times per call, however many stripes or workers the call spans.
+/// exactly once per call — not once per stripe or span. That traffic is
+/// what the plan cache's design rests on: one mutex for the whole map
+/// and one build lock are enough because a session takes them a handful
+/// of times per call, however many stripes or workers the call spans.
 #[test]
-fn batch_and_chunked_report_full_stats() {
+fn batch_and_spanned_report_full_stats() {
     let code = SdCode::<u8>::new(4, 4, 1, 1, vec![1, 2]).unwrap();
     let scenario = FailureScenario::new(vec![2, 6, 10, 13, 14]);
     let svc = RepairService::new(
@@ -250,11 +250,26 @@ fn batch_and_chunked_report_full_stats() {
         assert!(stats.matches_prediction(), "{label} stats stay on ledger");
     }
 
-    let mut b = pristine[0].clone();
+    // A T = 2 session cuts sectors of four 4 KiB spans and a 24-byte
+    // tail into spans: still one lookup for the call.
+    let spanning = RepairService::new(
+        &code,
+        DecoderConfig {
+            threads: 2,
+            backend: Backend::Scalar,
+        },
+    );
+    let mut large = random_data_stripe(spanning.code(), 4 * 4096 + 24, &mut rng);
+    spanning.encode(&mut large).unwrap();
+    let mut b = large.clone();
     b.erase(&scenario);
+    let lookups = || {
+        let s = spanning.cache_stats();
+        s.hits + s.misses
+    };
     let before = lookups();
-    let stats = svc.decode_chunked(&mut b, &scenario, 32).unwrap();
-    assert_eq!(lookups(), before + 1, "one lookup per chunked decode");
-    assert_eq!(b, pristine[0]);
-    assert!(stats.matches_prediction(), "chunked stats stay on ledger");
+    let stats = spanning.repair(&mut b, &scenario).unwrap();
+    assert_eq!(lookups(), before + 1, "one lookup per spanned decode");
+    assert_eq!(b, large);
+    assert!(stats.matches_prediction(), "spanned stats stay on ledger");
 }

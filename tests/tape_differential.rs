@@ -2,11 +2,12 @@
 //! instruction tape, the only thing that decodes or verifies — against
 //! the word-level oracle of `tests/common`: on every code family of the
 //! evaluation (SD, PMDS, LRC, RS, product, Hitchhiker), across thread
-//! budgets and GF backends, decode (whole-sector and chunked) must be
-//! bit-identical to the oracle's recovery, surplus-row verification must
-//! flag exactly the rows the oracle finds violated, and the lowered
-//! delta-update path must equal a full re-encode — with executed
-//! mult_XORs equal to the planner's prediction on every leg.
+//! budgets and GF backends, decode (whole-sector, and T = 2 over sectors
+//! cut into 4 KiB spans) must be bit-identical to the oracle's recovery,
+//! surplus-row verification must flag exactly the rows the oracle finds
+//! violated, and the lowered delta-update path must equal a full
+//! re-encode — with executed mult_XORs equal to the planner's prediction
+//! on every leg.
 //!
 //! The workload seed is read from `PPM_SEED` (default 2015) so CI can
 //! run this under a seed matrix without recompiling.
@@ -22,7 +23,9 @@ use ppm::{
 };
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
-/// The full configuration grid every scenario is checked under.
+/// The full configuration grid every scenario is checked under, as
+/// `(threads, backend)`; each point also decodes spanned sectors at
+/// T = 2 on its backend.
 const GRID: &[(usize, Backend)] = &[
     (1, Backend::Scalar),
     (1, Backend::Auto),
@@ -46,7 +49,7 @@ fn differential<C: ErasureCode<u8>>(code: &C, scenario: &FailureScenario, seed: 
 
         // Decode leg: the oracle recovers the stripe from the survivors
         // alone; the engine must land on the same bytes, whole-sector
-        // and chunked, with the ledger matching the prediction.
+        // and spanned, with the ledger matching the prediction.
         let mut by_oracle = pristine.clone();
         by_oracle.erase(scenario);
         assert!(
@@ -57,14 +60,27 @@ fn differential<C: ErasureCode<u8>>(code: &C, scenario: &FailureScenario, seed: 
         let mut by_engine = pristine.clone();
         by_engine.erase(scenario);
         let whole = decoder.decode(&plan, &mut by_engine).expect("decode");
-        let mut by_chunks = pristine.clone();
-        by_chunks.erase(scenario);
-        let chunked = decoder
-            .decode_chunked(&plan, &mut by_chunks, 96)
-            .expect("chunked decode");
         assert_eq!(by_engine, by_oracle, "engine == oracle ({label})");
-        assert_eq!(by_chunks, by_oracle, "chunked engine == oracle ({label})");
-        for (name, stats) in [("whole", &whole), ("chunked", &chunked)] {
+        // Four 4 KiB spans and a 24-byte tail per sector at T = 2.
+        let spanned_bytes = 4 * 4096 + 24;
+        let mut spanned_pristine = random_data_stripe(code, spanned_bytes, &mut rng);
+        encode(code, &decoder, &mut spanned_pristine).expect("encode");
+        let mut spanned_oracle = spanned_pristine.clone();
+        spanned_oracle.erase(scenario);
+        assert!(reference_decode(&h, scenario, &mut spanned_oracle));
+        let mut by_spans = spanned_pristine.clone();
+        by_spans.erase(scenario);
+        let spanned = Decoder::new(DecoderConfig {
+            threads: 2,
+            backend,
+        })
+        .decode(&plan, &mut by_spans)
+        .expect("spanned decode");
+        assert_eq!(
+            by_spans, spanned_oracle,
+            "spanned engine == oracle ({label})"
+        );
+        for (name, stats, sb) in [("whole", &whole, 256), ("spanned", &spanned, spanned_bytes)] {
             assert!(stats.matches_prediction(), "{name} ledger ({label})");
             assert_eq!(
                 stats.executed_mult_xors(),
@@ -73,7 +89,7 @@ fn differential<C: ErasureCode<u8>>(code: &C, scenario: &FailureScenario, seed: 
             );
             assert_eq!(
                 stats.bytes_moved(),
-                256 * plan.mult_xors() as u64,
+                sb as u64 * plan.mult_xors() as u64,
                 "{name}: every term moves one sector ({label})"
             );
         }

@@ -6,7 +6,9 @@
 //! shapes are checked: whole-plan execution on a machine holding the
 //! stripe (`Executor::execute_wire`) and the cluster split
 //! (`Executor::wire_partials` + `Executor::finish_rest` + install),
-//! where only partial-sum blocks connect the two halves.
+//! where only partial-sum blocks connect the two halves. On sectors long
+//! enough to be cut into spans, both shapes at T = 2 must also match
+//! T = 1 byte for byte.
 //!
 //! The workload seed is read from `PPM_SEED` (default 2015) so CI can
 //! run this under a seed matrix without recompiling.
@@ -17,11 +19,15 @@ use common::seed_from_env;
 use ppm::stripe::random_data_stripe;
 use ppm::{
     Backend, DecoderConfig, ErasureCode, FailureScenario, HitchhikerXor, LrcCode, PmdsCode,
-    ProductCode, RepairError, RepairService, RsCode, SdCode, Strategy, WirePlan,
+    ProductCode, RepairError, RepairService, RsCode, SdCode, Strategy, Stripe, WirePartials,
+    WirePlan,
 };
 use rand::{rngs::StdRng, SeedableRng};
 
 const SECTOR_BYTES: usize = 256;
+/// Four 4 KiB spans and a 24-byte tail: a T = 2 executor cuts these
+/// sectors into spans.
+const SPANNED_SECTOR_BYTES: usize = 4 * 4096 + 24;
 
 /// The full configuration grid every scenario is checked under.
 const GRID: &[(usize, Backend)] = &[
@@ -244,4 +250,96 @@ fn every_strategy_round_trips_on_the_paper_example() {
     ] {
         wire_differential(&code, &scenario, strategy, seed);
     }
+}
+
+/// Runs both wire execution shapes at `threads` on a multi-span stripe:
+/// returns the pristine stripe, the `execute_wire` result, the
+/// `wire_partials` output with the stripe it left behind, and the
+/// stripe after `finish_rest`'s sectors are installed.
+fn wire_shapes<C: ErasureCode<u8>>(
+    code: &C,
+    scenario: &FailureScenario,
+    strategy: Strategy,
+    threads: usize,
+) -> (Stripe, Stripe, WirePartials, Stripe, Stripe) {
+    let backend = Backend::Auto;
+    let service =
+        RepairService::new(code, DecoderConfig { threads, backend }).with_strategy(strategy);
+    let mut rng = StdRng::seed_from_u64(seed_from_env());
+    let mut pristine = random_data_stripe(code, SPANNED_SECTOR_BYTES, &mut rng);
+    service.encode(&mut pristine).expect("encode");
+    let (wire, _) = service
+        .planner()
+        .wire_plan_for(scenario)
+        .expect("wire plan");
+    let exec = wire.compile::<u8>(backend).expect("wire plan compiles");
+
+    let mut whole = pristine.clone();
+    whole.erase(scenario);
+    let stats = service
+        .executor()
+        .execute_wire(&exec, &mut whole)
+        .expect("execute_wire");
+    assert!(stats.matches_prediction(), "T={threads} wire ledger");
+
+    let mut split = pristine.clone();
+    split.erase(scenario);
+    let partials = service
+        .executor()
+        .wire_partials(&exec, &mut split)
+        .expect("wire_partials");
+    let after_partials = split.clone();
+    if partials.rest_pending {
+        let recovered = service
+            .executor()
+            .finish_rest(&exec, &partials.rest_blocks, SPANNED_SECTOR_BYTES)
+            .expect("finish_rest");
+        for (sector, bytes) in recovered {
+            split.write_sector(sector, &bytes);
+        }
+    }
+    (pristine, whole, partials, after_partials, split)
+}
+
+/// Both wire shapes at T = 2 on multi-span sectors against T = 1: the
+/// repaired stripe, the partial-sum blocks, the stripe they leave
+/// behind and the finished split repair are byte for byte the same.
+fn assert_spanned_matches_serial<C: ErasureCode<u8>>(
+    code: &C,
+    scenario: &FailureScenario,
+    strategy: Strategy,
+) {
+    let label = format!("{} {strategy} faulty={:?}", code.name(), scenario.faulty());
+    let serial = wire_shapes(code, scenario, strategy, 1);
+    let spanned = wire_shapes(code, scenario, strategy, 2);
+    let (pristine, whole, _, _, split) = &serial;
+    assert_eq!(whole, pristine, "{label}: T=1 execute_wire");
+    assert_eq!(split, pristine, "{label}: T=1 split repair");
+    assert_eq!(spanned.1, serial.1, "{label}: execute_wire T=2 == T=1");
+    assert_eq!(spanned.2, serial.2, "{label}: wire_partials T=2 == T=1");
+    assert_eq!(spanned.3, serial.3, "{label}: phase A T=2 == T=1");
+    assert_eq!(spanned.4, serial.4, "{label}: split repair T=2 == T=1");
+}
+
+/// A T = 2 executor cuts long sectors into spans for `execute_wire` and
+/// for `wire_partials`' phase A, and still matches T = 1.
+#[test]
+fn spanned_wire_execution_matches_serial() {
+    let paper = SdCode::<u8>::new(4, 4, 1, 1, vec![1, 2]).expect("paper code");
+    let scenario = FailureScenario::new(vec![2, 6, 10, 13, 14]);
+    for strategy in [
+        Strategy::PpmNormalRest,
+        Strategy::PpmMatrixFirstRest,
+        Strategy::TraditionalNormal,
+    ] {
+        assert_spanned_matches_serial(&paper, &scenario, strategy);
+    }
+    let lrc = LrcCode::<u8>::new(6, 2, 2, 4).expect("code");
+    let h = lrc.parity_check_matrix();
+    let mut rng = StdRng::seed_from_u64(seed_from_env());
+    let spread = (0..100)
+        .map(|_| lrc.spread_disk_failures(&mut rng))
+        .find(|sc| h.select_columns(sc.faulty()).rank() == sc.len())
+        .expect("a decodable spread outage within budget");
+    assert_spanned_matches_serial(&lrc, &spread, Strategy::PpmAuto);
 }
