@@ -26,10 +26,11 @@
 //! (the paper's independent sub-matrices side by side, one level up).
 //! Everything an exchange touches — sequence numbers, the shipped-plan
 //! ledger, the jitter RNG, traffic and supervision counters — is
-//! per-link state; the only shared mutable thing is the map of compiled
-//! plans, behind one lock that is never held across an exchange or a
-//! phase B. Failover crosses links, so it runs serially after the
-//! parallel phase, when every surviving link is idle again.
+//! per-link state; the only shared mutable thing is the session's own
+//! plan cache, whose lock is never held across an exchange or a phase B
+//! (phase B runs on the cached plan's tape, so the coordinator keeps no
+//! plans of its own). Failover crosses links, so it runs serially after
+//! the parallel phase, when every surviving link is idle again.
 
 use crate::chaos::InjectedFaults;
 use crate::error::ClusterError;
@@ -37,12 +38,11 @@ use crate::frame::{advances, seal_v2, unseal};
 use crate::message::{CoordinatorRequest, WorkerResponse};
 use crate::transport::Transport;
 use ppm_codes::{ErasureCode, FailureScenario};
-use ppm_core::{par_map, ExecutableWirePlan, RepairError, RepairService};
+use ppm_core::{par_map, RepairError, RepairService, WirePlan};
 use ppm_gf::GfWord;
 use ppm_stripe::Stripe;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::collections::{HashMap, HashSet};
-use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// How the coordinator repairs a damaged stripe on a remote worker.
@@ -465,42 +465,25 @@ impl Link {
     }
 }
 
-/// What every link driver shares: the session, the policy, and the
-/// compiled plans.
+/// What every link driver shares: the session and the policy.
 struct Shared<'a, W: GfWord, C: ErasureCode<W>> {
     service: &'a RepairService<W, &'a C>,
     policy: RetryPolicy,
     sector_bytes: usize,
-    /// Compiled wire plans by plan key — compiled once, by whichever
-    /// link first ships the key. The lock covers lookups and inserts
-    /// only; phase B runs on a cloned `Arc`.
-    compiled: Mutex<HashMap<String, Arc<ExecutableWirePlan<W>>>>,
 }
 
 impl<W: GfWord, C: ErasureCode<W>> Shared<'_, W, C> {
-    fn compiled_plans(
-        &self,
-    ) -> std::sync::MutexGuard<'_, HashMap<String, Arc<ExecutableWirePlan<W>>>> {
-        // A driver that panicked mid-insert leaves a valid map behind.
-        self.compiled
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
     /// PPM-mode repair of one stripe over `link`: plan up (first time
-    /// only), partial blocks back, aggregated sectors down.
+    /// only), partial blocks back, aggregated sectors down. Phase B runs
+    /// on the tape of the session's cached plan — the plan the wire
+    /// bytes were encoded from, so its constants and backend are the
+    /// ones the worker compiled.
     fn repair_partial(&self, link: &mut Link, job: &RepairJob) -> Result<(), ClusterError> {
         let planner = self.service.planner();
+        let (plan, _) = planner.plan_for(&job.scenario)?;
         let key = planner.plan_key(&job.scenario).to_string();
-        let plan = if link.shipped.insert(key.clone()) {
-            let (wire, _) = planner.wire_plan_for(&job.scenario)?;
-            if !self.compiled_plans().contains_key(&key) {
-                // Compiled outside the lock; a racing link's identical
-                // compilation of the same key is harmless.
-                let compiled = Arc::new(wire.compile::<W>(planner.backend())?);
-                self.compiled_plans().entry(key.clone()).or_insert(compiled);
-            }
-            let bytes = wire.encode();
+        let plan_bytes = if link.shipped.insert(key.clone()) {
+            let bytes = WirePlan::from_plan(&plan).encode();
             link.traffic.plan_bytes += bytes.len() as u64;
             link.tally.plans_shipped += 1;
             Some(bytes)
@@ -511,7 +494,7 @@ impl<W: GfWord, C: ErasureCode<W>> Shared<'_, W, C> {
         let request = CoordinatorRequest::Repair {
             stripe: job.stripe,
             plan_key: key.clone(),
-            plan,
+            plan: plan_bytes,
         }
         .encode();
         let response = link.exchange(&self.policy, job.stripe, &request, Want::Partials)?;
@@ -529,15 +512,12 @@ impl<W: GfWord, C: ErasureCode<W>> Shared<'_, W, C> {
             link.tally.verified(violated_rows.as_deref());
             return Ok(());
         }
-        let compiled = self.compiled_plans().get(&key).cloned().ok_or_else(|| {
-            ClusterError::Protocol(format!("no compiled plan retained for key {key}"))
-        })?;
         // Phase B: F⁻¹ · T on the shipped partial sums — the
         // coordinator never holds the stripe.
         let recovered = self
             .service
             .executor()
-            .finish_rest(&compiled, &rest_blocks, self.sector_bytes)
+            .finish_rest(plan.ensure_tape(), &rest_blocks, self.sector_bytes)
             .map_err(|e| match e {
                 // `rest_pending` is a wire-supplied bit: a worker that
                 // sets it for a plan whose H_rest cannot split is
@@ -710,7 +690,6 @@ impl<'a, W: GfWord, C: ErasureCode<W>> Coordinator<'a, W, C> {
                 service,
                 policy,
                 sector_bytes,
-                compiled: Mutex::new(HashMap::new()),
             },
             links,
             stats: ChaosStats::default(),

@@ -8,9 +8,9 @@ use crate::frame::{advances, seal_v2, unseal};
 use crate::message::{CoordinatorRequest, WorkerResponse};
 use crate::transport::Transport;
 use ppm_codes::StripeLayout;
-use ppm_core::{DecoderConfig, ExecutableWirePlan, Executor, WirePlan};
+use ppm_core::{DecoderConfig, Executor, PlanTape, WirePlan};
 use ppm_gf::{Backend, GfWord};
-use ppm_stripe::Stripe;
+use ppm_stripe::{Stripe, SECTOR_ALIGN};
 use std::collections::HashMap;
 use std::time::Instant;
 
@@ -37,8 +37,9 @@ pub struct WorkerFrameStats {
 }
 
 /// One worker: a shard of stripes keyed by archive-wide id, an
-/// [`Executor`] for the data path, and a cache of compiled wire plans
-/// keyed by the coordinator's [`PlanKey`](ppm_core::PlanKey) string.
+/// [`Executor`] for the data path, and the [`PlanTape`]s its received
+/// wire plans compiled to, keyed by the coordinator's
+/// [`PlanKey`](ppm_core::PlanKey) string.
 ///
 /// `W` is the Galois-field word the archive's code operates over; the
 /// worker needs it only to re-materialize kernel tables when compiling a
@@ -48,7 +49,7 @@ pub struct Worker<W: GfWord> {
     stripes: HashMap<u64, Stripe>,
     executor: Executor,
     backend: Backend,
-    plans: HashMap<String, ExecutableWirePlan<W>>,
+    plans: HashMap<String, PlanTape<W>>,
     /// Stripes repaired through the split path whose verify pass waits
     /// for the coordinator's phase-B install, mapped to the plan that
     /// will verify them.
@@ -314,7 +315,9 @@ impl<W: GfWord> Worker<W> {
     /// Failover adoption: build the stripe from the shipped geometry
     /// and contents and take ownership. Overwrites any existing copy
     /// (a retried adoption must converge, and a half-repaired orphan
-    /// from a previous owner is stale by definition).
+    /// from a previous owner is stale by definition). Everything the
+    /// coordinator sent is checked before the stripe is allocated, so a
+    /// bad request costs an error and no memory.
     fn adopt(
         &mut self,
         stripe_id: u64,
@@ -323,9 +326,11 @@ impl<W: GfWord> Worker<W> {
         sector_bytes: u32,
         sectors: Vec<(u32, Vec<u8>)>,
     ) -> Result<WorkerResponse, String> {
-        if n == 0 || r == 0 || sector_bytes == 0 {
+        let sb = sector_bytes as usize;
+        if n == 0 || r == 0 || sb == 0 || !sb.is_multiple_of(SECTOR_ALIGN) {
             return Err(format!(
-                "adoption of stripe {stripe_id} names a degenerate geometry {n}x{r}x{sector_bytes}"
+                "adoption of stripe {stripe_id} names a degenerate geometry {n}x{r}x{sector_bytes} \
+                 (sector size must be a positive multiple of {SECTOR_ALIGN})"
             ));
         }
         let layout = StripeLayout::new(n as usize, r as usize);
@@ -336,25 +341,27 @@ impl<W: GfWord> Worker<W> {
                 sectors.len()
             ));
         }
-        let mut stripe = Stripe::zeroed(layout, sector_bytes as usize);
         let mut seen = vec![false; total];
         for (s, bytes) in &sectors {
             let s = *s as usize;
-            if s >= total {
+            let Some(seen) = seen.get_mut(s) else {
                 return Err(format!(
                     "adopted sector {s} out of range (layout holds {total})"
                 ));
-            }
-            if std::mem::replace(&mut seen[s], true) {
+            };
+            if std::mem::replace(seen, true) {
                 return Err(format!("adopted sector {s} appears twice"));
             }
-            if bytes.len() != sector_bytes as usize {
+            if bytes.len() != sb {
                 return Err(format!(
                     "adopted sector {s} carries {} bytes, stripe holds {sector_bytes}",
                     bytes.len()
                 ));
             }
-            stripe.write_sector(s, bytes);
+        }
+        let mut stripe = Stripe::zeroed(layout, sb);
+        for (s, bytes) in &sectors {
+            stripe.write_sector(*s as usize, bytes);
         }
         // Ownership transfer invalidates any verify still waiting on a
         // previous incarnation of this stripe.
@@ -372,7 +379,7 @@ impl<W: GfWord> Worker<W> {
 /// retained no surplus rows).
 fn verified_rows<W: GfWord>(
     executor: &Executor,
-    plan: &ExecutableWirePlan<W>,
+    plan: &PlanTape<W>,
     stripe: &Stripe,
 ) -> Result<Vec<u32>, String> {
     let report = executor
@@ -389,5 +396,51 @@ impl<W: GfWord> std::fmt::Debug for Worker<W> {
             .field("plans", &self.plans.len())
             .field("pending_verify", &self.pending_verify.len())
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn adopt(sector_bytes: u32, sectors: Vec<(u32, Vec<u8>)>) -> CoordinatorRequest {
+        CoordinatorRequest::Adopt {
+            stripe: 3,
+            n: 1,
+            r: 1,
+            sector_bytes,
+            sectors,
+        }
+    }
+
+    /// An `Adopt` is checked before the stripe is built: a sector size
+    /// the stripe buffer cannot hold, or a shipped sector of the wrong
+    /// length, is an error response — the worker keeps serving, and a
+    /// valid adoption of the same stripe still lands.
+    #[test]
+    fn bad_adoptions_are_errors_and_a_valid_one_still_lands() {
+        let mut worker: Worker<u8> = Worker::new(0, HashMap::new(), DecoderConfig::default());
+        for bad in [
+            adopt(12, vec![(0, vec![0; 12])]),
+            adopt(0, vec![(0, Vec::new())]),
+            adopt(16, vec![(0, vec![0; 8])]),
+            adopt(16, vec![(1, vec![0; 16])]),
+        ] {
+            let response = worker.handle(bad);
+            assert!(
+                matches!(&response, WorkerResponse::Error { .. }),
+                "{response:?}"
+            );
+            assert!(worker.stripes().is_empty());
+        }
+        let response = worker.handle(adopt(16, vec![(0, vec![7; 16])]));
+        assert_eq!(
+            response,
+            WorkerResponse::Installed {
+                stripe: 3,
+                violated_rows: None,
+            }
+        );
+        assert_eq!(worker.stripes()[&3].sector(0), &[7; 16]);
     }
 }

@@ -26,7 +26,7 @@ use crate::arena::ScratchArena;
 use crate::par::par_map;
 use crate::plan::{DecodePlan, Strategy};
 use crate::stats::{ExecStats, SubPlanStats};
-use crate::tape::{Instr, Loc, OpCode, PlanTape, TapeSegment};
+use crate::tape::{Instr, Kernel, Loc, OpCode, PlanTape, Section, TapeSegment};
 use crate::DecodeError;
 use ppm_codes::{ErasureCode, FailureScenario};
 use ppm_gf::{mul_copy_fused_with, Backend, GfWord, RegionMul, RegionStats};
@@ -232,7 +232,7 @@ impl Decoder {
     /// otherwise one whole-sector span on the calling thread.
     pub(crate) fn run_spans<'t, W: GfWord>(
         &self,
-        segments: impl Iterator<Item = &'t TapeSegment<W>> + Clone + Sync,
+        segments: impl Iterator<Item = &'t TapeSegment<Kernel<W>>> + Clone + Sync,
         stripe: &mut Stripe,
         arena: Option<&ScratchArena>,
     ) -> (Vec<SubPlanStats>, u128) {
@@ -258,7 +258,7 @@ impl Decoder {
 /// the whole map.
 fn map_spans<'t, W: GfWord>(
     threads: usize,
-    segments: impl Iterator<Item = &'t TapeSegment<W>> + Clone + Sync,
+    segments: impl Iterator<Item = &'t TapeSegment<Kernel<W>>> + Clone + Sync,
     stripe: &mut Stripe,
     span_bytes: usize,
     arena: Option<&ScratchArena>,
@@ -288,7 +288,7 @@ fn map_spans<'t, W: GfWord>(
 /// outputs before the next one runs, so a later segment (`H_rest`) reads
 /// what an earlier one recovered. Returns each segment's counters.
 fn run_span<'t, W: GfWord>(
-    segments: impl Iterator<Item = &'t TapeSegment<W>>,
+    segments: impl Iterator<Item = &'t TapeSegment<Kernel<W>>>,
     span: &mut impl Sectors,
     arena: Option<&ScratchArena>,
 ) -> Vec<SubPlanStats> {
@@ -307,7 +307,7 @@ fn run_span<'t, W: GfWord>(
 /// decode reads the stripe in place: cutting it into a one-span
 /// [`StripeSpan`] first made `encode_mid`'s T = 1 encode 4–21 % slower
 /// in 5 of 6 benchmark pairs.
-trait Sectors {
+pub(crate) trait Sectors {
     fn sector_bytes(&self) -> usize;
     fn sector(&self, l: usize) -> &[u8];
     fn sector_mut(&mut self, l: usize) -> &mut [u8];
@@ -381,12 +381,7 @@ pub(crate) fn run_verify_runs<W: GfWord>(
         }
         run_tape_section(
             &run.instrs,
-            |loc| match loc {
-                Loc::Sector(s) => stripe.sector(s),
-                // Verify runs are lowered from surplus rows, whose
-                // terms are all stripe sectors.
-                Loc::Slot(_) => unreachable!("verify runs read sectors only"),
-            },
+            sectors_only(stripe),
             &mut acc,
             0,
             stripe.sector_bytes(),
@@ -444,63 +439,86 @@ pub(crate) fn give_buf(arena: Option<&ScratchArena>, buf: Vec<u8>) {
 
 /// Executes one tape segment over one span of every sector it touches:
 /// takes the segment's single arena reservation (sized for span-long
-/// slots), replays its fused instruction runs, and returns the flat
-/// buffer with the outputs at their precomputed slots together with the
-/// run's counters (the caller installs the outputs and recycles the
-/// buffer).
+/// slots), replays both of its sections, and returns the flat buffer
+/// with the outputs at their precomputed slots together with the run's
+/// counters (the caller installs the outputs and recycles the buffer).
 //
-// The slot arithmetic is safe by tape construction (`crate::tape`,
-// re-validated for wire input by `WirePlan::compile`): every destination
-// is below the segment's slot count, every `Slot` source is below
-// `scratch_slots`, and the reservation is exactly `total_slots()` slots
-// long.
+// The slot arithmetic is safe by [`crate::tape::check`]: the reservation
+// is exactly `total_slots()` slots long and every `Slot` source is below
+// `scratch_slots`.
 #[allow(clippy::indexing_slicing)]
 fn run_tape_segment<W: GfWord>(
-    seg: &TapeSegment<W>,
+    seg: &TapeSegment<Kernel<W>>,
     span: &impl Sectors,
     arena: Option<&ScratchArena>,
 ) -> (Vec<u8>, SubPlanStats) {
     let sink = RegionStats::new();
     let started = Instant::now();
     let len = span.sector_bytes();
-    // Unzeroed reservation: every slot's first touch is an overwriting
-    // run head (enforced at tape compile), except the listed zero slots
-    // — degenerate empty term lists — which are cleared here.
     let mut flat = take_buf_dirty(arena, seg.total_slots() * len);
-    for &slot in &seg.zero_slots {
-        flat[slot * len..(slot + 1) * len].fill(0);
-    }
     let (scratch, outs) = flat.split_at_mut(seg.scratch_slots * len);
-
-    // Intermediate section: T-slot accumulators, reading sectors only.
-    run_tape_section(
-        &seg.instrs[..seg.scratch_boundary],
-        |loc| match loc {
-            Loc::Sector(s) => span.sector(s),
-            // Tape invariant: the intermediate section never reads slots.
-            Loc::Slot(_) => unreachable!("scratch section reads sectors only"),
-        },
+    run_section(
+        seg,
+        Section::Scratch,
+        sectors_only(span),
         scratch,
-        0,
         len,
         &sink,
     );
 
-    // Output section: reads sectors or the intermediates just computed.
+    // The output section reads sectors or the intermediates just
+    // computed.
     let scratch = &*scratch;
-    run_tape_section(
-        &seg.instrs[seg.scratch_boundary..],
+    run_section(
+        seg,
+        Section::Output,
         |loc| match loc {
             Loc::Sector(s) => span.sector(s),
             Loc::Slot(e) => &scratch[e * len..(e + 1) * len],
         },
         outs,
-        seg.scratch_slots,
         len,
         &sink,
     );
     let stats = SubPlanStats::collect(&sink, seg.outputs.len(), started.elapsed());
     (flat, stats)
+}
+
+/// The source of a section that reads stripe sectors only — a scratch
+/// section, or a verify run ([`crate::tape::check`] rejects any other
+/// source there).
+pub(crate) fn sectors_only<'a>(span: &'a impl Sectors) -> impl Fn(Loc) -> &'a [u8] {
+    move |loc| match loc {
+        Loc::Sector(s) => span.sector(s),
+        Loc::Slot(_) => unreachable!("this section reads sectors only"),
+    }
+}
+
+/// Replays one section of `seg` into `dst`, which holds exactly that
+/// section's slots, each `len` bytes long: zeroes the section's listed
+/// zero slots — degenerate empty term lists, the only slots no run head
+/// overwrites in the otherwise unzeroed reservation — then replays the
+/// section's runs. A whole-segment run calls it for both sections; the
+/// cluster split runs the scratch section on the survivor and the output
+/// section on the aggregator.
+//
+// In bounds by [`crate::tape::check`]: zero slots and destinations lie
+// inside the section's slot range, which `dst` covers.
+#[allow(clippy::indexing_slicing)]
+pub(crate) fn run_section<'a, W: GfWord>(
+    seg: &TapeSegment<Kernel<W>>,
+    section: Section,
+    source: impl Fn(Loc) -> &'a [u8],
+    dst: &mut [u8],
+    len: usize,
+    stats: &RegionStats,
+) {
+    let (instrs, slots) = seg.section(section);
+    for &zero in seg.zero_slots.iter().filter(|z| slots.contains(z)) {
+        let off = (zero - slots.start) * len;
+        dst[off..off + len].fill(0);
+    }
+    run_tape_section(instrs, source, dst, slots.start, len, stats);
 }
 
 /// Replays one tape section: gathers each maximal same-destination run
@@ -518,7 +536,7 @@ fn run_tape_segment<W: GfWord>(
 // section's slot range.
 #[allow(clippy::indexing_slicing)]
 pub(crate) fn run_tape_section<'a, W: GfWord>(
-    instrs: &[Instr<W>],
+    instrs: &[Instr<Kernel<W>>],
     source: impl Fn(Loc) -> &'a [u8],
     dst_region: &mut [u8],
     slot_base: usize,
@@ -562,7 +580,7 @@ pub(crate) fn run_tape_section<'a, W: GfWord>(
 // tape sized (see `run_tape_segment`).
 #[allow(clippy::indexing_slicing)]
 fn install_tape_outputs<W: GfWord>(
-    seg: &TapeSegment<W>,
+    seg: &TapeSegment<Kernel<W>>,
     flat: Vec<u8>,
     span: &mut impl Sectors,
     arena: Option<&ScratchArena>,
@@ -932,6 +950,7 @@ mod tests {
                 instrs: Vec::new(),
             }],
             16,
+            Vec::new(),
             Strategy::PpmNormalRest,
             None,
         );

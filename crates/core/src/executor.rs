@@ -5,30 +5,32 @@
 //! [`Decoder`] and the [`ScratchArena`] of recycled buffers — and nothing
 //! the *planning* path needs: no code, no parity-check matrix, no plan
 //! cache. It can therefore run on a machine that has never seen the code,
-//! executing
-//! [`WirePlan`](crate::WirePlan)s a coordinator sent over
-//! ([`Executor::execute_wire`]), or serve as the in-process engine behind
-//! [`RepairService`](crate::RepairService). Either way the work is the
-//! same [`PlanTape`](crate::PlanTape) run by the same loop
+//! executing the [`PlanTape`] a [`WirePlan`](crate::WirePlan) from a
+//! coordinator compiles to ([`Executor::execute_wire`]), or serve as the
+//! in-process engine behind [`RepairService`](crate::RepairService).
+//! Either way the work is one `PlanTape` run by the same loop
 //! (`Decoder::run_tape`).
 //!
-//! The cluster-facing entry points implement *partial-block repair*:
-//! [`Executor::wire_partials`] runs the phase-A segments locally and,
-//! when the plan's `H_rest` is splittable (the Normal sequence), computes
-//! only the partial-sum `T` blocks for shipment — `z_b` sector-sized
-//! blocks instead of the `n − z` surviving sectors a naive repair would
-//! move. The aggregating side finishes `F⁻¹ · T` with
-//! [`Executor::finish_rest`] without ever holding the stripe.
+//! The cluster-facing entry points implement *partial-block repair*. A
+//! tape segment splits at its scratch boundary into a `T = S · BS`
+//! section and an `F⁻¹ · T` section (the paper's Normal sequence,
+//! §II-B), and each side of the wire runs one of them with the same
+//! section runner. [`Executor::wire_partials`] runs the phase-A segments
+//! locally and, when the tape's `H_rest` is splittable, only the `T`
+//! section of `H_rest` — `z_b` sector-sized blocks to ship instead of
+//! the `n − z` surviving sectors a naive repair would move. The
+//! aggregating side runs the `F⁻¹ · T` section with
+//! [`Executor::finish_rest`] without ever holding the stripe; a
+//! coordinator runs it on the tape of the plan its session cached.
 
 use crate::arena::ScratchArena;
 use crate::exec::{
-    check_geometry, give_buf, run_tape_section, run_verify_runs, take_buf_dirty, Decoder,
+    check_geometry, give_buf, run_section, run_verify_runs, sectors_only, take_buf_dirty, Decoder,
     DecoderConfig, VerifyReport,
 };
 use crate::plan::DecodePlan;
 use crate::stats::ExecStats;
-use crate::tape::Loc;
-use crate::wire::ExecutableWirePlan;
+use crate::tape::{Loc, PlanTape, Section};
 use crate::DecodeError;
 use ppm_gf::{GfWord, RegionStats};
 use ppm_stripe::Stripe;
@@ -81,80 +83,60 @@ impl Executor {
         self.decoder.verify_in(plan, stripe, &self.arena)
     }
 
-    /// Executes a compiled wire plan fully against a locally held stripe
-    /// — the same tape loop as [`Executor::decode`], so bit-identical to
-    /// the in-process path for the plan the wire encoding came from, with
-    /// the same executed == predicted ledger.
+    /// Executes a tape compiled from a wire plan
+    /// ([`WirePlan::compile`](crate::WirePlan::compile)) fully against a
+    /// locally held stripe — the same tape loop as [`Executor::decode`],
+    /// so bit-identical to the in-process path for the plan the wire
+    /// encoding came from, with the same executed == predicted ledger.
     pub fn execute_wire<W: GfWord>(
         &self,
-        wire: &ExecutableWirePlan<W>,
+        tape: &PlanTape<W>,
         stripe: &mut Stripe,
     ) -> Result<ExecStats, DecodeError> {
-        self.decoder.run_tape(&wire.tape, stripe, Some(&self.arena))
+        self.decoder.run_tape(tape, stripe, Some(&self.arena))
     }
 
-    /// The survivor side of partial-block repair: runs the wire plan's
+    /// The survivor side of partial-block repair: runs the tape's
     /// phase-A segments against the locally held stripe (installing their
-    /// recovered sectors in place) and then, if the plan's `H_rest` is
-    /// [splittable](ExecutableWirePlan::rest_splittable), computes only
-    /// its partial-sum `T` blocks — the payload that crosses the wire.
-    /// A non-splittable `H_rest` (matrix-first, reads sectors directly)
-    /// is finished locally instead, so nothing ships either way except
-    /// when splitting genuinely pays.
+    /// recovered sectors in place) and then, if the tape's `H_rest` is
+    /// [splittable](PlanTape::rest_splittable), computes only its
+    /// partial-sum `T` blocks — the payload that crosses the wire. A
+    /// non-splittable `H_rest` (matrix-first, reads sectors directly) is
+    /// finished locally instead, so nothing ships either way except when
+    /// splitting genuinely pays.
     ///
     /// Returns [`WirePartials`]: `rest_pending == true` means the
     /// aggregator must run [`Executor::finish_rest`] over `rest_blocks`
     /// and send the recovered sectors back; `false` means the stripe is
     /// already fully repaired locally.
-    //
-    // Slicing is safe by `WirePlan::compile` validation: the scratch
-    // boundary is inside the instruction list, zero slots are inside the
-    // reservation, and the scratch region is exactly `scratch_slots`
-    // sectors long.
-    #[allow(clippy::indexing_slicing)]
     pub fn wire_partials<W: GfWord>(
         &self,
-        wire: &ExecutableWirePlan<W>,
+        tape: &PlanTape<W>,
         stripe: &mut Stripe,
     ) -> Result<WirePartials, DecodeError> {
         let arena = Some(&self.arena);
-        let Some(seg) = wire
-            .tape
-            .phase_b
-            .as_ref()
-            .filter(|_| wire.rest_splittable())
-        else {
+        let Some(seg) = tape.phase_b.as_ref().filter(|_| tape.rest_splittable()) else {
             // No H_rest, or one that reads sectors directly: the whole
             // tape runs here and nothing ships.
-            self.decoder.run_tape(&wire.tape, stripe, arena)?;
+            self.decoder.run_tape(tape, stripe, arena)?;
             return Ok(WirePartials {
                 rest_blocks: Vec::new(),
                 rest_pending: false,
             });
         };
-        check_geometry(wire.total_sectors(), stripe)?;
-        self.decoder
-            .run_spans(wire.tape.phase_a.iter(), stripe, arena);
+        check_geometry(tape.total_sectors, stripe)?;
+        self.decoder.run_spans(tape.phase_a.iter(), stripe, arena);
 
         // Splittable H_rest: compute the scratch (T) section only — the
         // sums over locally held sectors. The output section (F⁻¹ · T)
         // belongs to the aggregator.
         let sb = stripe.sector_bytes();
         let mut scratch = take_buf_dirty(arena, seg.scratch_slots * sb);
-        for &slot in &seg.zero_slots {
-            if slot < seg.scratch_slots {
-                scratch[slot * sb..(slot + 1) * sb].fill(0);
-            }
-        }
-        run_tape_section(
-            &seg.instrs[..seg.scratch_boundary],
-            |loc| match loc {
-                Loc::Sector(s) => stripe.sector(s),
-                // Compile invariant: the scratch section reads sectors only.
-                Loc::Slot(_) => unreachable!("scratch section reads sectors only"),
-            },
+        run_section(
+            seg,
+            Section::Scratch,
+            sectors_only(&*stripe),
             &mut scratch,
-            0,
             sb,
             &RegionStats::new(),
         );
@@ -169,7 +151,8 @@ impl Executor {
     /// The aggregator side of partial-block repair: finishes a split
     /// `H_rest` from the survivor's partial-sum `T` blocks, returning the
     /// recovered `(sector, bytes)` pairs to send back. Runs entirely on
-    /// the `T` blocks — the aggregator never holds the stripe.
+    /// the `T` blocks — the aggregator never holds the stripe — so a
+    /// coordinator runs it on the tape of the plan it shipped.
     ///
     /// # Errors
     /// [`GeometryMismatch`](crate::RepairError::GeometryMismatch) when
@@ -181,21 +164,21 @@ impl Executor {
     /// [`WirePartials::rest_pending`], but that bit arrives over the
     /// wire, so a wrong peer gets an error here, never a panic.
     //
-    // Slicing is safe by `WirePlan::compile` validation plus the length
-    // checks above: every `Slot` source is below `scratch_slots`, every
-    // block is `sector_bytes` long, and the output reservation is exactly
-    // `outputs.len()` sectors.
+    // Slicing is safe by the length checks above plus
+    // `crate::tape::check`: every `Slot` source is below `scratch_slots`,
+    // every block is `sector_bytes` long, and the output reservation is
+    // exactly `outputs.len()` sectors.
     #[allow(clippy::indexing_slicing)]
     pub fn finish_rest<W: GfWord>(
         &self,
-        wire: &ExecutableWirePlan<W>,
+        tape: &PlanTape<W>,
         rest_blocks: &[Vec<u8>],
         sector_bytes: usize,
     ) -> Result<Vec<(usize, Vec<u8>)>, DecodeError> {
-        let Some(seg) = &wire.tape.phase_b else {
+        let Some(seg) = &tape.phase_b else {
             return Ok(Vec::new());
         };
-        if !wire.rest_splittable() {
+        if !tape.rest_splittable() {
             return Err(DecodeError::RestNotSplittable);
         }
         if rest_blocks.len() != seg.scratch_slots {
@@ -217,21 +200,15 @@ impl Executor {
         let sb = sector_bytes;
         let arena = Some(&self.arena);
         let mut outs = take_buf_dirty(arena, seg.outputs.len() * sb);
-        for &slot in &seg.zero_slots {
-            if slot >= seg.scratch_slots {
-                let off = (slot - seg.scratch_slots) * sb;
-                outs[off..off + sb].fill(0);
-            }
-        }
-        run_tape_section(
-            &seg.instrs[seg.scratch_boundary..],
+        run_section(
+            seg,
+            Section::Output,
             |loc| match loc {
                 Loc::Slot(e) => &rest_blocks[e][..],
                 // `rest_splittable` means the output section reads slots only.
                 Loc::Sector(_) => unreachable!("split output section reads slots only"),
             },
             &mut outs,
-            seg.scratch_slots,
             sb,
             &RegionStats::new(),
         );
@@ -245,16 +222,16 @@ impl Executor {
         Ok(recovered)
     }
 
-    /// Verifies a locally held stripe against a wire plan's surplus
-    /// rows. A plan carrying no verify rows reports zero `rows_checked`
-    /// (vacuously clean) — the wire encoding cannot distinguish "surplus
-    /// not retained" from "no surplus rows existed".
+    /// Verifies a locally held stripe against a tape's surplus rows. A
+    /// tape compiled from a wire plan carrying no verify rows reports
+    /// zero `rows_checked` (vacuously clean) — the wire encoding cannot
+    /// distinguish "surplus not retained" from "no surplus rows existed".
     pub fn verify_wire<W: GfWord>(
         &self,
-        wire: &ExecutableWirePlan<W>,
+        tape: &PlanTape<W>,
         stripe: &Stripe,
     ) -> Result<VerifyReport, DecodeError> {
-        run_verify_runs(&wire.tape, stripe, Some(&self.arena))
+        run_verify_runs(tape, stripe, Some(&self.arena))
     }
 }
 

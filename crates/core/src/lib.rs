@@ -96,4 +96,4 @@ pub use service::{BatchReport, RepairService};
 pub use stats::{ExecStats, SubPlanStats, UpdateStats, VerifyStats};
 pub use tape::PlanTape;
 pub use update::UpdatePlan;
-pub use wire::{ExecutableWirePlan, WireError, WirePlan, WIRE_VERSION};
+pub use wire::{WireError, WirePlan, WIRE_VERSION};

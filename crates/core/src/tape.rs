@@ -1,6 +1,7 @@
 //! Compiled plan tapes: a [`DecodePlan`] lowered to flat instruction
-//! lists. The tape is the only thing the executor runs (`crate::exec`):
-//! a decode replays pure region arithmetic, never the plan's term graph.
+//! lists. The tape is the only plan form that executes (`crate::exec`)
+//! or travels ([`WirePlan`](crate::WirePlan)): a decode replays pure
+//! region arithmetic, never the plan's term graph.
 //!
 //! Lowering happens once per plan — [`crate::PlanCache`] compiles at
 //! insert time via [`DecodePlan::ensure_tape`], a bare plan on its first
@@ -29,6 +30,14 @@
 //!   accumulator slot, and the update path's delta plan is lowered
 //!   analogously by [`crate::UpdatePlan`] into per-column patch lists.
 //!
+//! [`Instr`], [`TapeSegment`] and [`VerifyRun`] are generic over their
+//! kernel: an executable tape holds [`Kernel`]s, a wire plan the same
+//! structs with each kernel's GF constant as a `u64`, and
+//! `map_kernels` converts one into the other. One validator, [`check`],
+//! states the invariants the executor's unzeroed-scratch fast path and
+//! its slicing rely on; it guards every wire plan before compilation
+//! and, in debug builds, every tape the in-process compiler emits.
+//!
 //! The fusion rule never reorders terms across destinations — a run is a
 //! *consecutive* group sharing one `dst`, in program order — and per-byte
 //! XOR accumulation is order-independent, so tape execution is
@@ -41,6 +50,10 @@ use crate::cost::CostReport;
 use crate::plan::{DecodePlan, Program, RegionCache, SubPlan};
 use ppm_gf::{GfWord, RegionMul};
 use std::sync::Arc;
+
+/// The kernel of an executable tape instruction: a multiply-by-constant
+/// table shared by every instruction of the plan that uses the constant.
+pub(crate) type Kernel<W> = Arc<RegionMul<W>>;
 
 /// Where a tape instruction reads from.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -68,16 +81,36 @@ pub(crate) enum OpCode {
 }
 
 /// One lowered `mult_XORs`: `slot[dst] (^)= kernel · src`.
-#[derive(Debug)]
-pub(crate) struct Instr<W: GfWord> {
-    /// Shared multiply-by-constant kernel (tables built once per plan).
-    pub(crate) kernel: Arc<RegionMul<W>>,
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub(crate) struct Instr<K> {
+    /// The multiply-by-constant: a [`Kernel`] to execute, or its GF
+    /// constant on the wire.
+    pub(crate) kernel: K,
     /// Source region.
     pub(crate) src: Loc,
     /// Destination slot in the segment's reservation.
     pub(crate) dst: usize,
     /// Run-start or fused continuation.
     pub(crate) op: OpCode,
+}
+
+/// Converts every instruction's kernel with `f`, keeping the rest.
+fn map_kernels<K, K2, E>(
+    instrs: &[Instr<K>],
+    f: &mut impl FnMut(&K) -> Result<K2, E>,
+) -> Result<Vec<Instr<K2>>, E> {
+    // Sized up front: collecting into `Result<Vec<_>, _>` loses the
+    // exact length and regrows the vector.
+    let mut out = Vec::with_capacity(instrs.len());
+    for i in instrs {
+        out.push(Instr {
+            kernel: f(&i.kernel)?,
+            src: i.src,
+            dst: i.dst,
+            op: i.op,
+        });
+    }
+    Ok(out)
 }
 
 /// One sub-plan (an independent `Hᵢ` or `H_rest`) lowered to a flat
@@ -89,11 +122,12 @@ pub(crate) struct Instr<W: GfWord> {
 /// recovered outputs. Instructions before `scratch_boundary` write
 /// intermediate slots reading only stripe sectors; instructions after it
 /// write output slots reading sectors or intermediates — so the executor
-/// can split the reservation once and never alias a live borrow.
-#[derive(Debug)]
-pub(crate) struct TapeSegment<W: GfWord> {
+/// can split the reservation once and never alias a live borrow, and a
+/// Normal `H_rest` splits across the wire at the boundary.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub(crate) struct TapeSegment<K> {
     /// Instructions in execution order.
-    pub(crate) instrs: Vec<Instr<W>>,
+    pub(crate) instrs: Vec<Instr<K>>,
     /// Index into `instrs` where the output-writing section starts.
     pub(crate) scratch_boundary: usize,
     /// Number of intermediate slots.
@@ -107,40 +141,94 @@ pub(crate) struct TapeSegment<W: GfWord> {
     pub(crate) zero_slots: Vec<usize>,
 }
 
-impl<W: GfWord> TapeSegment<W> {
+/// One half of a [`TapeSegment`], split at its scratch boundary.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Section {
+    /// The intermediate `T` slots, computed from stripe sectors.
+    Scratch,
+    /// The output slots, computed from sectors and intermediates.
+    Output,
+}
+
+impl<K> TapeSegment<K> {
     /// Sector-sized slots in the segment's reservation.
     pub(crate) fn total_slots(&self) -> usize {
         self.scratch_slots + self.outputs.len()
+    }
+
+    /// The instructions of one section and the absolute slots it writes.
+    //
+    // In bounds by [`check`]: the boundary lies inside `instrs`.
+    #[allow(clippy::indexing_slicing)]
+    pub(crate) fn section(&self, section: Section) -> (&[Instr<K>], std::ops::Range<usize>) {
+        match section {
+            Section::Scratch => (&self.instrs[..self.scratch_boundary], 0..self.scratch_slots),
+            Section::Output => (
+                &self.instrs[self.scratch_boundary..],
+                self.scratch_slots..self.total_slots(),
+            ),
+        }
+    }
+
+    /// The same segment with every kernel converted by `f`.
+    pub(crate) fn map_kernels<K2, E>(
+        &self,
+        f: &mut impl FnMut(&K) -> Result<K2, E>,
+    ) -> Result<TapeSegment<K2>, E> {
+        Ok(TapeSegment {
+            instrs: map_kernels(&self.instrs, f)?,
+            scratch_boundary: self.scratch_boundary,
+            scratch_slots: self.scratch_slots,
+            outputs: self.outputs.clone(),
+            zero_slots: self.zero_slots.clone(),
+        })
     }
 }
 
 /// One surplus parity-check row lowered to a fused run accumulating the
 /// row's check value into a single scratch slot.
-#[derive(Debug)]
-pub(crate) struct VerifyRun<W: GfWord> {
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub(crate) struct VerifyRun<K> {
     /// Global `H` row index (reported on violation).
     pub(crate) row: usize,
     /// The row's terms, all targeting slot 0.
-    pub(crate) instrs: Vec<Instr<W>>,
+    pub(crate) instrs: Vec<Instr<K>>,
+}
+
+impl<K> VerifyRun<K> {
+    /// The same run with every kernel converted by `f`.
+    pub(crate) fn map_kernels<K2, E>(
+        &self,
+        f: &mut impl FnMut(&K) -> Result<K2, E>,
+    ) -> Result<VerifyRun<K2>, E> {
+        Ok(VerifyRun {
+            row: self.row,
+            instrs: map_kernels(&self.instrs, f)?,
+        })
+    }
 }
 
 /// A [`DecodePlan`] compiled to linear instruction tapes — what every
-/// `Decoder`/`Executor` decode and verify entry point executes.
+/// decode and verify entry point executes, in process or on a cluster
+/// node.
 ///
 /// Obtained via [`DecodePlan::ensure_tape`], or rebuilt from a
-/// [`WirePlan`](crate::WirePlan) on a machine that never saw the plan.
-/// Compilation preserves the §III-B cost model exactly: one instruction
-/// per predicted `mult_XORs`.
+/// [`WirePlan`](crate::WirePlan) on a machine that never saw the plan
+/// ([`WirePlan::compile`](crate::WirePlan::compile)). Compilation
+/// preserves the §III-B cost model exactly: one instruction per
+/// predicted `mult_XORs`.
 #[derive(Debug)]
 pub struct PlanTape<W: GfWord> {
     /// One segment per independent sub-matrix (parallel in phase A).
-    pub(crate) phase_a: Vec<TapeSegment<W>>,
+    pub(crate) phase_a: Vec<TapeSegment<Kernel<W>>>,
     /// The `H_rest` segment, run after phase-A outputs install.
-    pub(crate) phase_b: Option<TapeSegment<W>>,
+    pub(crate) phase_b: Option<TapeSegment<Kernel<W>>>,
     /// Surplus verify rows (empty for restricted plans).
-    pub(crate) verify: Vec<VerifyRun<W>>,
+    pub(crate) verify: Vec<VerifyRun<Kernel<W>>>,
     /// Sectors in the stripe geometry the tape expects.
     pub(crate) total_sectors: usize,
+    /// The faulty sectors the tape recovers, ascending.
+    faulty: Vec<usize>,
     /// The concrete strategy of the plan the tape was lowered from.
     pub(crate) strategy: crate::plan::Strategy,
     /// `C₁..C₄` of the plan's candidates, when it was chosen by
@@ -149,13 +237,14 @@ pub struct PlanTape<W: GfWord> {
     pub(crate) predicted_costs: Option<CostReport>,
     mult_xors: usize,
     verify_mult_xors: usize,
+    rest_splittable: bool,
 }
 
 impl<W: GfWord> PlanTape<W> {
     /// Lowers `plan` — called once per plan by
     /// [`DecodePlan::ensure_tape`].
     pub(crate) fn compile(plan: &DecodePlan<W>) -> Self {
-        let phase_a: Vec<TapeSegment<W>> = plan
+        let phase_a: Vec<TapeSegment<Kernel<W>>> = plan
             .phase_a
             .iter()
             .map(|sp| lower_subplan(sp, &plan.regions))
@@ -164,7 +253,7 @@ impl<W: GfWord> PlanTape<W> {
             .phase_b
             .as_ref()
             .map(|sp| lower_subplan(sp, &plan.regions));
-        let verify: Vec<VerifyRun<W>> = plan
+        let verify: Vec<VerifyRun<Kernel<W>>> = plan
             .surplus
             .as_deref()
             .unwrap_or_default()
@@ -180,37 +269,25 @@ impl<W: GfWord> PlanTape<W> {
                 VerifyRun { row: *row, instrs }
             })
             .collect();
-        #[cfg(debug_assertions)]
-        #[allow(clippy::indexing_slicing)] // bounds asserted by construction
-        for seg in phase_a.iter().chain(&phase_b) {
-            // Unzeroed-scratch soundness: every slot of the reservation
-            // is either overwritten by exactly one run head or listed
-            // for explicit zeroing.
-            let mut written = vec![false; seg.total_slots()];
-            for instr in &seg.instrs {
-                if instr.op == OpCode::MulCopy {
-                    debug_assert!(!written[instr.dst], "slot written by two run heads");
-                    written[instr.dst] = true;
-                } else {
-                    debug_assert!(written[instr.dst], "continuation before its head");
-                }
-            }
-            for &slot in &seg.zero_slots {
-                debug_assert!(!written[slot], "zero slot also written by a run");
-                written[slot] = true;
-            }
-            debug_assert!(
-                written.iter().all(|&w| w),
-                "a slot is neither written nor zeroed"
-            );
-        }
         let tape = PlanTape::from_parts(
             phase_a,
             phase_b,
             verify,
             plan.total_sectors(),
+            plan.faulty().to_vec(),
             plan.strategy(),
             plan.predicted_costs(),
+        );
+        debug_assert_eq!(
+            check(
+                &tape.phase_a,
+                tape.phase_b.as_ref(),
+                &tape.verify,
+                &tape.faulty,
+                tape.total_sectors
+            ),
+            Ok(()),
+            "the tape compiler emitted a tape the wire validator rejects"
         );
         debug_assert_eq!(
             tape.mult_xors,
@@ -220,29 +297,38 @@ impl<W: GfWord> PlanTape<W> {
         tape
     }
 
-    /// Assembles a tape from already-validated segments, deriving the
-    /// instruction counts. Shared by [`PlanTape::compile`] and
+    /// Assembles a tape from segments that pass [`check`], deriving the
+    /// instruction counts and [`PlanTape::rest_splittable`]. Shared by
+    /// [`PlanTape::compile`] and
     /// [`WirePlan::compile`](crate::WirePlan::compile).
     pub(crate) fn from_parts(
-        phase_a: Vec<TapeSegment<W>>,
-        phase_b: Option<TapeSegment<W>>,
-        verify: Vec<VerifyRun<W>>,
+        phase_a: Vec<TapeSegment<Kernel<W>>>,
+        phase_b: Option<TapeSegment<Kernel<W>>>,
+        verify: Vec<VerifyRun<Kernel<W>>>,
         total_sectors: usize,
+        faulty: Vec<usize>,
         strategy: crate::plan::Strategy,
         predicted_costs: Option<CostReport>,
     ) -> Self {
         let mult_xors = phase_a.iter().map(|s| s.instrs.len()).sum::<usize>()
             + phase_b.as_ref().map_or(0, |s| s.instrs.len());
         let verify_mult_xors = verify.iter().map(|r| r.instrs.len()).sum();
+        let rest_splittable = phase_b.as_ref().is_some_and(|seg| {
+            seg.instrs
+                .get(seg.scratch_boundary..)
+                .is_some_and(|outs| outs.iter().all(|i| matches!(i.src, Loc::Slot(_))))
+        });
         PlanTape {
             phase_a,
             phase_b,
             verify,
             total_sectors,
+            faulty,
             strategy,
             predicted_costs,
             mult_xors,
             verify_mult_xors,
+            rest_splittable,
         }
     }
 
@@ -256,6 +342,43 @@ impl<W: GfWord> PlanTape<W> {
     /// [`DecodePlan::verify_mult_xors`].
     pub fn verify_mult_xors(&self) -> usize {
         self.verify_mult_xors
+    }
+
+    /// The faulty sectors the tape recovers, ascending.
+    pub fn faulty(&self) -> &[usize] {
+        &self.faulty
+    }
+
+    /// Sectors in the stripe geometry the tape expects.
+    pub fn total_sectors(&self) -> usize {
+        self.total_sectors
+    }
+
+    /// Phase-A parallelism (independent sub-matrix segments).
+    pub fn parallelism(&self) -> usize {
+        self.phase_a.len()
+    }
+
+    /// Whether the tape carries an `H_rest` phase-B segment.
+    pub fn has_phase_b(&self) -> bool {
+        self.phase_b.is_some()
+    }
+
+    /// Whether phase B splits across nodes: true when every output-
+    /// section instruction of `H_rest` reads intermediate `T` slots only
+    /// (the Normal sequence), so a survivor host can compute the
+    /// partial-sum `T` blocks from its local sectors and ship *those* —
+    /// `z_b` blocks — instead of whole surviving sectors, and the
+    /// aggregator finishes `F⁻¹ · T` without ever seeing the stripe.
+    /// False for a matrix-first `H_rest`, which reads sectors directly.
+    pub fn rest_splittable(&self) -> bool {
+        self.rest_splittable
+    }
+
+    /// Number of partial-sum (`T`) blocks a split phase B ships — the
+    /// scratch slots of the `H_rest` segment (0 without a phase B).
+    pub fn rest_scratch_slots(&self) -> usize {
+        self.phase_b.as_ref().map_or(0, |seg| seg.scratch_slots)
     }
 
     /// Number of decode segments (phase-A parallelism plus `H_rest`).
@@ -275,6 +398,148 @@ impl<W: GfWord> PlanTape<W> {
     }
 }
 
+/// The one tape validator: every invariant the executor relies on to
+/// run a tape without bounds failures, aliasing or reads of unwritten
+/// scratch, for tapes over any kernel type.
+/// [`WirePlan::compile`](crate::WirePlan::compile) runs it on untrusted
+/// input before building a kernel; [`PlanTape::compile`] asserts it in
+/// debug builds.
+///
+/// * The faulty list is ascending, unique and inside the stripe.
+/// * Per segment ([`check_segment`]): the scratch boundary lies inside
+///   the instructions; the scratch section writes `T` slots from stripe
+///   sectors, the output section writes output slots; sources are in
+///   range; every continuation follows its run's head; every slot has
+///   exactly one writer — one run head or one zero-slot entry; output
+///   `i` sits in slot `scratch_slots + i` and installs to an in-range
+///   sector.
+/// * No sector is produced twice, and every produced sector is faulty.
+/// * Verify runs read stripe sectors only, write slot 0, and start with
+///   their one head.
+///
+/// Returns the first violated rule as the message
+/// [`WireError::Malformed`](crate::WireError::Malformed) carries.
+pub(crate) fn check<K>(
+    phase_a: &[TapeSegment<K>],
+    phase_b: Option<&TapeSegment<K>>,
+    verify: &[VerifyRun<K>],
+    faulty: &[usize],
+    total_sectors: usize,
+) -> Result<(), &'static str> {
+    if faulty.windows(2).any(|w| w.first() >= w.get(1)) {
+        return Err("faulty set not sorted and unique");
+    }
+    if faulty.iter().any(|&s| s >= total_sectors) {
+        return Err("faulty sector out of range");
+    }
+    for seg in phase_a.iter().chain(phase_b) {
+        check_segment(seg, total_sectors)?;
+    }
+    let mut produced: Vec<usize> = phase_a
+        .iter()
+        .chain(phase_b)
+        .flat_map(|seg| seg.outputs.iter().map(|&(_, sector)| sector))
+        .collect();
+    produced.sort_unstable();
+    if produced.windows(2).any(|w| w.first() == w.get(1)) {
+        return Err("sector produced by two segments");
+    }
+    if produced.iter().any(|s| faulty.binary_search(s).is_err()) {
+        return Err("output sector not in faulty set");
+    }
+    for run in verify {
+        for (i, instr) in run.instrs.iter().enumerate() {
+            match instr.src {
+                Loc::Sector(s) if s >= total_sectors => {
+                    return Err("verify source sector out of range");
+                }
+                Loc::Sector(_) => {}
+                Loc::Slot(_) => return Err("verify run reads a scratch slot"),
+            }
+            if instr.dst != 0 {
+                return Err("verify run writes a non-zero slot");
+            }
+            if (instr.op == OpCode::MulCopy) != (i == 0) {
+                return Err("verify run head/continuation order");
+            }
+        }
+    }
+    Ok(())
+}
+
+/// [`check`] for one segment.
+fn check_segment<K>(seg: &TapeSegment<K>, total_sectors: usize) -> Result<(), &'static str> {
+    let scratch_slots = seg.scratch_slots;
+    let scratch_boundary = seg.scratch_boundary;
+    let total_slots = scratch_slots.saturating_add(seg.outputs.len());
+    if scratch_boundary > seg.instrs.len() {
+        return Err("scratch boundary past segment end");
+    }
+    // Every slot has one writer — a run head or a zero-slot entry — so a
+    // segment with more slots than both together leaves one unwritten.
+    // Checked first, this also bounds the bitmap below by the input.
+    if total_slots > seg.instrs.len().saturating_add(seg.zero_slots.len()) {
+        return Err("a slot is neither written nor zeroed");
+    }
+
+    let mut written = vec![false; total_slots];
+    let mut prev_dst: Option<usize> = None;
+    for (i, instr) in seg.instrs.iter().enumerate() {
+        let dst = instr.dst;
+        if i < scratch_boundary {
+            if dst >= scratch_slots {
+                return Err("scratch-section write past T slots");
+            }
+            if !matches!(instr.src, Loc::Sector(_)) {
+                return Err("scratch section reads a slot");
+            }
+        } else if dst < scratch_slots || dst >= total_slots {
+            return Err("output-section write out of range");
+        }
+        match instr.src {
+            Loc::Sector(s) if s >= total_sectors => return Err("source sector out of range"),
+            Loc::Slot(e) if e >= scratch_slots => return Err("source slot out of range"),
+            _ => {}
+        }
+        if instr.op == OpCode::MulXorFusedCont {
+            // A continuation extends the run immediately before it; the
+            // executor folds a maximal head+continuations group into one
+            // fused accumulate, so the destination must match (which also
+            // keeps a run from crossing the scratch boundary: the two
+            // sections write disjoint slots).
+            if prev_dst != Some(dst) {
+                return Err("continuation without its run head");
+            }
+        } else {
+            let slot = written.get_mut(dst).ok_or("run head out of range")?;
+            if std::mem::replace(slot, true) {
+                return Err("slot written by two run heads");
+            }
+        }
+        prev_dst = Some(dst);
+    }
+
+    for &slot in &seg.zero_slots {
+        let flag = written.get_mut(slot).ok_or("zero slot out of range")?;
+        if std::mem::replace(flag, true) {
+            return Err("zero slot also written by a run");
+        }
+    }
+    if !written.iter().all(|&w| w) {
+        return Err("a slot is neither written nor zeroed");
+    }
+
+    for (i, &(slot, sector)) in seg.outputs.iter().enumerate() {
+        if slot != scratch_slots + i {
+            return Err("non-canonical output slot layout");
+        }
+        if sector >= total_sectors {
+            return Err("output sector out of range");
+        }
+    }
+    Ok(())
+}
+
 /// Emits one destination's terms as a fused run: first instruction
 /// [`OpCode::MulCopy`] (the overwriting head), continuations
 /// [`OpCode::MulXorFusedCont`]. Term order within the run is exactly
@@ -283,7 +548,7 @@ impl<W: GfWord> PlanTape<W> {
 /// list produces no run, and the caller must record the destination as
 /// a zero slot.
 fn emit_run<W: GfWord>(
-    instrs: &mut Vec<Instr<W>>,
+    instrs: &mut Vec<Instr<Kernel<W>>>,
     dst: usize,
     terms: impl Iterator<Item = (W, Loc)>,
     regions: &RegionCache<W>,
@@ -309,7 +574,7 @@ fn emit_run<W: GfWord>(
 pub(crate) fn lower_subplan<W: GfWord>(
     sp: &SubPlan<W>,
     regions: &RegionCache<W>,
-) -> TapeSegment<W> {
+) -> TapeSegment<Kernel<W>> {
     let mut instrs = Vec::new();
     match &sp.program {
         Program::MatrixFirst { outputs } => {
@@ -442,7 +707,7 @@ mod tests {
 
     /// Splits a segment's instruction list into its maximal same-`dst`
     /// runs, checking the opcode discipline along the way.
-    fn runs(instrs: &[Instr<u8>]) -> Vec<(usize, Vec<(u8, Loc)>)> {
+    fn runs(instrs: &[Instr<Kernel<u8>>]) -> Vec<(usize, Vec<(u8, Loc)>)> {
         let mut out: Vec<(usize, Vec<(u8, Loc)>)> = Vec::new();
         for instr in instrs {
             match instr.op {

@@ -1,33 +1,32 @@
 //! Serializable decode plans: *plans travel, data stays put*.
 //!
-//! A [`WirePlan`] is the compact wire encoding of a compiled
-//! [`PlanTape`](crate::PlanTape): the instruction segments, the
-//! per-constant kernel-table seeds (the GF constants — multiplication
-//! tables are rebuilt on the receiving side, never shipped), the
-//! precomputed scratch layout, and the surplus verify rows. It is what a
-//! cluster coordinator sends to a worker so the worker can execute a
-//! repair against locally held sectors without ever learning the code's
-//! parity-check matrix or running a factorization.
+//! A [`WirePlan`] is a compiled [`PlanTape`] with each kernel replaced
+//! by its GF constant: the same [`TapeSegment`]s — instructions,
+//! precomputed scratch layout — and [`VerifyRun`]s, over `u64`
+//! constants instead of `Arc`-shared tables, plus the faulty list and
+//! the stripe geometry. It is what a cluster coordinator sends to a
+//! worker so the worker can execute a repair against locally held
+//! sectors without ever learning the code's parity-check matrix or
+//! running a factorization.
 //!
 //! The byte format is a hand-rolled little-endian layout behind a
 //! `"PPMW"` magic and a format version — no serialization framework, so
-//! the encoding is stable by construction and auditable byte for byte.
-//! Decoding is *structural* (tags, counts, truncation); turning a decoded
-//! plan into something executable goes through [`WirePlan::compile`],
-//! which re-validates every invariant the in-process tape compiler
-//! guarantees (slot bounds, run-head discipline, full slot coverage) —
-//! the executor's unzeroed-scratch fast path is only sound against
-//! checked input, and wire input is untrusted.
-//!
-//! Compilation rebuilds one [`RegionMul`] kernel per distinct constant
-//! (the isa-l `ec_init_tables` pattern, now applied across the network:
-//! ship the seed, rebuild the table), shared across all instructions of
-//! the plan via `Arc` exactly like an in-process tape.
+//! the encoding is stable by construction and auditable byte for byte;
+//! indices travel as `u32`. Decoding is *structural* (tags, counts,
+//! truncation). [`WirePlan::compile`] turns a decoded plan back into a
+//! plain [`PlanTape`]: it runs the one tape validator,
+//! [`check`](crate::tape::check) — the executor's unzeroed-scratch fast
+//! path is only sound against checked input, and wire input is
+//! untrusted — and then rebuilds one [`RegionMul`] kernel per distinct
+//! constant (the isa-l `ec_init_tables` pattern, applied across the
+//! network: ship the seed, rebuild the table), shared across all
+//! instructions of the plan via `Arc` exactly like an in-process tape.
 
 use crate::plan::{DecodePlan, Strategy};
-use crate::tape::{Instr, Loc, OpCode, PlanTape, TapeSegment, VerifyRun};
+use crate::tape::{check, Instr, Kernel, Loc, OpCode, PlanTape, TapeSegment, VerifyRun};
 use ppm_gf::{Backend, GfWord, RegionMul};
 use std::collections::HashMap;
+use std::convert::Infallible;
 use std::sync::Arc;
 
 /// Wire format version (bumped on any layout change).
@@ -98,60 +97,23 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// Where a wire instruction reads from (the wire form of
-/// [`Loc`](crate::tape::Loc)).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum WireLoc {
-    Sector(u32),
-    Slot(u32),
-}
-
-/// One lowered `mult_XORs` on the wire: the kernel travels as its GF
-/// constant (the table seed), not as a table.
-#[derive(Clone, Debug, PartialEq, Eq)]
-struct WireInstr {
-    constant: u64,
-    src: WireLoc,
-    dst: u32,
-    /// `false` for a run head ([`OpCode::MulCopy`]), `true` for a fused
-    /// continuation ([`OpCode::MulXorFusedCont`]).
-    cont: bool,
-}
-
-/// One tape segment on the wire, scratch layout included.
-#[derive(Clone, Debug, PartialEq, Eq, Default)]
-struct WireSegment {
-    instrs: Vec<WireInstr>,
-    scratch_boundary: u32,
-    scratch_slots: u32,
-    /// Per output: `(absolute slot, stripe sector)`.
-    outputs: Vec<(u32, u32)>,
-    zero_slots: Vec<u32>,
-}
-
-/// One surplus verify row on the wire.
-#[derive(Clone, Debug, PartialEq, Eq)]
-struct WireVerifyRun {
-    row: u32,
-    instrs: Vec<WireInstr>,
-}
-
 /// A decode plan in transportable form: pure data, no kernel tables, no
-/// lifetime ties to the plan it came from.
+/// lifetime ties to the plan it came from — a [`PlanTape`] whose kernels
+/// are GF constants.
 ///
 /// Produce one with [`WirePlan::from_plan`] (or
 /// [`Planner::wire_plan_for`](crate::Planner::wire_plan_for)), move it as
 /// bytes via [`WirePlan::encode`] / [`WirePlan::decode`], and turn it
-/// back into something executable with [`WirePlan::compile`].
+/// back into an executable [`PlanTape`] with [`WirePlan::compile`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct WirePlan {
     gf_width: u32,
-    total_sectors: u32,
+    total_sectors: usize,
     strategy: Strategy,
-    faulty: Vec<u32>,
-    phase_a: Vec<WireSegment>,
-    phase_b: Option<WireSegment>,
-    verify: Vec<WireVerifyRun>,
+    faulty: Vec<usize>,
+    phase_a: Vec<TapeSegment<u64>>,
+    phase_b: Option<TapeSegment<u64>>,
+    verify: Vec<VerifyRun<u64>>,
 }
 
 /// Narrows a plan-side `usize` into the wire's `u32`. Plan dimensions
@@ -161,53 +123,35 @@ fn narrow(value: usize) -> u32 {
     u32::try_from(value).unwrap_or_else(|_| panic!("plan dimension {value} exceeds wire width"))
 }
 
-fn wire_instr<W: GfWord>(instr: &Instr<W>) -> WireInstr {
-    WireInstr {
-        constant: instr.kernel.constant().to_u64(),
-        src: match instr.src {
-            Loc::Sector(s) => WireLoc::Sector(narrow(s)),
-            Loc::Slot(e) => WireLoc::Slot(narrow(e)),
-        },
-        dst: narrow(instr.dst),
-        cont: instr.op == OpCode::MulXorFusedCont,
-    }
-}
-
-fn wire_segment<W: GfWord>(seg: &TapeSegment<W>) -> WireSegment {
-    WireSegment {
-        instrs: seg.instrs.iter().map(wire_instr).collect(),
-        scratch_boundary: narrow(seg.scratch_boundary),
-        scratch_slots: narrow(seg.scratch_slots),
-        outputs: seg
-            .outputs
-            .iter()
-            .map(|&(slot, sector)| (narrow(slot), narrow(sector)))
-            .collect(),
-        zero_slots: seg.zero_slots.iter().map(|&s| narrow(s)).collect(),
-    }
-}
-
 impl WirePlan {
     /// Captures `plan`'s compiled tape as a wire plan (compiling the tape
     /// first if the plan never went through a
     /// [`PlanCache`](crate::PlanCache) insert).
     pub fn from_plan<W: GfWord>(plan: &DecodePlan<W>) -> WirePlan {
         let tape = plan.ensure_tape();
+        let mut constant = |k: &Kernel<W>| Ok::<_, Infallible>(k.constant().to_u64());
+        let mut segment = |seg: &TapeSegment<Kernel<W>>| {
+            let Ok(seg) = seg.map_kernels(&mut constant);
+            seg
+        };
+        let phase_a = tape.phase_a.iter().map(&mut segment).collect();
+        let phase_b = tape.phase_b.as_ref().map(segment);
+        let verify = tape
+            .verify
+            .iter()
+            .map(|run| {
+                let Ok(run) = run.map_kernels(&mut constant);
+                run
+            })
+            .collect();
         WirePlan {
             gf_width: W::WIDTH,
-            total_sectors: narrow(plan.total_sectors()),
-            strategy: plan.strategy(),
-            faulty: plan.faulty().iter().map(|&s| narrow(s)).collect(),
-            phase_a: tape.phase_a.iter().map(wire_segment).collect(),
-            phase_b: tape.phase_b.as_ref().map(wire_segment),
-            verify: tape
-                .verify
-                .iter()
-                .map(|run| WireVerifyRun {
-                    row: narrow(run.row),
-                    instrs: run.instrs.iter().map(wire_instr).collect(),
-                })
-                .collect(),
+            total_sectors: tape.total_sectors(),
+            strategy: tape.strategy,
+            faulty: tape.faulty().to_vec(),
+            phase_a,
+            phase_b,
+            verify,
         }
     }
 
@@ -218,7 +162,7 @@ impl WirePlan {
 
     /// Sectors in the stripe geometry the plan expects.
     pub fn total_sectors(&self) -> usize {
-        self.total_sectors as usize
+        self.total_sectors
     }
 
     /// The strategy the plan was built with.
@@ -228,7 +172,7 @@ impl WirePlan {
 
     /// The faulty sectors the plan recovers, ascending.
     pub fn faulty(&self) -> Vec<usize> {
-        self.faulty.iter().map(|&s| s as usize).collect()
+        self.faulty.clone()
     }
 
     /// Phase-A parallelism (independent sub-matrix segments).
@@ -258,13 +202,13 @@ impl WirePlan {
         out.extend_from_slice(&MAGIC);
         put_u16(&mut out, WIRE_VERSION);
         put_u32(&mut out, self.gf_width);
-        put_u32(&mut out, self.total_sectors);
+        put_index(&mut out, self.total_sectors);
         put_u8(&mut out, strategy_tag(self.strategy));
-        put_u32(&mut out, narrow(self.faulty.len()));
+        put_index(&mut out, self.faulty.len());
         for &s in &self.faulty {
-            put_u32(&mut out, s);
+            put_index(&mut out, s);
         }
-        put_u32(&mut out, narrow(self.phase_a.len()));
+        put_index(&mut out, self.phase_a.len());
         for seg in &self.phase_a {
             put_segment(&mut out, seg);
         }
@@ -275,9 +219,9 @@ impl WirePlan {
             }
             None => put_u8(&mut out, 0),
         }
-        put_u32(&mut out, narrow(self.verify.len()));
+        put_index(&mut out, self.verify.len());
         for run in &self.verify {
-            put_u32(&mut out, run.row);
+            put_index(&mut out, run.row);
             put_instrs(&mut out, &run.instrs);
         }
         out
@@ -296,9 +240,9 @@ impl WirePlan {
             return Err(WireError::UnsupportedVersion(version));
         }
         let gf_width = r.u32()?;
-        let total_sectors = r.u32()?;
+        let total_sectors = r.index()?;
         let strategy = strategy_from_tag(r.u8()?)?;
-        let faulty = r.vec(|r| r.u32())?;
+        let faulty = r.vec(Reader::index)?;
         let phase_a = r.vec(read_segment)?;
         let phase_b = match r.u8()? {
             0 => None,
@@ -306,9 +250,9 @@ impl WirePlan {
             _ => return Err(WireError::Malformed("phase-B flag out of range")),
         };
         let verify = r.vec(|r| {
-            Ok(WireVerifyRun {
-                row: r.u32()?,
-                instrs: read_instrs(r)?,
+            Ok(VerifyRun {
+                row: r.index()?,
+                instrs: r.vec(read_instr)?,
             })
         })?;
         r.finish()?;
@@ -323,331 +267,62 @@ impl WirePlan {
         })
     }
 
-    /// Compiles the plan into an executable form for word type `W`:
-    /// validates every invariant the executor's unzeroed-scratch fast
-    /// path relies on, then rebuilds one shared [`RegionMul`] kernel per
-    /// distinct constant (checked construction — the scalar self-probe
-    /// runs on the receiving host's hardware).
-    pub fn compile<W: GfWord>(&self, backend: Backend) -> Result<ExecutableWirePlan<W>, WireError> {
+    /// Compiles the plan into an executable [`PlanTape`] for word type
+    /// `W`: runs the tape validator every in-process tape also passes
+    /// (any violation is [`WireError::Malformed`]), then rebuilds one
+    /// shared [`RegionMul`] kernel per distinct constant (checked
+    /// construction — the scalar self-probe runs on the receiving host's
+    /// hardware).
+    pub fn compile<W: GfWord>(&self, backend: Backend) -> Result<PlanTape<W>, WireError> {
         if self.gf_width != W::WIDTH {
             return Err(WireError::WidthMismatch {
                 plan: self.gf_width,
                 word: W::WIDTH,
             });
         }
-        let total_sectors = self.total_sectors as usize;
-        let faulty: Vec<usize> = self.faulty.iter().map(|&s| s as usize).collect();
-        if faulty.windows(2).any(|w| w.first() >= w.get(1)) {
-            return Err(WireError::Malformed("faulty set not sorted and unique"));
-        }
-        if faulty.iter().any(|&s| s >= total_sectors) {
-            return Err(WireError::Malformed("faulty sector out of range"));
-        }
+        check(
+            &self.phase_a,
+            self.phase_b.as_ref(),
+            &self.verify,
+            &self.faulty,
+            self.total_sectors,
+        )
+        .map_err(WireError::Malformed)?;
 
-        let mut kernels: KernelCache<W> = KernelCache::new(backend);
-        let phase_a: Vec<TapeSegment<W>> = self
+        let mut kernels: HashMap<u64, Kernel<W>> = HashMap::new();
+        let mut kernel = |&constant: &u64| {
+            if W::WIDTH < 64 && (constant >> W::WIDTH) != 0 {
+                return Err(WireError::Malformed("constant exceeds field width"));
+            }
+            Ok(Arc::clone(kernels.entry(constant).or_insert_with(|| {
+                Arc::new(RegionMul::new_checked(W::from_u64(constant), backend))
+            })))
+        };
+        let phase_a = self
             .phase_a
             .iter()
-            .map(|seg| compile_segment(seg, total_sectors, &mut kernels))
+            .map(|seg| seg.map_kernels(&mut kernel))
             .collect::<Result<_, _>>()?;
         let phase_b = self
             .phase_b
             .as_ref()
-            .map(|seg| compile_segment(seg, total_sectors, &mut kernels))
+            .map(|seg| seg.map_kernels(&mut kernel))
             .transpose()?;
-
-        // Every output sector must be one of the declared faulty sectors,
-        // and no sector may be produced twice.
-        let mut produced: Vec<usize> = phase_a
-            .iter()
-            .chain(&phase_b)
-            .flat_map(|seg| seg.outputs.iter().map(|&(_, sector)| sector))
-            .collect();
-        produced.sort_unstable();
-        if produced.windows(2).any(|w| w.first() == w.get(1)) {
-            return Err(WireError::Malformed("sector produced by two segments"));
-        }
-        if produced.iter().any(|s| faulty.binary_search(s).is_err()) {
-            return Err(WireError::Malformed("output sector not in faulty set"));
-        }
-
-        let verify: Vec<VerifyRun<W>> = self
+        let verify = self
             .verify
             .iter()
-            .map(|run| {
-                let instrs = compile_instrs(
-                    &run.instrs,
-                    &mut kernels,
-                    // Verify runs accumulate into a single slot, reading
-                    // stripe sectors only.
-                    |i, instr| match instr.src {
-                        WireLoc::Sector(s) if (s as usize) < total_sectors => {
-                            if instr.dst != 0 {
-                                Err(WireError::Malformed("verify run writes a non-zero slot"))
-                            } else if instr.cont == (i == 0) {
-                                Err(WireError::Malformed("verify run head/continuation order"))
-                            } else {
-                                Ok(())
-                            }
-                        }
-                        WireLoc::Sector(_) => {
-                            Err(WireError::Malformed("verify source sector out of range"))
-                        }
-                        WireLoc::Slot(_) => {
-                            Err(WireError::Malformed("verify run reads a scratch slot"))
-                        }
-                    },
-                )?;
-                Ok(VerifyRun {
-                    row: run.row as usize,
-                    instrs,
-                })
-            })
-            .collect::<Result<_, WireError>>()?;
-
-        let rest_splittable = phase_b.as_ref().is_some_and(|seg| {
-            seg.instrs
-                .get(seg.scratch_boundary..)
-                .is_some_and(|outs| outs.iter().all(|i| matches!(i.src, Loc::Slot(_))))
-        });
-        Ok(ExecutableWirePlan {
-            tape: PlanTape::from_parts(
-                phase_a,
-                phase_b,
-                verify,
-                total_sectors,
-                self.strategy,
-                None,
-            ),
-            faulty,
-            rest_splittable,
-        })
+            .map(|run| run.map_kernels(&mut kernel))
+            .collect::<Result<_, _>>()?;
+        Ok(PlanTape::from_parts(
+            phase_a,
+            phase_b,
+            verify,
+            self.total_sectors,
+            self.faulty.clone(),
+            self.strategy,
+            None,
+        ))
     }
-}
-
-/// A [`WirePlan`] compiled for local execution: the same [`PlanTape`] an
-/// in-process plan compiles to — rebuilt, `Arc`-shared kernels included —
-/// plus the plan metadata a cluster node needs. Execution entry points
-/// live on [`Executor`](crate::Executor).
-#[derive(Debug)]
-pub struct ExecutableWirePlan<W: GfWord> {
-    pub(crate) tape: PlanTape<W>,
-    faulty: Vec<usize>,
-    rest_splittable: bool,
-}
-
-impl<W: GfWord> ExecutableWirePlan<W> {
-    /// The faulty sectors the plan recovers, ascending.
-    pub fn faulty(&self) -> &[usize] {
-        &self.faulty
-    }
-
-    /// Sectors in the stripe geometry the plan expects.
-    pub fn total_sectors(&self) -> usize {
-        self.tape.total_sectors
-    }
-
-    /// Total decode instructions (= predicted `mult_XORs`).
-    pub fn mult_xors(&self) -> usize {
-        self.tape.mult_xors()
-    }
-
-    /// Total verify-section instructions.
-    pub fn verify_mult_xors(&self) -> usize {
-        self.tape.verify_mult_xors()
-    }
-
-    /// Phase-A parallelism (independent sub-matrix segments).
-    pub fn parallelism(&self) -> usize {
-        self.tape.phase_a.len()
-    }
-
-    /// Whether the plan carries an `H_rest` phase-B segment.
-    pub fn has_phase_b(&self) -> bool {
-        self.tape.phase_b.is_some()
-    }
-
-    /// Whether phase B splits across nodes: true when every output-
-    /// section instruction of `H_rest` reads intermediate `T` slots only
-    /// (the Normal sequence), so a survivor host can compute the
-    /// partial-sum `T` blocks from its local sectors and ship *those* —
-    /// `z_b` blocks — instead of whole surviving sectors, and the
-    /// aggregator finishes `F⁻¹ · T` without ever seeing the stripe.
-    /// False for a matrix-first `H_rest`, which reads sectors directly.
-    pub fn rest_splittable(&self) -> bool {
-        self.rest_splittable
-    }
-
-    /// Number of partial-sum (`T`) blocks a split phase B ships — the
-    /// scratch slots of the `H_rest` segment (0 without a phase B).
-    pub fn rest_scratch_slots(&self) -> usize {
-        self.tape
-            .phase_b
-            .as_ref()
-            .map_or(0, |seg| seg.scratch_slots)
-    }
-}
-
-/// Deduplicating kernel builder: one checked [`RegionMul`] per distinct
-/// constant, shared by every instruction that uses it.
-struct KernelCache<W: GfWord> {
-    map: HashMap<u64, Arc<RegionMul<W>>>,
-    backend: Backend,
-}
-
-impl<W: GfWord> KernelCache<W> {
-    fn new(backend: Backend) -> Self {
-        KernelCache {
-            map: HashMap::new(),
-            backend,
-        }
-    }
-
-    fn get(&mut self, constant: u64) -> Result<Arc<RegionMul<W>>, WireError> {
-        if W::WIDTH < 64 && (constant >> W::WIDTH) != 0 {
-            return Err(WireError::Malformed("constant exceeds field width"));
-        }
-        let backend = self.backend;
-        Ok(Arc::clone(self.map.entry(constant).or_insert_with(|| {
-            Arc::new(RegionMul::new_checked(W::from_u64(constant), backend))
-        })))
-    }
-}
-
-/// Compiles a wire instruction list, running `check(index, instr)` on
-/// each before building its kernel.
-fn compile_instrs<W: GfWord>(
-    instrs: &[WireInstr],
-    kernels: &mut KernelCache<W>,
-    check: impl Fn(usize, &WireInstr) -> Result<(), WireError>,
-) -> Result<Vec<Instr<W>>, WireError> {
-    instrs
-        .iter()
-        .enumerate()
-        .map(|(i, instr)| {
-            check(i, instr)?;
-            Ok(Instr {
-                kernel: kernels.get(instr.constant)?,
-                src: match instr.src {
-                    WireLoc::Sector(s) => Loc::Sector(s as usize),
-                    WireLoc::Slot(e) => Loc::Slot(e as usize),
-                },
-                dst: instr.dst as usize,
-                op: if instr.cont {
-                    OpCode::MulXorFusedCont
-                } else {
-                    OpCode::MulCopy
-                },
-            })
-        })
-        .collect()
-}
-
-/// Validates and compiles one wire segment into a [`TapeSegment`],
-/// enforcing the exact invariants the in-process tape compiler asserts:
-/// section/slot bounds, run-head-before-continuation discipline, every
-/// slot written by exactly one run head or listed for zeroing, and the
-/// canonical output layout (output `i` in slot `scratch_slots + i`).
-fn compile_segment<W: GfWord>(
-    seg: &WireSegment,
-    total_sectors: usize,
-    kernels: &mut KernelCache<W>,
-) -> Result<TapeSegment<W>, WireError> {
-    let scratch_slots = seg.scratch_slots as usize;
-    let scratch_boundary = seg.scratch_boundary as usize;
-    let total_slots = scratch_slots + seg.outputs.len();
-    if scratch_boundary > seg.instrs.len() {
-        return Err(WireError::Malformed("scratch boundary past segment end"));
-    }
-    if total_slots > MAX_COUNT {
-        return Err(WireError::Oversized {
-            count: total_slots,
-            max: MAX_COUNT,
-        });
-    }
-
-    let mut written = vec![false; total_slots];
-    let mut prev_dst: Option<usize> = None;
-    for (i, instr) in seg.instrs.iter().enumerate() {
-        let dst = instr.dst as usize;
-        let in_scratch_section = i < scratch_boundary;
-        if in_scratch_section {
-            if dst >= scratch_slots {
-                return Err(WireError::Malformed("scratch-section write past T slots"));
-            }
-            if !matches!(instr.src, WireLoc::Sector(_)) {
-                return Err(WireError::Malformed("scratch section reads a slot"));
-            }
-        } else if dst < scratch_slots || dst >= total_slots {
-            return Err(WireError::Malformed("output-section write out of range"));
-        }
-        match instr.src {
-            WireLoc::Sector(s) => {
-                if s as usize >= total_sectors {
-                    return Err(WireError::Malformed("source sector out of range"));
-                }
-            }
-            WireLoc::Slot(e) => {
-                if e as usize >= scratch_slots {
-                    return Err(WireError::Malformed("source slot out of range"));
-                }
-            }
-        }
-        if instr.cont {
-            // A continuation extends the run immediately before it; the
-            // executor folds a maximal head+continuations group into one
-            // fused accumulate, so the destination must match.
-            if prev_dst != Some(dst) || i == scratch_boundary {
-                return Err(WireError::Malformed("continuation without its run head"));
-            }
-        } else {
-            let slot = written
-                .get_mut(dst)
-                .ok_or(WireError::Malformed("run head out of range"))?;
-            if *slot {
-                return Err(WireError::Malformed("slot written by two run heads"));
-            }
-            *slot = true;
-        }
-        prev_dst = Some(dst);
-    }
-
-    for &slot in &seg.zero_slots {
-        let flag = written
-            .get_mut(slot as usize)
-            .ok_or(WireError::Malformed("zero slot out of range"))?;
-        if *flag {
-            return Err(WireError::Malformed("zero slot also written by a run"));
-        }
-        *flag = true;
-    }
-    if !written.iter().all(|&w| w) {
-        return Err(WireError::Malformed("a slot is neither written nor zeroed"));
-    }
-
-    let outputs: Vec<(usize, usize)> = seg
-        .outputs
-        .iter()
-        .enumerate()
-        .map(|(i, &(slot, sector))| {
-            if slot as usize != scratch_slots + i {
-                Err(WireError::Malformed("non-canonical output slot layout"))
-            } else if sector as usize >= total_sectors {
-                Err(WireError::Malformed("output sector out of range"))
-            } else {
-                Ok((slot as usize, sector as usize))
-            }
-        })
-        .collect::<Result<_, _>>()?;
-
-    let instrs = compile_instrs(&seg.instrs, kernels, |_, _| Ok(()))?;
-    Ok(TapeSegment {
-        instrs,
-        scratch_boundary,
-        scratch_slots,
-        outputs,
-        zero_slots: seg.zero_slots.iter().map(|&s| s as usize).collect(),
-    })
 }
 
 fn strategy_tag(strategy: Strategy) -> u8 {
@@ -689,37 +364,42 @@ fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-fn put_instrs(out: &mut Vec<u8>, instrs: &[WireInstr]) {
-    put_u32(out, narrow(instrs.len()));
+/// A count, sector, slot or row index, as the wire's `u32`.
+fn put_index(out: &mut Vec<u8>, v: usize) {
+    put_u32(out, narrow(v));
+}
+
+fn put_instrs(out: &mut Vec<u8>, instrs: &[Instr<u64>]) {
+    put_index(out, instrs.len());
     for instr in instrs {
-        put_u8(out, u8::from(instr.cont));
+        put_u8(out, u8::from(instr.op == OpCode::MulXorFusedCont));
         match instr.src {
-            WireLoc::Sector(s) => {
+            Loc::Sector(s) => {
                 put_u8(out, 0);
-                put_u32(out, s);
+                put_index(out, s);
             }
-            WireLoc::Slot(e) => {
+            Loc::Slot(e) => {
                 put_u8(out, 1);
-                put_u32(out, e);
+                put_index(out, e);
             }
         }
-        put_u32(out, instr.dst);
-        put_u64(out, instr.constant);
+        put_index(out, instr.dst);
+        put_u64(out, instr.kernel);
     }
 }
 
-fn put_segment(out: &mut Vec<u8>, seg: &WireSegment) {
-    put_u32(out, seg.scratch_boundary);
-    put_u32(out, seg.scratch_slots);
+fn put_segment(out: &mut Vec<u8>, seg: &TapeSegment<u64>) {
+    put_index(out, seg.scratch_boundary);
+    put_index(out, seg.scratch_slots);
     put_instrs(out, &seg.instrs);
-    put_u32(out, narrow(seg.outputs.len()));
+    put_index(out, seg.outputs.len());
     for &(slot, sector) in &seg.outputs {
-        put_u32(out, slot);
-        put_u32(out, sector);
+        put_index(out, slot);
+        put_index(out, sector);
     }
-    put_u32(out, narrow(seg.zero_slots.len()));
+    put_index(out, seg.zero_slots.len());
     for &slot in &seg.zero_slots {
-        put_u32(out, slot);
+        put_index(out, slot);
     }
 }
 
@@ -760,12 +440,17 @@ impl<'a> Reader<'a> {
         Ok(u64::from_le_bytes(bytes))
     }
 
+    /// A `u32` index widened to `usize` (see [`put_index`]).
+    fn index(&mut self) -> Result<usize, WireError> {
+        Ok(self.u32()? as usize)
+    }
+
     /// A length-prefixed list with the [`MAX_COUNT`] sanity bound.
     fn vec<T>(
         &mut self,
         mut read: impl FnMut(&mut Self) -> Result<T, WireError>,
     ) -> Result<Vec<T>, WireError> {
-        let count = self.u32()? as usize;
+        let count = self.index()?;
         if count > MAX_COUNT {
             return Err(WireError::Oversized {
                 count,
@@ -794,39 +479,35 @@ impl<'a> Reader<'a> {
     }
 }
 
-fn read_instr(r: &mut Reader<'_>) -> Result<WireInstr, WireError> {
-    let cont = match r.u8()? {
-        0 => false,
-        1 => true,
+fn read_instr(r: &mut Reader<'_>) -> Result<Instr<u64>, WireError> {
+    let op = match r.u8()? {
+        0 => OpCode::MulCopy,
+        1 => OpCode::MulXorFusedCont,
         _ => return Err(WireError::Malformed("opcode tag out of range")),
     };
     let src = match r.u8()? {
-        0 => WireLoc::Sector(r.u32()?),
-        1 => WireLoc::Slot(r.u32()?),
+        0 => Loc::Sector(r.index()?),
+        1 => Loc::Slot(r.index()?),
         _ => return Err(WireError::Malformed("source tag out of range")),
     };
-    Ok(WireInstr {
-        cont,
+    Ok(Instr {
+        op,
         src,
-        dst: r.u32()?,
-        constant: r.u64()?,
+        dst: r.index()?,
+        kernel: r.u64()?,
     })
 }
 
-fn read_instrs(r: &mut Reader<'_>) -> Result<Vec<WireInstr>, WireError> {
-    r.vec(read_instr)
-}
-
-fn read_segment(r: &mut Reader<'_>) -> Result<WireSegment, WireError> {
-    let scratch_boundary = r.u32()?;
-    let scratch_slots = r.u32()?;
-    let instrs = read_instrs(r)?;
-    let outputs = r.vec(|r| Ok((r.u32()?, r.u32()?)))?;
-    let zero_slots = r.vec(|r| r.u32())?;
-    Ok(WireSegment {
+fn read_segment(r: &mut Reader<'_>) -> Result<TapeSegment<u64>, WireError> {
+    let scratch_boundary = r.index()?;
+    let scratch_slots = r.index()?;
+    let instrs = r.vec(read_instr)?;
+    let outputs = r.vec(|r| Ok((r.index()?, r.index()?)))?;
+    let zero_slots = r.vec(Reader::index)?;
+    Ok(TapeSegment {
+        instrs,
         scratch_boundary,
         scratch_slots,
-        instrs,
         outputs,
         zero_slots,
     })
@@ -845,9 +526,13 @@ mod tests {
         DecodePlan::build(&h, &sc, strategy, Backend::Scalar).unwrap()
     }
 
+    fn all_strategies() -> impl Iterator<Item = Strategy> {
+        Strategy::CONCRETE.into_iter().chain([Strategy::PpmAuto])
+    }
+
     #[test]
     fn byte_round_trip_is_exact() {
-        for strategy in Strategy::CONCRETE.into_iter().chain([Strategy::PpmAuto]) {
+        for strategy in all_strategies() {
             let plan = paper_plan(strategy);
             let wire = WirePlan::from_plan(&plan);
             let bytes = wire.encode();
@@ -855,6 +540,28 @@ mod tests {
             assert_eq!(back, wire, "{strategy:?}");
             assert_eq!(back.encode(), bytes, "{strategy:?}: re-encode is stable");
         }
+    }
+
+    /// The byte format is frozen at `WIRE_VERSION = 1`: the paper
+    /// example's plan under every strategy encodes to exactly the bytes
+    /// captured in `testdata/paper_wire_plans.hex` (one `Strategy hex`
+    /// line each), and those bytes decode and compile.
+    #[test]
+    fn paper_example_bytes_are_golden() {
+        let golden = include_str!("../testdata/paper_wire_plans.hex");
+        let mut lines = golden.lines();
+        for strategy in all_strategies() {
+            let (label, hex) = lines.next().unwrap().split_once(' ').unwrap();
+            assert_eq!(label, format!("{strategy:?}"));
+            let bytes = WirePlan::from_plan(&paper_plan(strategy)).encode();
+            let encoded: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+            assert_eq!(encoded, hex, "{strategy:?}: wire bytes changed");
+            WirePlan::decode(&bytes)
+                .unwrap()
+                .compile::<u8>(Backend::Scalar)
+                .unwrap();
+        }
+        assert_eq!(lines.next(), None);
     }
 
     #[test]
@@ -875,19 +582,23 @@ mod tests {
     fn compile_rebuilds_shared_kernels() {
         let plan = paper_plan(Strategy::PpmNormalRest);
         let wire = WirePlan::from_plan(&plan);
-        let exec = wire.compile::<u8>(Backend::Scalar).unwrap();
-        assert_eq!(exec.mult_xors(), plan.mult_xors());
-        assert_eq!(exec.faulty(), plan.faulty());
-        assert_eq!(exec.parallelism(), plan.parallelism());
-        assert!(exec.rest_splittable(), "Normal H_rest splits");
+        let tape = wire.compile::<u8>(Backend::Scalar).unwrap();
+        assert_eq!(tape.mult_xors(), plan.mult_xors());
+        assert_eq!(tape.faulty(), plan.faulty());
+        assert_eq!(tape.parallelism(), plan.parallelism());
+        assert!(tape.rest_splittable(), "Normal H_rest splits");
         assert_eq!(
-            exec.rest_scratch_slots(),
+            tape.rest_scratch_slots(),
             2,
             "paper case ships 2 partial-sum blocks"
         );
+        // The compiled tape is the in-process tape, kernels aside.
+        let local = plan.ensure_tape();
+        assert_eq!(tape.rest_splittable(), local.rest_splittable());
+        assert_eq!(tape.total_sectors(), local.total_sectors());
         // Distinct instructions with the same constant share one kernel.
         let mut by_constant: HashMap<u64, *const RegionMul<u8>> = HashMap::new();
-        for instr in exec.tape.phase_a.iter().flat_map(|s| &s.instrs) {
+        for instr in tape.phase_a.iter().flat_map(|s| &s.instrs) {
             let c = instr.kernel.constant().to_u64();
             let ptr = Arc::as_ptr(&instr.kernel);
             assert_eq!(*by_constant.entry(c).or_insert(ptr), ptr);
@@ -897,11 +608,12 @@ mod tests {
     #[test]
     fn matrix_first_rest_is_not_splittable() {
         let plan = paper_plan(Strategy::PpmMatrixFirstRest);
-        let exec = WirePlan::from_plan(&plan)
+        let tape = WirePlan::from_plan(&plan)
             .compile::<u8>(Backend::Scalar)
             .unwrap();
-        assert!(!exec.rest_splittable(), "matrix-first rest reads sectors");
-        assert_eq!(exec.rest_scratch_slots(), 0);
+        assert!(!tape.rest_splittable(), "matrix-first rest reads sectors");
+        assert!(!plan.ensure_tape().rest_splittable());
+        assert_eq!(tape.rest_scratch_slots(), 0);
     }
 
     #[test]
@@ -927,6 +639,12 @@ mod tests {
             WirePlan::decode(&wrong_magic).unwrap_err(),
             WireError::BadMagic
         );
+        let mut bad_strategy = bytes.clone();
+        bad_strategy[14] = 9;
+        assert_eq!(
+            WirePlan::decode(&bad_strategy).unwrap_err(),
+            WireError::Malformed("strategy tag out of range")
+        );
         let mut future = bytes;
         future[4] = 0xFF;
         assert!(matches!(
@@ -942,57 +660,150 @@ mod tests {
         assert_eq!(err, WireError::WidthMismatch { plan: 8, word: 16 });
     }
 
+    fn instr(kernel: u64, src: Loc, dst: usize, op: OpCode) -> Instr<u64> {
+        Instr {
+            kernel,
+            src,
+            dst,
+            op,
+        }
+    }
+
+    /// The paper plan (`PpmNormalRest`) plus one well-formed verify run.
+    /// Its phase B is `H_rest` on the Normal sequence: 16 scratch-section
+    /// instructions writing `T` slots 0 (2 terms) and 1 (14 terms), then
+    /// 4 output-section instructions writing slots 2 and 3 from the `T`
+    /// slots, installed to sectors 13 and 14.
+    fn tamper_base() -> WirePlan {
+        let mut base = WirePlan::from_plan(&paper_plan(Strategy::PpmNormalRest));
+        base.verify.push(VerifyRun {
+            row: 0,
+            instrs: vec![
+                instr(1, Loc::Sector(0), 0, OpCode::MulCopy),
+                instr(2, Loc::Sector(13), 0, OpCode::MulXorFusedCont),
+            ],
+        });
+        base
+    }
+
+    fn rest(plan: &mut WirePlan) -> &mut TapeSegment<u64> {
+        plan.phase_b.as_mut().unwrap()
+    }
+
+    /// One tamper per rule of the tape validator, each rejected at
+    /// compile with that rule's message — never reaching execution.
     #[test]
     fn tampered_plans_fail_compile_not_execution() {
-        let base = WirePlan::from_plan(&paper_plan(Strategy::PpmNormalRest));
+        let base = tamper_base();
+        assert!(base.compile::<u8>(Backend::Scalar).is_ok());
+        let seg = rest(&mut base.clone()).clone();
+        assert_eq!((seg.scratch_boundary, seg.scratch_slots), (16, 2));
+        assert_eq!(seg.instrs.len(), 20);
 
-        // Out-of-range source sector.
-        let mut bad = base.clone();
-        bad.phase_a[0].instrs[0].src = WireLoc::Sector(9999);
-        assert!(matches!(
-            bad.compile::<u8>(Backend::Scalar).unwrap_err(),
-            WireError::Malformed(_)
-        ));
-
-        // Continuation with no head.
-        let mut bad = base.clone();
-        bad.phase_a[0].instrs[0].cont = true;
-        assert!(matches!(
-            bad.compile::<u8>(Backend::Scalar).unwrap_err(),
-            WireError::Malformed(_)
-        ));
-
-        // Output sector outside the faulty set.
-        let mut bad = base.clone();
-        bad.phase_a[0].outputs[0].1 = 0;
-        assert!(matches!(
-            bad.compile::<u8>(Backend::Scalar).unwrap_err(),
-            WireError::Malformed(_)
-        ));
-
-        // Constant past the field width.
-        let mut bad = base.clone();
-        bad.phase_a[0].instrs[0].constant = 0x100;
-        assert_eq!(
-            bad.compile::<u8>(Backend::Scalar).unwrap_err(),
-            WireError::Malformed("constant exceeds field width")
-        );
-
-        // A slot no run writes and no zero list covers.
-        let mut bad = base;
-        if let Some(seg) = bad.phase_b.as_mut() {
-            seg.scratch_slots += 1;
-            for instr in seg.instrs.iter_mut().skip(seg.scratch_boundary as usize) {
-                instr.dst += 1;
-            }
-            for out in seg.outputs.iter_mut() {
-                out.0 += 1;
-            }
+        type Tamper = fn(&mut WirePlan);
+        let cases: &[(&str, Tamper)] = &[
+            ("faulty set not sorted and unique", |p| p.faulty.swap(0, 1)),
+            ("faulty set not sorted and unique", |p| p.faulty.push(14)),
+            ("faulty sector out of range", |p| p.faulty.push(16)),
+            ("scratch boundary past segment end", |p| {
+                rest(p).scratch_boundary = 21;
+            }),
+            // The allocation guard: a slot count far past the segment's
+            // writers is rejected before the slot bitmap is allocated.
+            ("a slot is neither written nor zeroed", |p| {
+                rest(p).scratch_slots = u32::MAX as usize;
+            }),
+            ("scratch-section write past T slots", |p| {
+                rest(p).instrs[0].dst = 2;
+            }),
+            ("scratch section reads a slot", |p| {
+                rest(p).instrs[0].src = Loc::Slot(0);
+            }),
+            ("output-section write out of range", |p| {
+                rest(p).instrs[16].dst = 1;
+            }),
+            ("output-section write out of range", |p| {
+                rest(p).instrs[16].dst = 4;
+            }),
+            ("source sector out of range", |p| {
+                p.phase_a[0].instrs[0].src = Loc::Sector(9999);
+            }),
+            ("source slot out of range", |p| {
+                rest(p).instrs[16].src = Loc::Slot(2);
+            }),
+            ("continuation without its run head", |p| {
+                p.phase_a[0].instrs[0].op = OpCode::MulXorFusedCont;
+            }),
+            ("continuation without its run head", |p| {
+                rest(p).instrs[1].dst = 1;
+            }),
+            ("slot written by two run heads", |p| {
+                let seg = rest(p);
+                seg.instrs[18].dst = 2;
+                seg.instrs[19].dst = 2;
+            }),
+            ("zero slot out of range", |p| rest(p).zero_slots.push(4)),
+            ("zero slot also written by a run", |p| {
+                rest(p).zero_slots.push(2);
+            }),
+            ("a slot is neither written nor zeroed", |p| {
+                let seg = rest(p);
+                seg.scratch_slots += 1;
+                for instr in seg.instrs.iter_mut().skip(seg.scratch_boundary) {
+                    instr.dst += 1;
+                }
+                for out in seg.outputs.iter_mut() {
+                    out.0 += 1;
+                }
+            }),
+            ("non-canonical output slot layout", |p| {
+                rest(p).outputs.swap(0, 1);
+            }),
+            ("output sector out of range", |p| rest(p).outputs[0].1 = 16),
+            ("sector produced by two segments", |p| {
+                p.phase_a[1].outputs[0].1 = 2;
+            }),
+            ("output sector not in faulty set", |p| {
+                p.phase_a[0].outputs[0].1 = 0;
+            }),
+            ("verify source sector out of range", |p| {
+                p.verify[0].instrs[1].src = Loc::Sector(16);
+            }),
+            ("verify run reads a scratch slot", |p| {
+                p.verify[0].instrs[0].src = Loc::Slot(0);
+            }),
+            ("verify run writes a non-zero slot", |p| {
+                p.verify[0].instrs[1].dst = 1;
+            }),
+            ("verify run head/continuation order", |p| {
+                p.verify[0].instrs[0].op = OpCode::MulXorFusedCont;
+            }),
+            ("verify run head/continuation order", |p| {
+                p.verify[0].instrs[1].op = OpCode::MulCopy;
+            }),
+            // Not a tape rule: the kernel mapping rejects a constant the
+            // field cannot hold.
+            ("constant exceeds field width", |p| {
+                p.phase_a[0].instrs[0].kernel = 0x100;
+            }),
+        ];
+        for (i, (rule, tamper)) in cases.iter().enumerate() {
+            let mut bad = base.clone();
+            tamper(&mut bad);
+            assert_eq!(
+                bad.compile::<u8>(Backend::Scalar).unwrap_err(),
+                WireError::Malformed(rule),
+                "case {i}"
+            );
+            // The tamper survives the byte round trip, so a peer sending
+            // it is caught the same way.
+            let back = WirePlan::decode(&bad.encode()).unwrap();
+            assert_eq!(
+                back.compile::<u8>(Backend::Scalar).unwrap_err(),
+                WireError::Malformed(rule),
+                "case {i} after the byte round trip"
+            );
         }
-        assert!(matches!(
-            bad.compile::<u8>(Backend::Scalar).unwrap_err(),
-            WireError::Malformed(_)
-        ));
     }
 
     #[test]

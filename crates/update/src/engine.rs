@@ -31,8 +31,6 @@ pub enum FlushMode {
     /// Per flush, pick the route the cost model prices cheaper.
     #[default]
     Auto,
-    /// Always delta-patch (bench/diagnostic).
-    DeltaOnly,
     /// Always re-encode the full stripe — the "naive" baseline the
     /// buffered path is measured against.
     ReencodeOnly,
@@ -514,11 +512,7 @@ fn flush_one<W: GfWord, C: ErasureCode<W>>(
     for &slot in &dirty_sectors {
         predicted_delta += plan.update_mult_xors(map.data_sectors()[slot])?;
     }
-    let use_delta = match mode {
-        FlushMode::DeltaOnly => true,
-        FlushMode::ReencodeOnly => false,
-        FlushMode::Auto => predicted_delta < reencode_mult_xors,
-    };
+    let use_delta = mode == FlushMode::Auto && predicted_delta < reencode_mult_xors;
 
     let exec = if use_delta {
         // Per dirty sector: new contents = old bytes overlaid with the

@@ -621,7 +621,7 @@ fn cmd_repair(args: &[String]) -> Result<(), String> {
     let [dir] = pos.as_slice() else {
         return Err(format!("usage: {USAGE}"));
     };
-    let threads = flag_num(&flags, "threads")?.unwrap_or(4);
+    let threads = flag_num(&flags, "threads")?.unwrap_or(DecoderConfig::default().threads);
     let workers = flag_num(&flags, "workers")?;
     let archive = Archive::load(Path::new(dir))?;
     let devices = Devices::open(&archive);
@@ -916,7 +916,7 @@ fn cmd_update(args: &[String]) -> Result<(), String> {
         .map(|b| b.max(1) as u64)
         .unwrap_or(1 << 20);
     let workers = flag_num(&flags, "workers")?.unwrap_or(1);
-    let threads = flag_num(&flags, "threads")?.unwrap_or(4);
+    let threads = flag_num(&flags, "threads")?.unwrap_or(DecoderConfig::default().threads);
     let mode = if flags.contains_key("naive") {
         FlushMode::ReencodeOnly
     } else {

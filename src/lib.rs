@@ -76,10 +76,10 @@ pub use ppm_codes::{
 };
 pub use ppm_core::{
     cost, encode, parity_consistent, ArenaStats, BatchReport, CalcSequence, DecodeError,
-    DecodePlan, Decoder, DecoderConfig, ExecStats, ExecutableWirePlan, Executor, LogTable,
-    ParallelismCase, Partition, PlanCache, PlanCacheStats, PlanKey, PlanTape, Planner, RepairError,
-    RepairService, ScratchArena, Strategy, SubPlanStats, UpdatePlan, UpdateStats, VerifyReport,
-    VerifyStats, WireError, WirePartials, WirePlan,
+    DecodePlan, Decoder, DecoderConfig, ExecStats, Executor, LogTable, ParallelismCase, Partition,
+    PlanCache, PlanCacheStats, PlanKey, PlanTape, Planner, RepairError, RepairService,
+    ScratchArena, Strategy, SubPlanStats, UpdatePlan, UpdateStats, VerifyReport, VerifyStats,
+    WireError, WirePartials, WirePlan,
 };
 pub use ppm_faults::{BitFlip, FaultInjector};
 pub use ppm_gf::{Backend, GfWord, RegionMul};

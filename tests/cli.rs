@@ -262,6 +262,35 @@ fn stats_flag_reports_matching_ledger() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `repair` without `--threads` decodes on the default budget,
+/// `min(4, available cores)` — the rule `encode` follows — rather than
+/// mapping four threads onto fewer cores.
+#[test]
+fn repair_defaults_threads_to_the_core_count() {
+    let dir = workdir("threads");
+    let input = make_input(&dir, 50_000, 3);
+    let archive = dir.join("a");
+    let archive_s = archive.to_str().unwrap();
+    run_ok(&[
+        "encode",
+        "--code",
+        "sd:6,4,2,1",
+        "--sector-kib",
+        "1",
+        input.to_str().unwrap(),
+        archive_s,
+    ]);
+    run_ok(&["corrupt", archive_s, "--disks", "0"]);
+    let out = run_ok(&["repair", archive_s, "--stats"]);
+    let text = String::from_utf8_lossy(&out.stdout).into_owned();
+    let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
+    let want = format!("\"threads\":{}", cores.min(4));
+    assert!(text.contains("\"sample\":{"), "{text}");
+    assert!(text.contains(&want), "want {want}: {text}");
+    run_ok(&["verify", archive_s]);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A flag the command does not know is the usage error — never
 /// swallowed as a key/value pair (which used to eat the next argument).
 /// That includes the flags PR 12 removed.

@@ -7,7 +7,9 @@
 //! span path (a T = 2 decoder on sectors long enough to be cut into 4 KiB
 //! spans), with executed == predicted on each. On every pattern the `PpmAuto` plan also picks exactly what
 //! the long way picks: all four concrete plans built, the first strict
-//! minimum kept.
+//! minimum kept. And on every decodable pattern the plan's wire form
+//! passes the tape validator and compiles to a tape with the in-process
+//! tape's `mult_xors`, faulty list and phase-B split.
 //!
 //! For SD and PMDS the suite additionally pins the families' defining
 //! guarantees (Plank & Blaum, arXiv:1401.4715): any `m` whole disks plus
@@ -22,7 +24,7 @@ use ppm::stripe::random_data_stripe;
 use ppm::{
     encode, Backend, DecodeError, DecodePlan, Decoder, DecoderConfig, ErasureCode, EvenOddCode,
     FailureScenario, HitchhikerXor, LrcCode, PmdsCode, ProductCode, RdpCode, RepairError, RsCode,
-    SdCode, StarCode, Strategy, Stripe,
+    SdCode, StarCode, Strategy, Stripe, WirePlan,
 };
 use rand::{rngs::StdRng, SeedableRng};
 
@@ -148,6 +150,23 @@ impl<'a, C: ErasureCode<u8>> Harness<'a, C> {
             "{name} {faulty:?}: engine planned an undecodable pattern"
         );
         assert_eq!(by_oracle, self.pristine, "{name} {faulty:?}: oracle");
+
+        // The tape validator that guards wire input accepts the tape the
+        // compiler emitted: the plan's wire form compiles back to a tape
+        // of the same shape.
+        let local = plan.ensure_tape();
+        let remote = WirePlan::from_plan(&plan)
+            .compile::<u8>(Backend::Scalar)
+            .unwrap_or_else(|e| panic!("{name} {faulty:?}: wire plan rejected: {e}"));
+        assert_eq!(
+            (
+                remote.mult_xors(),
+                remote.faulty(),
+                remote.rest_splittable()
+            ),
+            (local.mult_xors(), local.faulty(), local.rest_splittable()),
+            "{name} {faulty:?}: wire tape against in-process tape"
+        );
 
         let mut whole = self.pristine.clone();
         whole.erase(&scenario);
