@@ -139,7 +139,8 @@ impl VerifyStats {
 ///
 /// A flush settles buffered dirty ranges into a stripe by one of two
 /// routes: *delta patching* (per dirty data sector, `Δ = old ⊕ new` is
-/// multiplied into every dependent parity — [`crate::UpdatePlan`]) or a
+/// multiplied into every dependent parity —
+/// [`RepairService::apply_update`](crate::RepairService::apply_update)) or a
 /// *full re-encode* when the stripe is dirty enough that re-deriving all
 /// parities is cheaper under the §III-B cost model. Either way the region
 /// work lands in the owning [`ExecStats`]'s phase ledger; this struct

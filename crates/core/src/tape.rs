@@ -27,8 +27,11 @@
 //!   scratch ([`crate::ScratchArena::take_dirty`]), so no decode pays a
 //!   zeroing sweep;
 //! * surplus verify rows lower to per-row fused runs into a single
-//!   accumulator slot, and the update path's delta plan is lowered
-//!   analogously by [`crate::UpdatePlan`] into per-column patch lists.
+//!   accumulator slot. Small writes use the same kernels and fused
+//!   accumulate without a tape: [`crate::UpdatePlan`] holds each data
+//!   column's kernels, and
+//!   [`RepairService::apply_update`](crate::RepairService::apply_update)
+//!   runs one fused run per touched parity.
 //!
 //! [`Instr`], [`TapeSegment`] and [`VerifyRun`] are generic over their
 //! kernel: an executable tape holds [`Kernel`]s, a wire plan the same

@@ -6,14 +6,15 @@
 //! can share one session). Each flush settles one stripe's pending
 //! ranges by whichever route the §III-B cost model prices cheaper:
 //!
-//! * **delta patching** — per dirty data sector, `Δ = old ⊕ new` is
-//!   multiplied into every dependent parity
-//!   ([`RepairService::apply_update`]); cost = Σ per-sector
+//! * **delta patching** — one [`RepairService::apply_update`] call with
+//!   every dirty data sector: per sector `Δ = old ⊕ new`, and each
+//!   dependent parity read and written once; cost = Σ per-sector
 //!   `update_mult_xors`, small when few sectors are dirty and the code
 //!   is asymmetric (LRC touches 1 local + g globals, RS all m);
-//! * **full re-encode** — rewrite the dirty bytes and re-derive every
-//!   parity through the cached encode plan; cost = the encode plan's
-//!   `mult_XORs`, flat in dirtiness and cheaper past the crossover.
+//! * **full re-encode** — overlay the dirty bytes in place and re-derive
+//!   every parity through the cached encode plan; cost = the encode
+//!   plan's `mult_XORs`, flat in dirtiness and cheaper past the
+//!   crossover.
 //!
 //! The crossover — the dirty fraction where delta stops winning — is
 //! exactly what the `update_throughput` bench reports per code family.
@@ -99,7 +100,7 @@ impl std::fmt::Display for UpdateError {
             } => write!(
                 f,
                 "write [{offset}, {}) outruns the {volume_bytes}-byte volume",
-                offset + len
+                u128::from(*offset) + u128::from(*len)
             ),
             UpdateError::EmptyVolume => write!(f, "engine needs at least one stripe"),
             UpdateError::MixedGeometry { expected, actual } => {
@@ -150,6 +151,24 @@ impl AddressMap {
         self.data_per_stripe() * self.stripes as u64
     }
 
+    /// Checks that a write of `len` bytes at volume byte `offset` lies
+    /// inside the volume. The sum is checked, so a range near `u64::MAX`
+    /// is refused rather than wrapped.
+    ///
+    /// # Errors
+    /// [`UpdateError::OutOfRange`] when the write ends past the volume.
+    pub fn check_range(&self, offset: u64, len: u64) -> Result<(), UpdateError> {
+        let volume_bytes = self.volume_bytes();
+        match offset.checked_add(len) {
+            Some(end) if end <= volume_bytes => Ok(()),
+            _ => Err(UpdateError::OutOfRange {
+                offset,
+                len,
+                volume_bytes,
+            }),
+        }
+    }
+
     /// Sector size in bytes.
     pub fn sector_bytes(&self) -> usize {
         self.sector_bytes
@@ -183,23 +202,13 @@ impl AddressMap {
     }
 }
 
-/// What one flush did: route, size, and the session's instrumented
-/// stats for the parity work.
+/// What one flush did: the stripe it settled and the session's
+/// instrumented stats for the parity work. `exec.update` records the
+/// route, the sectors written, the parity patches and the dirty bytes.
 #[derive(Clone, Debug)]
 pub struct FlushReport {
     /// Volume stripe index flushed.
     pub stripe: usize,
-    /// Coalesced dirty bytes settled.
-    pub dirty_bytes: u64,
-    /// Data sectors the flush rewrote.
-    pub dirty_sectors: usize,
-    /// Cost-model price of the delta route for this flush (`mult_XORs`).
-    pub predicted_delta_mult_xors: usize,
-    /// Cost-model price of the re-encode route (the encode plan's
-    /// `mult_XORs`) — flat per stripe.
-    pub predicted_reencode_mult_xors: usize,
-    /// True when the flush re-encoded instead of delta-patching.
-    pub full_reencode: bool,
     /// The session's executed ledger for the flush (`update` field set
     /// either way).
     pub exec: ExecStats,
@@ -245,8 +254,9 @@ impl EngineStats {
     }
 
     fn absorb(&mut self, report: &FlushReport, eviction: bool) {
+        let update = report.exec.update.unwrap_or_default();
         self.flushes += 1;
-        if report.full_reencode {
+        if update.full_reencode {
             self.reencode_flushes += 1;
         } else {
             self.delta_flushes += 1;
@@ -254,9 +264,7 @@ impl EngineStats {
         if eviction {
             self.evictions += 1;
         }
-        if let Some(u) = report.exec.update {
-            self.parity_patches += u.parity_patches as u64;
-        }
+        self.parity_patches += update.parity_patches as u64;
     }
 }
 
@@ -284,7 +292,8 @@ impl EngineStats {
 /// engine.write(100, &[0xAB; 40]).unwrap(); // unaligned small write
 /// let reports = engine.flush_all(1).unwrap();
 /// assert_eq!(reports.len(), 1);
-/// assert!(!reports[0].full_reencode, "one dirty sector: delta wins");
+/// let update = reports[0].exec.update.unwrap();
+/// assert!(!update.full_reencode, "one dirty sector: delta wins");
 /// ```
 pub struct UpdateEngine<'s, W: GfWord, C: ErasureCode<W>> {
     service: &'s RepairService<W, C>,
@@ -352,13 +361,7 @@ impl<'s, W: GfWord, C: ErasureCode<W>> UpdateEngine<'s, W, C> {
     /// of any flushes the write forced.
     pub fn write(&mut self, offset: u64, payload: &[u8]) -> Result<Vec<FlushReport>, UpdateError> {
         let len = payload.len() as u64;
-        if offset + len > self.map.volume_bytes() {
-            return Err(UpdateError::OutOfRange {
-                offset,
-                len,
-                volume_bytes: self.map.volume_bytes(),
-            });
-        }
+        self.map.check_range(offset, len)?;
         self.stats.writes += 1;
         self.stats.bytes_written += len;
         if len == 0 {
@@ -516,11 +519,12 @@ fn flush_one<W: GfWord, C: ErasureCode<W>>(
 
     let exec = if use_delta {
         // Per dirty sector: new contents = old bytes overlaid with the
-        // staged ranges. Sector buffers cycle through the session arena.
+        // staged ranges. Sector buffers cycle through the session arena;
+        // each is overwritten whole, so none needs zeroing.
         let mut buffers: Vec<Vec<u8>> = Vec::with_capacity(dirty_sectors.len());
         for &slot in &dirty_sectors {
             let sector = map.data_sectors()[slot];
-            let mut buf = service.arena().take(sector_bytes);
+            let mut buf = service.arena().take_dirty(sector_bytes);
             buf.copy_from_slice(stripe.sector(sector));
             overlay(&mut buf, slot, sector_bytes, &pending);
             buffers.push(buf);
@@ -540,13 +544,11 @@ fn flush_one<W: GfWord, C: ErasureCode<W>>(
         }
         exec
     } else {
-        // Overlay the staged bytes directly, then re-derive every
-        // parity through the cached encode plan.
+        // Overlay the staged bytes in place, then re-derive every parity
+        // through the cached encode plan.
         for &slot in &dirty_sectors {
             let sector = map.data_sectors()[slot];
-            let mut buf = stripe.sector(sector).to_vec();
-            overlay(&mut buf, slot, sector_bytes, &pending);
-            stripe.write_sector(sector, &buf);
+            overlay(stripe.sector_mut(sector), slot, sector_bytes, &pending);
         }
         let mut exec = service.encode(stripe)?;
         exec.update = Some(UpdateStats {
@@ -560,11 +562,6 @@ fn flush_one<W: GfWord, C: ErasureCode<W>>(
 
     Ok(FlushReport {
         stripe: index,
-        dirty_bytes,
-        dirty_sectors: dirty_sectors.len(),
-        predicted_delta_mult_xors: predicted_delta,
-        predicted_reencode_mult_xors: reencode_mult_xors,
-        full_reencode: !use_delta,
         exec,
     })
 }
@@ -583,5 +580,44 @@ fn overlay(buf: &mut [u8], slot: usize, sector_bytes: usize, pending: &PendingSt
         let src = &pending.data[s as usize..e as usize];
         let rel = (s - sector_start) as usize;
         buf[rel..rel + src.len()].copy_from_slice(src);
+    }
+}
+
+#[cfg(test)]
+#[allow(clippy::unwrap_used)]
+mod tests {
+    use super::*;
+    use ppm_codes::LrcCode;
+    use ppm_stripe::random_data_stripe;
+    use rand::{rngs::StdRng, SeedableRng};
+
+    #[test]
+    fn writes_past_the_volume_end_are_refused_without_overflow() {
+        let service =
+            RepairService::new(LrcCode::<u8>::new(4, 2, 1, 2).unwrap(), Default::default());
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut stripe = random_data_stripe(service.code(), 64, &mut rng);
+        service.encode(&mut stripe).unwrap();
+        let mut engine =
+            UpdateEngine::new(&service, vec![stripe], EngineConfig::default()).unwrap();
+        let volume_bytes = engine.address_map().volume_bytes();
+
+        for (offset, len) in [(u64::MAX - 4, 8), (volume_bytes - 4, 8), (volume_bytes, 1)] {
+            let err = engine.write(offset, &vec![0; len]).unwrap_err();
+            assert_eq!(
+                err,
+                UpdateError::OutOfRange {
+                    offset,
+                    len: len as u64,
+                    volume_bytes
+                }
+            );
+            assert!(err.to_string().contains("outruns"), "{err}");
+        }
+        assert_eq!(engine.stats(), EngineStats::default(), "nothing was staged");
+        assert!(engine.address_map().check_range(0, u64::MAX).is_err());
+        assert!(engine.address_map().check_range(volume_bytes, 0).is_ok());
+        engine.write(volume_bytes - 8, &[1; 8]).unwrap();
+        assert_eq!(engine.stats().writes, 1);
     }
 }

@@ -4,8 +4,9 @@
 //! Erasure-coded storage is dominated by small writes, and the update
 //! cost of one data sector is exactly where asymmetric parity pays off:
 //! an LRC write patches its one local parity plus the `g` globals while
-//! RS touches all `m` parities. This crate turns the one-shot
-//! [`UpdatePlan`](ppm_core::UpdatePlan) into a buffered write path:
+//! RS touches all `m` parities. This crate turns the session's one-shot
+//! [`RepairService::apply_update`](ppm_core::RepairService::apply_update)
+//! into a buffered write path:
 //!
 //! * [`RangeSet`] — coalescing dirty byte-ranges per stripe (merge
 //!   adjacent/overlapping writes before any parity math);

@@ -961,12 +961,15 @@ fn cmd_update(args: &[String]) -> Result<(), String> {
     let started = std::time::Instant::now();
     let mut reports = Vec::new();
     for (i, op) in ops.iter().enumerate() {
+        let op_err = |e| format!("op {i} (offset {}, len {}): {e}", op.offset, op.len);
+        // Range-check before building the payload: a trace record's
+        // `len` is untrusted and must not size an allocation.
+        engine
+            .address_map()
+            .check_range(op.offset, op.len)
+            .map_err(op_err)?;
         let payload = payload_bytes(seed, i as u64, op.len as usize);
-        reports.extend(
-            engine
-                .write(op.offset, &payload)
-                .map_err(|e| format!("op {i} (offset {}, len {}): {e}", op.offset, op.len))?,
-        );
+        reports.extend(engine.write(op.offset, &payload).map_err(op_err)?);
     }
     reports.extend(
         engine

@@ -262,6 +262,40 @@ fn stats_flag_reports_matching_ledger() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A trace record that runs past the volume — including one whose
+/// `offset + len` overflows `u64`, or whose `len` no allocation could
+/// hold — is refused as an error naming the range, before any payload
+/// is built, and the archive is left as it was.
+#[test]
+fn update_trace_rejects_out_of_range_records() {
+    let dir = workdir("update-range");
+    let input = make_input(&dir, 20_000, 4);
+    let archive = dir.join("a");
+    let archive_s = archive.to_str().unwrap();
+    run_ok(&[
+        "encode",
+        "--code",
+        "lrc:6,2,2,4",
+        "--sector-kib",
+        "1",
+        input.to_str().unwrap(),
+        archive_s,
+    ]);
+    let before = strip_files(&archive);
+    for (i, record) in ["18446744073709551612,8", "0,18446744073709551615"]
+        .iter()
+        .enumerate()
+    {
+        let trace = dir.join(format!("trace{i}.csv"));
+        std::fs::write(&trace, format!("{record}\n")).unwrap();
+        let err = run_err(&["update", archive_s, "--trace", trace.to_str().unwrap()]);
+        assert!(err.contains("outruns"), "{record}: {err}");
+    }
+    assert_eq!(strip_files(&archive), before, "no strip file was written");
+    run_ok(&["verify", archive_s]);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// `repair` without `--threads` decodes on the default budget,
 /// `min(4, available cores)` — the rule `encode` follows — rather than
 /// mapping four threads onto fewer cores.

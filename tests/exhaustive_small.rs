@@ -9,7 +9,10 @@
 //! the long way picks: all four concrete plans built, the first strict
 //! minimum kept. And on every decodable pattern the plan's wire form
 //! passes the tape validator and compiles to a tape with the in-process
-//! tape's `mult_xors`, faulty list and phase-B split.
+//! tape's `mult_xors`, faulty list and phase-B split. Every single
+//! data-sector write and every two-sector batch through
+//! `RepairService::apply_update` equals writing the data and
+//! re-encoding, with executed == predicted.
 //!
 //! For SD and PMDS the suite additionally pins the families' defining
 //! guarantees (Plank & Blaum, arXiv:1401.4715): any `m` whole disks plus
@@ -23,8 +26,8 @@ use ppm::cost::CostReport;
 use ppm::stripe::random_data_stripe;
 use ppm::{
     encode, Backend, DecodeError, DecodePlan, Decoder, DecoderConfig, ErasureCode, EvenOddCode,
-    FailureScenario, HitchhikerXor, LrcCode, PmdsCode, ProductCode, RdpCode, RepairError, RsCode,
-    SdCode, StarCode, Strategy, Stripe, WirePlan,
+    ExecStats, FailureScenario, HitchhikerXor, LrcCode, PmdsCode, ProductCode, RdpCode,
+    RepairError, RepairService, RsCode, SdCode, StarCode, Strategy, Stripe, WirePlan,
 };
 use rand::{rngs::StdRng, SeedableRng};
 
@@ -191,10 +194,57 @@ impl<'a, C: ErasureCode<u8>> Harness<'a, C> {
     }
 }
 
-/// Every pattern of size `1..=fault_tolerance`. Returns `(decodable,
-/// total)` pattern counts.
+/// One batch of small writes through `RepairService::apply_update`
+/// must equal writing the data and re-encoding the whole stripe, with
+/// executed == predicted `mult_XORs`. Returns the session's stats.
+fn check_update<C: ErasureCode<u8>>(
+    service: &RepairService<u8, &C>,
+    pristine: &Stripe,
+    writes: &[(usize, &[u8])],
+) -> ExecStats {
+    let name = service.code().name();
+    let sectors: Vec<usize> = writes.iter().map(|&(d, _)| d).collect();
+    let mut patched = pristine.clone();
+    let stats = service
+        .apply_update(&mut patched, writes)
+        .unwrap_or_else(|e| panic!("{name} {sectors:?}: update refused: {e}"));
+    let mut reference = pristine.clone();
+    for &(d, data) in writes {
+        reference.write_sector(d, data);
+    }
+    service.encode(&mut reference).expect("re-encode");
+    assert_eq!(
+        patched, reference,
+        "{name} {sectors:?}: update == re-encode"
+    );
+    assert!(stats.matches_prediction(), "{name} {sectors:?}: ledger");
+    stats
+}
+
+/// Every single data-sector write and every two-sector batch.
+fn every_small_write<C: ErasureCode<u8>>(code: &C, pristine: &Stripe) {
+    let service = RepairService::new(code, DecoderConfig::default());
+    let data = code.data_sectors();
+    let payload: Vec<Vec<u8>> = (0..2u8)
+        .map(|i| vec![0xA5 ^ i.wrapping_mul(0x3C); pristine.sector_bytes()])
+        .collect();
+    for size in 1..=2 {
+        for_each_subset(data.len(), size, &mut |picked| {
+            let writes: Vec<(usize, &[u8])> = picked
+                .iter()
+                .zip(&payload)
+                .map(|(&i, p)| (data[i], p.as_slice()))
+                .collect();
+            check_update(&service, pristine, &writes);
+        });
+    }
+}
+
+/// Every pattern of size `1..=fault_tolerance`, and every one- and
+/// two-sector small write. Returns `(decodable, total)` pattern counts.
 fn exhaustive<C: ErasureCode<u8>>(code: &C) -> (usize, usize) {
     let harness = Harness::new(code);
+    every_small_write(code, &harness.pristine);
     let sectors = code.layout().sectors();
     let (mut decodable, mut total) = (0, 0);
     for size in 1..=code.fault_tolerance() {
@@ -360,4 +410,48 @@ fn hitchhiker_every_pattern_up_to_fault_tolerance() {
     let (decodable, total) = exhaustive(&code);
     assert_eq!(total, 12 + 66 + 220 + 495);
     assert!(decodable < total);
+}
+
+/// A batch writing every data sector of SD(8,4,2,2), where parities
+/// depend on more data sectors than the dot kernel takes per pass, so
+/// those parities' fused runs accumulate over several passes.
+#[test]
+fn whole_stripe_update_batch_runs_multi_pass_parities() {
+    let code = SdCode::<u8>::new(8, 4, 2, 2, vec![1, 2, 4, 8]).expect("code");
+    let service = RepairService::new(&code, DecoderConfig::default());
+    let mut rng = StdRng::seed_from_u64(common::seed_from_env());
+    let mut pristine = random_data_stripe(&code, SECTOR_BYTES, &mut rng);
+    service.encode(&mut pristine).expect("encode");
+
+    let plan = service.update_plan().expect("update plan");
+    let data = code.data_sectors();
+    let mut terms_per_parity = vec![0usize; code.layout().sectors()];
+    for &d in &data {
+        for (p, _) in plan.parity_touched(d).expect("data sector") {
+            terms_per_parity[p] += 1;
+        }
+    }
+    let widest = terms_per_parity.iter().copied().max().unwrap_or(0);
+    assert_eq!(widest, data.len(), "a parity depends on every data sector");
+    assert!(widest > 16, "more terms than one dot-kernel pass: {widest}");
+
+    let payloads: Vec<Vec<u8>> = (0..data.len())
+        .map(|i| vec![(i as u8).wrapping_mul(29) ^ 0x5A; SECTOR_BYTES])
+        .collect();
+    let writes: Vec<(usize, &[u8])> = data
+        .iter()
+        .zip(&payloads)
+        .map(|(&d, p)| (d, p.as_slice()))
+        .collect();
+    let stats = check_update(&service, &pristine, &writes);
+    let touched = terms_per_parity.iter().filter(|&&t| t > 0).count();
+    assert_eq!(stats.phase_a.len(), 1);
+    assert_eq!(
+        stats.phase_a[0].outputs, touched,
+        "each parity written once"
+    );
+    assert_eq!(
+        stats.predicted_mult_xors,
+        terms_per_parity.iter().sum::<usize>()
+    );
 }

@@ -5,8 +5,8 @@ use ppm::core::cost::analyze;
 use ppm::stripe::random_data_stripe;
 use ppm::{
     encode, parity_consistent, Backend, Decoder, DecoderConfig, ErasureCode, EvenOddCode,
-    FailureScenario, HitchhikerXor, LrcCode, Partition, PmdsCode, ProductCode, RdpCode, RsCode,
-    SdCode, StarCode, Strategy,
+    FailureScenario, HitchhikerXor, LrcCode, Partition, PmdsCode, ProductCode, RdpCode,
+    RepairService, RsCode, SdCode, StarCode, Strategy,
 };
 use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
@@ -239,29 +239,32 @@ proptest! {
     }
 
     /// Incremental small writes are indistinguishable from full
-    /// re-encodes, for any sequence of updates.
+    /// re-encodes, for any batch of updates, repeats included.
     #[test]
     fn updates_equal_reencode(
         seed in any::<u64>(),
         writes in proptest::collection::vec((0usize..64, any::<u8>()), 1..6),
     ) {
-        use ppm::UpdatePlan;
         let code = SdCode::<u8>::new(6, 4, 2, 1, vec![1, 2, 4]).unwrap();
         let decoder = Decoder::new(DecoderConfig { threads: 1, backend: Backend::Scalar });
+        let service = RepairService::new(&code, decoder.config());
         let mut rng = StdRng::seed_from_u64(seed);
         let mut incremental = random_data_stripe(&code, 32, &mut rng);
         encode(&code, &decoder, &mut incremental).unwrap();
         let mut reencoded = incremental.clone();
 
-        let plan = UpdatePlan::build(&code, Backend::Scalar).unwrap();
         let data = code.data_sectors();
         let h = code.parity_check_matrix();
-        for (pick, fill) in writes {
-            let sector = data[pick % data.len()];
-            let new_data = vec![fill; incremental.sector_bytes()];
-            plan.apply(&mut incremental, sector, &new_data).unwrap();
-
-            reencoded.write_sector(sector, &new_data);
+        let payloads: Vec<(usize, Vec<u8>)> = writes
+            .iter()
+            .map(|&(pick, fill)| (data[pick % data.len()], vec![fill; incremental.sector_bytes()]))
+            .collect();
+        let batch: Vec<(usize, &[u8])> =
+            payloads.iter().map(|(sector, p)| (*sector, p.as_slice())).collect();
+        let stats = service.apply_update(&mut incremental, &batch).unwrap();
+        prop_assert!(stats.matches_prediction());
+        for (sector, new_data) in &payloads {
+            reencoded.write_sector(*sector, new_data);
         }
         // One full re-encode at the end must land on the same stripe.
         encode(&code, &decoder, &mut reencoded).unwrap();

@@ -5,8 +5,8 @@
 //! budgets and GF backends, decode (whole-sector, and T = 2 over sectors
 //! cut into 4 KiB spans) must be bit-identical to the oracle's recovery,
 //! surplus-row verification must flag exactly the rows the oracle finds
-//! violated, and the lowered delta-update path must equal a full
-//! re-encode — with executed mult_XORs equal to the planner's prediction
+//! violated, and a small write through the session's update path must
+//! equal a full re-encode — with executed mult_XORs equal to the planner's prediction
 //! on every leg.
 //!
 //! The workload seed is read from `PPM_SEED` (default 2015) so CI can
@@ -19,7 +19,6 @@ use ppm::stripe::random_data_stripe;
 use ppm::{
     encode, parity_consistent, Backend, Decoder, DecoderConfig, ErasureCode, FailureScenario,
     HitchhikerXor, LrcCode, PmdsCode, ProductCode, RepairService, RsCode, SdCode, Strategy, Stripe,
-    UpdatePlan,
 };
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -125,16 +124,16 @@ fn differential<C: ErasureCode<u8>>(code: &C, scenario: &FailureScenario, seed: 
             }
         }
 
-        // Delta-update leg: the lowered patch lists must be
-        // indistinguishable from writing the data and fully re-encoding,
-        // with the patch count matching the update cost model.
+        // Delta-update leg: a small write must be indistinguishable from
+        // writing the data and fully re-encoding, with the patch count
+        // matching the update cost model.
         delta_update_leg(code, &pristine, threads, backend, seed, &label);
     }
     verified
 }
 
-/// One small write through [`UpdatePlan`]'s lowered patch lists and
-/// through the session layer, checked against a full re-encode.
+/// One small write through [`RepairService::apply_update`], checked
+/// against a full re-encode.
 fn delta_update_leg<C: ErasureCode<u8>>(
     code: &C,
     pristine: &Stripe,
@@ -155,23 +154,19 @@ fn delta_update_leg<C: ErasureCode<u8>>(
     reference.write_sector(d, &new_data);
     encode(code, &decoder, &mut reference).expect("re-encode");
 
-    let up = UpdatePlan::build(code, backend).expect("update plan");
+    // Session path: counted patches must match the update cost model.
+    let service = RepairService::new(code, DecoderConfig { threads, backend });
     let mut patched = pristine.clone();
-    up.apply(&mut patched, d, &new_data).expect("apply");
+    let st = service
+        .apply_update(&mut patched, &[(d, new_data.as_slice())])
+        .expect("session update");
     assert_eq!(patched, reference, "patched == re-encoded ({label})");
     assert!(
         parity_consistent(&code.parity_check_matrix(), &patched, backend),
         "parity consistent ({label})"
     );
-
-    // Session path: counted patches must match the update cost model.
-    let service = RepairService::new(code, DecoderConfig { threads, backend });
-    let mut via_service = pristine.clone();
-    let st = service
-        .apply_update(&mut via_service, &[(d, new_data.as_slice())])
-        .expect("session update");
-    assert_eq!(via_service, reference, "session patch ({label})");
     assert!(st.matches_prediction(), "update ledger ({label})");
+    let up = service.update_plan().expect("update plan");
     assert_eq!(
         st.predicted_mult_xors,
         up.update_mult_xors(d).expect("cost"),
