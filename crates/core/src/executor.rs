@@ -97,7 +97,7 @@ impl Executor {
     }
 
     /// The survivor side of partial-block repair: runs the tape's
-    /// phase-A segments against the locally held stripe (installing their
+    /// phase-A segments against the locally held stripe (writing their
     /// recovered sectors in place) and then, if the tape's `H_rest` is
     /// [splittable](PlanTape::rest_splittable), computes only its
     /// partial-sum `T` blocks — the payload that crosses the wire. A
@@ -125,7 +125,7 @@ impl Executor {
             });
         };
         check_geometry(tape.total_sectors, stripe)?;
-        self.decoder.run_spans(tape.phase_a.iter(), stripe, arena);
+        self.decoder.run_spans(tape, false, stripe, arena);
 
         // Splittable H_rest: compute the scratch (T) section only — the
         // sums over locally held sectors. The output section (F⁻¹ · T)

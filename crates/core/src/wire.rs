@@ -673,7 +673,7 @@ mod tests {
     /// Its phase B is `H_rest` on the Normal sequence: 16 scratch-section
     /// instructions writing `T` slots 0 (2 terms) and 1 (14 terms), then
     /// 4 output-section instructions writing slots 2 and 3 from the `T`
-    /// slots, installed to sectors 13 and 14.
+    /// slots, written to sectors 13 and 14.
     fn tamper_base() -> WirePlan {
         let mut base = WirePlan::from_plan(&paper_plan(Strategy::PpmNormalRest));
         base.verify.push(VerifyRun {
@@ -765,6 +765,29 @@ mod tests {
             }),
             ("output sector not in faulty set", |p| {
                 p.phase_a[0].outputs[0].1 = 0;
+            }),
+            // In-place outputs: a phase-A segment computes straight into
+            // its sectors, with no T slots to stage them in.
+            ("phase-A segment has scratch slots", |p| {
+                let seg = &mut p.phase_a[0];
+                seg.scratch_slots = 1;
+                seg.zero_slots.push(0);
+                for instr in &mut seg.instrs {
+                    instr.dst += 1;
+                }
+                for out in &mut seg.outputs {
+                    out.0 += 1;
+                }
+            }),
+            // Phase A reads survivors only: sector 6 is another phase-A
+            // segment's output, written in the same domain.
+            ("phase-A segment reads a faulty sector", |p| {
+                p.phase_a[0].instrs[0].src = Loc::Sector(6);
+            }),
+            // H_rest's T slot reads sector 13, which its own output
+            // section overwrites in place.
+            ("segment reads a sector it outputs", |p| {
+                rest(p).instrs[0].src = Loc::Sector(13);
             }),
             ("verify source sector out of range", |p| {
                 p.verify[0].instrs[1].src = Loc::Sector(16);

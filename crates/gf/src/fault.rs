@@ -23,7 +23,7 @@ static KERNEL_FALLBACKS: AtomicU64 = AtomicU64::new(0);
 
 /// Forces every subsequent SIMD region operation in this process to
 /// produce a deliberately corrupted result (the first output byte is
-/// flipped). Scalar operations are unaffected. Intended for fault
+/// shifted, see `poison_if_forced`). Scalar operations are unaffected. Intended for fault
 /// injection in tests and benches; pair every `true` with a `false` (the
 /// switch is process-global).
 pub fn force_simd_miscompute(enabled: bool) {
@@ -36,15 +36,27 @@ pub fn simd_miscompute_forced() -> bool {
 }
 
 /// Corrupts a freshly written SIMD result when the miscompute switch is
-/// on. Called by the region kernels at each vector-path exit.
+/// on. Called by the region kernels at each vector-path exit, once per
+/// destination written.
+///
+/// The poison is a wrapping add of an odd constant, not an XOR: XOR
+/// poison cancels whenever an even number of poisoned accumulate calls
+/// land in one destination (two small writes into the same parity, say),
+/// so a forced miscompute would pass unseen. An added constant survives
+/// the XORs of later calls except on byte values that happen to absorb
+/// it, never by call count alone.
 #[inline]
 pub(crate) fn poison_if_forced(dst: &mut [u8]) {
     if simd_miscompute_forced() {
         if let Some(b) = dst.first_mut() {
-            *b ^= 0x5A;
+            *b = b.wrapping_add(POISON);
         }
     }
 }
+
+/// What [`poison_if_forced`] adds to the first byte; odd, so it is a
+/// generator of the additive group mod 256.
+const POISON: u8 = 0x5B;
 
 /// Records one self-check failure that demoted a multiplier to scalar.
 pub(crate) fn record_fallback() {

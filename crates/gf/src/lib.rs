@@ -56,7 +56,7 @@ mod word;
 pub use fault::{force_simd_miscompute, kernel_fallbacks, simd_miscompute_forced};
 pub use region::{
     mul_copy_fused, mul_copy_fused_with, mul_xor_fused, mul_xor_fused_with, xor_region,
-    xor_region_with, RegionMul,
+    xor_region_with, MultiDot, RegionMul,
 };
 pub use stats::RegionStats;
 pub use word::GfWord;

@@ -37,7 +37,7 @@ pub(crate) struct DotTerm<'a> {
 
 /// The register-accumulating dot kernel, constructed only after the CPU
 /// was found to support GFNI and AVX2.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, Debug)]
 pub(crate) struct DotKernel(());
 
 impl DotKernel {
@@ -64,6 +64,42 @@ impl DotKernel {
             // SAFETY: `detect` verified GFNI and AVX2; the asserts above
             // give every source `dst.len()` bytes.
             unsafe { x86::dot(terms, dst, accumulate) };
+        }
+    }
+}
+
+impl DotKernel {
+    /// The multi-destination dot product `dsts[d] = Σₛ matrices[s][d] ·
+    /// srcs[s]`, or `^=` when `accumulate`, for `D` destinations at once:
+    /// each 64-byte step loads each source once and keeps two 32-byte
+    /// accumulators per destination in registers. Every term is an
+    /// affine product — an absent term is the zero matrix, a coefficient
+    /// 1 the identity — so the loop never branches on a coefficient.
+    ///
+    /// # Panics
+    /// Panics if there are more than [`DOT_TERMS`] sources, the matrix
+    /// rows do not match the sources one to one, or a source or
+    /// destination length differs from the first destination's.
+    #[allow(unused_variables)]
+    pub(crate) fn run_multi<const D: usize>(
+        self,
+        srcs: &[&[u8]],
+        matrices: &[[u64; D]],
+        dsts: &mut [&mut [u8]; D],
+        accumulate: bool,
+    ) {
+        assert!(srcs.len() <= DOT_TERMS, "too many dot-product terms");
+        assert_eq!(srcs.len(), matrices.len(), "one matrix row per source");
+        let len = dsts.first().map_or(0, |d| d.len());
+        assert!(
+            srcs.iter().all(|s| s.len() == len) && dsts.iter().all(|d| d.len() == len),
+            "region length mismatch"
+        );
+        #[cfg(target_arch = "x86_64")]
+        {
+            // SAFETY: `detect` verified GFNI and AVX2; the asserts above
+            // give every source and destination `len` bytes.
+            unsafe { x86::multi(srcs, matrices, dsts, accumulate) };
         }
     }
 }
@@ -169,7 +205,7 @@ pub(crate) fn try_mul_u32(
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::DotTerm;
+    use super::{DotTerm, DOT_TERMS};
     use std::arch::x86_64::*;
 
     /// Bytes per dot-kernel step: four 32-byte accumulators.
@@ -254,6 +290,103 @@ mod x86 {
                 }
                 for (k, a) in acc.iter().enumerate() {
                     _mm256_storeu_si256(d.add(32 * k).cast(), *a);
+                }
+            }
+        }
+    }
+
+    /// Bytes per multi-destination step: two 32-byte accumulators per
+    /// destination, so four destinations fill eight registers.
+    const MULTI_STEP: usize = 64;
+
+    /// The multi-destination dot product: whole 64-byte steps in place,
+    /// then the partial last step through zero-padded copies of every
+    /// source and destination, so one compiled step loop computes every
+    /// byte.
+    ///
+    /// # Safety
+    /// The CPU supports GFNI and AVX2. At most [`DOT_TERMS`] sources,
+    /// one matrix row each, and every source and destination is
+    /// `dsts[0].len()` bytes.
+    pub(super) unsafe fn multi<const D: usize>(
+        srcs: &[&[u8]],
+        matrices: &[[u64; D]],
+        dsts: &mut [&mut [u8]; D],
+        accumulate: bool,
+    ) {
+        let len = dsts.first().map_or(0, |d| d.len());
+        let full = len - len % MULTI_STEP;
+        if full > 0 {
+            let ptrs: [*mut u8; D] = std::array::from_fn(|d| dsts[d].as_mut_ptr());
+            // SAFETY: every source and destination holds `len >= full`
+            // bytes; the features are the caller's guarantee.
+            unsafe { multi_steps(srcs, matrices, ptrs, full / MULTI_STEP, accumulate) };
+        }
+        let tail = len - full;
+        if tail == 0 {
+            return;
+        }
+        let mut pad = [[0u8; MULTI_STEP]; DOT_TERMS];
+        for (p, s) in pad.iter_mut().zip(srcs) {
+            p[..tail].copy_from_slice(&s[full..]);
+        }
+        let mut out = [[0u8; MULTI_STEP]; D];
+        if accumulate {
+            for (o, d) in out.iter_mut().zip(dsts.iter()) {
+                o[..tail].copy_from_slice(&d[full..]);
+            }
+        }
+        let padded: [&[u8]; DOT_TERMS] = std::array::from_fn(|i| &pad[i][..]);
+        let ptrs: [*mut u8; D] = std::array::from_fn(|d| out[d].as_mut_ptr());
+        // SAFETY: every padded source and output holds one step.
+        unsafe { multi_steps(&padded[..srcs.len()], matrices, ptrs, 1, accumulate) };
+        for (o, d) in out.iter().zip(dsts.iter_mut()) {
+            d[full..].copy_from_slice(&o[..tail]);
+        }
+    }
+
+    /// `n` steps of 64 bytes: per destination, two accumulators start
+    /// from the destination (accumulate) or zero, take
+    /// `affine(src, matrices[s][d])` for every source, and are stored
+    /// once.
+    ///
+    /// # Safety
+    /// The CPU supports GFNI and AVX2. Every source must be readable, and
+    /// every destination readable and writable, for `n * MULTI_STEP`
+    /// bytes; `matrices` has a row per source.
+    #[target_feature(enable = "avx2,gfni")]
+    unsafe fn multi_steps<const D: usize>(
+        srcs: &[&[u8]],
+        matrices: &[[u64; D]],
+        dsts: [*mut u8; D],
+        n: usize,
+        accumulate: bool,
+    ) {
+        // SAFETY: every access is below `n * MULTI_STEP` bytes past a
+        // pointer the caller vouches for; loadu/storeu need no alignment.
+        unsafe {
+            for i in 0..n {
+                let off = i * MULTI_STEP;
+                let mut acc = [[_mm256_setzero_si256(); 2]; D];
+                if accumulate {
+                    for (a, d) in acc.iter_mut().zip(dsts) {
+                        a[0] = _mm256_loadu_si256(d.add(off).cast());
+                        a[1] = _mm256_loadu_si256(d.add(off + 32).cast());
+                    }
+                }
+                for (s, row) in srcs.iter().zip(matrices) {
+                    let p = s.as_ptr().add(off);
+                    let v0 = _mm256_loadu_si256(p.cast());
+                    let v1 = _mm256_loadu_si256(p.add(32).cast());
+                    for (a, &m) in acc.iter_mut().zip(row) {
+                        let m = _mm256_set1_epi64x(m as i64);
+                        a[0] = _mm256_xor_si256(a[0], _mm256_gf2p8affine_epi64_epi8::<0>(v0, m));
+                        a[1] = _mm256_xor_si256(a[1], _mm256_gf2p8affine_epi64_epi8::<0>(v1, m));
+                    }
+                }
+                for (a, d) in acc.iter().zip(dsts) {
+                    _mm256_storeu_si256(d.add(off).cast(), a[0]);
+                    _mm256_storeu_si256(d.add(off + 32).cast(), a[1]);
                 }
             }
         }

@@ -7,7 +7,7 @@
 
 use ppm_gf::{
     force_simd_miscompute, kernel_fallbacks, mul_copy_fused, mul_xor_fused, simd_miscompute_forced,
-    Backend, GfWord, RegionMul,
+    Backend, GfWord, MultiDot, RegionMul,
 };
 use std::sync::{Mutex, PoisonError};
 
@@ -200,6 +200,69 @@ fn forced_miscompute_poisons_gf_runs_not_xor_runs() {
     assert_ne!(got[0], want[0], "a GF run is poisoned");
     assert_eq!(got[1..], want[1..], "once, in its first byte");
     assert_eq!(xor_got, xor_want, "an XOR-only run is not");
+}
+
+/// The poison does not cancel by call count: two poisoned accumulate
+/// calls into one buffer — two small writes into one parity — still
+/// leave it wrong. An XOR poison applied twice restored the right bytes.
+#[test]
+fn poison_survives_two_accumulate_calls() {
+    if Backend::detect() == Backend::Scalar {
+        return; // no vector unit to corrupt
+    }
+    let srcs = [pseudo_bytes(64, 81), pseudo_bytes(64, 82)];
+    let base = pseudo_bytes(64, 83);
+    let mut want = base.clone();
+    for src in &srcs {
+        RegionMul::<u8>::new(0x1D, Backend::Scalar).mul_xor(src, &mut want);
+    }
+    let got = with_forced_miscompute(|| {
+        let mut got = base.clone();
+        for src in &srcs {
+            RegionMul::<u8>::new(0x1D, Backend::Auto).mul_xor(src, &mut got);
+        }
+        got
+    });
+    assert_ne!(got, want, "two poisoned calls must not cancel");
+    assert_eq!(got[1..], want[1..], "only the first byte is poisoned");
+}
+
+/// A multi-destination call poisons every destination it writes, once.
+#[test]
+fn forced_miscompute_poisons_every_multi_destination() {
+    if !Backend::Gfni.is_available() {
+        return;
+    }
+    let srcs = [pseudo_bytes(200, 91), pseudo_bytes(200, 92)];
+    let kernels = [0x1Du8, 1, 0x53, 0xCA, 2, 0].map(|a| RegionMul::<u8>::new(a, Backend::Gfni));
+    // Source-major, three destinations; destination 1 reads only
+    // coefficient-1 and zero terms.
+    let coeffs: Vec<Option<&RegionMul<u8>>> = [0, 1, 2, 3, 5, 4]
+        .iter()
+        .map(|&k| Some(&kernels[k]))
+        .collect();
+    let table = MultiDot::new(3, &coeffs).expect("GFNI kernels qualify");
+    let mut want = vec![vec![0u8; 200]; 3];
+    for (s, src) in srcs.iter().enumerate() {
+        for (d, region) in want.iter_mut().enumerate() {
+            let a = coeffs[s * 3 + d].map_or(0, |k| k.constant());
+            RegionMul::<u8>::new(a, Backend::Scalar).mul_xor(src, region);
+        }
+    }
+    let got = with_forced_miscompute(|| {
+        let mut got = vec![pseudo_bytes(200, 93); 3];
+        let mut dsts: Vec<&mut [u8]> = got.iter_mut().map(Vec::as_mut_slice).collect();
+        table.mul_copy(|s| &srcs[s], &mut dsts);
+        got
+    });
+    for (d, (got, want)) in got.iter().zip(&want).enumerate() {
+        assert_ne!(got[0], want[0], "destination {d} is poisoned");
+        assert_eq!(
+            got[1..],
+            want[1..],
+            "destination {d}: once, in its first byte"
+        );
+    }
 }
 
 /// Every backend this CPU runs, `Auto` included.

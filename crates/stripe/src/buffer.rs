@@ -1,7 +1,7 @@
 //! The [`Stripe`] buffer: one flat allocation of `n·r` equal sectors.
 
 use ppm_codes::{FailureScenario, StripeLayout};
-use std::slice::ChunksMut;
+use std::slice::{ChunksExactMut, ChunksMut};
 
 /// Sector sizes must be a multiple of this, so that every GF(2^w) word
 /// width (1, 2 or 4 bytes) and the 64-bit XOR fast path divide evenly.
@@ -113,6 +113,12 @@ impl Stripe {
         sectors.iter().all(|&l| self.sector(l) == other.sector(l))
     }
 
+    /// Every sector as its own mutable view, in sector order: disjoint
+    /// borrows, so one sector can be written while others are read.
+    pub fn sectors_mut(&mut self) -> ChunksExactMut<'_, u8> {
+        self.data.chunks_exact_mut(self.sector_bytes)
+    }
+
     /// Cuts every sector into consecutive `span_bytes`-byte ranges (the
     /// last one shorter when `span_bytes` does not divide the sector) and
     /// yields one [`StripeSpan`] per range: span `k` holds bytes
@@ -179,7 +185,7 @@ pub struct StripeSpan<'a> {
     sectors: Vec<&'a mut [u8]>,
 }
 
-impl StripeSpan<'_> {
+impl<'a> StripeSpan<'a> {
     /// Bytes of each sector this span holds.
     pub fn sector_bytes(&self) -> usize {
         self.sectors.first().map_or(0, |s| s.len())
@@ -199,6 +205,11 @@ impl StripeSpan<'_> {
     /// Panics if `l` is not a sector of the stripe.
     pub fn sector_mut(&mut self, l: usize) -> &mut [u8] {
         self.sectors[l]
+    }
+
+    /// The span's views of every sector, in sector order.
+    pub fn into_sectors(self) -> Vec<&'a mut [u8]> {
+        self.sectors
     }
 }
 

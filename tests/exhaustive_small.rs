@@ -5,7 +5,10 @@
 //! reported `Unrecoverable` — and the engine and the oracle agree on
 //! which — through both the whole-sector path (serial decoder) and the
 //! span path (a T = 2 decoder on sectors long enough to be cut into 4 KiB
-//! spans), with executed == predicted on each. On every pattern the `PpmAuto` plan also picks exactly what
+//! spans), with executed == predicted on each. Both decodes run the
+//! tape's bundles — through the multi-destination kernel on a GFNI host
+//! — and the plan's wire tape, compiled with scalar kernels, runs the
+//! same bundles run by run to the same bytes. On every pattern the `PpmAuto` plan also picks exactly what
 //! the long way picks: all four concrete plans built, the first strict
 //! minimum kept. And on every decodable pattern the plan's wire form
 //! passes the tape validator and compiles to a tape with the in-process
@@ -26,7 +29,7 @@ use ppm::cost::CostReport;
 use ppm::stripe::random_data_stripe;
 use ppm::{
     encode, Backend, DecodeError, DecodePlan, Decoder, DecoderConfig, ErasureCode, EvenOddCode,
-    ExecStats, FailureScenario, HitchhikerXor, LrcCode, PmdsCode, ProductCode, RdpCode,
+    ExecStats, Executor, FailureScenario, HitchhikerXor, LrcCode, PmdsCode, ProductCode, RdpCode,
     RepairError, RepairService, RsCode, SdCode, StarCode, Strategy, Stripe, WirePlan,
 };
 use rand::{rngs::StdRng, SeedableRng};
@@ -93,6 +96,7 @@ struct Harness<'a, C> {
     spanned: Stripe,
     serial: Decoder,
     pooled: Decoder,
+    wire: Executor,
 }
 
 impl<'a, C: ErasureCode<u8>> Harness<'a, C> {
@@ -115,6 +119,10 @@ impl<'a, C: ErasureCode<u8>> Harness<'a, C> {
             spanned,
             serial: decoder(1),
             pooled: decoder(2),
+            wire: Executor::new(DecoderConfig {
+                threads: 1,
+                backend: Backend::Scalar,
+            }),
         }
     }
 
@@ -176,6 +184,17 @@ impl<'a, C: ErasureCode<u8>> Harness<'a, C> {
         let stats = self.serial.decode(&plan, &mut whole).expect("decode");
         assert_eq!(whole, by_oracle, "{name} {faulty:?}: whole-sector decode");
         assert!(stats.matches_prediction(), "{name} {faulty:?}: ledger");
+
+        // The same bundles with scalar kernels run run by run: the wire
+        // tape must give the bytes the multi-destination passes gave.
+        let mut by_wire = self.pristine.clone();
+        by_wire.erase(&scenario);
+        let stats = self
+            .wire
+            .execute_wire(&remote, &mut by_wire)
+            .expect("wire decode");
+        assert_eq!(by_wire, by_oracle, "{name} {faulty:?}: per-run bundles");
+        assert!(stats.matches_prediction(), "{name} {faulty:?}: wire ledger");
 
         // The oracle agreed the pattern decodes, so the spanned decode
         // must restore its own pristine stripe.
