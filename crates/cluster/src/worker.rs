@@ -80,12 +80,6 @@ impl<W: GfWord> Worker<W> {
         &self.stripes
     }
 
-    /// Distinct plans compiled so far (one network-shipped plan serves
-    /// every stripe sharing its failure scenario).
-    pub fn plans_cached(&self) -> usize {
-        self.plans.len()
-    }
-
     /// Serves requests from `transport` until
     /// [`Shutdown`](CoordinatorRequest::Shutdown), then returns the
     /// shard in its final state. Equivalent to [`Worker::serve`] with

@@ -61,7 +61,9 @@ pub enum RepairError {
     /// Verification was requested on a plan that cannot support it — a
     /// [`DecodePlan::restrict_to`](crate::DecodePlan::restrict_to)
     /// projection only materializes part of the stripe, so no full parity
-    /// equation can be evaluated.
+    /// equation can be evaluated — or through
+    /// [`Executor::verify_wire`](crate::Executor::verify_wire) on an
+    /// in-process tape whose plan has not lowered its verify runs yet.
     VerificationUnavailable,
     /// Erasure escalation ran out of budget: every candidate promotion of
     /// a suspect surviving sector was tried (or would exceed the code's
@@ -124,7 +126,7 @@ impl std::fmt::Display for RepairError {
             RepairError::VerificationUnavailable => {
                 write!(
                     f,
-                    "plan cannot verify: restricted plans do not materialize the full stripe"
+                    "plan cannot verify: restricted plans do not materialize the full stripe, and an in-process tape verifies through its plan"
                 )
             }
             RepairError::EscalationExhausted { attempts, budget } => {

@@ -39,7 +39,7 @@ use crate::plan::{DecodePlan, Strategy};
 use crate::stats::{ExecStats, SubPlanStats};
 use crate::tape::{
     view_source, Bundle, Domain, Instr, Kernel, Loc, OpCode, PlanTape, Run, Section, TapeSegment,
-    BUNDLE_RUNS,
+    VerifyRun, BUNDLE_RUNS,
 };
 use crate::DecodeError;
 use ppm_codes::{ErasureCode, FailureScenario};
@@ -171,7 +171,9 @@ impl Decoder {
     /// rows by construction, so a non-zero surplus row is independent
     /// evidence that a *surviving* input block is corrupt.
     ///
-    /// The pass uses the plan's region kernels, so its executed
+    /// A plan's first verify lowers those runs and builds the kernels of
+    /// the surplus constants its decode does not use; later verifies
+    /// replay them. The pass uses the plan's region kernels, so its executed
     /// `mult_XORs` land in [`VerifyReport::stats`] in the same unit as
     /// the decode ledger and equal [`DecodePlan::verify_mult_xors`]
     /// exactly.
@@ -465,25 +467,27 @@ fn verify_plan<W: GfWord>(
     if !plan.supports_verify() {
         return Err(DecodeError::VerificationUnavailable);
     }
-    run_verify_runs(plan.ensure_tape(), stripe, arena)
+    run_verify_runs(plan.verify_runs(), plan.total_sectors(), stripe, arena)
 }
 
-/// Replays a tape's lowered verify runs against a stripe: each surplus
-/// row is one fused run into a single accumulator slot. The only verify
-/// implementation — in-process plans and wire plans both end up here.
+/// Replays lowered verify runs against a stripe of `total_sectors`
+/// sectors: each surplus row is one fused run into a single accumulator
+/// slot. The only verify implementation — in-process plans and wire
+/// plans both end up here.
 pub(crate) fn run_verify_runs<W: GfWord>(
-    tape: &PlanTape<W>,
+    runs: &[VerifyRun<Kernel<W>>],
+    total_sectors: usize,
     stripe: &Stripe,
     arena: Option<&ScratchArena>,
 ) -> Result<VerifyReport, DecodeError> {
-    check_geometry(tape.total_sectors, stripe)?;
+    check_geometry(total_sectors, stripe)?;
     let sink = RegionStats::new();
     let started = Instant::now();
     let mut violated = Vec::new();
     // Each run's head overwrites the accumulator, so it needs no
     // zeroing — not on take, not between rows.
     let mut acc = take_buf_dirty(arena, stripe.sector_bytes());
-    for run in &tape.verify {
+    for run in runs {
         if run.instrs.is_empty() {
             // An all-zero surplus row: the empty XOR sum is zero, never
             // violated — and nothing wrote the (dirty) accumulator, so it
@@ -498,16 +502,22 @@ pub(crate) fn run_verify_runs<W: GfWord>(
             stripe.sector_bytes(),
             &sink,
         );
-        if acc.iter().any(|&b| b != 0) {
+        if !is_zero(&acc) {
             violated.push(run.row);
         }
     }
     give_buf(arena, acc);
     Ok(VerifyReport {
-        rows_checked: tape.verify.len(),
+        rows_checked: runs.len(),
         violated_rows: violated,
         stats: SubPlanStats::collect(&sink, 0, started.elapsed()),
     })
+}
+
+/// Whether every byte of `buf` is zero, tested a `u64` word at a time.
+fn is_zero(buf: &[u8]) -> bool {
+    let (words, tail) = buf.as_chunks::<8>();
+    words.iter().fold(0, |acc, w| acc | u64::from_ne_bytes(*w)) == 0 && tail.iter().all(|&b| b == 0)
 }
 
 /// Outcome of one surplus-row verification pass (see
@@ -1016,7 +1026,7 @@ mod tests {
             let tape = PlanTape::from_parts(
                 phase_a.iter().map(lower).collect(),
                 phase_b.as_ref().map(lower),
-                Vec::new(),
+                None,
                 16,
                 faulty.clone(),
                 Strategy::PpmNormalRest,
@@ -1156,23 +1166,15 @@ mod tests {
     /// as "not violated" rather than judged on stale bytes.
     #[test]
     fn verify_takes_a_dirty_accumulator_and_skips_empty_rows() {
-        let tape: PlanTape<u8> = PlanTape::from_parts(
-            Vec::new(),
-            None,
-            vec![crate::tape::VerifyRun {
-                row: 7,
-                instrs: Vec::new(),
-            }],
-            16,
-            Vec::new(),
-            Strategy::PpmNormalRest,
-            None,
-        );
+        let runs: Vec<VerifyRun<Kernel<u8>>> = vec![VerifyRun {
+            row: 7,
+            instrs: Vec::new(),
+        }];
         let stripe = Stripe::zeroed(ppm_codes::StripeLayout::new(4, 4), 64);
         let arena = ScratchArena::new();
         arena.give(vec![0xAB; 64]);
 
-        let report = run_verify_runs(&tape, &stripe, Some(&arena)).unwrap();
+        let report = run_verify_runs(&runs, 16, &stripe, Some(&arena)).unwrap();
         assert_eq!(report.rows_checked, 1);
         assert!(report.clean(), "an empty row is never violated");
         assert_eq!(report.stats.mult_xors, 0);

@@ -222,16 +222,29 @@ impl Executor {
         Ok(recovered)
     }
 
-    /// Verifies a locally held stripe against a tape's surplus rows. A
-    /// tape compiled from a wire plan carrying no verify rows reports
-    /// zero `rows_checked` (vacuously clean) — the wire encoding cannot
-    /// distinguish "surplus not retained" from "no surplus rows existed".
+    /// Verifies a locally held stripe against the surplus rows of a tape
+    /// compiled from a wire plan. A wire plan carrying no verify rows
+    /// reports zero `rows_checked` (vacuously clean) — the wire encoding
+    /// cannot distinguish "surplus not retained" from "no surplus rows
+    /// existed".
+    ///
+    /// # Errors
+    /// [`RepairError::VerificationUnavailable`](crate::RepairError::VerificationUnavailable)
+    /// for an in-process tape whose plan has not verified yet: its verify
+    /// section is lowered on the plan's first verify
+    /// ([`Executor::verify`]), and the tape alone cannot lower it.
+    /// [`RepairError::GeometryMismatch`](crate::RepairError::GeometryMismatch)
+    /// when the stripe does not match the tape.
     pub fn verify_wire<W: GfWord>(
         &self,
         tape: &PlanTape<W>,
         stripe: &Stripe,
     ) -> Result<VerifyReport, DecodeError> {
-        run_verify_runs(tape, stripe, Some(&self.arena))
+        let runs = tape
+            .verify
+            .get()
+            .ok_or(DecodeError::VerificationUnavailable)?;
+        run_verify_runs(runs, tape.total_sectors(), stripe, Some(&self.arena))
     }
 }
 

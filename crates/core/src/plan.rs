@@ -219,11 +219,15 @@ pub(crate) struct SubPlan<W: GfWord> {
     pub(crate) program: Program<W>,
 }
 
-/// Precomputed [`RegionMul`] per distinct coefficient of a plan.
+/// Precomputed [`RegionMul`] per distinct coefficient of a plan's decode
+/// programs.
 ///
 /// Kernels are held behind `Arc` so derived plans ([`DecodePlan::
-/// restrict_to`]) and compiled tapes ([`crate::tape::PlanTape`]) share
-/// the parent's multiplication tables instead of rebuilding them.
+/// restrict_to`]), compiled tapes ([`crate::tape::PlanTape`]) and the
+/// verify runs a plan lowers on its first verify
+/// ([`DecodePlan::verify_runs`]) share the plan's multiplication tables
+/// instead of rebuilding them. Surplus-row constants the decode does not
+/// use are not here: they get their kernels only when the plan verifies.
 #[derive(Debug)]
 pub(crate) struct RegionCache<W: GfWord> {
     /// One kernel per distinct coefficient, sorted by coefficient.
@@ -248,10 +252,11 @@ impl<W: GfWord> RegionCache<W> {
     }
 
     /// A cache for `coeffs`, sharing this cache's kernels where it has
-    /// them: a restricted plan's coefficients all come from parent
-    /// programs, so restriction never rebuilds a table the parent already
-    /// owns.
-    fn share(&self, mut coeffs: Vec<W>) -> Self {
+    /// them and building the rest: a restricted plan's coefficients all
+    /// come from parent programs, so restriction never rebuilds a table
+    /// the parent already owns, and a verify lowering builds only the
+    /// surplus constants the decode lacks.
+    pub(crate) fn share(&self, mut coeffs: Vec<W>) -> Self {
         coeffs.sort_unstable();
         coeffs.dedup();
         let kernels = coeffs.into_iter().map(|c| (c, self.get_arc(c))).collect();
@@ -308,7 +313,9 @@ pub struct DecodePlan<W: GfWord> {
     pub(crate) surplus: Option<Vec<SurplusRow<W>>>,
     /// Lazily compiled linear instruction tape (see [`crate::tape`]).
     /// Filled at most once; [`PlanCache`](crate::PlanCache) compiles it
-    /// at insert time so warm hits execute pure region arithmetic.
+    /// at insert time so warm hits execute pure region arithmetic. Its
+    /// verify section is lowered separately, on the first verify
+    /// ([`DecodePlan::verify_runs`]).
     pub(crate) tape: OnceLock<crate::tape::PlanTape<W>>,
 }
 
@@ -443,9 +450,10 @@ impl<W: GfWord> DecodePlan<W> {
     }
 
     /// Turns the chosen programs into an executable plan: the surplus
-    /// rows (every parity equation the programs do not consume) and one
-    /// checked kernel per distinct coefficient of the programs and those
-    /// rows.
+    /// rows (every parity equation the programs do not consume, as terms)
+    /// and one checked kernel per distinct coefficient of the programs.
+    /// The surplus rows' kernels wait for the plan's first verify
+    /// ([`DecodePlan::verify_runs`]): a plain repair never runs them.
     fn materialize(
         h: &Matrix<W>,
         faulty: Vec<usize>,
@@ -486,7 +494,6 @@ impl<W: GfWord> DecodePlan<W> {
             .iter()
             .chain(&phase_b)
             .flat_map(|s| s.program.coefficients())
-            .chain(surplus.iter().flat_map(|(_, t)| t.iter().map(|(c, _)| *c)))
             .collect();
         DecodePlan {
             phase_a,
@@ -623,6 +630,21 @@ impl<W: GfWord> DecodePlan<W> {
     pub fn ensure_tape(&self) -> &crate::tape::PlanTape<W> {
         self.tape
             .get_or_init(|| crate::tape::PlanTape::compile(self))
+    }
+
+    /// The surplus rows lowered to verify runs in the plan's tape,
+    /// lowering them on the first call: only a verify (or a
+    /// [`WirePlan::from_plan`](crate::WirePlan::from_plan), which ships
+    /// them) pays for the surplus kernels. Concurrent first calls lower
+    /// once. Empty for restricted plans.
+    pub(crate) fn verify_runs(&self) -> &[crate::tape::VerifyRun<crate::tape::Kernel<W>>] {
+        self.ensure_tape().verify.get_or_init(|| {
+            crate::tape::lower_verify(
+                self.surplus.as_deref().unwrap_or_default(),
+                &self.regions,
+                self.total_sectors,
+            )
+        })
     }
 
     /// The degree of parallelism `p`: how many independent sub-matrices
@@ -1301,5 +1323,176 @@ mod io_tests {
         let restricted = plan.restrict_to(&[2]);
         assert_eq!(restricted.sectors_read(), 3, "local 1x1 repair reads 3");
         assert!(plan.restrict_to(&[13]).sectors_read() <= 11);
+    }
+}
+
+#[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
+mod lazy_verify_tests {
+    use super::*;
+    use crate::{Decoder, DecoderConfig, RepairService, WirePlan};
+    use ppm_codes::{ErasureCode, SdCode};
+    use ppm_stripe::{random_data_stripe, Stripe};
+    use rand::{rngs::StdRng, SeedableRng};
+    use std::collections::BTreeSet;
+
+    const CONFIG: DecoderConfig = DecoderConfig {
+        threads: 1,
+        backend: Backend::Auto,
+    };
+
+    /// The paper's code with two lost sectors: three surplus rows, some
+    /// of whose constants the decode does not use.
+    fn case() -> (SdCode<u8>, FailureScenario, Stripe) {
+        let code = SdCode::<u8>::new(4, 4, 1, 1, vec![1, 2]).unwrap();
+        let mut stripe = random_data_stripe(&code, 256, &mut StdRng::seed_from_u64(5));
+        crate::encode(&code, &Decoder::new(CONFIG), &mut stripe).unwrap();
+        (code, FailureScenario::new(vec![2, 6]), stripe)
+    }
+
+    fn decode_constants(plan: &DecodePlan<u8>) -> BTreeSet<u8> {
+        plan.phase_a
+            .iter()
+            .chain(&plan.phase_b)
+            .flat_map(|s| s.program.coefficients())
+            .collect()
+    }
+
+    fn surplus_constants(plan: &DecodePlan<u8>) -> BTreeSet<u8> {
+        plan.surplus
+            .as_deref()
+            .unwrap()
+            .iter()
+            .flat_map(|(_, terms)| terms.iter().map(|&(c, _)| c))
+            .collect()
+    }
+
+    /// A plain repair compiles the decode and nothing else: the verify
+    /// section stays unlowered and the plan holds one kernel per
+    /// distinct decode coefficient, none for surplus-only constants.
+    #[test]
+    fn plain_repair_leaves_verify_unlowered() {
+        let (code, sc, pristine) = case();
+        let svc = RepairService::new(&code, CONFIG);
+        let mut stripe = pristine.clone();
+        stripe.erase(&sc);
+        svc.repair(&mut stripe, &sc).unwrap();
+        assert_eq!(stripe, pristine);
+
+        let (plan, hit) = svc.planner().plan_for(&sc).unwrap();
+        assert!(hit);
+        assert!(plan.ensure_tape().verify.get().is_none());
+        let decode = decode_constants(&plan);
+        let held: BTreeSet<u8> = plan.regions.kernels.iter().map(|(c, _)| *c).collect();
+        assert_eq!(held.len(), plan.regions.kernels.len(), "one kernel each");
+        assert_eq!(held, decode);
+        assert!(
+            !surplus_constants(&plan).is_subset(&decode),
+            "the case must have surplus-only constants to leave out"
+        );
+        // The verify counts are exact without lowering.
+        assert_eq!(plan.verify_rows(), 3);
+        assert!(plan.verify_mult_xors() > 0);
+        assert!(plan.ensure_tape().verify.get().is_none());
+    }
+
+    /// Threads verifying one fresh cached plan at once lower its verify
+    /// runs once: identical reports, and one kernel per surplus constant,
+    /// shared with the decode where the decode has the constant.
+    #[test]
+    fn concurrent_first_verifies_lower_once() {
+        let (code, sc, pristine) = case();
+        let svc = RepairService::new(&code, CONFIG);
+        let (plan, _) = svc.planner().plan_for(&sc).unwrap();
+        assert!(plan.ensure_tape().verify.get().is_none());
+        let mut stripe = pristine.clone();
+        stripe.sector_mut(0)[7] ^= 0x21;
+
+        let reports: Vec<_> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..4)
+                .map(|_| scope.spawn(|| svc.executor().verify(&plan, &stripe).unwrap()))
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        let first = &reports[0];
+        assert!(!first.clean());
+        assert_eq!(first.rows_checked, plan.verify_rows());
+        assert_eq!(first.stats.mult_xors, plan.verify_mult_xors() as u64);
+        for report in &reports {
+            assert_eq!(
+                (
+                    report.rows_checked,
+                    &report.violated_rows,
+                    report.stats.mult_xors
+                ),
+                (
+                    first.rows_checked,
+                    &first.violated_rows,
+                    first.stats.mult_xors
+                )
+            );
+        }
+
+        let mut by_constant: std::collections::HashMap<u8, &Arc<RegionMul<u8>>> =
+            Default::default();
+        for instr in plan.verify_runs().iter().flat_map(|r| &r.instrs) {
+            let kernel = by_constant
+                .entry(instr.kernel.constant())
+                .or_insert(&instr.kernel);
+            assert!(Arc::ptr_eq(kernel, &instr.kernel));
+        }
+        assert_eq!(
+            by_constant.keys().copied().collect::<BTreeSet<u8>>(),
+            surplus_constants(&plan)
+        );
+        for (c, kernel) in by_constant {
+            if let Some(decode) = plan.regions.find(c) {
+                assert!(Arc::ptr_eq(kernel, decode), "{c:#x} rebuilt");
+            }
+        }
+        assert_eq!(
+            plan.ensure_tape().verify_mult_xors(),
+            plan.verify_mult_xors()
+        );
+    }
+
+    /// A wire plan carries the verify runs whether or not the plan has
+    /// verified: the bytes are the same before and after.
+    #[test]
+    fn wire_bytes_do_not_depend_on_a_verify() {
+        let (code, sc, pristine) = case();
+        let h = code.parity_check_matrix();
+        let build = || DecodePlan::build(&h, &sc, Strategy::PpmAuto, Backend::Auto).unwrap();
+        let fresh = build();
+        let before = WirePlan::from_plan(&fresh).encode();
+        let verified = build();
+        let report = Decoder::new(CONFIG).verify(&verified, &pristine).unwrap();
+        assert!(report.clean() && report.rows_checked == 3);
+        assert_eq!(WirePlan::from_plan(&verified).encode(), before);
+        assert_eq!(WirePlan::from_plan(&fresh).encode(), before);
+    }
+
+    /// Debug builds validate verify runs when a plan lowers them, as the
+    /// tape compiler's output is validated.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "the verify lowering emitted runs the wire validator rejects")]
+    fn lowering_checks_the_verify_runs() {
+        let (code, sc, _) = case();
+        let h = code.parity_check_matrix();
+        let mut plan = DecodePlan::build(&h, &sc, Strategy::PpmAuto, Backend::Auto).unwrap();
+        let total = plan.total_sectors();
+        plan.surplus.as_mut().unwrap()[0].1.push((1, total));
+        plan.verify_runs();
+    }
+
+    /// The plan and its tape are no larger than before the verify
+    /// section became lazy: `encode_mid`'s set-up time moves with their
+    /// allocation size.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn plan_and_tape_sizes_hold() {
+        assert!(std::mem::size_of::<DecodePlan<u8>>() <= 616);
+        assert!(std::mem::size_of::<crate::tape::PlanTape<u8>>() <= 384);
     }
 }

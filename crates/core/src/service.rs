@@ -626,15 +626,6 @@ impl BatchReport {
         self.stats.len()
     }
 
-    /// Batch throughput in stripes per second (0.0 for an empty or
-    /// instantaneous batch).
-    pub fn stripes_per_sec(&self) -> f64 {
-        if self.wall_nanos == 0 {
-            return 0.0;
-        }
-        self.stats.len() as f64 * 1e9 / self.wall_nanos as f64
-    }
-
     /// True when every stripe's executed `mult_XORs` matched the §III-B
     /// prediction.
     pub fn all_match_prediction(&self) -> bool {
@@ -1304,7 +1295,6 @@ mod tests {
         assert!(report.inter_stripe);
         assert_eq!(report.stripes(), 10);
         assert!(report.all_match_prediction());
-        assert!(report.stripes_per_sec() > 0.0);
 
         // Single worker flows through the pooled decoder.
         let broken: Vec<Stripe> = pristine

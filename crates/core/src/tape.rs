@@ -28,9 +28,13 @@
 //!   scratch ([`crate::ScratchArena::take_dirty`]), so no decode pays a
 //!   zeroing sweep;
 //! * surplus verify rows lower to per-row fused runs into a single
-//!   accumulator slot. Small writes use the same kernels and fused
-//!   accumulate without a tape: [`crate::UpdatePlan`] holds each data
-//!   column's kernels, and
+//!   accumulator slot — on the plan's first verify, not at compile
+//!   ([`PlanTape::compile`] leaves the section empty and
+//!   [`DecodePlan::verify_runs`] fills it once), so a plan that only
+//!   repairs never builds the surplus rows' kernels. A wire-compiled tape
+//!   has no plan and carries its verify runs from the bytes. Small writes
+//!   use the same kernels and fused accumulate without a tape:
+//!   [`crate::UpdatePlan`] holds each data column's kernels, and
 //!   [`RepairService::apply_update`](crate::RepairService::apply_update)
 //!   runs one fused run per touched parity;
 //! * the runs are grouped into [`Bundle`]s, derived in
@@ -63,10 +67,10 @@
 //! `mult_XORs`, so executed == predicted holds on every decode.
 
 use crate::cost::CostReport;
-use crate::plan::{DecodePlan, Program, RegionCache, SubPlan};
+use crate::plan::{DecodePlan, Program, RegionCache, SubPlan, SurplusRow};
 use ppm_gf::{GfWord, MultiDot, RegionMul};
 use std::ops::Range;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// The kernel of an executable tape instruction: a multiply-by-constant
 /// table shared by every instruction of the plan that uses the constant.
@@ -293,8 +297,10 @@ pub struct PlanTape<W: GfWord> {
     pub(crate) phase_a: Vec<TapeSegment<Kernel<W>>>,
     /// The `H_rest` segment, run after phase A wrote its outputs.
     pub(crate) phase_b: Option<TapeSegment<Kernel<W>>>,
-    /// Surplus verify rows (empty for restricted plans).
-    pub(crate) verify: Vec<VerifyRun<Kernel<W>>>,
+    /// Surplus verify rows, lowered on the plan's first verify
+    /// ([`DecodePlan::verify_runs`]) or set from a wire plan's bytes.
+    /// Empty once lowered for a restricted plan.
+    pub(crate) verify: OnceLock<Vec<VerifyRun<Kernel<W>>>>,
     /// Sectors in the stripe geometry the tape expects.
     pub(crate) total_sectors: usize,
     /// The faulty sectors the tape recovers, ascending.
@@ -309,13 +315,13 @@ pub struct PlanTape<W: GfWord> {
     /// run, then the `H_rest` scratch and output sections.
     pub(crate) domains: [Domain; 3],
     mult_xors: usize,
-    verify_mult_xors: usize,
     rest_splittable: bool,
 }
 
 impl<W: GfWord> PlanTape<W> {
-    /// Lowers `plan` — called once per plan by
-    /// [`DecodePlan::ensure_tape`].
+    /// Lowers `plan`'s decode programs — called once per plan by
+    /// [`DecodePlan::ensure_tape`]. The verify section stays unlowered
+    /// until the plan's first verify.
     pub(crate) fn compile(plan: &DecodePlan<W>) -> Self {
         let phase_a: Vec<TapeSegment<Kernel<W>>> = plan
             .phase_a
@@ -326,26 +332,10 @@ impl<W: GfWord> PlanTape<W> {
             .phase_b
             .as_ref()
             .map(|sp| lower_subplan(sp, &plan.regions));
-        let verify: Vec<VerifyRun<Kernel<W>>> = plan
-            .surplus
-            .as_deref()
-            .unwrap_or_default()
-            .iter()
-            .map(|(row, terms)| {
-                let mut instrs = Vec::with_capacity(terms.len());
-                emit_run(
-                    &mut instrs,
-                    0,
-                    terms.iter().map(|&(c, s)| (c, Loc::Sector(s))),
-                    &plan.regions,
-                );
-                VerifyRun { row: *row, instrs }
-            })
-            .collect();
         let tape = PlanTape::from_parts(
             phase_a,
             phase_b,
-            verify,
+            None,
             plan.total_sectors(),
             plan.faulty().to_vec(),
             plan.strategy(),
@@ -355,7 +345,7 @@ impl<W: GfWord> PlanTape<W> {
             check(
                 &tape.phase_a,
                 tape.phase_b.as_ref(),
-                &tape.verify,
+                &[],
                 &tape.faulty,
                 tape.total_sectors
             ),
@@ -371,13 +361,14 @@ impl<W: GfWord> PlanTape<W> {
     }
 
     /// Assembles a tape from segments that pass [`check`], deriving the
-    /// instruction counts and [`PlanTape::rest_splittable`]. Shared by
-    /// [`PlanTape::compile`] and
-    /// [`WirePlan::compile`](crate::WirePlan::compile).
+    /// instruction count and [`PlanTape::rest_splittable`]. Shared by
+    /// [`PlanTape::compile`] (`verify` is `None`: the plan lowers it on
+    /// first verify) and [`WirePlan::compile`](crate::WirePlan::compile)
+    /// (`verify` comes with the bytes).
     pub(crate) fn from_parts(
         phase_a: Vec<TapeSegment<Kernel<W>>>,
         phase_b: Option<TapeSegment<Kernel<W>>>,
-        verify: Vec<VerifyRun<Kernel<W>>>,
+        verify: Option<Vec<VerifyRun<Kernel<W>>>>,
         total_sectors: usize,
         faulty: Vec<usize>,
         strategy: crate::plan::Strategy,
@@ -385,7 +376,6 @@ impl<W: GfWord> PlanTape<W> {
     ) -> Self {
         let mult_xors = phase_a.iter().map(|s| s.instrs.len()).sum::<usize>()
             + phase_b.as_ref().map_or(0, |s| s.instrs.len());
-        let verify_mult_xors = verify.iter().map(|r| r.instrs.len()).sum();
         let rest_splittable = phase_b.as_ref().is_some_and(|seg| {
             seg.instrs
                 .get(seg.scratch_boundary..)
@@ -416,14 +406,13 @@ impl<W: GfWord> PlanTape<W> {
         PlanTape {
             phase_a,
             phase_b,
-            verify,
+            verify: verify.map_or_else(OnceLock::new, OnceLock::from),
             total_sectors,
             faulty,
             strategy,
             predicted_costs,
             domains,
             mult_xors,
-            verify_mult_xors,
             rest_splittable,
         }
     }
@@ -441,10 +430,14 @@ impl<W: GfWord> PlanTape<W> {
         self.mult_xors
     }
 
-    /// Total verify-section instructions — equal to the plan's
-    /// [`DecodePlan::verify_mult_xors`].
+    /// Instructions of the lowered verify section: a wire-compiled
+    /// tape's, or an in-process tape's once its plan has verified —
+    /// then equal to the plan's [`DecodePlan::verify_mult_xors`], which
+    /// is exact without lowering. `0` while the section is unlowered.
     pub fn verify_mult_xors(&self) -> usize {
-        self.verify_mult_xors
+        self.verify
+            .get()
+            .map_or(0, |runs| runs.iter().map(|r| r.instrs.len()).sum())
     }
 
     /// The faulty sectors the tape recovers, ascending.
@@ -718,6 +711,15 @@ pub(crate) fn check<K>(
             return Err("segment reads a sector it outputs");
         }
     }
+    check_verify(verify, total_sectors)
+}
+
+/// [`check`]'s rules for verify runs, also asserted in debug builds when
+/// a plan lowers its verify section ([`lower_verify`]).
+pub(crate) fn check_verify<K>(
+    verify: &[VerifyRun<K>],
+    total_sectors: usize,
+) -> Result<(), &'static str> {
     for run in verify {
         for (i, instr) in run.instrs.iter().enumerate() {
             match instr.src {
@@ -841,6 +843,42 @@ fn emit_run<W: GfWord>(
     emitted
 }
 
+/// Lowers surplus rows to verify runs, one fused run per row into slot
+/// 0, over kernels shared from `regions` where it has the constant and
+/// built (checked) otherwise — one per distinct surplus constant. Called
+/// once per plan, on its first verify ([`DecodePlan::verify_runs`]).
+pub(crate) fn lower_verify<W: GfWord>(
+    surplus: &[SurplusRow<W>],
+    regions: &RegionCache<W>,
+    total_sectors: usize,
+) -> Vec<VerifyRun<Kernel<W>>> {
+    let regions = regions.share(
+        surplus
+            .iter()
+            .flat_map(|(_, terms)| terms.iter().map(|&(c, _)| c))
+            .collect(),
+    );
+    let runs: Vec<VerifyRun<Kernel<W>>> = surplus
+        .iter()
+        .map(|(row, terms)| {
+            let mut instrs = Vec::with_capacity(terms.len());
+            emit_run(
+                &mut instrs,
+                0,
+                terms.iter().map(|&(c, s)| (c, Loc::Sector(s))),
+                &regions,
+            );
+            VerifyRun { row: *row, instrs }
+        })
+        .collect();
+    debug_assert_eq!(
+        check_verify(&runs, total_sectors),
+        Ok(()),
+        "the verify lowering emitted runs the wire validator rejects"
+    );
+    runs
+}
+
 /// Lowers one sub-plan to a [`TapeSegment`].
 pub(crate) fn lower_subplan<W: GfWord>(
     sp: &SubPlan<W>,
@@ -930,10 +968,12 @@ mod tests {
         let tape = plan.ensure_tape();
         assert_eq!(tape.mult_xors(), plan.mult_xors());
         assert_eq!(tape.mult_xors(), 29);
-        assert_eq!(tape.verify_mult_xors(), plan.verify_mult_xors());
         assert_eq!(tape.phase_a.len(), plan.parallelism());
         assert_eq!(tape.phase_b.is_some(), plan.has_phase_b());
-        assert_eq!(tape.verify.len(), plan.verify_rows());
+        // The verify section waits for the plan's first verify.
+        assert!(tape.verify.get().is_none());
+        assert_eq!(plan.verify_runs().len(), plan.verify_rows());
+        assert_eq!(tape.verify_mult_xors(), plan.verify_mult_xors());
         // The OnceLock caches: a second call hands back the same tape.
         assert!(std::ptr::eq(tape, plan.ensure_tape()));
     }
@@ -1197,7 +1237,7 @@ mod tests {
             PlanTape::from_parts(
                 vec![seg],
                 None,
-                Vec::new(),
+                None,
                 32,
                 (20..28).collect(),
                 PlanStrategy::PpmNormalRest,

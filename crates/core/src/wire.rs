@@ -126,8 +126,10 @@ fn narrow(value: usize) -> u32 {
 impl WirePlan {
     /// Captures `plan`'s compiled tape as a wire plan (compiling the tape
     /// first if the plan never went through a
-    /// [`PlanCache`](crate::PlanCache) insert).
+    /// [`PlanCache`](crate::PlanCache) insert, and lowering its verify
+    /// runs if the plan never verified).
     pub fn from_plan<W: GfWord>(plan: &DecodePlan<W>) -> WirePlan {
+        let verify_runs = plan.verify_runs();
         let tape = plan.ensure_tape();
         let mut constant = |k: &Kernel<W>| Ok::<_, Infallible>(k.constant().to_u64());
         let mut segment = |seg: &TapeSegment<Kernel<W>>| {
@@ -136,8 +138,7 @@ impl WirePlan {
         };
         let phase_a = tape.phase_a.iter().map(&mut segment).collect();
         let phase_b = tape.phase_b.as_ref().map(segment);
-        let verify = tape
-            .verify
+        let verify = verify_runs
             .iter()
             .map(|run| {
                 let Ok(run) = run.map_kernels(&mut constant);
@@ -316,7 +317,7 @@ impl WirePlan {
         Ok(PlanTape::from_parts(
             phase_a,
             phase_b,
-            verify,
+            Some(verify),
             self.total_sectors,
             self.faulty.clone(),
             self.strategy,

@@ -179,11 +179,6 @@ impl AddressMap {
         &self.data_sectors
     }
 
-    /// The data sector index holding stripe-relative data byte `offset`.
-    pub fn sector_of(&self, offset: u64) -> usize {
-        self.data_sectors[(offset as usize) / self.sector_bytes]
-    }
-
     /// Splits a volume-address write into per-stripe pieces
     /// `(stripe, stripe_relative_offset, len)`, in address order.
     pub fn split_write(&self, offset: u64, len: u64) -> Vec<(usize, u64, u64)> {
@@ -447,11 +442,6 @@ impl<'s, W: GfWord, C: ErasureCode<W>> UpdateEngine<'s, W, C> {
     /// Coalesced dirty bytes currently buffered.
     pub fn pending_bytes(&self) -> u64 {
         self.buffer.dirty_bytes()
-    }
-
-    /// Stripes with buffered writes.
-    pub fn pending_stripes(&self) -> usize {
-        self.buffer.stripes_pending()
     }
 
     /// Cumulative engine counters.

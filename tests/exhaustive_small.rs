@@ -12,8 +12,12 @@
 //! the long way picks: all four concrete plans built, the first strict
 //! minimum kept. And on every decodable pattern the plan's wire form
 //! passes the tape validator and compiles to a tape with the in-process
-//! tape's `mult_xors`, faulty list and phase-B split. Every single
-//! data-sector write and every two-sector batch through
+//! tape's `mult_xors`, faulty list and phase-B split. On every
+//! decodable pattern the decoded stripe verifies clean against the
+//! plan's surplus rows, with executed == predicted verify `mult_XORs`,
+//! the wire tape's verify gives the same report, and a one-byte flip in
+//! a surviving sector a surplus row reads is reported on that row.
+//! Every single data-sector write and every two-sector batch through
 //! `RepairService::apply_update` equals writing the data and
 //! re-encoding, with executed == predicted.
 //!
@@ -29,8 +33,8 @@ use ppm::cost::CostReport;
 use ppm::stripe::random_data_stripe;
 use ppm::{
     encode, Backend, DecodeError, DecodePlan, Decoder, DecoderConfig, ErasureCode, EvenOddCode,
-    ExecStats, Executor, FailureScenario, HitchhikerXor, LrcCode, PmdsCode, ProductCode, RdpCode,
-    RepairError, RepairService, RsCode, SdCode, StarCode, Strategy, Stripe, WirePlan,
+    ExecStats, Executor, FailureScenario, HitchhikerXor, LrcCode, PlanTape, PmdsCode, ProductCode,
+    RdpCode, RepairError, RepairService, RsCode, SdCode, StarCode, Strategy, Stripe, WirePlan,
 };
 use rand::{rngs::StdRng, SeedableRng};
 
@@ -97,6 +101,8 @@ struct Harness<'a, C> {
     serial: Decoder,
     pooled: Decoder,
     wire: Executor,
+    /// Patterns whose verify leg flipped a byte (see `check_verify`).
+    flips: std::cell::Cell<usize>,
 }
 
 impl<'a, C: ErasureCode<u8>> Harness<'a, C> {
@@ -123,6 +129,48 @@ impl<'a, C: ErasureCode<u8>> Harness<'a, C> {
                 threads: 1,
                 backend: Backend::Scalar,
             }),
+            flips: std::cell::Cell::new(0),
+        }
+    }
+
+    /// The verify leg on a correctly decoded stripe: clean with the exact
+    /// ledger, the same report through the wire tape, and a one-byte flip
+    /// in a surviving sector that a surplus row reads violates that row.
+    fn check_verify(&self, plan: &DecodePlan<u8>, remote: &PlanTape<u8>, decoded: &Stripe) {
+        let name = self.code.name();
+        let faulty = plan.faulty();
+        let report = self.serial.verify(plan, decoded).expect("verify");
+        assert!(report.clean(), "{name} {faulty:?}: {report:?}");
+        assert_eq!(report.rows_checked, plan.verify_rows(), "{name} {faulty:?}");
+        assert_eq!(
+            report.stats.mult_xors,
+            plan.verify_mult_xors() as u64,
+            "{name} {faulty:?}: verify ledger"
+        );
+        let outcome = |r: &ppm::VerifyReport| (r.rows_checked, r.violated_rows.clone());
+        let by_wire = self.wire.verify_wire(remote, decoded).expect("wire verify");
+        assert_eq!(
+            outcome(&by_wire),
+            outcome(&report),
+            "{name} {faulty:?}: wire verify"
+        );
+        assert_eq!(by_wire.stats.mult_xors, report.stats.mult_xors);
+
+        let read = plan.surplus_row_indices().into_iter().find_map(|row| {
+            (0..plan.total_sectors())
+                .find(|&s| faulty.binary_search(&s).is_err() && self.h.get(row, s) != 0)
+                .map(|s| (row, s))
+        });
+        if let Some((row, sector)) = read {
+            let mut flipped = decoded.clone();
+            let byte = sector % flipped.sector_bytes();
+            flipped.sector_mut(sector)[byte] ^= 0x5A;
+            let report = self.serial.verify(plan, &flipped).expect("verify");
+            assert!(
+                report.violated_rows.contains(&row),
+                "{name} {faulty:?}: flip in sector {sector} missed by row {row}: {report:?}"
+            );
+            self.flips.set(self.flips.get() + 1);
         }
     }
 
@@ -184,6 +232,7 @@ impl<'a, C: ErasureCode<u8>> Harness<'a, C> {
         let stats = self.serial.decode(&plan, &mut whole).expect("decode");
         assert_eq!(whole, by_oracle, "{name} {faulty:?}: whole-sector decode");
         assert!(stats.matches_prediction(), "{name} {faulty:?}: ledger");
+        self.check_verify(&plan, &remote, &whole);
 
         // The same bundles with scalar kernels run run by run: the wire
         // tape must give the bytes the multi-destination passes gave.
@@ -274,8 +323,14 @@ fn exhaustive<C: ErasureCode<u8>>(code: &C) -> (usize, usize) {
     }
     // Sanity on the enumeration itself: every single erasure decodes,
     // and the family has patterns on both sides of the boundary or is
-    // MDS-like (all decodable).
+    // MDS-like (all decodable). Single erasures leave surplus rows, so
+    // the verify leg flipped bytes.
     assert!(decodable >= sectors, "{}: single erasures", code.name());
+    assert!(
+        harness.flips.get() >= sectors,
+        "{}: verify flips",
+        code.name()
+    );
     (decodable, total)
 }
 
