@@ -16,7 +16,11 @@
 //! decodable pattern the decoded stripe verifies clean against the
 //! plan's surplus rows, with executed == predicted verify `mult_XORs`,
 //! the wire tape's verify gives the same report, and a one-byte flip in
-//! a surviving sector a surplus row reads is reported on that row.
+//! a surviving sector a surplus row reads is reported on that row. On
+//! every decodable pattern the cluster split repairs too: a survivor runs
+//! the wire tape's phase A and `H_rest`'s `T` section, the coordinator
+//! finishes `F⁻¹ · T` from the shipped blocks on its own tape, and the
+//! installed sectors are the oracle's.
 //! Every single data-sector write and every two-sector batch through
 //! `RepairService::apply_update` equals writing the data and
 //! re-encoding, with executed == predicted.
@@ -103,6 +107,8 @@ struct Harness<'a, C> {
     wire: Executor,
     /// Patterns whose verify leg flipped a byte (see `check_verify`).
     flips: std::cell::Cell<usize>,
+    /// Patterns whose `H_rest` split across the wire (see `check_split`).
+    splits: std::cell::Cell<usize>,
 }
 
 impl<'a, C: ErasureCode<u8>> Harness<'a, C> {
@@ -130,6 +136,7 @@ impl<'a, C: ErasureCode<u8>> Harness<'a, C> {
                 backend: Backend::Scalar,
             }),
             flips: std::cell::Cell::new(0),
+            splits: std::cell::Cell::new(0),
         }
     }
 
@@ -172,6 +179,43 @@ impl<'a, C: ErasureCode<u8>> Harness<'a, C> {
             );
             self.flips.set(self.flips.get() + 1);
         }
+    }
+
+    /// The cluster split: a survivor runs the wire tape's phase A and,
+    /// when `H_rest` splits, only its `T` section; the coordinator
+    /// finishes `F⁻¹ · T` on its in-process tape from the shipped blocks
+    /// alone. The installed sectors must be the oracle's.
+    fn check_split(
+        &self,
+        local: &PlanTape<u8>,
+        remote: &PlanTape<u8>,
+        scenario: &FailureScenario,
+        by_oracle: &Stripe,
+    ) {
+        let name = self.code.name();
+        let faulty = scenario.faulty();
+        let mut survivor = self.pristine.clone();
+        survivor.erase(scenario);
+        let partials = self
+            .wire
+            .wire_partials(remote, &mut survivor)
+            .expect("wire partials");
+        assert_eq!(
+            (partials.rest_pending, partials.rest_blocks.len()),
+            (local.rest_splittable(), local.rest_scratch_slots()),
+            "{name} {faulty:?}: split shape"
+        );
+        if partials.rest_pending {
+            let recovered = self
+                .wire
+                .finish_rest(local, &partials.rest_blocks, survivor.sector_bytes())
+                .expect("finish rest");
+            for (sector, bytes) in &recovered {
+                survivor.write_sector(*sector, bytes);
+            }
+            self.splits.set(self.splits.get() + 1);
+        }
+        assert_eq!(survivor, *by_oracle, "{name} {faulty:?}: split repair");
     }
 
     /// Checks one pattern; returns whether it was decodable.
@@ -244,6 +288,7 @@ impl<'a, C: ErasureCode<u8>> Harness<'a, C> {
             .expect("wire decode");
         assert_eq!(by_wire, by_oracle, "{name} {faulty:?}: per-run bundles");
         assert!(stats.matches_prediction(), "{name} {faulty:?}: wire ledger");
+        self.check_split(local, &remote, &scenario, &by_oracle);
 
         // The oracle agreed the pattern decodes, so the spanned decode
         // must restore its own pristine stripe.
@@ -368,6 +413,7 @@ fn sd_every_pattern_up_to_fault_tolerance() {
         assert!(harness.check(faulty), "SD guarantee broken at {faulty:?}");
     });
     assert_eq!(guaranteed, 4 * 12);
+    assert!(harness.splits.get() > 0, "no SD pattern split H_rest");
 }
 
 #[test]
