@@ -17,6 +17,12 @@
 //! make one pass over them through the multi-destination kernel
 //! ([`ppm_gf::MultiDot`]), so a source is read once for all of them.
 //!
+//! [`run_bundle`] is the only function that runs a tape's kernels; its
+//! callers differ only in where sources and destinations live. A decode
+//! reads and writes its span view, a verify reads the stripe into
+//! sector-sized accumulators, and the cluster split's two halves write
+//! and read the shipped `T` blocks ([`crate::Executor`]).
+//!
 //! The threads divide bytes, not sub-matrices. `mult_XORs` are byte-wise
 //! independent, so a decoder with `T > 1` cuts sectors of at least
 //! `2 · T · 4 KiB` into 4 KiB spans and maps the spans over `T` per-call
@@ -38,8 +44,7 @@ use crate::par::par_map;
 use crate::plan::{DecodePlan, Strategy};
 use crate::stats::{ExecStats, SubPlanStats};
 use crate::tape::{
-    view_source, Bundle, Domain, Instr, Kernel, Loc, OpCode, PlanTape, Run, Section, TapeSegment,
-    VerifyRun, BUNDLE_RUNS,
+    view_source, Bundle, Domain, Instr, Kernel, Loc, PlanTape, Run, VerifySection, BUNDLE_RUNS,
 };
 use crate::DecodeError;
 use ppm_codes::{ErasureCode, FailureScenario};
@@ -193,17 +198,6 @@ impl Decoder {
         verify_plan(plan, stripe, None)
     }
 
-    /// [`Decoder::verify`] with the accumulator buffer borrowed from
-    /// `arena` (see [`Decoder::decode_in`]).
-    pub fn verify_in<W: GfWord>(
-        &self,
-        plan: &DecodePlan<W>,
-        stripe: &Stripe,
-        arena: &ScratchArena,
-    ) -> Result<VerifyReport, DecodeError> {
-        verify_plan(plan, stripe, Some(arena))
-    }
-
     /// The one execution loop, behind every in-process and wire-plan
     /// decode: geometry check → `Decoder::run_spans` over phase A, then
     /// `H_rest` → [`ExecStats`].
@@ -349,11 +343,11 @@ fn run_span<'s, W: GfWord>(
 
     let started = Instant::now();
     let [phase_a, rest_scratch, rest_output] = &tape.domains;
-    run_domain(tape, phase_a, &mut view, &sinks, len);
+    run_domain(tape, phase_a, &mut view, &sinks);
     let nanos_a = started.elapsed().as_nanos();
     if rest.is_some() {
-        run_domain(tape, rest_scratch, &mut view, &sinks, len);
-        run_domain(tape, rest_output, &mut view, &sinks, len);
+        run_domain(tape, rest_scratch, &mut view, &sinks);
+        run_domain(tape, rest_output, &mut view, &sinks);
     }
     let nanos_b = started.elapsed().as_nanos() - nanos_a;
     drop(view);
@@ -383,13 +377,19 @@ fn run_span<'s, W: GfWord>(
 }
 
 /// Runs one domain over a span view: zeroes its empty destinations, then
-/// runs its bundles.
-fn run_domain<W: GfWord>(
+/// runs each bundle in place. The bundle's destinations are taken out of
+/// the view (`std::mem::take` leaves an empty slice), its sources are
+/// read through the rest of it, and the destinations go back.
+//
+// Indexing is safe by [`crate::tape::check`] and bundle derivation:
+// every destination is in range, and no run reads a destination of its
+// domain, so no source is a taken entry.
+#[allow(clippy::indexing_slicing)]
+pub(crate) fn run_domain<W: GfWord>(
     tape: &PlanTape<W>,
     domain: &Domain,
     view: &mut [&mut [u8]],
     sinks: &[RegionStats],
-    len: usize,
 ) {
     for &z in &domain.zero {
         if let Some(dst) = view.get_mut(z) {
@@ -397,56 +397,65 @@ fn run_domain<W: GfWord>(
         }
     }
     for bundle in &domain.bundles {
-        run_bundle(tape, bundle, view, sinks, len);
-    }
-}
-
-/// Runs one bundle in place: its runs' destinations are taken out of the
-/// view (`std::mem::take` leaves an empty slice), its sources are read
-/// through the rest of it, and the destinations go back. A bundle with a
-/// multi-destination table computes all its destinations in one pass over
-/// the shared sources; any other runs its runs one by one through
-/// [`run_fused`]. Every term is recorded into its own segment's sink.
-//
-// Indexing is safe by [`crate::tape::check`] and bundle derivation:
-// every run, destination, source and segment index is in range, and no
-// run reads a destination of its domain, so no source is a taken entry.
-#[allow(clippy::indexing_slicing)]
-fn run_bundle<W: GfWord>(
-    tape: &PlanTape<W>,
-    bundle: &Bundle,
-    view: &mut [&mut [u8]],
-    sinks: &[RegionStats],
-    len: usize,
-) {
-    let instrs = |run: &Run| {
-        tape.segment(run.seg)
-            .and_then(|seg| seg.instrs.get(run.instrs.clone()))
-            .unwrap_or_default()
-    };
-    for run in &bundle.runs {
-        for ins in instrs(run) {
-            ins.kernel.record_with(len, &sinks[run.seg]);
-        }
-    }
-    if let Some((table, sources)) = &bundle.multi {
         let mut dsts: [&mut [u8]; BUNDLE_RUNS] = Default::default();
         for (dst, run) in dsts.iter_mut().zip(&bundle.runs) {
             *dst = std::mem::take(&mut view[run.dst]);
         }
+        let dsts = &mut dsts[..bundle.runs.len()];
         let view_ref = &*view;
-        table.mul_copy(|s| &*view_ref[sources[s]], &mut dsts[..bundle.runs.len()]);
+        run_bundle(
+            bundle,
+            |run| tape.run_instrs(run),
+            sinks,
+            |v| &*view_ref[v],
+            tape.total_sectors,
+            dsts,
+        );
         for (dst, run) in dsts.iter_mut().zip(&bundle.runs) {
             view[run.dst] = std::mem::take(dst);
         }
+    }
+}
+
+/// Runs one bundle: `dsts[i]` receives `bundle.runs[i]`, whose
+/// instructions `instrs` looks up, and every source is read through
+/// `source` by its view index (see [`Domain`]) — `total_sectors` maps a
+/// run's locations to view indices. A bundle with a multi-destination
+/// table computes all its destinations in one pass over the shared
+/// sources; any other runs its runs one by one through [`run_fused`].
+/// Every term is recorded into `sinks[run.seg]`, so the ledger stays per
+/// segment where a bundle mixes segments; a caller that keeps no ledger
+/// passes no sinks. The only function that runs a tape's kernels.
+//
+// Indexing is safe by bundle derivation: `dsts` holds one destination
+// per run, and a multi-destination table one source per column.
+#[allow(clippy::indexing_slicing)]
+pub(crate) fn run_bundle<'i, 'a, W: GfWord>(
+    bundle: &Bundle,
+    instrs: impl Fn(&Run) -> &'i [Instr<Kernel<W>>],
+    sinks: &[RegionStats],
+    source: impl Fn(usize) -> &'a [u8],
+    total_sectors: usize,
+    dsts: &mut [&mut [u8]],
+) {
+    let len = dsts.first().map_or(0, |d| d.len());
+    for run in &bundle.runs {
+        if let Some(sink) = sinks.get(run.seg) {
+            for ins in instrs(run) {
+                ins.kernel.record_with(len, sink);
+            }
+        }
+    }
+    if let Some((table, sources)) = &bundle.multi {
+        table.mul_copy(|s| source(sources[s]), dsts);
         return;
     }
-    let n = tape.total_sectors;
-    for run in &bundle.runs {
-        let dst = std::mem::take(&mut view[run.dst]);
-        let view_ref = &*view;
-        run_fused(instrs(run), |loc| &*view_ref[view_source(loc, n)], dst);
-        view[run.dst] = dst;
+    for (run, dst) in bundle.runs.iter().zip(dsts) {
+        run_fused(
+            instrs(run),
+            |loc| source(view_source(loc, total_sectors)),
+            dst,
+        );
     }
 }
 
@@ -459,7 +468,9 @@ pub(crate) fn check_geometry(expected: usize, stripe: &Stripe) -> Result<(), Dec
     Ok(())
 }
 
-fn verify_plan<W: GfWord>(
+/// [`Decoder::verify`], with the accumulators borrowed from `arena` when
+/// one is given.
+pub(crate) fn verify_plan<W: GfWord>(
     plan: &DecodePlan<W>,
     stripe: &Stripe,
     arena: Option<&ScratchArena>,
@@ -467,15 +478,16 @@ fn verify_plan<W: GfWord>(
     if !plan.supports_verify() {
         return Err(DecodeError::VerificationUnavailable);
     }
-    run_verify_runs(plan.verify_runs(), plan.total_sectors(), stripe, arena)
+    run_verify(plan.verify_section(), plan.total_sectors(), stripe, arena)
 }
 
-/// Replays lowered verify runs against a stripe of `total_sectors`
-/// sectors: each surplus row is one fused run into a single accumulator
-/// slot. The only verify implementation — in-process plans and wire
-/// plans both end up here.
-pub(crate) fn run_verify_runs<W: GfWord>(
-    runs: &[VerifyRun<Kernel<W>>],
+/// Runs a verify section's bundles against a stripe of `total_sectors`
+/// sectors, each run into its own sector-sized accumulator, and reports
+/// the rows whose check value is non-zero in surplus order. The only
+/// verify implementation — in-process plans and wire plans both end up
+/// here.
+pub(crate) fn run_verify<W: GfWord>(
+    section: &VerifySection<W>,
     total_sectors: usize,
     stripe: &Stripe,
     arena: Option<&ScratchArena>,
@@ -483,33 +495,50 @@ pub(crate) fn run_verify_runs<W: GfWord>(
     check_geometry(total_sectors, stripe)?;
     let sink = RegionStats::new();
     let started = Instant::now();
+    let sb = stripe.sector_bytes();
+    // One accumulator per run of the widest bundle, taken dirty: each
+    // run's head overwrites its own. An all-zero row has no run, so it is
+    // never violated and no stale accumulator is inspected for it.
+    let width = section.bundles.iter().map(|b| b.runs.len()).max();
+    let mut bufs: Vec<Vec<u8>> = (0..width.unwrap_or(0))
+        .map(|_| take_buf_dirty(arena, sb))
+        .collect();
+    let mut accs: Vec<&mut [u8]> = bufs.iter_mut().map(Vec::as_mut_slice).collect();
     let mut violated = Vec::new();
-    // Each run's head overwrites the accumulator, so it needs no
-    // zeroing — not on take, not between rows.
-    let mut acc = take_buf_dirty(arena, stripe.sector_bytes());
-    for run in runs {
-        if run.instrs.is_empty() {
-            // An all-zero surplus row: the empty XOR sum is zero, never
-            // violated — and nothing wrote the (dirty) accumulator, so it
-            // must not be inspected.
-            continue;
-        }
-        run_tape_section(
-            &run.instrs,
-            sectors_only(stripe),
-            &mut acc,
-            0,
-            stripe.sector_bytes(),
-            &sink,
+    for bundle in &section.bundles {
+        let dsts = accs.get_mut(..bundle.runs.len()).unwrap_or_default();
+        run_bundle(
+            bundle,
+            |run| {
+                section
+                    .runs
+                    .get(run.dst)
+                    .map(|r| r.instrs.as_slice())
+                    .unwrap_or_default()
+            },
+            std::slice::from_ref(&sink),
+            |s| stripe.sector(s),
+            total_sectors,
+            dsts,
         );
-        if !is_zero(&acc) {
-            violated.push(run.row);
+        for (run, acc) in bundle.runs.iter().zip(&*dsts) {
+            if !is_zero(acc) {
+                violated.push(run.dst);
+            }
         }
     }
-    give_buf(arena, acc);
+    drop(accs);
+    for buf in bufs {
+        give_buf(arena, buf);
+    }
+    // Bundles follow source sets; the report follows the surplus rows.
+    violated.sort_unstable();
     Ok(VerifyReport {
-        rows_checked: runs.len(),
-        violated_rows: violated,
+        rows_checked: section.runs.len(),
+        violated_rows: violated
+            .into_iter()
+            .filter_map(|i| section.runs.get(i).map(|run| run.row))
+            .collect(),
         stats: SubPlanStats::collect(&sink, 0, started.elapsed()),
     })
 }
@@ -555,79 +584,6 @@ pub(crate) fn take_buf_dirty(arena: Option<&ScratchArena>, len: usize) -> Vec<u8
 pub(crate) fn give_buf(arena: Option<&ScratchArena>, buf: Vec<u8>) {
     if let Some(a) = arena {
         a.give(buf);
-    }
-}
-
-/// The source of a section that reads stripe sectors only — a scratch
-/// section, or a verify run ([`crate::tape::check`] rejects any other
-/// source there).
-pub(crate) fn sectors_only<'a>(stripe: &'a Stripe) -> impl Fn(Loc) -> &'a [u8] {
-    move |loc| match loc {
-        Loc::Sector(s) => stripe.sector(s),
-        Loc::Slot(_) => unreachable!("this section reads sectors only"),
-    }
-}
-
-/// Replays one section of `seg` into `dst`, which holds exactly that
-/// section's slots, each `len` bytes long: zeroes the section's listed
-/// zero slots — degenerate empty term lists, the only slots no run head
-/// overwrites in the otherwise unzeroed reservation — then replays the
-/// section's runs. The cluster split's runner, whose slots cross the
-/// wire: the survivor runs `H_rest`'s scratch section, the aggregator
-/// its output section.
-//
-// In bounds by [`crate::tape::check`]: zero slots and destinations lie
-// inside the section's slot range, which `dst` covers.
-#[allow(clippy::indexing_slicing)]
-pub(crate) fn run_section<'a, W: GfWord>(
-    seg: &TapeSegment<Kernel<W>>,
-    section: Section,
-    source: impl Fn(Loc) -> &'a [u8],
-    dst: &mut [u8],
-    len: usize,
-    stats: &RegionStats,
-) {
-    let (instrs, slots) = seg.section(section);
-    for &zero in seg.zero_slots.iter().filter(|z| slots.contains(z)) {
-        let off = (zero - slots.start) * len;
-        dst[off..off + len].fill(0);
-    }
-    run_tape_section(instrs, source, dst, slots.start, len, stats);
-}
-
-/// Replays one tape section into `dst_region`, whose first slot is
-/// absolute slot `slot_base` and whose slots are `sb` bytes long: each
-/// maximal same-destination run (one [`OpCode::MulCopy`] plus its
-/// [`OpCode::MulXorFusedCont`]s) goes through [`run_fused`] into its
-/// slot. Every term is tallied into `stats`. The flat-buffer runner of
-/// the verify pass and the cluster split, whose outputs leave the
-/// stripe; a decode runs in place ([`run_bundle`]).
-//
-// Indexing is safe by tape construction: run boundaries come from the
-// opcodes the compiler emitted, and destinations lie inside this
-// section's slot range.
-#[allow(clippy::indexing_slicing)]
-pub(crate) fn run_tape_section<'a, W: GfWord>(
-    instrs: &[Instr<Kernel<W>>],
-    source: impl Fn(Loc) -> &'a [u8],
-    dst_region: &mut [u8],
-    slot_base: usize,
-    sb: usize,
-    stats: &RegionStats,
-) {
-    let mut i = 0;
-    while i < instrs.len() {
-        let dst = instrs[i].dst;
-        let mut j = i + 1;
-        while j < instrs.len() && instrs[j].op == OpCode::MulXorFusedCont {
-            j += 1;
-        }
-        for ins in &instrs[i..j] {
-            ins.kernel.record_with(sb, stats);
-        }
-        let off = (dst - slot_base) * sb;
-        run_fused(&instrs[i..j], &source, &mut dst_region[off..off + sb]);
-        i = j;
     }
 }
 
@@ -699,7 +655,7 @@ pub fn parity_consistent<W: GfWord>(h: &Matrix<W>, stripe: &Stripe, backend: Bac
                 .or_insert_with(|| RegionMul::new(c, backend))
                 .mul_xor(stripe.sector(col), &mut acc);
         }
-        if acc.iter().any(|&b| b != 0) {
+        if !is_zero(&acc) {
             return false;
         }
     }
@@ -914,22 +870,7 @@ mod tests {
     fn random_programs(rng: &mut StdRng) -> (Vec<Program<u8>>, Option<Program<u8>>) {
         use rand::seq::SliceRandom;
         use rand::Rng;
-        let terms = |pool: &[usize], rng: &mut StdRng| -> Vec<(u8, usize)> {
-            let mut srcs: Vec<usize> = pool.to_vec();
-            srcs.shuffle(rng);
-            srcs.truncate(rng.random_range(0..=pool.len()));
-            if !srcs.is_empty() && rng.random_range(0..8usize) == 0 {
-                srcs.push(srcs[0]);
-            }
-            srcs.into_iter()
-                .map(|s| {
-                    (
-                        [1u8, 1, 2, 0x1D, 0x53, 0xFF][rng.random_range(0..6usize)],
-                        s,
-                    )
-                })
-                .collect()
-        };
+        let terms = random_terms;
         let mut faulty: Vec<usize> = (8..16).collect();
         faulty.shuffle(rng);
         let survivors: Vec<usize> = (0..8).collect();
@@ -963,6 +904,27 @@ mod tests {
             }
         });
         (phase_a, phase_b)
+    }
+
+    /// A random term list over `pool`: a shuffled prefix of it, now and
+    /// then repeating its first source.
+    fn random_terms(pool: &[usize], rng: &mut StdRng) -> Vec<(u8, usize)> {
+        use rand::seq::SliceRandom;
+        use rand::Rng;
+        let mut srcs: Vec<usize> = pool.to_vec();
+        srcs.shuffle(rng);
+        srcs.truncate(rng.random_range(0..=pool.len()));
+        if !srcs.is_empty() && rng.random_range(0..8usize) == 0 {
+            srcs.push(srcs[0]);
+        }
+        srcs.into_iter()
+            .map(|s| {
+                (
+                    [1u8, 1, 2, 0x1D, 0x53, 0xFF][rng.random_range(0..6usize)],
+                    s,
+                )
+            })
+            .collect()
     }
 
     /// Evaluates programs in order, word by word with `gf_mul`: the
@@ -1051,6 +1013,49 @@ mod tests {
                 proptest::prop_assert_eq!(executed, tape.mult_xors() as u64);
             }
         }
+
+        /// Bundled verify runs equal checking random surplus rows one by
+        /// one. Rows draw from small source pools, so they share source
+        /// sets and bundle; some are empty, some repeat a source, and rows
+        /// over sectors 12..16 — zero in the stripe — check clean.
+        #[test]
+        fn bundled_verify_equals_per_row(seed in 0u64..1_000_000) {
+            use rand::Rng;
+            let mut rng = StdRng::seed_from_u64(seed);
+            let pools: [&[usize]; 3] = [&[0, 1, 2, 3], &[4, 5, 6, 7, 8, 9, 10, 11], &[12, 13, 14, 15]];
+            let rows: Vec<crate::plan::SurplusRow<u8>> = (0..rng.random_range(0..=12usize))
+                .map(|i| (3 * i + 1, random_terms(pools[rng.random_range(0..3usize)], &mut rng)))
+                .collect();
+            let mut stripe = Stripe::zeroed(ppm_codes::StripeLayout::new(4, 4), 72);
+            for l in 0..12 {
+                let bytes: Vec<u8> = (0..72).map(|_| rng.random()).collect();
+                stripe.write_sector(l, &bytes);
+            }
+            let violated: Vec<usize> = rows
+                .iter()
+                .filter(|(_, terms)| {
+                    let mut sum = [0u8; 72];
+                    for &(c, s) in terms {
+                        for (o, &b) in sum.iter_mut().zip(stripe.sector(s)) {
+                            *o ^= c.gf_mul(b);
+                        }
+                    }
+                    sum.iter().any(|&b| b != 0)
+                })
+                .map(|(row, _)| *row)
+                .collect();
+            let terms: usize = rows.iter().map(|(_, t)| t.len()).sum();
+
+            let regions = crate::plan::RegionCache::build((1..=255).collect(), Backend::Auto);
+            let section = VerifySection::new(crate::tape::lower_verify(&rows, &regions, 16), 16);
+            let bundled: usize = section.bundles.iter().map(|b| b.runs.len()).sum();
+            let nonempty = rows.iter().filter(|(_, t)| !t.is_empty()).count();
+            proptest::prop_assert_eq!(bundled, nonempty);
+            let report = run_verify(&section, 16, &stripe, None).unwrap();
+            proptest::prop_assert_eq!(report.rows_checked, rows.len());
+            proptest::prop_assert_eq!(report.violated_rows, violated);
+            proptest::prop_assert_eq!(report.stats.mult_xors, terms as u64);
+        }
     }
 
     #[test]
@@ -1130,10 +1135,80 @@ mod tests {
             .iter()
             .all(|r| plan.surplus_row_indices().contains(r)));
 
-        // Arena-borrowing variant agrees.
-        let arena = crate::ScratchArena::new();
-        let in_arena = dec.verify_in(&plan, &stripe, &arena).unwrap();
+        // The executor's arena-borrowing verify agrees.
+        let executor = crate::Executor::new(dec.config());
+        let in_arena = executor.verify(&plan, &stripe).unwrap();
         assert_eq!(in_arena.violated_rows, report.violated_rows);
+        assert!(
+            executor.arena().stats().fresh > 0,
+            "borrowed from the arena"
+        );
+    }
+
+    /// SD(8,8,2,2) with one lost disk: each stripe row keeps one
+    /// row-parity check and the two global checks read every sector, so
+    /// they share one bundle. The bundled report equals the scalar wire
+    /// tape's run-by-run report: clean with the exact ledger after the
+    /// decode, and after a one-byte flip both global rows and the
+    /// flipped row's check are reported, in ascending order.
+    #[test]
+    fn sd_verify_bundles_equal_run_by_run() {
+        let code = SdCode::<u8>::search(8, 8, 2, 2, 2015, 3).unwrap();
+        let h = code.parity_check_matrix();
+        let sc = FailureScenario::whole_disks(code.layout(), &[3]);
+        let dec = Decoder::new(DecoderConfig {
+            threads: 1,
+            backend: Backend::Auto,
+        });
+        let mut rng = StdRng::seed_from_u64(88);
+        let mut pristine = random_data_stripe(&code, 96, &mut rng);
+        encode(&code, &dec, &mut pristine).unwrap();
+        let plan = dec.plan(&h, &sc, Strategy::PpmAuto).unwrap();
+        let mut stripe = pristine.clone();
+        stripe.erase(&sc);
+        dec.decode(&plan, &mut stripe).unwrap();
+        assert_eq!(stripe, pristine);
+
+        let section = plan.verify_section();
+        assert_eq!(section.runs.len(), plan.verify_rows());
+        assert!(
+            section.bundles.len() < plan.verify_rows(),
+            "{} bundles for {} rows",
+            section.bundles.len(),
+            plan.verify_rows()
+        );
+        // On a GFNI host the shared pass is one multi-destination table.
+        let multi = section.bundles.iter().any(|b| b.multi.is_some());
+        assert_eq!(multi, Backend::Gfni.is_available());
+        let wire = crate::WirePlan::from_plan(&plan)
+            .compile::<u8>(Backend::Scalar)
+            .unwrap();
+        let scalar = crate::Executor::new(decoder(1).config());
+        let outcome =
+            |r: &VerifyReport| (r.rows_checked, r.violated_rows.clone(), r.stats.mult_xors);
+
+        let report = dec.verify(&plan, &stripe).unwrap();
+        assert!(report.clean(), "{report:?}");
+        assert_eq!(report.stats.mult_xors, plan.verify_mult_xors() as u64);
+        assert_eq!(
+            outcome(&scalar.verify_wire(&wire, &stripe).unwrap()),
+            outcome(&report)
+        );
+
+        stripe.sector_mut(0)[17] ^= 0x3C;
+        let report = dec.verify(&plan, &stripe).unwrap();
+        let mut expect: Vec<usize> = plan
+            .surplus_row_indices()
+            .into_iter()
+            .filter(|&row| h.get(row, 0) != 0)
+            .collect();
+        expect.sort_unstable();
+        assert_eq!(report.violated_rows, expect);
+        assert_eq!(expect.len(), 3, "a row check and two global checks");
+        assert_eq!(
+            outcome(&scalar.verify_wire(&wire, &stripe).unwrap()),
+            outcome(&report)
+        );
     }
 
     #[test]
@@ -1160,28 +1235,39 @@ mod tests {
         ));
     }
 
-    /// The verify accumulator is taken *dirty* (no zeroing sweep), which
-    /// is only sound because a run's head overwrites it — so an all-zero
-    /// surplus row (no instructions, nothing overwrites) must be skipped
-    /// as "not violated" rather than judged on stale bytes.
+    /// Verify accumulators are taken *dirty* (no zeroing sweep), which
+    /// is only sound because a run's head overwrites its accumulator — so
+    /// an all-zero surplus row (no instructions, nothing overwrites) must
+    /// be skipped as "not violated" rather than judged on stale bytes.
     #[test]
     fn verify_takes_a_dirty_accumulator_and_skips_empty_rows() {
-        let runs: Vec<VerifyRun<Kernel<u8>>> = vec![VerifyRun {
-            row: 7,
-            instrs: Vec::new(),
-        }];
+        let regions = crate::plan::RegionCache::build(vec![1u8, 2], Backend::Scalar);
+        let section = |rows: &[crate::plan::SurplusRow<u8>]| {
+            VerifySection::new(crate::tape::lower_verify(rows, &regions, 16), 16)
+        };
         let stripe = Stripe::zeroed(ppm_codes::StripeLayout::new(4, 4), 64);
         let arena = ScratchArena::new();
         arena.give(vec![0xAB; 64]);
 
-        let report = run_verify_runs(&runs, 16, &stripe, Some(&arena)).unwrap();
+        // Only an empty row: nothing runs, no accumulator is taken, and
+        // the poisoned buffer stays in the arena untouched.
+        let empty = section(&[(7, Vec::new())]);
+        let report = run_verify(&empty, 16, &stripe, Some(&arena)).unwrap();
         assert_eq!(report.rows_checked, 1);
         assert!(report.clean(), "an empty row is never violated");
         assert_eq!(report.stats.mult_xors, 0);
-        // The pass borrowed the poisoned buffer as-is and handed it back
-        // untouched: a zeroing take would have cleared it.
-        assert_eq!(arena.stats().fresh, 0);
         assert_eq!(arena.take_dirty(64), vec![0xAB; 64]);
+
+        // Beside a real row the pass borrows the poisoned buffer as-is —
+        // a zeroing take would have allocated — and the row's head
+        // overwrites it: on a zero stripe the check is clean.
+        arena.give(vec![0xAB; 64]);
+        let rows = section(&[(3, vec![(1, 0), (2, 5)]), (7, Vec::new())]);
+        let report = run_verify(&rows, 16, &stripe, Some(&arena)).unwrap();
+        assert_eq!(report.rows_checked, 2);
+        assert!(report.clean(), "{report:?}");
+        assert_eq!(report.stats.mult_xors, 2);
+        assert_eq!(arena.stats().fresh, 0);
     }
 
     #[test]

@@ -12,27 +12,28 @@
 //! (`Decoder::run_tape`).
 //!
 //! The cluster-facing entry points implement *partial-block repair*. A
-//! tape segment splits at its scratch boundary into a `T = S · BS`
-//! section and an `F⁻¹ · T` section (the paper's Normal sequence,
-//! §II-B), and each side of the wire runs one of them with the same
-//! section runner. [`Executor::wire_partials`] runs the phase-A segments
-//! locally and, when the tape's `H_rest` is splittable, only the `T`
-//! section of `H_rest` — `z_b` sector-sized blocks to ship instead of
-//! the `n − z` surviving sectors a naive repair would move. The
-//! aggregating side runs the `F⁻¹ · T` section with
-//! [`Executor::finish_rest`] without ever holding the stripe; a
-//! coordinator runs it on the tape of the plan its session cached.
+//! tape's `H_rest` splits at its scratch boundary into a `T = S · BS`
+//! domain and an `F⁻¹ · T` domain (the paper's Normal sequence, §II-B),
+//! and each side of the wire runs one of them through the bundle runner
+//! every decode uses. [`Executor::wire_partials`] runs the phase-A
+//! segments locally and, when the tape's `H_rest` is splittable, only
+//! the `T` domain of `H_rest`, straight into the blocks it returns —
+//! `z_b` sector-sized blocks to ship instead of the `n − z` surviving
+//! sectors a naive repair would move. The aggregating side runs the
+//! `F⁻¹ · T` domain with [`Executor::finish_rest`] from the shipped
+//! blocks into the sectors it returns, without ever holding the stripe;
+//! a coordinator runs it on the tape of the plan its session cached.
 
 use crate::arena::ScratchArena;
 use crate::exec::{
-    check_geometry, give_buf, run_section, run_verify_runs, sectors_only, take_buf_dirty, Decoder,
-    DecoderConfig, VerifyReport,
+    check_geometry, run_bundle, run_domain, run_verify, verify_plan, Decoder, DecoderConfig,
+    VerifyReport,
 };
 use crate::plan::DecodePlan;
 use crate::stats::ExecStats;
-use crate::tape::{Loc, PlanTape, Section};
+use crate::tape::{PlanTape, BUNDLE_RUNS};
 use crate::DecodeError;
-use ppm_gf::{GfWord, RegionStats};
+use ppm_gf::GfWord;
 use ppm_stripe::Stripe;
 
 /// The data-path half of a repair session: decoder and scratch arena.
@@ -73,14 +74,14 @@ impl Executor {
         self.decoder.decode_in(plan, stripe, &self.arena)
     }
 
-    /// Verifies a recovered stripe against the plan's surplus rows,
-    /// borrowing the accumulator from the arena.
+    /// Verifies a recovered stripe against the plan's surplus rows
+    /// ([`Decoder::verify`]), borrowing the accumulators from the arena.
     pub fn verify<W: GfWord>(
         &self,
         plan: &DecodePlan<W>,
         stripe: &Stripe,
     ) -> Result<VerifyReport, DecodeError> {
-        self.decoder.verify_in(plan, stripe, &self.arena)
+        verify_plan(plan, stripe, Some(&self.arena))
     }
 
     /// Executes a tape compiled from a wire plan
@@ -127,21 +128,16 @@ impl Executor {
         check_geometry(tape.total_sectors, stripe)?;
         self.decoder.run_spans(tape, false, stripe, arena);
 
-        // Splittable H_rest: compute the scratch (T) section only — the
-        // sums over locally held sectors. The output section (F⁻¹ · T)
-        // belongs to the aggregator.
+        // Splittable H_rest: run the scratch (T) domain only — the sums
+        // over locally held sectors — with the blocks to ship as its
+        // T slots in the span view. The output domain (F⁻¹ · T) belongs
+        // to the aggregator.
         let sb = stripe.sector_bytes();
-        let mut scratch = take_buf_dirty(arena, seg.scratch_slots * sb);
-        run_section(
-            seg,
-            Section::Scratch,
-            sectors_only(&*stripe),
-            &mut scratch,
-            sb,
-            &RegionStats::new(),
-        );
-        let rest_blocks = scratch.chunks_exact(sb).map(<[u8]>::to_vec).collect();
-        give_buf(arena, scratch);
+        let mut rest_blocks: Vec<Vec<u8>> = (0..seg.scratch_slots).map(|_| vec![0; sb]).collect();
+        let mut view: Vec<&mut [u8]> = stripe.sectors_mut().collect();
+        view.extend(rest_blocks.iter_mut().map(Vec::as_mut_slice));
+        let [_, rest_scratch, _] = &tape.domains;
+        run_domain(tape, rest_scratch, &mut view, &[]);
         Ok(WirePartials {
             rest_blocks,
             rest_pending: true,
@@ -164,10 +160,11 @@ impl Executor {
     /// [`WirePartials::rest_pending`], but that bit arrives over the
     /// wire, so a wrong peer gets an error here, never a panic.
     //
-    // Slicing is safe by the length checks above plus
-    // `crate::tape::check`: every `Slot` source is below `scratch_slots`,
-    // every block is `sector_bytes` long, and the output reservation is
-    // exactly `outputs.len()` sectors.
+    // Indexing is safe by the length checks above plus
+    // `crate::tape::check` and bundle derivation: a splittable output
+    // domain reads `T` slots only, each below `scratch_slots`, every
+    // bundle writes outputs of `H_rest`, and `dsts` holds a destination
+    // per run.
     #[allow(clippy::indexing_slicing)]
     pub fn finish_rest<W: GfWord>(
         &self,
@@ -197,28 +194,30 @@ impl Executor {
             }
         }
 
-        let sb = sector_bytes;
-        let arena = Some(&self.arena);
-        let mut outs = take_buf_dirty(arena, seg.outputs.len() * sb);
-        run_section(
-            seg,
-            Section::Output,
-            |loc| match loc {
-                Loc::Slot(e) => &rest_blocks[e][..],
-                // `rest_splittable` means the output section reads slots only.
-                Loc::Sector(_) => unreachable!("split output section reads slots only"),
-            },
-            &mut outs,
-            sb,
-            &RegionStats::new(),
-        );
-        let recovered = seg
+        // Fresh zeroed sectors: the domain's zero entries need no fill.
+        let mut recovered: Vec<(usize, Vec<u8>)> = seg
             .outputs
             .iter()
-            .enumerate()
-            .map(|(i, &(_, sector))| (sector, outs[i * sb..(i + 1) * sb].to_vec()))
+            .map(|&(_, sector)| (sector, vec![0; sector_bytes]))
             .collect();
-        give_buf(arena, outs);
+        let n = tape.total_sectors;
+        let [_, _, rest_output] = &tape.domains;
+        for bundle in &rest_output.bundles {
+            let mut dsts: [&mut [u8]; BUNDLE_RUNS] = Default::default();
+            for (sector, bytes) in &mut recovered {
+                if let Some(i) = bundle.runs.iter().position(|run| run.dst == *sector) {
+                    dsts[i] = bytes;
+                }
+            }
+            run_bundle(
+                bundle,
+                |run| tape.run_instrs(run),
+                &[],
+                |v| &rest_blocks[v - n],
+                n,
+                &mut dsts[..bundle.runs.len()],
+            );
+        }
         Ok(recovered)
     }
 
@@ -240,11 +239,11 @@ impl Executor {
         tape: &PlanTape<W>,
         stripe: &Stripe,
     ) -> Result<VerifyReport, DecodeError> {
-        let runs = tape
+        let section = tape
             .verify
             .get()
             .ok_or(DecodeError::VerificationUnavailable)?;
-        run_verify_runs(runs, tape.total_sectors(), stripe, Some(&self.arena))
+        run_verify(section, tape.total_sectors(), stripe, Some(&self.arena))
     }
 }
 

@@ -633,18 +633,25 @@ impl<W: GfWord> DecodePlan<W> {
     }
 
     /// The surplus rows lowered to verify runs in the plan's tape,
-    /// lowering them on the first call: only a verify (or a
+    /// lowering and bundling them on the first call: only a verify (or a
     /// [`WirePlan::from_plan`](crate::WirePlan::from_plan), which ships
     /// them) pays for the surplus kernels. Concurrent first calls lower
     /// once. Empty for restricted plans.
-    pub(crate) fn verify_runs(&self) -> &[crate::tape::VerifyRun<crate::tape::Kernel<W>>] {
+    pub(crate) fn verify_section(&self) -> &crate::tape::VerifySection<W> {
         self.ensure_tape().verify.get_or_init(|| {
-            crate::tape::lower_verify(
+            let runs = crate::tape::lower_verify(
                 self.surplus.as_deref().unwrap_or_default(),
                 &self.regions,
                 self.total_sectors,
-            )
+            );
+            crate::tape::VerifySection::new(runs, self.total_sectors)
         })
+    }
+
+    /// The verify runs of [`DecodePlan::verify_section`], in surplus
+    /// order.
+    pub(crate) fn verify_runs(&self) -> &[crate::tape::VerifyRun<crate::tape::Kernel<W>>] {
+        &self.verify_section().runs
     }
 
     /// The degree of parallelism `p`: how many independent sub-matrices

@@ -27,13 +27,13 @@
 //!   once per term. Overwriting heads let the executor take *unzeroed*
 //!   scratch ([`crate::ScratchArena::take_dirty`]), so no decode pays a
 //!   zeroing sweep;
-//! * surplus verify rows lower to per-row fused runs into a single
-//!   accumulator slot — on the plan's first verify, not at compile
+//! * surplus verify rows lower to per-row fused runs, bundled by the
+//!   rule below — on the plan's first verify, not at compile
 //!   ([`PlanTape::compile`] leaves the section empty and
 //!   [`DecodePlan::verify_runs`] fills it once), so a plan that only
 //!   repairs never builds the surplus rows' kernels. A wire-compiled tape
-//!   has no plan and carries its verify runs from the bytes. Small writes
-//!   use the same kernels and fused accumulate without a tape:
+//!   carries its verify runs from the bytes. Small writes use the same
+//!   kernels and fused accumulate without a tape:
 //!   [`crate::UpdatePlan`] holds each data column's kernels, and
 //!   [`RepairService::apply_update`](crate::RepairService::apply_update)
 //!   runs one fused run per touched parity;
@@ -48,7 +48,9 @@
 //!   pass over the shared sources through [`ppm_gf::MultiDot`]; any other
 //!   runs run by run. In `encode_mid`'s LRC(12,2,2) encode each row's two
 //!   global parities share a pass over the row's 12 data sectors, so a
-//!   data sector is read twice instead of three times.
+//!   data sector is read twice instead of three times. The verify section
+//!   bundles the same way: an SD code's `m` row-parity checks of one
+//!   stripe row read the same sectors.
 //!
 //! [`Instr`], [`TapeSegment`] and [`VerifyRun`] are generic over their
 //! kernel: an executable tape holds [`Kernel`]s, a wire plan the same
@@ -178,15 +180,12 @@ impl<K> TapeSegment<K> {
         self.scratch_slots + self.outputs.len()
     }
 
-    /// The instructions of one section and the absolute slots it writes.
-    //
-    // In bounds by [`check`]: the boundary lies inside `instrs`.
-    #[allow(clippy::indexing_slicing)]
-    pub(crate) fn section(&self, section: Section) -> (&[Instr<K>], std::ops::Range<usize>) {
+    /// The instruction range of one section and the slots it writes.
+    pub(crate) fn section(&self, section: Section) -> (Range<usize>, Range<usize>) {
         match section {
-            Section::Scratch => (&self.instrs[..self.scratch_boundary], 0..self.scratch_slots),
+            Section::Scratch => (0..self.scratch_boundary, 0..self.scratch_slots),
             Section::Output => (
-                &self.instrs[self.scratch_boundary..],
+                self.scratch_boundary..self.instrs.len(),
                 self.scratch_slots..self.total_slots(),
             ),
         }
@@ -223,11 +222,13 @@ pub(crate) const BUNDLE_RUNS: usize = MultiDot::MAX_DESTS;
 /// One fused run of a tape, addressed for in-place execution.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub(crate) struct Run {
-    /// Its segment: phase-A segments in order, then `H_rest`.
+    /// Its segment, the ledger's index: phase-A segments in order, then
+    /// `H_rest`; `0` for a verify run.
     pub(crate) seg: usize,
-    /// Its instructions, `instrs[range]` of that segment.
+    /// Its instructions, `instrs[range]` of that segment or verify run.
     pub(crate) instrs: Range<usize>,
-    /// Its destination in the span view (see [`Domain`]).
+    /// Its destination in the span view (see [`Domain`]), or for a verify
+    /// run its index in [`VerifySection::runs`].
     pub(crate) dst: usize,
 }
 
@@ -259,8 +260,8 @@ pub(crate) struct Domain {
     pub(crate) bundles: Vec<Bundle>,
 }
 
-/// One surplus parity-check row lowered to a fused run accumulating the
-/// row's check value into a single scratch slot.
+/// One surplus parity-check row lowered to a fused run computing the
+/// row's check value into slot 0 (executed: into its own accumulator).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub(crate) struct VerifyRun<K> {
     /// Global `H` row index (reported on violation).
@@ -282,6 +283,38 @@ impl<K> VerifyRun<K> {
     }
 }
 
+/// A tape's verify runs, in surplus order, and their bundles: a
+/// [`Domain`] over the stripe's sectors with no zero entries (an all-zero
+/// row has no run and is never violated).
+#[derive(Debug)]
+pub(crate) struct VerifySection<W: GfWord> {
+    pub(crate) runs: Box<[VerifyRun<Kernel<W>>]>,
+    pub(crate) bundles: Box<[Bundle]>,
+}
+
+impl<W: GfWord> VerifySection<W> {
+    /// Bundles `runs` by [`Domain::derive`]'s rule. The runs must pass
+    /// [`check_verify`]: each is then one fused run over sectors.
+    pub(crate) fn new(runs: Vec<VerifyRun<Kernel<W>>>, total_sectors: usize) -> Self {
+        let runs = runs.into_boxed_slice();
+        let terms: Vec<RunTerms<'_, W>> = runs
+            .iter()
+            .enumerate()
+            .filter(|(_, run)| !run.instrs.is_empty())
+            .map(|(dst, run)| {
+                let whole = Run {
+                    seg: 0,
+                    instrs: 0..run.instrs.len(),
+                    dst,
+                };
+                RunTerms::new(whole, &run.instrs, total_sectors)
+            })
+            .collect();
+        let bundles = group(&terms, total_sectors).into_boxed_slice();
+        VerifySection { runs, bundles }
+    }
+}
+
 /// A [`DecodePlan`] compiled to linear instruction tapes — what every
 /// decode and verify entry point executes, in process or on a cluster
 /// node.
@@ -297,14 +330,14 @@ pub struct PlanTape<W: GfWord> {
     pub(crate) phase_a: Vec<TapeSegment<Kernel<W>>>,
     /// The `H_rest` segment, run after phase A wrote its outputs.
     pub(crate) phase_b: Option<TapeSegment<Kernel<W>>>,
-    /// Surplus verify rows, lowered on the plan's first verify
-    /// ([`DecodePlan::verify_runs`]) or set from a wire plan's bytes.
-    /// Empty once lowered for a restricted plan.
-    pub(crate) verify: OnceLock<Vec<VerifyRun<Kernel<W>>>>,
+    /// Surplus verify rows and their bundles, built on the plan's first
+    /// verify ([`DecodePlan::verify_runs`]) or from a wire plan's bytes.
+    /// Empty once built for a restricted plan.
+    pub(crate) verify: OnceLock<VerifySection<W>>,
     /// Sectors in the stripe geometry the tape expects.
     pub(crate) total_sectors: usize,
     /// The faulty sectors the tape recovers, ascending.
-    faulty: Vec<usize>,
+    faulty: Box<[usize]>,
     /// The concrete strategy of the plan the tape was lowered from.
     pub(crate) strategy: crate::plan::Strategy,
     /// `C₁..C₄` of the plan's candidates, when it was chosen by
@@ -361,10 +394,11 @@ impl<W: GfWord> PlanTape<W> {
     }
 
     /// Assembles a tape from segments that pass [`check`], deriving the
-    /// instruction count and [`PlanTape::rest_splittable`]. Shared by
-    /// [`PlanTape::compile`] (`verify` is `None`: the plan lowers it on
-    /// first verify) and [`WirePlan::compile`](crate::WirePlan::compile)
-    /// (`verify` comes with the bytes).
+    /// instruction count, [`PlanTape::rest_splittable`] and the bundles.
+    /// Shared by [`PlanTape::compile`] (`verify` is `None`: the plan
+    /// lowers it on first verify) and
+    /// [`WirePlan::compile`](crate::WirePlan::compile) (`verify` comes
+    /// with the bytes).
     pub(crate) fn from_parts(
         phase_a: Vec<TapeSegment<Kernel<W>>>,
         phase_b: Option<TapeSegment<Kernel<W>>>,
@@ -406,9 +440,11 @@ impl<W: GfWord> PlanTape<W> {
         PlanTape {
             phase_a,
             phase_b,
-            verify: verify.map_or_else(OnceLock::new, OnceLock::from),
+            verify: verify.map_or_else(OnceLock::new, |runs| {
+                OnceLock::from(VerifySection::new(runs, total_sectors))
+            }),
             total_sectors,
-            faulty,
+            faulty: faulty.into_boxed_slice(),
             strategy,
             predicted_costs,
             domains,
@@ -417,11 +453,13 @@ impl<W: GfWord> PlanTape<W> {
         }
     }
 
-    /// Segment `i`: phase-A segments in order, then `H_rest`.
-    pub(crate) fn segment(&self, i: usize) -> Option<&TapeSegment<Kernel<W>>> {
-        self.phase_a
-            .get(i)
-            .or_else(|| self.phase_b.as_ref().filter(|_| i == self.phase_a.len()))
+    /// The instructions of one of the domains' runs.
+    pub(crate) fn run_instrs(&self, run: &Run) -> &[Instr<Kernel<W>>] {
+        let p = self.phase_a.len();
+        let seg = self.phase_a.get(run.seg);
+        seg.or_else(|| self.phase_b.as_ref().filter(|_| run.seg == p))
+            .and_then(|seg| seg.instrs.get(run.instrs.clone()))
+            .unwrap_or_default()
     }
 
     /// Total decode instructions — equal to the plan's predicted
@@ -437,7 +475,7 @@ impl<W: GfWord> PlanTape<W> {
     pub fn verify_mult_xors(&self) -> usize {
         self.verify
             .get()
-            .map_or(0, |runs| runs.iter().map(|r| r.instrs.len()).sum())
+            .map_or(0, |v| v.runs.iter().map(|r| r.instrs.len()).sum())
     }
 
     /// The faulty sectors the tape recovers, ascending.
@@ -523,47 +561,28 @@ impl Domain {
                     .filter(|z| slots.contains(z))
                     .filter_map(|&z| seg.view_index(z, total_sectors)),
             );
-            let base = match section {
-                Section::Scratch => 0,
-                Section::Output => seg.scratch_boundary,
-            };
-            let mut start = 0;
-            while let Some(head) = instrs.get(start) {
-                let len = 1 + instrs
-                    .get(start + 1..)
+            let mut start = instrs.start;
+            while let Some(head) = seg.instrs.get(start).filter(|_| start < instrs.end) {
+                let len = 1 + seg
+                    .instrs
+                    .get(start + 1..instrs.end)
                     .unwrap_or_default()
                     .iter()
                     .take_while(|i| i.op == OpCode::MulXorFusedCont)
                     .count();
-                let terms = instrs.get(start..start + len).unwrap_or_default();
+                let terms = seg.instrs.get(start..start + len).unwrap_or_default();
                 if let Some(dst) = seg.view_index(head.dst, total_sectors) {
-                    let mut sources: Vec<usize> = terms
-                        .iter()
-                        .map(|i| view_source(i.src, total_sectors))
-                        .collect();
-                    sources.sort_unstable();
-                    let distinct = sources.windows(2).all(|w| w.first() != w.get(1));
-                    runs.push(RunTerms {
-                        run: Run {
-                            seg: seg_index,
-                            instrs: base + start..base + start + len,
-                            dst,
-                        },
-                        sources,
-                        distinct,
-                        terms,
-                    });
+                    let run = Run {
+                        seg: seg_index,
+                        instrs: start..start + len,
+                        dst,
+                    };
+                    runs.push(RunTerms::new(run, terms, total_sectors));
                 }
                 start += len;
             }
         }
-        let bundles = group(&runs)
-            .into_iter()
-            .map(|members| Bundle {
-                multi: multi_table(&members, total_sectors),
-                runs: members.iter().map(|m| m.run.clone()).collect(),
-            })
-            .collect();
+        let bundles = group(&runs, total_sectors);
         Domain { zero, bundles }
     }
 }
@@ -577,6 +596,23 @@ struct RunTerms<'s, W: GfWord> {
     terms: &'s [Instr<Kernel<W>>],
 }
 
+impl<'s, W: GfWord> RunTerms<'s, W> {
+    fn new(run: Run, terms: &'s [Instr<Kernel<W>>], total_sectors: usize) -> Self {
+        let mut sources: Vec<usize> = terms
+            .iter()
+            .map(|i| view_source(i.src, total_sectors))
+            .collect();
+        sources.sort_unstable();
+        let distinct = sources.windows(2).all(|w| w.first() != w.get(1));
+        RunTerms {
+            run,
+            sources,
+            distinct,
+            terms,
+        }
+    }
+}
+
 /// The span-view index a source reads (see [`Domain`]).
 pub(crate) fn view_source(loc: Loc, total_sectors: usize) -> usize {
     match loc {
@@ -587,8 +623,9 @@ pub(crate) fn view_source(loc: Loc, total_sectors: usize) -> usize {
 
 /// The bundling rule of [`Domain::derive`]: runs with the same source set
 /// group, [`BUNDLE_RUNS`] at a time, in program order; a run that lists a
-/// source twice stays alone. Returns each bundle's members.
-fn group<'r, 's, W: GfWord>(runs: &'r [RunTerms<'s, W>]) -> Vec<Vec<&'r RunTerms<'s, W>>> {
+/// source twice stays alone. Each bundle gets its multi-destination table
+/// where its kernels allow.
+fn group<W: GfWord>(runs: &[RunTerms<'_, W>], total_sectors: usize) -> Vec<Bundle> {
     let mut order: Vec<&RunTerms<W>> = runs.iter().collect();
     order.sort_by(|a, b| a.sources.cmp(&b.sources));
     let mut bundles: Vec<Vec<&RunTerms<W>>> = Vec::new();
@@ -607,6 +644,12 @@ fn group<'r, 's, W: GfWord>(runs: &'r [RunTerms<'s, W>]) -> Vec<Vec<&'r RunTerms
         }
     }
     bundles
+        .into_iter()
+        .map(|members| Bundle {
+            multi: multi_table(&members, total_sectors),
+            runs: members.iter().map(|m| m.run.clone()).collect(),
+        })
+        .collect()
 }
 
 /// The multi-destination table of a bundle of two or more runs, over
@@ -843,10 +886,10 @@ fn emit_run<W: GfWord>(
     emitted
 }
 
-/// Lowers surplus rows to verify runs, one fused run per row into slot
-/// 0, over kernels shared from `regions` where it has the constant and
-/// built (checked) otherwise — one per distinct surplus constant. Called
-/// once per plan, on its first verify ([`DecodePlan::verify_runs`]).
+/// Lowers surplus rows to verify runs, one fused run per row, over
+/// kernels shared from `regions` where it has the constant and built
+/// (checked) otherwise — one per distinct surplus constant. Called once
+/// per plan, on its first verify ([`DecodePlan::verify_runs`]).
 pub(crate) fn lower_verify<W: GfWord>(
     surplus: &[SurplusRow<W>],
     regions: &RegionCache<W>,
